@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace as dc_replace
@@ -341,6 +342,34 @@ def _dequantized_weights(model: ClusteredModel, folded: DarknetWeights) -> Darkn
     return dc_replace(folded, convs=tuple(convs))
 
 
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and raw bits, so -0.0 differs from +0.0 and a NaN
+    matches only the identical NaN."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    raw = np.dtype(f"u{a.itemsize}")
+    return np.array_equal(a.view(raw), b.view(raw))
+
+
+def _first_difference(reference, *variants):
+    """(layer index, max |delta|) of the first layer where a variant's output
+    is not bitwise equal to reference's, or None if every layer matches.
+
+    The delta is taken over the differing variants in float64; it is nan
+    when their shapes disagree and 0 when only signs of zero differ.
+    """
+    for index, (want, *got) in enumerate(zip(reference, *variants)):
+        differing = [g for g in got if not _bitwise_equal(want, g)]
+        if differing:
+            delta = max(
+                float(np.max(np.abs(g.astype(np.float64) - want.astype(np.float64))))
+                if g.shape == want.shape else math.nan
+                for g in differing
+            )
+            return index, delta
+    return None
+
+
 def cmd_verify(args) -> int:
     net = _load_network(args.config)
     with open(args.weights, "rb") as handle:
@@ -357,10 +386,8 @@ def cmd_verify(args) -> int:
     indirect = run_network(net, folded, x, clustered=model)
     on_the_fly = run_network(net, folded, x, clustered=model, on_the_fly=True)
 
-    equivalent = all(
-        np.array_equal(a, b) and np.array_equal(a, c)
-        for a, b, c in zip(dequantized, indirect, on_the_fly)
-    )
+    first = _first_difference(dequantized, indirect, on_the_fly)
+    equivalent = first is None
     mse = float(
         np.mean(
             (original[-1].astype(np.float64) - indirect[-1].astype(np.float64)) ** 2
@@ -370,6 +397,10 @@ def cmd_verify(args) -> int:
     status = "PASS" if equivalent else "FAIL"
     print(f"indirect-vs-dequantized execution: {status} "
           f"({'bitwise equal' if equivalent else 'outputs differ'})")
+    if not equivalent:
+        index, delta = first
+        print(f"first differing layer: {index} ({net.layers[index].kind}), "
+              f"max |delta| {delta:.6g}")
     print(f"clustered-vs-original final-layer MSE: {mse:.6g}")
     print(f"weight quantization SSE: {total_sse:.6g}"
           + ("  (lossless)" if total_sse == 0.0 else ""))

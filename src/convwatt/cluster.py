@@ -334,8 +334,8 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
             )
             d = svals - centroids[assign_sorted]
             sse = float(np.dot(d, d))
-            if not reseeded:
-                assert sse <= prev_sse * (1.0 + 1e-9), "k-means SSE increased"
+            if not reseeded and sse > prev_sse * (1.0 + 1e-9):
+                raise RuntimeError("k-means SSE increased")
             prev_sse = sse
             if movement <= cfg.tol and not reseeded:
                 break
@@ -440,18 +440,30 @@ class _Cursor:
         return np.frombuffer(raw, dtype="<u4").copy()
 
 
+def _seen_format(major: int, minor: int) -> str:
+    """struct format of the seen counter: Darknet's load_weights reads 64
+    bits when major*10 + minor >= 2 and both are below 1000, else 32."""
+    if major * 10 + minor >= 2 and major < 1000 and minor < 1000:
+        return "<Q"
+    return "<I"
+
+
 def read_darknet_weights(data: bytes, net: NetworkDef) -> DarknetWeights:
     """Parse a Darknet weights payload against a network definition.
 
-    Layout: header of major/minor/revision (i32) and seen (u64), then for
-    each conv layer in network order biases[f]; if batch-normalized also
+    Layout: header of major/minor/revision (i32) and the seen counter, then
+    for each conv layer in network order biases[f]; if batch-normalized also
     scales[f], rolling_mean[f], rolling_var[f]; then kernel[f*c*k*k]. All
-    fields little-endian 32-bit except the 64-bit seen counter.
+    fields little-endian 32-bit except seen, which is 64-bit in headers of
+    version 0.2 and later (see _seen_format).
     """
     net = _ensure_shapes(net)
     cur = _Cursor(data, WeightsFormatError)
     major, minor, revision = struct.unpack("<3i", cur.take(12, "header"))
-    (seen,) = struct.unpack("<Q", cur.take(8, "seen counter"))
+    seen_format = _seen_format(major, minor)
+    (seen,) = struct.unpack(
+        seen_format, cur.take(struct.calcsize(seen_format), "seen counter")
+    )
     convs = []
     for index, layer in enumerate(net.layers):
         if layer.kind != CONVOLUTIONAL:
@@ -488,7 +500,7 @@ def read_darknet_weights(data: bytes, net: NetworkDef) -> DarknetWeights:
 def write_darknet_weights(weights: DarknetWeights) -> bytes:
     out = bytearray()
     out += struct.pack("<3i", weights.major, weights.minor, weights.revision)
-    out += struct.pack("<Q", weights.seen)
+    out += struct.pack(_seen_format(weights.major, weights.minor), weights.seen)
     for conv in weights.convs:
         out += conv.biases.astype("<f4").tobytes()
         if conv.batch_normalized:

@@ -1,9 +1,12 @@
 """Reference inference engine for verifying clustered execution.
 
-Deliberately naive: the point is reproducible arithmetic, not speed. Every
-GEMM variant accumulates in the same fixed (i, k, j) loop order with fp32
-multiplies and adds, no fused operations and no reassociation, so "bitwise
-equal" is a meaningful, testable contract between plain weights, dequantized
+The point is reproducible arithmetic. All three GEMM variants share one
+core that walks k in increasing order and at step k updates all M x N
+outputs at once with the products A[i,k] * B[k,j]: the output-stationary
+order, vectorized over (i, j) only. Products and sums are separate fp32
+operations, never fused or reassociated, so each output element gets the
+same rounding sequence as a scalar (i, k, j) loop. That makes "bitwise
+equal" a meaningful, testable contract between plain weights, dequantized
 weights, and on-the-fly codebook indirection.
 """
 
@@ -50,11 +53,40 @@ def _check_extent(name: str, size: int, rows: int, ld: int, cols: int):
         raise ValueError(f"{name}: {size} elements, need at least {needed}")
 
 
+def _rows(flat: np.ndarray, rows: int, cols: int, ld: int) -> np.ndarray:
+    """(rows, cols) view of a flat buffer whose rows start ld elements apart.
+
+    Callers check the extent first, so the view never reaches past flat.
+    """
+    step = flat.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        flat, shape=(rows, cols), strides=(ld * step, step)
+    )
+
+
+def _accumulate(M, N, K, columns, b, ldb, c, ldc):
+    """The GEMM core: C[:M, :N] += A[:, k, None] * B[k, :N] for k in order.
+
+    columns yields A's columns, already scaled by alpha, as (M, 1) fp32
+    arrays; the variants differ only in how they produce them. Each step
+    rounds its M*N products to fp32 and then adds them to C, so every C
+    element sees the same sequence of fp32 roundings as a scalar (i, k, j)
+    loop.
+    """
+    out = _rows(c, M, N, ldc)
+    prod = np.empty((M, N), dtype=np.float32)
+    for column, row in zip(columns, _rows(b, K, N, ldb)):
+        np.multiply(column, row, out=prod)
+        out += prod
+
+
 def gemm_nn(M, N, K, alpha, A, lda, B, ldb, C, ldc):
-    """C[i,j] += alpha * A[i,k] * B[k,j], accumulated in (i, k, j) order.
+    """C[i,j] += alpha * A[i,k] * B[k,j], accumulated over k in order.
 
     Flat row-major fp32 buffers with explicit leading dimensions; C is
-    updated in place and returned.
+    updated in place and returned. Step k updates all of C at once and no
+    two steps are fused, so each element still gets one fp32 rounding per
+    multiply and per add, in increasing k.
     """
     a = _as_f32("A", A)
     b = _as_f32("B", B)
@@ -62,17 +94,16 @@ def gemm_nn(M, N, K, alpha, A, lda, B, ldb, C, ldc):
     _check_extent("A", a.size, M, lda, K)
     _check_extent("B", b.size, K, ldb, N)
     _check_extent("C", c.size, M, ldc, N)
-    alpha = np.float32(alpha)
-    for i in range(M):
-        row = c[i * ldc : i * ldc + N]
-        for k in range(K):
-            a_part = alpha * a[i * lda + k]
-            row += a_part * b[k * ldb : k * ldb + N]
+    scaled = np.float32(alpha) * _rows(a, M, K, lda)
+    _accumulate(M, N, K, scaled.T[:, :, None], b, ldb, c, ldc)
     return C
 
 
 def gemm_nn_centroids(M, N, K, alpha, centroids, indexes, lda, B, ldb, C, ldc):
-    """gemm_nn with A[i,k] looked up as centroids[indexes[i*lda + k]]."""
+    """gemm_nn with A[i,k] looked up as centroids[indexes[i*lda + k]].
+
+    Column k of A is gathered from the table only when step k needs it.
+    """
     table = _as_f32("centroids", centroids)
     idx = np.asarray(indexes).reshape(-1)
     b = _as_f32("B", B)
@@ -84,20 +115,46 @@ def gemm_nn_centroids(M, N, K, alpha, centroids, indexes, lda, B, ldb, C, ldc):
         raise ValueError(
             f"index out of range for {table.size}-entry centroid table"
         )
-    alpha = np.float32(alpha)
-    for i in range(M):
-        row = c[i * ldc : i * ldc + N]
-        for k in range(K):
-            a_part = alpha * table[idx[i * lda + k]]
-            row += a_part * b[k * ldb : k * ldb + N]
+    # alpha * table[i] is the same fp32 product whichever weight uses it
+    scaled = np.float32(alpha) * table
+    idx2d = _rows(idx, M, K, lda)
+    columns = (scaled[idx2d[:, k, None]] for k in range(K))
+    _accumulate(M, N, K, columns, b, ldb, c, ldc)
     return C
+
+
+def _packed_columns(scaled, packed, M, K, lda, base):
+    """Yield scaled[A_index[:, k, None]] for k = 0 .. K-1, decoding only
+    column k's M indexes at step k.
+
+    Index j sits in word j // per_word at bit (j % per_word) * bits, so
+    column k + per_word reads the words one past column k's, at the same
+    bits: the word and shift of the first per_word columns serve them all.
+    """
+    per_word = 32 // packed.bits
+    mask = np.uint32((1 << packed.bits) - 1)
+    starts = base + np.arange(M, dtype=np.int64)[:, None] * lda
+    first = starts + np.arange(min(per_word, K))[:, None, None]
+    word, lane = np.divmod(first, per_word)
+    shift = (lane * packed.bits).astype(np.uint32)
+    for k in range(K):
+        q, r = divmod(k, per_word)
+        index = (packed.words[word[r] + q] >> shift[r]) & mask
+        try:
+            column = scaled[index]
+        except IndexError:
+            raise ValueError(
+                f"index {int(index.max())} out of range for {scaled.size}-entry table"
+            ) from None
+        yield column
 
 
 def gemm_nn_packed(M, N, K, alpha, centroids, packed, lda, B, ldb, C, ldc, base=0):
     """gemm_nn_centroids with indexes decoded from packed words on the fly.
 
     base offsets into the packed stream, so one global stream can serve many
-    layers without materializing the decoded indexes.
+    layers. Step k decodes only column k's indexes, so the stream is never
+    materialized.
     """
     table = _as_f32("centroids", centroids)
     b = _as_f32("B", B)
@@ -106,22 +163,9 @@ def gemm_nn_packed(M, N, K, alpha, centroids, packed, lda, B, ldb, C, ldc, base=
     _check_extent("C", c.size, M, ldc, N)
     if base < 0 or (M and base + (M - 1) * lda + K > packed.count):
         raise ValueError("packed stream too short for requested extent")
-    bits = packed.bits
-    per_word = 32 // bits
-    mask = (1 << bits) - 1
-    words = packed.words
-    alpha = np.float32(alpha)
-    for i in range(M):
-        row = c[i * ldc : i * ldc + N]
-        for k in range(K):
-            j = base + i * lda + k
-            index = (int(words[j // per_word]) >> ((j % per_word) * bits)) & mask
-            if index >= table.size:
-                raise ValueError(
-                    f"index {index} out of range for {table.size}-entry table"
-                )
-            a_part = alpha * table[index]
-            row += a_part * b[k * ldb : k * ldb + N]
+    scaled = np.float32(alpha) * table
+    columns = _packed_columns(scaled, packed, M, K, lda, base)
+    _accumulate(M, N, K, columns, b, ldb, c, ldc)
     return C
 
 
@@ -140,19 +184,15 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
         raise ValueError("kernel does not fit the padded input")
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
     padded[:, pad : pad + h, pad : pad + w] = x
-    cols = np.empty((c * kernel * kernel, out_h * out_w), dtype=np.float32)
-    row = 0
-    for ch in range(c):
-        for kr in range(kernel):
-            for kc in range(kernel):
-                window = padded[
-                    ch,
-                    kr : kr + stride * out_h : stride,
-                    kc : kc + stride * out_w : stride,
-                ]
-                cols[row] = window.reshape(-1)
-                row += 1
-    return cols
+    # windows[ch, kr, kc] is the (out_h, out_w) grid that kernel cell (kr, kc)
+    # sees; out_h and out_w keep it inside padded. The reshape is the one copy.
+    sc, sh, sw = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(c, kernel, kernel, out_h, out_w),
+        strides=(sc, sh, sw, sh * stride, sw * stride),
+    )
+    return windows.reshape(c * kernel * kernel, out_h * out_w)
 
 
 def leaky(x: np.ndarray) -> np.ndarray:
@@ -207,13 +247,16 @@ def conv_forward_clustered(
     packed,
     base: int = 0,
     on_the_fly: bool = False,
+    indexes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convolution with codebook-indirected weights.
 
     packed is a PackedIndices stream; base selects this layer's span within
     it. With on_the_fly the indexes are decoded inside the GEMM loop,
     otherwise they are unpacked up front. Both paths produce bitwise
-    identical results.
+    identical results. indexes, when given, is unpack_indices(packed)
+    already computed by the caller, so that a stream shared by many layers
+    is decoded once rather than once per layer.
     """
     spec, cols, m, kdim, n, out = _conv_common(layer, x)
     if base + m * kdim > packed.count:
@@ -226,15 +269,24 @@ def conv_forward_clustered(
             base=base,
         )
     else:
-        idx = unpack_indices(packed)[base : base + m * kdim]
+        if indexes is None:
+            indexes = unpack_indices(packed)
+        idx = indexes[base : base + m * kdim]
         gemm_nn_centroids(
             m, n, kdim, 1.0, centroids, idx, kdim, cols.reshape(-1), n, out, n
         )
     return _finish_conv(layer, out, biases)
 
 
-def _clustered_lookup(net: NetworkDef, weights: DarknetWeights, model: ClusteredModel):
-    """Map conv layer index -> (centroids, packed, base) for either scope."""
+def _clustered_lookup(
+    net: NetworkDef, weights: DarknetWeights, model: ClusteredModel, decode: bool
+):
+    """Map conv layer index -> (centroids, packed, base, indexes) for either
+    scope.
+
+    With decode, indexes is each table's whole decoded stream, unpacked once
+    and shared by every layer the table serves; otherwise it is None.
+    """
     lookup = {}
     if model.scope == SCOPE_ALL_LAYERS:
         entry = model.entries[0]
@@ -242,9 +294,12 @@ def _clustered_lookup(net: NetworkDef, weights: DarknetWeights, model: Clustered
             raise ValueError(
                 "global index stream length does not cover the model's weights"
             )
+        indexes = unpack_indices(entry.packed) if decode else None
         base = 0
         for conv in weights.convs:
-            lookup[conv.layer_index] = (entry.table.centroids, entry.packed, base)
+            lookup[conv.layer_index] = (
+                entry.table.centroids, entry.packed, base, indexes
+            )
             base += conv.n_weights
     else:
         by_layer = {e.layer_id: e for e in model.entries}
@@ -257,7 +312,8 @@ def _clustered_lookup(net: NetworkDef, weights: DarknetWeights, model: Clustered
                     f"layer {conv.layer_index}: table covers {entry.packed.count} "
                     f"weights, layer holds {conv.n_weights}"
                 )
-            lookup[conv.layer_index] = (entry.table.centroids, entry.packed, 0)
+            indexes = unpack_indices(entry.packed) if decode else None
+            lookup[conv.layer_index] = (entry.table.centroids, entry.packed, 0, indexes)
     return lookup
 
 
@@ -280,7 +336,9 @@ def run_network(
     expected = (net.input.c, net.input.h, net.input.w)
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match network {expected}")
-    lookup = _clustered_lookup(net, weights, clustered) if clustered else None
+    lookup = None
+    if clustered:
+        lookup = _clustered_lookup(net, weights, clustered, decode=not on_the_fly)
     outputs: list[np.ndarray] = []
     for index, layer in enumerate(net.layers):
         current = outputs[index - 1] if index else x
@@ -293,10 +351,10 @@ def run_network(
             if lookup is None:
                 out = conv_forward(layer, current, params)
             else:
-                centroids, packed, base = lookup[index]
+                centroids, packed, base, indexes = lookup[index]
                 out = conv_forward_clustered(
                     layer, current, params.biases, centroids, packed,
-                    base=base, on_the_fly=on_the_fly,
+                    base=base, on_the_fly=on_the_fly, indexes=indexes,
                 )
         elif layer.kind == SHORTCUT:
             out = current + outputs[layer.from_index]
@@ -309,9 +367,10 @@ def run_network(
         else:
             raise ValueError(f"cannot execute layer kind {layer.kind!r}")
         shape = layer.out_shape
-        assert out.shape == (shape.c, shape.h, shape.w), (
-            f"layer {index} produced {out.shape}, inference said "
-            f"{(shape.c, shape.h, shape.w)}"
-        )
+        if out.shape != (shape.c, shape.h, shape.w):
+            raise RuntimeError(
+                f"layer {index} produced {out.shape}, inference said "
+                f"{(shape.c, shape.h, shape.w)}"
+            )
         outputs.append(out)
     return outputs

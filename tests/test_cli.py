@@ -3,8 +3,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from convwatt import cli
 from convwatt.cli import main
 from convwatt.cluster import read_clustered
 
@@ -249,6 +251,62 @@ class TestVerify:
             )
             assert rc == 0
         assert capsys.readouterr().out.count("PASS") == 2
+
+
+def patch_outputs(monkeypatch, change):
+    """Make cli.run_network pass each run's outputs through
+    change(outputs, on_the_fly) after the real run."""
+    real = cli.run_network
+
+    def fake(net, weights, x, clustered=None, on_the_fly=False):
+        outputs = real(net, weights, x, clustered=clustered, on_the_fly=on_the_fly)
+        change(outputs, on_the_fly)
+        return outputs
+
+    monkeypatch.setattr(cli, "run_network", fake)
+
+
+class TestVerifyVerdict:
+    def test_one_ulp_names_first_differing_layer(
+        self, cfg_path, weights_path, tmp_path, capsys, monkeypatch
+    ):
+        out = run_cluster(cfg_path, weights_path, tmp_path)
+        deltas = []
+
+        def one_ulp(outputs, on_the_fly):
+            if on_the_fly:
+                layer = outputs[3].copy()
+                old = layer.flat[0]
+                layer.flat[0] = np.nextafter(old, np.float32(np.inf))
+                deltas.append(float(layer.flat[0]) - float(old))
+                outputs[3] = layer
+
+        patch_outputs(monkeypatch, one_ulp)
+        rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
+        assert rc == 1
+        stdout = capsys.readouterr().out
+        assert "indirect-vs-dequantized execution: FAIL (outputs differ)" in stdout
+        assert (
+            f"first differing layer: 3 (convolutional), max |delta| {deltas[0]:.6g}"
+            in stdout
+        )
+
+    def test_negative_zero_is_not_bitwise_equal(
+        self, cfg_path, weights_path, tmp_path, capsys, monkeypatch
+    ):
+        out = run_cluster(cfg_path, weights_path, tmp_path)
+
+        def signed_zero(outputs, on_the_fly):
+            layer = outputs[1].copy()
+            layer.flat[0] = np.float32(-0.0 if on_the_fly else 0.0)
+            outputs[1] = layer
+
+        patch_outputs(monkeypatch, signed_zero)
+        rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
+        assert rc == 1
+        stdout = capsys.readouterr().out
+        assert "FAIL" in stdout
+        assert "first differing layer: 1 (convolutional), max |delta| 0" in stdout
 
 
 class TestCompare:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from convwatt import cluster
 from convwatt.cluster import (
     CentroidTable,
     ClusterConfig,
@@ -212,6 +213,20 @@ class TestKmeans:
         nearest = np.abs(arr[:, None] - cents).min(axis=1)
         assert np.allclose(chosen, nearest, rtol=0, atol=1e-9)
 
+    def test_sse_increase_raises(self, monkeypatch):
+        real = cluster._segment_means
+        sweeps = []
+
+        def worse_on_second_sweep(sorted_values, bounds):
+            means = real(sorted_values, bounds)
+            sweeps.append(None)
+            return [m + 100.0 for m in means] if len(sweeps) == 2 else means
+
+        monkeypatch.setattr(cluster, "_segment_means", worse_on_second_sweep)
+        values = np.random.default_rng(3).normal(size=500)
+        with pytest.raises(RuntimeError, match="k-means SSE increased"):
+            kmeans_1d(values, 4)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="non-empty"):
             kmeans_1d([], 2)
@@ -279,6 +294,25 @@ class TestWeightsIO:
             assert conv.biases.size == spec.filters
             expected = spec.filters * layer.in_shape.c * spec.kernel**2
             assert conv.n_weights == expected
+
+    @pytest.mark.parametrize(
+        "major, minor, seen_format",
+        [(0, 1, "<I"), (0, 2, "<Q"), (1, 0, "<Q"), (1000, 0, "<I"), (0, 1000, "<I")],
+    )
+    def test_seen_width_follows_header_version(
+        self, toy_net, toy_weights, toy_weights_bytes, major, minor, seen_format
+    ):
+        # Darknet reads a 64-bit seen only from version 0.2 on, major and minor < 1000
+        payload = (
+            struct.pack("<3i", major, minor, 7)
+            + struct.pack(seen_format, 123456)
+            + toy_weights_bytes[20:]
+        )
+        parsed = read_darknet_weights(payload, toy_net)
+        assert (parsed.major, parsed.minor, parsed.revision) == (major, minor, 7)
+        assert parsed.seen == 123456
+        assert parsed.convs == toy_weights.convs
+        assert write_darknet_weights(parsed) == payload
 
     def test_conv_lookup(self, toy_weights):
         assert toy_weights.conv_for_layer(0).layer_index == 0

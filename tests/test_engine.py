@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from convwatt import engine
 from convwatt.cluster import (
     ClusterConfig,
     ConvParams,
@@ -34,12 +35,22 @@ def f32(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float32)
 
 
-def random_gemm_instance(rng, with_padding=False):
-    m, n, k = (int(rng.integers(1, 7)) for _ in range(3))
+def same_bits(got, want) -> bool:
+    """fp32 arrays of one shape with identical bit patterns (-0.0 != +0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.dtype == want.dtype == np.float32
+        and got.shape == want.shape
+        and np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    )
+
+
+def random_gemm_instance(rng, with_padding=False, max_dim=6, min_pad=0):
+    m, n, k = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
     if with_padding:
-        lda = k + int(rng.integers(0, 3))
-        ldb = n + int(rng.integers(0, 3))
-        ldc = n + int(rng.integers(0, 3))
+        lda = k + int(rng.integers(min_pad, 3))
+        ldb = n + int(rng.integers(min_pad, 3))
+        ldc = n + int(rng.integers(min_pad, 3))
     else:
         lda, ldb, ldc = k, n, n
     a = rng.normal(size=(m - 1) * lda + k).astype(np.float32)
@@ -47,6 +58,15 @@ def random_gemm_instance(rng, with_padding=False):
     c = rng.normal(size=(m - 1) * ldc + n).astype(np.float32)
     alpha = float(rng.choice([1.0, 0.5, -0.25]))
     return m, n, k, alpha, a, lda, b, ldb, c, ldc
+
+
+def gemm_cases(rng, count, with_padding=False):
+    """count small random instances, then four up to 40 wide with lda > K and
+    ldc > N, where a wrong row stride in the vectorized (M, N) update shows."""
+    for _ in range(count):
+        yield random_gemm_instance(rng, with_padding)
+    for _ in range(4):
+        yield random_gemm_instance(rng, True, max_dim=40, min_pad=1)
 
 
 class TestGemm:
@@ -76,14 +96,31 @@ class TestGemm:
     @pytest.mark.parametrize("with_padding", [False, True])
     def test_matches_scalar_reference_bitwise(self, with_padding):
         rng = np.random.default_rng(42 + with_padding)
-        for _ in range(60):
-            m, n, k, alpha, a, lda, b, ldb, c, ldc = random_gemm_instance(
-                rng, with_padding
-            )
+        for m, n, k, alpha, a, lda, b, ldb, c, ldc in gemm_cases(
+            rng, 60, with_padding
+        ):
             expected = gemm_nn_reference(m, n, k, alpha, a, lda, b, ldb, c, ldc)
             got = c.copy()
             gemm_nn(m, n, k, alpha, a, lda, b, ldb, got, ldc)
-            assert np.array_equal(got, expected)
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("m, n, k", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (0, 0, 0)])
+    def test_empty_dimension_leaves_c_untouched(self, m, n, k):
+        rng = np.random.default_rng(5)
+        lda, ldb, ldc = k + 1, n + 1, n + 1
+        a = rng.normal(size=m * lda).astype(np.float32)
+        b = rng.normal(size=k * ldb).astype(np.float32)
+        c = rng.normal(size=max(m, 1) * ldc).astype(np.float32)
+        idx = np.zeros(a.size, dtype=np.int64)
+        table = f32([2.0])
+        outs = [c.copy() for _ in range(3)]
+        gemm_nn(m, n, k, 1.0, a, lda, b, ldb, outs[0], ldc)
+        gemm_nn_centroids(m, n, k, 1.0, table, idx, lda, b, ldb, outs[1], ldc)
+        gemm_nn_packed(
+            m, n, k, 1.0, table, pack_indices(idx, 5), lda, b, ldb, outs[2], ldc
+        )
+        for got in outs:
+            assert same_bits(got, c)
 
     def test_rejects_float64(self):
         c = np.zeros(1, dtype=np.float32)
@@ -108,16 +145,14 @@ class TestGemm:
 class TestGemmCentroids:
     def test_matches_dequantized_gemm_bitwise(self):
         rng = np.random.default_rng(9)
-        for _ in range(60):
-            m, n, k, alpha, _, lda, b, ldb, c, ldc = random_gemm_instance(rng, True)
+        for m, n, k, alpha, _, lda, b, ldb, c, ldc in gemm_cases(rng, 60, True):
             table = rng.normal(size=int(rng.integers(2, 33))).astype(np.float32)
             idx = rng.integers(0, table.size, size=(m - 1) * lda + k)
             dense = table[idx]
-            want = c.copy()
-            gemm_nn(m, n, k, alpha, dense, lda, b, ldb, want, ldc)
+            want = gemm_nn_reference(m, n, k, alpha, dense, lda, b, ldb, c, ldc)
             got = c.copy()
             gemm_nn_centroids(m, n, k, alpha, table, idx, lda, b, ldb, got, ldc)
-            assert np.array_equal(got, want)
+            assert same_bits(got, want)
 
     def test_rejects_out_of_range_index(self):
         c = np.zeros(1, dtype=np.float32)
@@ -129,16 +164,37 @@ class TestGemmPacked:
     def test_matches_unpacked_bitwise(self):
         rng = np.random.default_rng(13)
         for bits in (5, 6, 7, 8):
-            for _ in range(20):
-                m, n, k, alpha, _, lda, b, ldb, c, ldc = random_gemm_instance(rng)
+            for m, n, k, alpha, _, lda, b, ldb, c, ldc in gemm_cases(rng, 20):
                 table = rng.normal(size=1 << bits).astype(np.float32)
                 idx = rng.integers(0, table.size, size=(m - 1) * lda + k)
                 packed = pack_indices(idx, bits)
-                want = c.copy()
-                gemm_nn_centroids(m, n, k, alpha, table, idx, lda, b, ldb, want, ldc)
+                want = gemm_nn_reference(
+                    m, n, k, alpha, table[idx], lda, b, ldb, c, ldc
+                )
                 got = c.copy()
                 gemm_nn_packed(m, n, k, alpha, table, packed, lda, b, ldb, got, ldc)
-                assert np.array_equal(got, want)
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("bits", [5, 6, 7])
+    def test_unaligned_base_matches_scalar_reference(self, bits):
+        rng = np.random.default_rng(100 + bits)
+        per_word = 32 // bits
+        for _ in range(4):
+            m, n, k, alpha, _, lda, b, ldb, c, ldc = random_gemm_instance(
+                rng, True, max_dim=40, min_pad=1
+            )
+            base = per_word * int(rng.integers(0, 4)) + int(rng.integers(1, per_word))
+            table = rng.normal(size=1 << bits).astype(np.float32)
+            stream = rng.integers(0, table.size, size=base + (m - 1) * lda + k)
+            packed = pack_indices(stream, bits)
+            want = gemm_nn_reference(
+                m, n, k, alpha, table[stream[base:]], lda, b, ldb, c, ldc
+            )
+            got = c.copy()
+            gemm_nn_packed(
+                m, n, k, alpha, table, packed, lda, b, ldb, got, ldc, base=base
+            )
+            assert same_bits(got, want)
 
     def test_base_offset_selects_slice(self):
         rng = np.random.default_rng(17)
@@ -152,7 +208,7 @@ class TestGemmPacked:
             gemm_nn_centroids(2, 3, 6, 1.0, table, idx, 6, b, 3, want, 3)
             got = np.zeros(6, dtype=np.float32)
             gemm_nn_packed(2, 3, 6, 1.0, table, packed, 6, b, 3, got, 3, base=base)
-            assert np.array_equal(got, want)
+            assert same_bits(got, want)
 
     def test_stream_too_short(self):
         packed = pack_indices([0, 1, 2], 8)
@@ -174,14 +230,14 @@ class TestIm2col:
     def test_identity_for_1x1(self):
         x = np.arange(2 * 3 * 3, dtype=np.float32).reshape(2, 3, 3)
         cols = im2col(x, kernel=1, stride=1, pad=0)
-        assert np.array_equal(cols, x.reshape(2, 9))
+        assert same_bits(cols, x.reshape(2, 9))
 
     def test_center_row_is_the_input(self):
         x = np.arange(9, dtype=np.float32).reshape(1, 3, 3)
         cols = im2col(x, kernel=3, stride=1, pad=1)
         assert cols.shape == (9, 9)
         # kernel cell (1,1) of channel 0 sees exactly the unshifted input
-        assert np.array_equal(cols[4], x.reshape(-1))
+        assert same_bits(cols[4], x.reshape(-1))
 
     def test_corner_taps_hit_padding(self):
         x = np.ones((1, 3, 3), dtype=np.float32)
@@ -243,7 +299,7 @@ class TestConvForward:
         got = conv_forward(layer, x, params)
         want = conv_forward_reference(layer, x, weights, biases)
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert same_bits(got, want)
 
     def test_rejects_unfolded_batch_norm(self):
         layer = shaped_conv(4, 4, 1, 1, 3, 1)
@@ -296,7 +352,7 @@ class TestClusteredForward:
         got = conv_forward_clustered(
             layer, x, biases, table, packed, on_the_fly=on_the_fly
         )
-        assert np.array_equal(got, want)
+        assert same_bits(got, want)
 
     @pytest.mark.parametrize("on_the_fly", [False, True])
     def test_base_offset(self, on_the_fly):
@@ -314,7 +370,7 @@ class TestClusteredForward:
         got = conv_forward_clustered(
             layer, x, biases, table, packed, base=base, on_the_fly=on_the_fly
         )
-        assert np.array_equal(got, want)
+        assert same_bits(got, want)
 
     def test_stream_must_cover_layer(self):
         layer = shaped_conv(4, 4, 1, 2, 3, 1)
@@ -363,19 +419,19 @@ class TestRunNetwork:
             "route",
             "yolo",
         ]
-        assert np.array_equal(outputs[2], outputs[1] + outputs[0])
+        assert same_bits(outputs[2], outputs[1] + outputs[0])
         up = np.repeat(np.repeat(outputs[3], 2, axis=1), 2, axis=2)
-        assert np.array_equal(outputs[4], up)
-        assert np.array_equal(outputs[5], np.concatenate([outputs[4], outputs[0]], axis=0))
-        assert np.array_equal(outputs[6], outputs[5])
+        assert same_bits(outputs[4], up)
+        assert same_bits(outputs[5], np.concatenate([outputs[4], outputs[0]], axis=0))
+        assert same_bits(outputs[6], outputs[5])
 
     def test_conv_layers_match_direct_calls(self, toy_net, toy_folded, toy_input):
         outputs = run_network(toy_net, toy_folded, toy_input)
-        assert np.array_equal(
+        assert same_bits(
             outputs[0],
             conv_forward(toy_net.layers[0], toy_input, toy_folded.conv_for_layer(0)),
         )
-        assert np.array_equal(
+        assert same_bits(
             outputs[1],
             conv_forward(toy_net.layers[1], outputs[0], toy_folded.conv_for_layer(1)),
         )
@@ -413,7 +469,24 @@ class TestRunNetwork:
             toy_net, toy_folded, toy_input, clustered=model, on_the_fly=on_the_fly
         )
         for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("scope", ["all_layers", "per_layer"])
+    @pytest.mark.parametrize("on_the_fly", [False, True])
+    def test_each_stream_decoded_at_most_once(
+        self, toy_net, toy_folded, toy_input, scope, on_the_fly, monkeypatch
+    ):
+        model = cluster_model(toy_folded, ClusterConfig(scope=scope, bits=5))
+        calls = []
+
+        def counting(packed):
+            calls.append(packed)
+            return unpack_indices(packed)
+
+        monkeypatch.setattr(engine, "unpack_indices", counting)
+        run_network(toy_net, toy_folded, toy_input, clustered=model, on_the_fly=on_the_fly)
+        expected = [] if on_the_fly else [entry.packed for entry in model.entries]
+        assert calls == expected
 
     def test_rejects_unfolded_weights(self, toy_net, toy_weights_bytes, toy_input):
         raw = read_darknet_weights(toy_weights_bytes, toy_net)
