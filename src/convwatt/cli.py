@@ -322,24 +322,13 @@ def cmd_cluster(args) -> int:
 
 def _dequantized_weights(model: ClusteredModel, folded: DarknetWeights) -> DarknetWeights:
     """Folded weights with kernels replaced by their codebook reconstruction."""
-    if model.scope == "all_layers":
-        entry = model.entries[0]
+    kernels = {}
+    for entry, layers in model.spans(folded):
         stream = dequantize(entry.table, entry.packed)
-        convs = []
-        base = 0
-        for conv in folded.convs:
-            n = conv.n_weights
-            convs.append(dc_replace(conv, kernel=stream[base : base + n].copy()))
-            base += n
-    else:
-        by_layer = {e.layer_id: e for e in model.entries}
-        convs = []
-        for conv in folded.convs:
-            entry = by_layer[conv.layer_index]
-            convs.append(
-                dc_replace(conv, kernel=dequantize(entry.table, entry.packed))
-            )
-    return dc_replace(folded, convs=tuple(convs))
+        for conv, base in layers:
+            kernels[conv.layer_index] = stream[base : base + conv.n_weights]
+    convs = tuple(dc_replace(c, kernel=kernels[c.layer_index]) for c in folded.convs)
+    return dc_replace(folded, convs=convs)
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -515,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("reports", nargs="+", help="analyze JSON reports")
     compare.add_argument(
         "--quality", action="append", metavar="LABEL=VALUE",
-        help="quality metric for a configuration row (repeatable)",
+        help="quality metric for a configuration row, such as an mAP measured "
+        "by an external evaluation (repeatable)",
     )
     compare.add_argument("--out", help="output CSV path (default stdout)")
     compare.set_defaults(func=cmd_compare)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netdef import CONVOLUTIONAL, NetworkDef, infer_shapes
+from .netdef import CONVOLUTIONAL, NetworkDef, ensure_shapes
 
 SCOPE_ALL_LAYERS = "all_layers"
 SCOPE_PER_LAYER = "per_layer"
@@ -175,6 +175,9 @@ class ClusteredModel:
         else:
             if any(entry.layer_id is None for entry in self.entries):
                 raise ValueError("per_layer scope requires a layer id on every table")
+            ids = [entry.layer_id for entry in self.entries]
+            if len(set(ids)) != len(ids):
+                raise ValueError("per_layer scope holds two tables for one layer")
         for entry in self.entries:
             if entry.packed.bits != self.bits:
                 raise ValueError("index stream width disagrees with model bits")
@@ -184,6 +187,43 @@ class ClusteredModel:
     @property
     def total_count(self) -> int:
         return sum(entry.packed.count for entry in self.entries)
+
+    def spans(
+        self, weights: DarknetWeights
+    ) -> list[tuple[ClusterEntry, list[tuple[ConvParams, int]]]]:
+        """The conv layers each table's index stream covers, and where.
+
+        One (entry, layers) pair per table in stream order; layers lists
+        (conv, base) in stream order, base being the offset of the conv's
+        first kernel weight in the entry's stream. Raises ValueError unless
+        every conv layer of weights is covered exactly once, every table
+        names a conv layer, and each stream holds exactly its layers' weights.
+        """
+        if self.scope == SCOPE_ALL_LAYERS:
+            groups = [(self.entries[0], weights.convs)]
+        else:
+            convs = {conv.layer_index: conv for conv in weights.convs}
+            unknown = [e.layer_id for e in self.entries if e.layer_id not in convs]
+            if unknown:
+                raise ValueError(f"tables for layers {unknown} name no conv layer")
+            missing = sorted(convs.keys() - {e.layer_id for e in self.entries})
+            if missing:
+                raise ValueError(f"no codebook table for conv layers {missing}")
+            groups = [(e, (convs[e.layer_id],)) for e in self.entries]
+        out = []
+        for entry, convs in groups:
+            layers, base = [], 0
+            for conv in convs:
+                layers.append((conv, base))
+                base += conv.n_weights
+            if entry.packed.count != base:
+                name = "global" if entry.layer_id is None else f"layer {entry.layer_id}"
+                raise ValueError(
+                    f"{name} table covers {entry.packed.count} weights, its conv "
+                    f"layers hold {base}: the index stream does not cover them"
+                )
+            out.append((entry, layers))
+        return out
 
 
 def pack_indices(indices, bits: int) -> PackedIndices:
@@ -229,14 +269,6 @@ def dequantize(table: CentroidTable, packed: PackedIndices) -> np.ndarray:
             f"index {int(idx.max())} out of range for {table.k}-entry table"
         )
     return table.centroids[idx]
-
-
-def quantization_sse(values, table: CentroidTable, assignments) -> float:
-    """Sum of squared quantization residuals, accumulated in float64."""
-    vals = np.asarray(values, dtype=np.float64)
-    rec = table.centroids.astype(np.float64)[np.asarray(assignments)]
-    d = vals - rec
-    return float(np.dot(d, d))
 
 
 def _init_centroids(values: np.ndarray, k: int, cfg: ClusterConfig) -> np.ndarray:
@@ -409,12 +441,6 @@ class DarknetWeights:
         raise KeyError(f"no conv parameters for layer {layer_index}")
 
 
-def _ensure_shapes(net: NetworkDef) -> NetworkDef:
-    if any(layer.in_shape is None for layer in net.layers):
-        return infer_shapes(net)
-    return net
-
-
 class _Cursor:
     def __init__(self, data: bytes, error):
         self.data = data
@@ -457,7 +483,7 @@ def read_darknet_weights(data: bytes, net: NetworkDef) -> DarknetWeights:
     fields little-endian 32-bit except seen, which is 64-bit in headers of
     version 0.2 and later (see _seen_format).
     """
-    net = _ensure_shapes(net)
+    net = ensure_shapes(net)
     cur = _Cursor(data, WeightsFormatError)
     major, minor, revision = struct.unpack("<3i", cur.take(12, "header"))
     seen_format = _seen_format(major, minor)
@@ -566,18 +592,9 @@ def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel
 def model_sse(model: ClusteredModel, weights: DarknetWeights) -> list[float]:
     """Per-table SSE of the clustered model against the original kernels."""
     out = []
-    for entry in model.entries:
-        if entry.layer_id is None:
-            original = np.concatenate([conv.kernel for conv in weights.convs])
-        else:
-            original = weights.conv_for_layer(entry.layer_id).kernel
-        if entry.packed.count != original.size:
-            raise ValueError(
-                f"table covers {entry.packed.count} weights, layer holds {original.size}"
-            )
-        d = original.astype(np.float64) - dequantize(entry.table, entry.packed).astype(
-            np.float64
-        )
+    for entry, layers in model.spans(weights):
+        original = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
+        d = original - dequantize(entry.table, entry.packed).astype(np.float64)
         out.append(float(np.dot(d, d)))
     return out
 

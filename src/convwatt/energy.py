@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .traffic import AccessProfile, OpProfile
@@ -19,8 +19,9 @@ from .traffic import AccessProfile, OpProfile
 MJ_PER_PJ = 1e-9
 WORD_BITS = 32
 
-# Published 45 nm estimates for fp32 arithmetic, used as the starting point
-# for calibration. Compare/select is priced like a multiply.
+# Published 45 nm estimates for fp32 arithmetic, the base that the packaged
+# [fp] prices scale (see data/default-energy.cfg). Compare/select is priced
+# like a multiply.
 BASE_FP32_ADD_PJ = 0.9
 BASE_FP32_MUL_PJ = 3.7
 
@@ -172,36 +173,6 @@ def parse_energy_config(text: str) -> EnergyConfig:
     return EnergyConfig(**kwargs)
 
 
-def save_energy_config(config: EnergyConfig, path: str):
-    lines = ["[dram]"]
-    reverse = {attr: key for key, attr in _DRAM_KEYS.items()}
-    for attr in (
-        "dram_read_miss_pj",
-        "dram_read_hit_pj",
-        "dram_write_miss_pj",
-        "dram_write_hit_pj",
-        "row_miss_fraction",
-        "bus_bits",
-        "dram_peak_gbps",
-    ):
-        lines.append(f"{reverse[attr]} = {getattr(config, attr)!r}")
-    lines.append("")
-    lines.append("[sram]")
-    for bits in sorted(config.sram_read_pj):
-        lines.append(f"table_read_{bits}bit_pj = {config.sram_read_pj[bits]!r}")
-    lines.append("")
-    lines.append("[fp]")
-    for op in FP_OPS:
-        if op in config.fp_pj:
-            lines.append(f"{op}_pj = {config.fp_pj[op]!r}")
-    lines.append("")
-    lines.append("[system]")
-    lines.append(f"target_fps = {config.target_fps!r}")
-    lines.append("")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
-
-
 @dataclass(frozen=True)
 class ClusteringChoice:
     """Codebook geometry of a clustered run: index width and table count."""
@@ -273,36 +244,6 @@ def fp_energy_mj(ops: OpProfile, fp_pj: dict[str, float]) -> float:
     pj += ops.fp_exp * price["exp"]
     pj += ops.fp_sqrt * price["sqrt"]
     return pj * MJ_PER_PJ
-
-
-def calibrate_fp_energy(
-    dram_mj: float,
-    ops: OpProfile,
-    target_dram_share: float,
-    base_add_pj: float = BASE_FP32_ADD_PJ,
-    base_mul_pj: float = BASE_FP32_MUL_PJ,
-) -> tuple[dict[str, float], float]:
-    """Scale the base fp32 energies so DRAM takes a given share of the total.
-
-    Returns the scaled per-op price table and the scale factor applied to the
-    base 45 nm constants.
-    """
-    if not 0.0 < target_dram_share < 1.0:
-        raise ValueError("target_dram_share must lie in (0, 1)")
-    fp_target_mj = dram_mj * (1.0 - target_dram_share) / target_dram_share
-    base = dict(
-        add=base_add_pj,
-        sub=base_mul_pj,
-        mul=base_mul_pj,
-        div=base_mul_pj,
-        exp=base_mul_pj,
-        sqrt=base_mul_pj,
-    )
-    base_mj = fp_energy_mj(ops, base)
-    if base_mj <= 0:
-        raise ValueError("operation census is empty; nothing to calibrate")
-    k = fp_target_mj / base_mj
-    return {op: k * pj for op, pj in base.items()}, k
 
 
 def sram_table_bytes(bits: int) -> int:
@@ -502,10 +443,6 @@ def frame_energy(
     )
 
 
-def replace_fp_prices(config: EnergyConfig, fp_pj: dict[str, float]) -> EnergyConfig:
-    return replace(config, fp_pj=dict(fp_pj))
-
-
 __all__ = [
     "AccessProfile",
     "BASE_FP32_ADD_PJ",
@@ -515,7 +452,6 @@ __all__ = [
     "EnergyConfigError",
     "EnergyReport",
     "avg_dram_energy",
-    "calibrate_fp_energy",
     "clustered_size_bits",
     "dram_accesses",
     "fp_energy_mj",
@@ -523,8 +459,6 @@ __all__ = [
     "indexes_per_word",
     "load_energy_config",
     "parse_energy_config",
-    "replace_fp_prices",
-    "save_energy_config",
     "size_reduction_factor",
     "sram_energy_mj",
     "sram_table_bytes",

@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cluster import (
-    SCOPE_ALL_LAYERS,
-    ClusteredModel,
-    ConvParams,
-    DarknetWeights,
-    unpack_indices,
-)
+from .cluster import ClusteredModel, ConvParams, DarknetWeights, unpack_indices
 from .netdef import (
     CONVOLUTIONAL,
     ROUTE,
@@ -29,7 +23,7 @@ from .netdef import (
     YOLO,
     LayerSpec,
     NetworkDef,
-    infer_shapes,
+    ensure_shapes,
 )
 
 LEAKY_SLOPE = np.float32(0.1)
@@ -278,42 +272,17 @@ def conv_forward_clustered(
     return _finish_conv(layer, out, biases)
 
 
-def _clustered_lookup(
-    net: NetworkDef, weights: DarknetWeights, model: ClusteredModel, decode: bool
-):
-    """Map conv layer index -> (centroids, packed, base, indexes) for either
-    scope.
+def _clustered_lookup(weights: DarknetWeights, model: ClusteredModel, decode: bool):
+    """Map conv layer index -> (centroids, packed, base, indexes).
 
     With decode, indexes is each table's whole decoded stream, unpacked once
     and shared by every layer the table serves; otherwise it is None.
     """
     lookup = {}
-    if model.scope == SCOPE_ALL_LAYERS:
-        entry = model.entries[0]
-        if entry.packed.count != sum(c.n_weights for c in weights.convs):
-            raise ValueError(
-                "global index stream length does not cover the model's weights"
-            )
+    for entry, layers in model.spans(weights):
         indexes = unpack_indices(entry.packed) if decode else None
-        base = 0
-        for conv in weights.convs:
-            lookup[conv.layer_index] = (
-                entry.table.centroids, entry.packed, base, indexes
-            )
-            base += conv.n_weights
-    else:
-        by_layer = {e.layer_id: e for e in model.entries}
-        for conv in weights.convs:
-            entry = by_layer.get(conv.layer_index)
-            if entry is None:
-                raise ValueError(f"no codebook table for conv layer {conv.layer_index}")
-            if entry.packed.count != conv.n_weights:
-                raise ValueError(
-                    f"layer {conv.layer_index}: table covers {entry.packed.count} "
-                    f"weights, layer holds {conv.n_weights}"
-                )
-            indexes = unpack_indices(entry.packed) if decode else None
-            lookup[conv.layer_index] = (entry.table.centroids, entry.packed, 0, indexes)
+        for conv, base in layers:
+            lookup[conv.layer_index] = (entry.table.centroids, entry.packed, base, indexes)
     return lookup
 
 
@@ -330,15 +299,14 @@ def run_network(
     model is given. Yolo layers pass their input through unchanged; decoding
     beyond raw activations is out of scope here.
     """
-    if any(layer.in_shape is None for layer in net.layers):
-        net = infer_shapes(net)
+    net = ensure_shapes(net)
     x = np.asarray(x, dtype=np.float32)
     expected = (net.input.c, net.input.h, net.input.w)
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match network {expected}")
     lookup = None
     if clustered:
-        lookup = _clustered_lookup(net, weights, clustered, decode=not on_the_fly)
+        lookup = _clustered_lookup(weights, clustered, decode=not on_the_fly)
     outputs: list[np.ndarray] = []
     for index, layer in enumerate(net.layers):
         current = outputs[index - 1] if index else x

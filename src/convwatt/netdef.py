@@ -104,12 +104,6 @@ class NetworkDef:
         if not self.layers:
             raise ConfigError("network defines no layers")
 
-    def kind_census(self) -> dict[str, int]:
-        census = {kind: 0 for kind in LAYER_KINDS}
-        for layer in self.layers:
-            census[layer.kind] += 1
-        return census
-
 
 def _split_sections(text: str) -> list[tuple[str, dict[str, str]]]:
     sections: list[tuple[str, dict[str, str]]] = []
@@ -292,6 +286,13 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
         shaped.append(new)
         outputs.append(new.out_shape)
     return NetworkDef(input=net.input, layers=tuple(shaped))
+
+
+def ensure_shapes(net: NetworkDef) -> NetworkDef:
+    """net itself if every layer has its shapes, else infer_shapes(net)."""
+    if any(layer.in_shape is None for layer in net.layers):
+        return infer_shapes(net)
+    return net
 
 
 def serialize_config(net: NetworkDef) -> str:

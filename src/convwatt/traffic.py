@@ -71,14 +71,6 @@ class AccessProfile:
             self.output_writes + other.output_writes,
         )
 
-    @property
-    def total_reads(self) -> int:
-        return self.weight_reads + self.input_reads + self.output_reads
-
-    @property
-    def total_elements(self) -> int:
-        return self.total_reads + self.output_writes
-
 
 @dataclass(frozen=True)
 class OpProfile:
@@ -107,22 +99,6 @@ class OpProfile:
             self.fp_exp + other.fp_exp,
             self.fp_sqrt + other.fp_sqrt,
         )
-
-    @property
-    def total(self) -> int:
-        return (
-            self.macs
-            + self.fp_add
-            + self.fp_sub
-            + self.fp_mul
-            + self.fp_div
-            + self.fp_exp
-            + self.fp_sqrt
-        )
-
-    @property
-    def mac_share(self) -> float:
-        return self.macs / self.total if self.total else 0.0
 
 
 def _require_shapes(layer: LayerSpec):
@@ -232,17 +208,6 @@ def other_layer_accesses(layer: LayerSpec, read_bucket: str = READS_AS_INPUTS) -
     raise ValueError(f"no access model for layer kind {layer.kind!r}")
 
 
-def layer_access_profile(
-    layer: LayerSpec,
-    row_convention: str = ROWS_OUTPUT,
-    read_bucket: str = READS_AS_INPUTS,
-    generalized: bool = False,
-) -> AccessProfile:
-    if layer.kind == CONVOLUTIONAL:
-        return conv_accesses(layer, row_convention=row_convention, generalized=generalized)
-    return other_layer_accesses(layer, read_bucket=read_bucket)
-
-
 def aggregate(
     net: NetworkDef,
     row_convention: str = ROWS_OUTPUT,
@@ -251,12 +216,9 @@ def aggregate(
 ) -> tuple[list[AccessProfile], AccessProfile]:
     """Per-layer access profiles and their element-wise sum."""
     per_layer = [
-        layer_access_profile(
-            layer,
-            row_convention=row_convention,
-            read_bucket=read_bucket,
-            generalized=generalized,
-        )
+        conv_accesses(layer, row_convention=row_convention, generalized=generalized)
+        if layer.kind == CONVOLUTIONAL
+        else other_layer_accesses(layer, read_bucket=read_bucket)
         for layer in net.layers
     ]
     total = AccessProfile()

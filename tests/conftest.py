@@ -1,7 +1,6 @@
-"""Shared fixtures: the YOLOv3 fixture network, toy networks with generated
-weights, and the acceptance-criteria summary printed after the run."""
+"""Shared fixtures: the YOLOv3 fixture network, and toy networks with
+generated weights."""
 
-import re
 import struct
 from importlib import resources
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from convwatt.netdef import infer_shapes, parse_config
+from convwatt.netdef import ensure_shapes, infer_shapes, parse_config
 
 settings.register_profile(
     "suite",
@@ -91,8 +90,7 @@ def weights_blob(net, seed: int = 0, kernel_scale: float | None = None) -> bytes
     declares them, and the fp32 kernel. Deterministic in seed.
     """
     rng = np.random.default_rng(seed)
-    if any(layer.in_shape is None for layer in net.layers):
-        net = infer_shapes(net)
+    net = ensure_shapes(net)
     parts = [struct.pack("<3i", 0, 2, 0), struct.pack("<Q", 0)]
     for layer in net.layers:
         if layer.kind != "convolutional":
@@ -114,42 +112,3 @@ def weights_blob(net, seed: int = 0, kernel_scale: float | None = None) -> bytes
 @pytest.fixture(scope="session")
 def toy_weights_bytes(toy_net) -> bytes:
     return weights_blob(toy_net, seed=11)
-
-
-# ---------------------------------------------------------------------------
-# Acceptance summary: one line per criterion, printed after the test run.
-
-_DETAILS: dict[int, str] = {}
-_OUTCOMES: dict[int, str] = {}
-_CRITERION_RE = re.compile(r"test_criterion_(\d+)")
-
-
-@pytest.fixture
-def acceptance(request):
-    """Recorder for a measured detail string shown in the summary line."""
-    match = _CRITERION_RE.search(request.node.name)
-    number = int(match.group(1)) if match else 0
-
-    def record(detail: str):
-        _DETAILS[number] = detail
-
-    return record
-
-
-def pytest_runtest_logreport(report):
-    if report.when != "call" or "test_acceptance.py" not in report.nodeid:
-        return
-    match = _CRITERION_RE.search(report.nodeid)
-    if match:
-        _OUTCOMES[int(match.group(1))] = report.outcome
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _OUTCOMES:
-        return
-    terminalreporter.section("acceptance criteria")
-    for number in sorted(_OUTCOMES):
-        status = "PASS" if _OUTCOMES[number] == "passed" else "FAIL"
-        detail = _DETAILS.get(number)
-        suffix = f" ({detail})" if detail else ""
-        terminalreporter.write_line(f"criterion {number:2d}: {status}{suffix}")

@@ -109,31 +109,6 @@ def pack_indices_reference(indices, bits: int) -> list[int]:
     return words
 
 
-def average_precision_reference(tp_flags, n_gts: int) -> float:
-    """All-points interpolated AP from a ranked list of TP/FP flags.
-
-    Scans each rank where recall increases and adds the recall step times the
-    best precision achieved at that recall or beyond.
-    """
-    flags = [bool(f) for f in tp_flags]
-    if n_gts <= 0 or not flags:
-        return 0.0
-    tps = 0
-    precisions = []
-    recalls = []
-    for rank, flag in enumerate(flags, start=1):
-        tps += flag
-        precisions.append(tps / rank)
-        recalls.append(tps / n_gts)
-    area = 0.0
-    prev_recall = 0.0
-    for rank, recall in enumerate(recalls):
-        if recall > prev_recall:
-            area += (recall - prev_recall) * max(precisions[rank:])
-            prev_recall = recall
-    return area
-
-
 def conv_stream_counts(in_h, in_w, in_c, filters, kernel):
     """Enumerate the stride-1 row-streaming schedule access by access.
 

@@ -8,7 +8,12 @@ import pytest
 
 from convwatt import cli
 from convwatt.cli import main
-from convwatt.cluster import read_clustered
+from convwatt.cluster import (
+    ClusteredModel,
+    ClusterEntry,
+    read_clustered,
+    write_clustered,
+)
 
 from conftest import TOY_CFG
 
@@ -217,9 +222,20 @@ class TestCluster:
         assert "truncated" in capsys.readouterr().err
 
 
+def write_unchecked_model(path, model, entries):
+    """Write model's container with its tables replaced by entries, skipping
+    ClusteredModel's own validation so that a malformed file can be made."""
+    unchecked = object.__new__(ClusteredModel)
+    for name in ("scope", "bits"):
+        object.__setattr__(unchecked, name, getattr(model, name))
+    object.__setattr__(unchecked, "entries", tuple(entries))
+    path.write_bytes(write_clustered(unchecked))
+
+
 class TestVerify:
-    def test_pass_on_good_model(self, cfg_path, weights_path, tmp_path, capsys):
-        out = run_cluster(cfg_path, weights_path, tmp_path)
+    @pytest.mark.parametrize("scope", ["all-layers", "per-layer"])
+    def test_pass_on_good_model(self, cfg_path, weights_path, tmp_path, capsys, scope):
+        out = run_cluster(cfg_path, weights_path, tmp_path, "--scope", scope)
         rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
         assert rc == 0
         stdout = capsys.readouterr().out
@@ -251,6 +267,31 @@ class TestVerify:
             )
             assert rc == 0
         assert capsys.readouterr().out.count("PASS") == 2
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # the toy net's conv layers are 0, 1 and 3; layer 2 is a shortcut
+            (lambda e: e[:-1], "no codebook table for conv layers [3]"),
+            (lambda e: e + [ClusterEntry(2, e[0].table, e[0].packed)],
+             "tables for layers [2] name no conv layer"),
+            (lambda e: e + [e[0]], "two tables for one layer"),
+        ],
+        ids=["missing-table", "shortcut-table", "duplicate-table"],
+    )
+    def test_malformed_per_layer_model_is_a_typed_error(
+        self, cfg_path, weights_path, tmp_path, capsys, change, message
+    ):
+        out = run_cluster(cfg_path, weights_path, tmp_path, "--scope", "per-layer")
+        model = read_clustered(out.read_bytes())
+        write_unchecked_model(out, model, change(list(model.entries)))
+        capsys.readouterr()
+        rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("convwatt: error: ")
+        assert message in captured.err
 
 
 def patch_outputs(monkeypatch, change):

@@ -5,10 +5,10 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convwatt import cluster
+from convwatt import cli, cluster
 from convwatt.cluster import (
     CentroidTable,
     ClusterConfig,
@@ -25,7 +25,6 @@ from convwatt.cluster import (
     kmeans_1d,
     model_sse,
     pack_indices,
-    quantization_sse,
     read_clustered,
     read_darknet_weights,
     unpack_indices,
@@ -35,6 +34,14 @@ from convwatt.cluster import (
 
 from conftest import weights_blob
 from oracles import optimal_kmeans_sse, pack_indices_reference
+
+
+def residual_sse(values, table: CentroidTable, assignments) -> float:
+    """Sum of squared quantization residuals, accumulated in float64."""
+    d = np.asarray(values, dtype=np.float64) - table.centroids.astype(np.float64)[
+        np.asarray(assignments)
+    ]
+    return float(np.dot(d, d))
 
 
 def recrc(data: bytes) -> bytes:
@@ -125,18 +132,18 @@ class TestKmeans:
         table, assignments = kmeans_1d([0, 0, 0, 10, 10, 10], 2)
         assert table.centroids.tolist() == [0.0, 10.0]
         assert assignments.tolist() == [0, 0, 0, 1, 1, 1]
-        assert quantization_sse([0, 0, 0, 10, 10, 10], table, assignments) == 0.0
+        assert residual_sse([0, 0, 0, 10, 10, 10], table, assignments) == 0.0
 
     def test_single_centroid_is_mean(self):
         table, assignments = kmeans_1d([0.0, 1.0], 1)
         assert table.centroids.tolist() == [0.5]
-        assert quantization_sse([0.0, 1.0], table, assignments) == 0.5
+        assert residual_sse([0.0, 1.0], table, assignments) == 0.5
 
     def test_few_distinct_values_quantize_exactly(self):
         table, assignments = kmeans_1d([3.0, 1.0, 2.0, 1.0], 4)
         assert table.centroids.tolist() == [1.0, 2.0, 3.0, 3.0]
         assert assignments.tolist() == [2, 0, 1, 0]
-        assert quantization_sse([3.0, 1.0, 2.0, 1.0], table, assignments) == 0.0
+        assert residual_sse([3.0, 1.0, 2.0, 1.0], table, assignments) == 0.0
 
     def test_midpoint_joins_lower_centroid(self):
         # 1.0 sits exactly between the initial centroids 0 and 2; grouping it
@@ -175,7 +182,7 @@ class TestKmeans:
         for init in ("linspace", "kmeans_pp"):
             cfg = ClusterConfig(bits=2, init=init)
             table, assignments = kmeans_1d(values, 4, cfg)
-            sse = quantization_sse(values, table, assignments)
+            sse = residual_sse(values, table, assignments)
             assert sse <= best * 1.05 + 1e-12
 
     def test_never_worse_than_initial_grid(self):
@@ -184,7 +191,7 @@ class TestKmeans:
             values = rng.normal(size=rng.integers(20, 400))
             k = int(rng.integers(2, 9))
             table, assignments = kmeans_1d(values, k)
-            final = quantization_sse(values, table, assignments)
+            final = residual_sse(values, table, assignments)
             grid = np.linspace(values.min(), values.max(), k)
             start = float(
                 np.square(values - grid[np.abs(values[:, None] - grid).argmin(1)]).sum()
@@ -262,7 +269,11 @@ class TestKmeans:
 class TestQuantization:
     def test_sse_by_hand(self):
         table = CentroidTable(np.array([0.0, 4.0], dtype=np.float32))
-        assert quantization_sse([0.0, 1.0, 4.0], table, [0, 0, 1]) == 1.0
+        conv = ConvParams(0, np.zeros(1), np.array([0.0, 1.0, 4.0]))
+        model = ClusteredModel(
+            "all_layers", 1, (ClusterEntry(None, table, pack_indices([0, 0, 1], 1)),)
+        )
+        assert model_sse(model, DarknetWeights(0, 2, 0, 0, (conv,))) == [1.0]
 
     def test_dequantize_by_hand(self):
         table = CentroidTable(np.array([-1.5, 0.25, 3.0], dtype=np.float32))
@@ -324,6 +335,31 @@ class TestWeightsIO:
             read_darknet_weights(toy_weights_bytes[:-8], toy_net)
         with pytest.raises(WeightsFormatError, match="truncated.*header"):
             read_darknet_weights(b"\x00" * 4, toy_net)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_payload_raises_only_typed_errors(
+        self, toy_net, toy_weights_bytes, data
+    ):
+        payload = bytearray(toy_weights_bytes)
+        action = data.draw(st.sampled_from(["truncate", "overwrite", "extend"]))
+        # the 20 header bytes decide how the rest is read, so aim there often
+        at = data.draw(
+            st.one_of(st.integers(0, 23), st.integers(0, len(payload) - 1)), label="at"
+        )
+        if action == "truncate":
+            del payload[at:]
+        elif action == "overwrite":
+            patch = data.draw(st.binary(min_size=1, max_size=8), label="patch")
+            payload[at : at + len(patch)] = patch
+        else:
+            payload += data.draw(st.binary(min_size=1, max_size=64), label="tail")
+        try:
+            parsed = read_darknet_weights(bytes(payload), toy_net)
+        except cli._EXPECTED_ERRORS:
+            return
+        # a payload that parses is read in full, never misread
+        assert write_darknet_weights(parsed) == bytes(payload)
 
     def test_trailing_bytes_rejected(self, toy_net, toy_weights_bytes):
         with pytest.raises(WeightsFormatError, match="trailing"):
@@ -440,6 +476,10 @@ class TestClusterModel:
             ClusteredModel(scope="all_layers", bits=2, entries=(entry, entry))
         with pytest.raises(ValueError, match="layer id"):
             ClusteredModel(scope="per_layer", bits=2, entries=(entry,))
+        with pytest.raises(ValueError, match="two tables for one layer"):
+            ClusteredModel(scope="per_layer", bits=2, entries=(
+                ClusterEntry(0, table, packed), ClusterEntry(0, table, packed)
+            ))
         with pytest.raises(ValueError, match="width disagrees"):
             ClusteredModel(scope="all_layers", bits=3, entries=(entry,))
         big = CentroidTable(np.zeros(5, dtype=np.float32))
@@ -449,6 +489,48 @@ class TestClusterModel:
             )
         with pytest.raises(ValueError, match="at least one"):
             ClusteredModel(scope="all_layers", bits=2, entries=())
+
+
+def per_layer_model(tables):
+    """A 1-bit per-layer model with one table per (layer id, index count)."""
+    table = CentroidTable(np.array([0.0, 1.0], dtype=np.float32))
+    entries = tuple(
+        ClusterEntry(layer_id, table, pack_indices(np.zeros(count, dtype=np.int64), 1))
+        for layer_id, count in tables
+    )
+    return ClusteredModel("per_layer", 1, entries)
+
+
+class TestSpans:
+    def test_global_stream_covers_convs_in_order(self, folded):
+        model = cluster_model(folded, ClusterConfig(bits=5))
+        [(entry, layers)] = model.spans(folded)
+        assert entry is model.entries[0]
+        a, b, _ = (conv.n_weights for conv in folded.convs)
+        assert [(conv.layer_index, base) for conv, base in layers] == [
+            (0, 0), (1, a), (3, a + b)
+        ]
+        assert [conv for conv, _ in layers] == list(folded.convs)
+
+    def test_per_layer_tables_cover_one_conv_each(self, folded):
+        tables = [(conv.layer_index, conv.n_weights) for conv in folded.convs]
+        model = per_layer_model(tables[::-1])
+        spans = model.spans(folded)
+        assert [entry for entry, _ in spans] == list(model.entries)
+        assert [
+            [(conv.layer_index, base) for conv, base in layers] for _, layers in spans
+        ] == [[(3, 0)], [(1, 0)], [(0, 0)]]
+
+    def test_table_for_unknown_layer_rejected(self, folded):
+        tables = [(c.layer_index, c.n_weights) for c in folded.convs] + [(7, 4)]
+        with pytest.raises(ValueError, match=r"layers \[7\] name no conv layer"):
+            per_layer_model(tables).spans(folded)
+
+    def test_stream_count_mismatch_rejected(self, folded):
+        tables = [(c.layer_index, c.n_weights) for c in folded.convs]
+        tables[1] = (1, tables[1][1] + 1)
+        with pytest.raises(ValueError, match="layer 1 table covers"):
+            per_layer_model(tables).spans(folded)
 
 
 @pytest.fixture(scope="module", params=["all_layers", "per_layer"])

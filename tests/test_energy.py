@@ -2,17 +2,19 @@
 
 import dataclasses
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from convwatt.energy import (
+    BASE_FP32_ADD_PJ,
+    BASE_FP32_MUL_PJ,
     ClusteringChoice,
     EnergyConfig,
     EnergyConfigError,
     avg_dram_energy,
-    calibrate_fp_energy,
     clustered_size_bits,
     dram_accesses,
     fp_energy_mj,
@@ -20,8 +22,6 @@ from convwatt.energy import (
     indexes_per_word,
     load_energy_config,
     parse_energy_config,
-    replace_fp_prices,
-    save_energy_config,
     size_reduction_factor,
     sram_energy_mj,
     sram_table_bytes,
@@ -41,6 +41,10 @@ CALIBRATED_ADD_PJ = 0.9020256943361774
 CALIBRATED_MUL_PJ = 3.708327854493174
 CALIBRATION_SCALE = 1.0022507714846416
 CALIBRATED_FP_MJ = 324.9703455818315
+
+
+# The packaged configuration file, which the config-file tests edit.
+DEFAULT_TEXT = resources.files("convwatt").joinpath("data/default-energy.cfg").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -201,29 +205,21 @@ class TestSizeReduction:
 
 
 class TestCalibration:
-    def test_fixture_constants(self, fixture_ops):
-        prices, scale = calibrate_fp_energy(BASELINE_DRAM_MJ, fixture_ops, 0.844)
-        assert scale == pytest.approx(CALIBRATION_SCALE, rel=1e-12)
-        assert prices["add"] == pytest.approx(CALIBRATED_ADD_PJ, rel=1e-12)
-        for op in ("sub", "mul", "div", "exp", "sqrt"):
-            assert prices[op] == pytest.approx(CALIBRATED_MUL_PJ, rel=1e-12)
-        assert fp_energy_mj(fixture_ops, prices) == pytest.approx(
-            CALIBRATED_FP_MJ, rel=1e-12
+    def test_fixture_constants(self, config, fixture_ops):
+        # the shipped [fp] prices are the 45 nm base scaled by one factor,
+        # which sets DRAM to 84.4 % of the baseline frame energy
+        assert config.fp_pj["add"] == pytest.approx(
+            BASE_FP32_ADD_PJ * CALIBRATION_SCALE, rel=1e-12
         )
-
-    def test_equal_split(self):
-        ops = OpProfile(macs=1000)
-        prices, _ = calibrate_fp_energy(100.0, ops, 0.5)
-        assert fp_energy_mj(ops, prices) == pytest.approx(100.0, rel=1e-12)
-
-    def test_empty_census_rejected(self):
-        with pytest.raises(ValueError, match="nothing to calibrate"):
-            calibrate_fp_energy(100.0, OpProfile(), 0.844)
-
-    @pytest.mark.parametrize("share", [0.0, 1.0, 1.5, -0.2])
-    def test_infeasible_share_rejected(self, share):
-        with pytest.raises(ValueError, match="share"):
-            calibrate_fp_energy(100.0, OpProfile(macs=1), share)
+        for op in ("sub", "mul", "div", "exp", "sqrt"):
+            assert config.fp_pj[op] == pytest.approx(
+                BASE_FP32_MUL_PJ * CALIBRATION_SCALE, rel=1e-12
+            )
+        fp_mj = fp_energy_mj(fixture_ops, config.fp_pj)
+        assert fp_mj == pytest.approx(CALIBRATED_FP_MJ, rel=1e-12)
+        assert BASELINE_DRAM_MJ / (BASELINE_DRAM_MJ + fp_mj) == pytest.approx(
+            0.844, rel=1e-12
+        )
 
     def test_mac_priced_as_add_plus_mul(self):
         prices = {"add": 1.0, "sub": 2.0, "mul": 3.0, "div": 4.0, "exp": 5.0, "sqrt": 6.0}
@@ -250,22 +246,16 @@ class TestConfigFile:
         assert config.fp_pj["add"] == CALIBRATED_ADD_PJ
         assert config.fp_pj["mul"] == CALIBRATED_MUL_PJ
 
-    def test_save_parse_roundtrip(self, config, tmp_path):
-        path = tmp_path / "energy.cfg"
-        save_energy_config(config, str(path))
-        assert parse_energy_config(path.read_text()) == config
-
     def test_env_var_override(self, config, tmp_path, monkeypatch):
-        tweaked = dataclasses.replace(config, target_fps=30.0)
         path = tmp_path / "alt.cfg"
-        save_energy_config(tweaked, str(path))
+        path.write_text(DEFAULT_TEXT.replace("target_fps = 25.0", "target_fps = 30.0"))
         monkeypatch.setenv("CONVWATT_ENERGY_CONFIG", str(path))
-        assert load_energy_config().target_fps == 30.0
+        assert load_energy_config() == dataclasses.replace(config, target_fps=30.0)
 
     def test_explicit_path_wins(self, config, tmp_path, monkeypatch):
         monkeypatch.setenv("CONVWATT_ENERGY_CONFIG", str(tmp_path / "missing.cfg"))
         path = tmp_path / "real.cfg"
-        save_energy_config(config, str(path))
+        path.write_text(DEFAULT_TEXT)
         assert load_energy_config(str(path)) == config
 
     @pytest.mark.parametrize(
@@ -279,11 +269,9 @@ class TestConfigFile:
             (lambda t: t.replace("target_fps", "fps"), "system"),
         ],
     )
-    def test_strict_keys(self, config, tmp_path, mutate, fragment):
-        path = tmp_path / "energy.cfg"
-        save_energy_config(config, str(path))
+    def test_strict_keys(self, mutate, fragment):
         with pytest.raises(EnergyConfigError, match=fragment):
-            parse_energy_config(mutate(path.read_text()))
+            parse_energy_config(mutate(DEFAULT_TEXT))
 
     def test_missing_dram_settings(self):
         with pytest.raises(EnergyConfigError, match="missing"):
@@ -472,8 +460,3 @@ class TestFrameEnergy:
     def test_empty_profile_rejected(self, config):
         with pytest.raises(ValueError, match="empty"):
             frame_energy(AccessProfile(), OpProfile(macs=1), config)
-
-    def test_replace_fp_prices(self, config):
-        swapped = replace_fp_prices(config, {"add": 1.0, "mul": 2.0})
-        assert swapped.fp_pj == {"add": 1.0, "mul": 2.0}
-        assert swapped.dram_read_miss_pj == config.dram_read_miss_pj

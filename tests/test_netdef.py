@@ -1,9 +1,12 @@
 """Config parsing and shape inference."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convwatt import cli
 from convwatt.netdef import (
     CONVOLUTIONAL,
     ROUTE,
@@ -19,6 +22,8 @@ from convwatt.netdef import (
     parse_config,
     serialize_config,
 )
+
+from conftest import TOY_CFG
 
 MINIMAL = "[net]\nwidth=8\nheight=8\nchannels=3\n[convolutional]\nfilters=4\nsize=3\nstride=1\npad=1"
 
@@ -210,7 +215,7 @@ class TestRoundtrip:
 
 class TestFixture:
     def test_layer_census(self, yolov3_net):
-        census = yolov3_net.kind_census()
+        census = Counter(layer.kind for layer in yolov3_net.layers)
         assert census[CONVOLUTIONAL] == 75
         assert census[SHORTCUT] == 23
         assert census[ROUTE] == 4
@@ -252,3 +257,29 @@ class TestFixture:
             if l.kind == CONVOLUTIONAL
         }
         assert pairs == {(3, 1), (3, 2), (1, 1)}
+
+
+# Fragments that keep mutated text close to the cfg grammar, so mutants reach
+# the layer and shape checks rather than all failing in the section splitter.
+CFG_FRAGMENTS = st.sampled_from([
+    "[", "]", "=", "\n", "-", ",", " ", "#", "0", "1", "2", "3", "-1", "-5", "99",
+    "[net]", "[convolutional]", "[shortcut]", "[route]", "[upsample]", "[yolo]",
+    "width", "height", "channels", "filters", "size", "stride", "pad", "padding",
+    "activation", "leaky", "batch_normalize", "from", "layers", "mask", "classes",
+    "anchors", "num",
+])
+
+
+class TestFuzz:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_text_raises_only_typed_errors(self, data):
+        text = TOY_CFG
+        at = data.draw(st.integers(0, len(text)), label="at")
+        cut = data.draw(st.integers(0, 12), label="cut")
+        insert = "".join(data.draw(st.lists(CFG_FRAGMENTS, max_size=6), label="insert"))
+        text = text[:at] + insert + text[at + cut:]
+        try:
+            infer_shapes(parse_config(text))
+        except cli._EXPECTED_ERRORS:
+            pass
