@@ -37,6 +37,8 @@ def _parse_fraction(text: str) -> float:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if float(den) == 0.0:
+            raise EnergyConfigError(f"fraction {text!r} has a zero denominator")
         return float(num) / float(den)
     return float(text)
 

@@ -14,8 +14,9 @@ from convwatt.cluster import (
     read_clustered,
     write_clustered,
 )
+from convwatt.netdef import parse_config
 
-from conftest import TOY_CFG
+from conftest import TOY_CFG, weights_blob
 
 
 @pytest.fixture(autouse=True)
@@ -142,6 +143,21 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("convwatt: error:")
         assert "4-bit" in err
+
+    def test_zero_denominator_in_energy_config_fails_cleanly(
+        self, cfg_path, tmp_path, capsys
+    ):
+        energy = tmp_path / "energy.cfg"
+        energy.write_text(
+            "[dram]\nread_row_miss_pj = 2937\nread_row_hit_pj = 1735\n"
+            "write_row_miss_pj = 2953\nwrite_row_hit_pj = 1859\n"
+            "row_miss_fraction = 1/0\n"
+        )
+        rc = main(["analyze", str(cfg_path), "--energy-config", str(energy)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("convwatt: error: ")
+        assert "zero denominator" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.cfg")]) == 1
@@ -287,6 +303,29 @@ class TestVerify:
         write_unchecked_model(out, model, change(list(model.entries)))
         capsys.readouterr()
         rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("convwatt: error: ")
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "scope, message",
+        [("all-layers", "global table covers"), ("per-layer", "layer 3 table covers")],
+    )
+    def test_model_of_another_network_is_a_typed_error(
+        self, cfg_path, weights_path, tmp_path, capsys, scope, message
+    ):
+        out = run_cluster(cfg_path, weights_path, tmp_path, "--scope", scope)
+        # the same layers, with half the filters in the last conv
+        other_text = TOY_CFG.replace("filters=4", "filters=2")
+        assert other_text != TOY_CFG
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(other_text)
+        other_weights = tmp_path / "other.weights"
+        other_weights.write_bytes(weights_blob(parse_config(other_text), seed=4))
+        capsys.readouterr()
+        rc = main(["verify", str(other_cfg), str(other_weights), str(out)])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -31,6 +31,7 @@ from convwatt.cluster import (
     write_clustered,
     write_darknet_weights,
 )
+from convwatt.engine import run_network
 
 from conftest import weights_blob
 from oracles import optimal_kmeans_sse, pack_indices_reference
@@ -532,6 +533,114 @@ class TestSpans:
         with pytest.raises(ValueError, match="layer 1 table covers"):
             per_layer_model(tables).spans(folded)
 
+    # the toy net's conv layers are 0, 1 and 3; the others never hold a table
+    @pytest.mark.parametrize("layer", [0, 1, 3])
+    def test_missing_table_rejected(self, folded, layer):
+        tables = [
+            (c.layer_index, c.n_weights) for c in folded.convs if c.layer_index != layer
+        ]
+        message = rf"no codebook table for conv layers \[{layer}\]"
+        with pytest.raises(ValueError, match=message):
+            per_layer_model(tables).spans(folded)
+
+    @pytest.mark.parametrize(
+        "layer", [2, 4, 5, 6], ids=["shortcut", "upsample", "route", "yolo"]
+    )
+    def test_table_for_non_conv_layer_rejected(self, folded, layer):
+        tables = [(c.layer_index, c.n_weights) for c in folded.convs] + [(layer, 4)]
+        with pytest.raises(ValueError, match=rf"layers \[{layer}\] name no conv layer"):
+            per_layer_model(tables).spans(folded)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("layer", [0, 1, 3])
+    def test_per_layer_count_must_equal_layer_weights(self, folded, layer, delta):
+        tables = [
+            (c.layer_index, c.n_weights + (delta if c.layer_index == layer else 0))
+            for c in folded.convs
+        ]
+        with pytest.raises(ValueError, match=rf"layer {layer} table covers"):
+            per_layer_model(tables).spans(folded)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_global_count_must_equal_all_weights(self, folded, delta):
+        total = sum(c.n_weights for c in folded.convs)
+        message = rf"global table covers {total + delta} weights"
+        with pytest.raises(ValueError, match=message):
+            global_model(total + delta).spans(folded)
+
+    def test_spans_tile_each_stream(self, model, folded):
+        covered = []
+        for entry, layers in model.spans(folded):
+            end = 0
+            for conv, base in layers:
+                assert base == end
+                end += conv.n_weights
+                covered.append(conv)
+            assert end == entry.packed.count
+        assert covered == list(folded.convs)
+
+    def test_spans_decode_no_stream(self, model, folded, monkeypatch):
+        # validation reads only counts, so it costs nothing next to a decode
+        def refuse(*_):
+            raise AssertionError("spans decoded an index stream")
+
+        monkeypatch.setattr(cluster, "unpack_indices", refuse)
+        monkeypatch.setattr(cluster, "dequantize", refuse)
+        assert len(model.spans(folded)) == len(model.entries)
+
+
+def global_model(count):
+    """A 1-bit all-layers model whose one stream holds count indexes."""
+    table = CentroidTable(np.array([0.0, 1.0], dtype=np.float32))
+    packed = pack_indices(np.zeros(count, dtype=np.int64), 1)
+    return ClusteredModel("all_layers", 1, (ClusterEntry(None, table, packed),))
+
+
+def malformed_model(defect, convs):
+    """A model of the toy net's convs with one defect of DEFECT_MESSAGES."""
+    n = {c.layer_index: c.n_weights for c in convs}
+    if defect == "missing-table":
+        return per_layer_model([(0, n[0]), (1, n[1])])
+    if defect == "shortcut-table":
+        return per_layer_model([(0, n[0]), (1, n[1]), (2, 4), (3, n[3])])
+    if defect == "short-layer-stream":
+        return per_layer_model([(0, n[0]), (1, n[1] - 1), (3, n[3])])
+    return global_model(sum(n.values()) + 1)
+
+
+# every path from a clustered model to its weights goes through spans
+CALLERS = {
+    "model_sse": lambda model, net, folded: model_sse(model, folded),
+    "dequantized_weights": lambda model, net, folded: cli._dequantized_weights(
+        model, folded
+    ),
+    "run_network_indirect": lambda model, net, folded: run_network(
+        net, folded, np.zeros((3, 8, 8), dtype=np.float32), clustered=model
+    ),
+    "run_network_on_the_fly": lambda model, net, folded: run_network(
+        net, folded, np.zeros((3, 8, 8), dtype=np.float32), clustered=model,
+        on_the_fly=True,
+    ),
+}
+
+
+# what each malformed_model defect must report
+DEFECT_MESSAGES = {
+    "missing-table": "no codebook table for conv layers [3]",
+    "shortcut-table": "tables for layers [2] name no conv layer",
+    "short-layer-stream": "layer 1 table covers",
+    "long-global-stream": "global table covers",
+}
+
+
+class TestSpansCallers:
+    @pytest.mark.parametrize("defect", list(DEFECT_MESSAGES))
+    @pytest.mark.parametrize("caller", list(CALLERS))
+    def test_malformed_model_raises_value_error(self, toy_net, folded, caller, defect):
+        with pytest.raises(ValueError) as excinfo:
+            CALLERS[caller](malformed_model(defect, folded.convs), toy_net, folded)
+        assert DEFECT_MESSAGES[defect] in str(excinfo.value)
+
 
 @pytest.fixture(scope="module", params=["all_layers", "per_layer"])
 def model(request, folded):
@@ -560,6 +669,32 @@ class TestContainer:
             corrupt[pos] ^= 0xFF
             with pytest.raises(ClusterFormatError):
                 read_clustered(bytes(corrupt))
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_container_raises_only_typed_errors(self, folded, data):
+        # the checksum is recomputed, so mutants reach the structural checks
+        scope = data.draw(st.sampled_from(["all_layers", "per_layer"]), label="scope")
+        small = DarknetWeights(0, 2, 0, 0, folded.convs[:2])
+        model = cluster_model(small, ClusterConfig(scope=scope, bits=3))
+        body = bytearray(write_clustered(model)[:-4])
+        action = data.draw(st.sampled_from(["truncate", "overwrite", "extend"]))
+        at = data.draw(
+            st.one_of(st.integers(0, 27), st.integers(0, len(body) - 1)), label="at"
+        )
+        if action == "truncate":
+            del body[at:]
+        elif action == "overwrite":
+            patch = data.draw(st.binary(min_size=1, max_size=8), label="patch")
+            body[at : at + len(patch)] = patch
+        else:
+            body += data.draw(st.binary(min_size=1, max_size=64), label="tail")
+        payload = recrc(bytes(body) + b"\x00" * 4)
+        try:
+            parsed = read_clustered(payload)
+        except cli._EXPECTED_ERRORS:
+            return
+        assert write_clustered(parsed) == payload
 
     def test_corruption_reports_checksum(self, model):
         data = bytearray(write_clustered(model))

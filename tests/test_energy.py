@@ -5,9 +5,10 @@ import math
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from convwatt import cli
 from convwatt.energy import (
     BASE_FP32_ADD_PJ,
     BASE_FP32_MUL_PJ,
@@ -284,6 +285,36 @@ class TestConfigFile:
             "row_miss_fraction = 1/64\n"
         )
         assert parse_energy_config(text).row_miss_fraction == 0.015625
+
+    @pytest.mark.parametrize("fraction", ["1/0", "0/0", "1/0.0"])
+    def test_zero_denominator_rejected(self, fraction):
+        text = DEFAULT_TEXT.replace(
+            "row_miss_fraction = 0.015625", f"row_miss_fraction = {fraction}"
+        )
+        with pytest.raises(EnergyConfigError, match="zero denominator"):
+            parse_energy_config(text)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_values_raise_only_typed_errors(self, data):
+        # each value keeps its key, so mutants reach the number parsing and
+        # the range checks rather than the section grammar
+        lines = DEFAULT_TEXT.splitlines()
+        keyed = [i for i, line in enumerate(lines) if " = " in line]
+        at = data.draw(st.sampled_from(keyed), label="at")
+        number = st.one_of(
+            st.integers(-2, 200).map(str),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["", "x", "0", "-0", "1/", "/2", "1/2/3", "nan", "inf"]),
+        )
+        value = data.draw(
+            st.one_of(number, st.tuples(number, number).map("/".join)), label="value"
+        )
+        lines[at] = lines[at].partition(" = ")[0] + " = " + value
+        try:
+            parse_energy_config("\n".join(lines))
+        except cli._EXPECTED_ERRORS:
+            pass
 
     def test_bad_bus_width(self, config):
         with pytest.raises(EnergyConfigError, match="bus_bits"):

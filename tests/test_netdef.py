@@ -18,6 +18,7 @@ from convwatt.netdef import (
     NetworkDef,
     ShapeError,
     TensorShape,
+    ensure_shapes,
     infer_shapes,
     parse_config,
     serialize_config,
@@ -283,3 +284,60 @@ class TestFuzz:
             infer_shapes(parse_config(text))
         except cli._EXPECTED_ERRORS:
             pass
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_line_edits_raise_only_typed_errors(self, data):
+        lines = TOY_CFG.splitlines()
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            at = data.draw(st.integers(0, len(lines) - 1), label="at")
+            edit = data.draw(
+                st.sampled_from(["drop", "duplicate", "swap"]), label="edit"
+            )
+            if edit == "drop":
+                del lines[at]
+            elif edit == "duplicate":
+                lines.insert(at, lines[at])
+            else:
+                other = data.draw(st.integers(0, len(lines) - 1), label="other")
+                lines[at], lines[other] = lines[other], lines[at]
+            if not lines:
+                break
+        try:
+            infer_shapes(parse_config("\n".join(lines)))
+        except cli._EXPECTED_ERRORS:
+            pass
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_values_raise_only_typed_errors(self, data):
+        # every value keeps its key, so mutants pass the grammar and reach the
+        # range checks and shape inference with odd numbers
+        lines = TOY_CFG.splitlines()
+        keyed = [i for i, line in enumerate(lines) if "=" in line]
+        at = data.draw(st.sampled_from(keyed), label="at")
+        value = data.draw(
+            st.one_of(
+                st.integers(-3, 20).map(str),
+                st.lists(st.integers(-9, 9).map(str), min_size=1, max_size=4).map(
+                    ",".join
+                ),
+                st.sampled_from(["", "x", "1.5", "1e3", "-0", "leaky", "linear"]),
+            ),
+            label="value",
+        )
+        lines[at] = lines[at].partition("=")[0] + "=" + value
+        try:
+            infer_shapes(parse_config("\n".join(lines)))
+        except cli._EXPECTED_ERRORS:
+            pass
+
+
+class TestEnsureShapes:
+    def test_infers_missing_shapes(self, toy_net):
+        parsed = parse_config(TOY_CFG)
+        assert parsed.layers[0].in_shape is None
+        assert ensure_shapes(parsed) == toy_net
+
+    def test_shaped_net_returned_as_is(self, toy_net):
+        assert ensure_shapes(toy_net) is toy_net

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "convwatt").glob("*.py")) + sorted(
     path for path in (ROOT / "bench").glob("*.py") if not path.name.startswith("test_")
@@ -37,14 +39,58 @@ def used_names(tree: ast.Module):
             yield node.attr
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def unused_public_names(sources: dict[str, str]) -> dict[str, str]:
+    """Public name -> defining file, for the names that no file reads."""
     defined, used = {}, set()
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for where, text in sources.items():
+        tree = ast.parse(text, filename=where)
         for name in public_definitions(tree):
             if not name.startswith("_"):
-                defined.setdefault(name, path.relative_to(ROOT).as_posix())
+                defined.setdefault(name, where)
         used.update(used_names(tree))
-    unused = {name: where for name, where in defined.items() if name not in used}
+    return {name: where for name, where in defined.items() if name not in used}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = unused_public_names(
+        {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+         for path in SOURCES}
+    )
     # an allowed name that gains a caller, or goes away, leaves the list too
     assert unused.keys() == ALLOWED, unused
+
+
+# (module text, names it leaves without a reader); each case checks one rule
+# of the guard against a module small enough to read at a glance.
+GUARD_CASES = {
+    "dead-function": ("def dead():\n    pass\n", {"dead"}),
+    "called-function": ("def live():\n    pass\n\nlive()\n", set()),
+    "dead-class": ("class Dead:\n    pass\n", {"Dead"}),
+    "dead-method": (
+        "class Box:\n    def dead(self):\n        pass\n\nBox()\n", {"dead"}
+    ),
+    "dead-property": (
+        "class Box:\n    @property\n    def size(self):\n        return 1\n\nBox()\n",
+        {"size"},
+    ),
+    "attribute-read": (
+        "class Box:\n    def size(self):\n        return 1\n\nBox().size()\n", set()
+    ),
+    "all-string-only": ('__all__ = ["dead"]\n\ndef dead():\n    pass\n', {"dead"}),
+    "import-only": ("from os import path as dead\n\ndef dead():\n    pass\n", {"dead"}),
+    "private-ignored": ("def _helper():\n    pass\n\nclass _Box:\n    pass\n", set()),
+    "nested-ignored": (
+        "def outer():\n    def inner():\n        pass\n\nouter()\n", set()
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GUARD_CASES))
+def test_guard_rules(case):
+    text, unused = GUARD_CASES[case]
+    assert unused_public_names({"m.py": text}).keys() == unused
+
+
+def test_guard_counts_a_read_in_another_file():
+    sources = {"a.py": "def shared():\n    pass\n", "b.py": "import a\n\na.shared()\n"}
+    assert unused_public_names(sources) == {}
