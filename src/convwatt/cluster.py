@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, replace
 
@@ -298,15 +299,82 @@ def _segment_bounds(sorted_values: np.ndarray, centroids: np.ndarray) -> np.ndar
     return np.concatenate(([0], inner, [sorted_values.size]))
 
 
-def _segment_means(sorted_values: np.ndarray, bounds: np.ndarray) -> list[float | None]:
-    means: list[float | None] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            # fsum keeps the mean exactly rounded, pinning results across
-            # platforms regardless of summation order optimizations
-            means.append(math.fsum(sorted_values[lo:hi]) / (hi - lo))
-        else:
-            means.append(None)
+# Exact segment sums keep the prefix sum at every _BLOCK-th sorted value, so
+# one segment's sum reads at most 2 * _BLOCK values however long it is.
+_BLOCK = 64
+
+
+class _SegmentSums:
+    """math.fsum of any run of a sorted array, bit for bit.
+
+    Row j of prefix holds floats, largest first and zero-padded, whose exact
+    sum is the exact sum of values[:j * _BLOCK]. fsum is correctly rounded,
+    so summing a run's two partial edge blocks with the prefix rows at its
+    inner block boundaries gives the same float as summing all its values.
+    prefix is None where n * max|value| is so large that some fsum could
+    overflow: runs are then summed directly, so fsum raises where it did.
+    """
+
+    def __init__(self, sorted_values: np.ndarray):
+        self.values = sorted_values
+        self.prefix = None
+        n = sorted_values.size
+        peak = max(abs(float(sorted_values[0])), abs(float(sorted_values[-1])))
+        # no value fsum forms below exceeds a few times n * peak
+        if n * peak > sys.float_info.max / 16:
+            return
+        prefix = np.zeros((n // _BLOCK + 1, 1))
+        terms: list[float] = []
+        for j in range(1, prefix.shape[0]):
+            parts = terms + sorted_values[(j - 1) * _BLOCK : j * _BLOCK].tolist()
+            # peel the exact sum into floats: each fsum rounds what the
+            # previous terms leave, until nothing is left
+            terms = []
+            total = math.fsum(parts)
+            while total:
+                terms.append(total)
+                parts.append(-total)
+                total = math.fsum(parts)
+            if len(terms) > prefix.shape[1]:
+                prefix = np.pad(prefix, ((0, 0), (0, len(terms) - prefix.shape[1])))
+            prefix[j, : len(terms)] = terms
+        self.prefix = prefix
+
+    def sum(self, lo: int, hi: int) -> float:
+        """math.fsum(values[lo:hi]), raising where it raises."""
+        if self.prefix is None or hi - lo <= 2 * _BLOCK:
+            return math.fsum(self.values[lo:hi].tolist())
+        first, last = -(-lo // _BLOCK), hi // _BLOCK
+        parts = self.values[lo : first * _BLOCK].tolist()
+        parts += self.values[last * _BLOCK : hi].tolist()
+        parts += self.prefix[last].tolist()
+        parts += [-term for term in self.prefix[first].tolist()]
+        return math.fsum(parts)
+
+
+def _segment_means(sums: _SegmentSums, bounds: np.ndarray) -> np.ndarray:
+    """Mean of each segment, its math.fsum over its length; NaN if empty.
+
+    fsum keeps the mean exactly rounded, pinning results across platforms
+    regardless of summation order optimizations.
+    """
+    values = sums.values
+    counts = np.diff(bounds)
+    means = np.full(counts.size, np.nan)
+    by_fsum = counts > 0
+    if sums.prefix is not None:
+        # A one- or two-value sum is one IEEE addition, which cannot
+        # overflow here. fsum never returns -0.0, hence the + 0.0.
+        short = (counts == 1) | (counts == 2)
+        lo, n = bounds[:-1][short], counts[short]
+        second = np.where(n == 2, values[lo + n - 1], 0.0)
+        means[short] = (values[lo] + second + 0.0) / n
+        by_fsum = counts > 2
+    edges = bounds.tolist()
+    rest = np.flatnonzero(by_fsum).tolist()
+    means[rest] = [
+        sums.sum(edges[i], edges[i + 1]) / (edges[i + 1] - edges[i]) for i in rest
+    ]
     return means
 
 
@@ -316,7 +384,8 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     Returns (CentroidTable, assignments) with centroids sorted ascending and
     assignments indexing them in the original value order. When the data has
     no more than k distinct values the quantization is exact (SSE 0), with
-    surplus table slots repeating the largest value.
+    surplus table slots repeating the largest value; of -0.0 and 0.0, the
+    first one in the input stands for both.
     """
     cfg = cfg or ClusterConfig()
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -330,47 +399,44 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
 
-    distinct = np.unique(svals)
-    if distinct.size <= k:
+    # each value that differs from its sorted predecessor starts a new one
+    starts = np.empty(svals.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(svals[1:], svals[:-1], out=starts[1:])
+    if np.count_nonzero(starts) <= k:
+        distinct = svals[starts]
         centroids = np.concatenate(
             (distinct, np.full(k - distinct.size, distinct[-1]))
         )
         assign_sorted = np.searchsorted(distinct, svals).astype(np.uint32)
     else:
+        del starts
         centroids = np.sort(_init_centroids(svals, k, cfg))
+        sums = _SegmentSums(svals)
+        bounds = _segment_bounds(svals, centroids)
         prev_sse = math.inf
         for _ in range(cfg.max_iters):
-            bounds = _segment_bounds(svals, centroids)
-            means = _segment_means(svals, bounds)
-            reseeded = False
-            filled = np.array(
-                [m if m is not None else np.nan for m in means], dtype=np.float64
-            )
-            if any(m is None for m in means):
-                reseeded = True
-                assign = np.repeat(
-                    np.arange(k), np.diff(bounds).astype(np.int64)
-                )
-                dist = np.abs(svals - np.where(np.isnan(filled), 0.0, filled)[assign])
-                for i in range(k):
-                    if means[i] is None:
-                        far = int(np.argmax(dist))
-                        filled[i] = svals[far]
-                        dist[far] = -1.0
-            new_centroids = np.sort(filled)
+            means = _segment_means(sums, bounds)
+            empty = np.isnan(means)
+            reseeded = bool(empty.any())
+            if reseeded:
+                dist = np.abs(svals - np.repeat(means, np.diff(bounds)))
+                for i in np.flatnonzero(empty):
+                    far = int(np.argmax(dist))
+                    means[i] = svals[far]
+                    dist[far] = -1.0
+            new_centroids = np.sort(means)
             movement = float(np.max(np.abs(new_centroids - centroids)))
             centroids = new_centroids
             bounds = _segment_bounds(svals, centroids)
-            assign_sorted = np.repeat(
-                np.arange(k, dtype=np.uint32), np.diff(bounds).astype(np.int64)
-            )
-            d = svals - centroids[assign_sorted]
+            d = svals - np.repeat(centroids, np.diff(bounds))
             sse = float(np.dot(d, d))
             if not reseeded and sse > prev_sse * (1.0 + 1e-9):
                 raise RuntimeError("k-means SSE increased")
             prev_sse = sse
             if movement <= cfg.tol and not reseeded:
                 break
+        assign_sorted = np.repeat(np.arange(k, dtype=np.uint32), np.diff(bounds))
 
     assignments = np.empty(vals.size, dtype=np.uint32)
     assignments[order] = assign_sorted

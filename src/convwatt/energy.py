@@ -43,6 +43,14 @@ def _parse_fraction(text: str) -> float:
     return float(text)
 
 
+def _parse_value(parse, section: str, key: str, value: str):
+    """parse(value), with a failure named by section, key and value."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise EnergyConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class EnergyConfig:
     """Access energies, bus geometry and system-level rates."""
@@ -147,7 +155,8 @@ def parse_energy_config(text: str) -> EnergyConfig:
         if key not in _DRAM_KEYS:
             raise EnergyConfigError(f"unknown [dram] key {key!r}")
         attr = _DRAM_KEYS[key]
-        kwargs[attr] = int(value) if attr == "bus_bits" else _parse_fraction(value)
+        parse = int if attr == "bus_bits" else _parse_fraction
+        kwargs[attr] = _parse_value(parse, "dram", key, value)
     missing = {v for v in _DRAM_KEYS.values() if v.startswith("dram_") or v == "row_miss_fraction"}
     missing -= set(kwargs) | {"dram_peak_gbps"}
     if missing:
@@ -157,21 +166,22 @@ def parse_energy_config(text: str) -> EnergyConfig:
         for key, value in parser["sram"].items():
             if not (key.startswith("table_read_") and key.endswith("bit_pj")):
                 raise EnergyConfigError(f"unknown [sram] key {key!r}")
-            bits = int(key[len("table_read_") : -len("bit_pj")])
-            table[bits] = float(value)
+            width = key[len("table_read_") : -len("bit_pj")]
+            bits = _parse_value(int, "sram", key, width)
+            table[bits] = _parse_value(float, "sram", key, value)
         kwargs["sram_read_pj"] = table
     if "fp" in parser:
         fp = {}
         for key, value in parser["fp"].items():
             if not key.endswith("_pj") or key[:-3] not in FP_OPS:
                 raise EnergyConfigError(f"unknown [fp] key {key!r}")
-            fp[key[:-3]] = float(value)
+            fp[key[:-3]] = _parse_value(float, "fp", key, value)
         kwargs["fp_pj"] = fp
     if "system" in parser:
         for key, value in parser["system"].items():
             if key != "target_fps":
                 raise EnergyConfigError(f"unknown [system] key {key!r}")
-            kwargs["target_fps"] = float(value)
+            kwargs["target_fps"] = _parse_value(float, "system", key, value)
     return EnergyConfig(**kwargs)
 
 

@@ -190,8 +190,12 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
 
 
 def leaky(x: np.ndarray) -> np.ndarray:
-    """Darknet leaky activation: x if x > 0 else 0.1*x."""
-    return np.where(x > 0, x, LEAKY_SLOPE * x)
+    """Darknet leaky activation in place: x if x > 0 else 0.1*x. Returns x.
+
+    As 0 < 0.1 < 1, the larger of x and 0.1*x is x for x > 0 and 0.1*x
+    otherwise, bit for bit: zeros keep their sign and a NaN stays NaN.
+    """
+    return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
 def _conv_common(layer: LayerSpec, x: np.ndarray):
@@ -216,7 +220,7 @@ def _finish_conv(layer: LayerSpec, out_flat, biases):
     out = out_flat.reshape(spec.filters, layer.out_shape.h, layer.out_shape.w)
     out += biases.reshape(-1, 1, 1)
     if spec.activation == "leaky":
-        out = leaky(out)
+        leaky(out)
     return out
 
 

@@ -5,6 +5,8 @@ scalar loops, bit-by-bit arithmetic. None share code with the package, so an
 agreement between the two is evidence, not tautology.
 """
 
+import math
+
 import numpy as np
 
 
@@ -39,6 +41,104 @@ def optimal_kmeans_sse(values, k: int) -> float:
         prev = np.concatenate(([np.inf], best[:-1]))
         best = np.min(prev[:, None] + cost, axis=0)
     return float(best[n - 1])
+
+
+def lloyd_1d_reference(values, k, init="linspace", seed=0, max_iters=300, tol=1e-6):
+    """1-D Lloyd as the package first shipped it: one math.fsum over each
+    whole segment per sweep, np.unique for the distinct values.
+
+    Returns (fp32 centroids, uint32 assignments) in the original value order
+    and, like CentroidTable, rejects centroids that overflow fp32.
+    """
+    vals = np.asarray(values, dtype=np.float64).reshape(-1)
+    if vals.size == 0:
+        raise ValueError("values must be non-empty")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+    def init_centroids(values):
+        if init == "linspace":
+            return np.linspace(values.min(), values.max(), k)
+        rng = np.random.default_rng(seed)
+        centroids = np.empty(k, dtype=np.float64)
+        centroids[0] = values[rng.integers(values.size)]
+        d2 = np.square(values - centroids[0])
+        for i in range(1, k):
+            total = d2.sum()
+            if total <= 0.0:
+                centroids[i:] = centroids[i - 1]
+                break
+            centroids[i] = values[rng.choice(values.size, p=d2 / total)]
+            d2 = np.minimum(d2, np.square(values - centroids[i]))
+        return np.sort(centroids)
+
+    def segment_bounds(sorted_values, centroids):
+        mids = (centroids[:-1] + centroids[1:]) / 2.0
+        inner = np.searchsorted(sorted_values, mids, side="right")
+        return np.concatenate(([0], inner, [sorted_values.size]))
+
+    def segment_means(sorted_values, bounds):
+        means = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                means.append(math.fsum(sorted_values[lo:hi]) / (hi - lo))
+            else:
+                means.append(None)
+        return means
+
+    order = np.argsort(vals, kind="stable")
+    svals = vals[order]
+
+    distinct = np.unique(svals)
+    if distinct.size <= k:
+        centroids = np.concatenate(
+            (distinct, np.full(k - distinct.size, distinct[-1]))
+        )
+        assign_sorted = np.searchsorted(distinct, svals).astype(np.uint32)
+    else:
+        centroids = np.sort(init_centroids(svals))
+        prev_sse = math.inf
+        for _ in range(max_iters):
+            bounds = segment_bounds(svals, centroids)
+            means = segment_means(svals, bounds)
+            reseeded = False
+            filled = np.array(
+                [m if m is not None else np.nan for m in means], dtype=np.float64
+            )
+            if any(m is None for m in means):
+                reseeded = True
+                assign = np.repeat(
+                    np.arange(k), np.diff(bounds).astype(np.int64)
+                )
+                dist = np.abs(svals - np.where(np.isnan(filled), 0.0, filled)[assign])
+                for i in range(k):
+                    if means[i] is None:
+                        far = int(np.argmax(dist))
+                        filled[i] = svals[far]
+                        dist[far] = -1.0
+            new_centroids = np.sort(filled)
+            movement = float(np.max(np.abs(new_centroids - centroids)))
+            centroids = new_centroids
+            bounds = segment_bounds(svals, centroids)
+            assign_sorted = np.repeat(
+                np.arange(k, dtype=np.uint32), np.diff(bounds).astype(np.int64)
+            )
+            d = svals - centroids[assign_sorted]
+            sse = float(np.dot(d, d))
+            if not reseeded and sse > prev_sse * (1.0 + 1e-9):
+                raise RuntimeError("k-means SSE increased")
+            prev_sse = sse
+            if movement <= tol and not reseeded:
+                break
+
+    assignments = np.empty(vals.size, dtype=np.uint32)
+    assignments[order] = assign_sorted
+    table = centroids.astype(np.float32)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("centroids must be finite")
+    return table, assignments
 
 
 def gemm_nn_reference(m, n, k, alpha, a, lda, b, ldb, c, ldc):

@@ -1,5 +1,6 @@
 """Weight clustering, bit packing and the binary file formats."""
 
+import math
 import struct
 import zlib
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from convwatt import cli, cluster
 from convwatt.cluster import (
+    INITS,
     CentroidTable,
     ClusterConfig,
     ClusterEntry,
@@ -34,7 +36,7 @@ from convwatt.cluster import (
 from convwatt.engine import run_network
 
 from conftest import weights_blob
-from oracles import optimal_kmeans_sse, pack_indices_reference
+from oracles import lloyd_1d_reference, optimal_kmeans_sse, pack_indices_reference
 
 
 def residual_sse(values, table: CentroidTable, assignments) -> float:
@@ -225,10 +227,10 @@ class TestKmeans:
         real = cluster._segment_means
         sweeps = []
 
-        def worse_on_second_sweep(sorted_values, bounds):
-            means = real(sorted_values, bounds)
+        def worse_on_second_sweep(sums, bounds):
+            means = real(sums, bounds)
             sweeps.append(None)
-            return [m + 100.0 for m in means] if len(sweeps) == 2 else means
+            return means + 100.0 if len(sweeps) == 2 else means
 
         monkeypatch.setattr(cluster, "_segment_means", worse_on_second_sweep)
         values = np.random.default_rng(3).normal(size=500)
@@ -265,6 +267,214 @@ class TestKmeans:
             CentroidTable(np.array([np.inf], dtype=np.float32))
         with pytest.raises(ValueError, match="1-D"):
             CentroidTable(np.zeros((2, 2), dtype=np.float32))
+
+
+def same_float(a: float, b: float) -> bool:
+    """Bitwise float equality: -0.0 and 0.0 differ."""
+    return float(a).hex() == float(b).hex()
+
+
+def lloyd_values(style: str, n: int, seed: int) -> np.ndarray:
+    """Test data for 1-D Lloyd; each style aims at one kind of edge case."""
+    rng = np.random.default_rng(seed)
+    if style == "normal":
+        return rng.standard_normal(n).astype(np.float32).astype(np.float64)
+    if style == "grid":
+        # integers and halves: many ties, and values exactly on midpoints
+        return rng.integers(-6, 7, n) * 0.5
+    if style == "zeros":
+        pool = [-0.0, 0.0, -0.0, 0.0, 1.5, -2.0, 0.25, 3.0]
+        return rng.choice(pool, n) * rng.choice([1.0, 1.0, rng.standard_normal()], n)
+    if style == "subnormal":
+        return rng.integers(-40, 41, n) * 5e-324
+    if style == "exponents":
+        lo, hi = sorted(rng.integers(-300, 301, 2))
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)
+    if style == "clumps":
+        # two tight clumps far apart leave the centroids between them empty
+        side = rng.choice([-1000.0, 1000.0], n)
+        return side + rng.standard_normal(n) * 1e-3
+    raise ValueError(style)
+
+
+LLOYD_STYLES = ("normal", "grid", "zeros", "subnormal", "exponents", "clumps")
+
+
+def lloyd_outcome(run):
+    """(fp32 centroids, assignments), or (type, message) of what it raised."""
+    try:
+        centroids, assignments = run()
+    except Exception as exc:  # the same exception must escape both
+        return type(exc), str(exc)
+    return np.asarray(centroids, dtype=np.float32), assignments
+
+
+class TestLloydMatchesReference:
+    """kmeans_1d against the whole-segment fsum Lloyd of tests/oracles.py."""
+
+    def check(self, values, bits, init, seed, max_iters):
+        cfg = ClusterConfig(bits=bits, init=init, seed=seed, max_iters=max_iters)
+
+        def package():
+            table, assignments = kmeans_1d(values, cfg.k, cfg)
+            return table.centroids, assignments
+
+        # absurd inputs overflow in numpy on both sides alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lloyd_outcome(package)
+            want = lloyd_outcome(
+                lambda: lloyd_1d_reference(values, cfg.k, init, seed, max_iters, cfg.tol)
+            )
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        assert not isinstance(got[0], type), got
+        assert got[1].dtype == want[1].dtype == np.uint32
+        assert np.array_equal(got[1], want[1])
+        arr = np.asarray(values, dtype=np.float64)
+        both_zeros = np.any((arr == 0) & np.signbit(arr)) and np.any(
+            (arr == 0) & ~np.signbit(arr)
+        )
+        if both_zeros and np.unique(arr).size <= cfg.k:
+            # Exact quantization: np.unique's hash table keeps either zero
+            # when both occur; kmeans_1d keeps the first (see
+            # test_mixed_zeros_keep_the_first_zero). Zero compares equal.
+            assert np.array_equal(got[0], want[0])
+        else:
+            assert np.array_equal(got[0].view(np.uint32), want[0].view(np.uint32))
+
+    @settings(max_examples=300)
+    @given(
+        style=st.sampled_from(LLOYD_STYLES),
+        n=st.one_of(st.integers(1, 70), st.integers(120, 1500)),
+        data_seed=st.integers(0, 2**32 - 1),
+        bits=st.integers(1, 8),
+        init=st.sampled_from(INITS),
+        seed=st.integers(0, 1000),
+        max_iters=st.integers(1, 30),
+    )
+    def test_bitwise_equal_or_same_exception(
+        self, style, n, data_seed, bits, init, seed, max_iters
+    ):
+        self.check(lloyd_values(style, n, data_seed), bits, init, seed, max_iters)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 128, 129, 200, 5000])
+    @pytest.mark.parametrize("style", LLOYD_STYLES)
+    def test_sizes_around_the_block(self, style, n):
+        for bits, init in ((1, "linspace"), (3, "kmeans_pp"), (8, "linspace")):
+            self.check(lloyd_values(style, n, n), bits, init, n, 25)
+
+    def test_reseeding_empty_clusters(self, monkeypatch):
+        real = cluster._segment_means
+        empties = []
+
+        def spy(sums, bounds):
+            means = real(sums, bounds)
+            empties.append(int(np.isnan(means).sum()))
+            return means
+
+        monkeypatch.setattr(cluster, "_segment_means", spy)
+        for init in INITS:
+            self.check(lloyd_values("clumps", 3000, 5), 4, init, 5, 40)
+        assert max(empties) > 0
+
+    def test_extreme_exponents_overflow_like_the_reference(self):
+        # far beyond the fp32 range: both must reject the table
+        values = np.array([-1e300, -3e299, 2e299, 1e300, 1e300, 7e299])
+        self.check(values, 1, "linspace", 0, 10)
+        # near the float64 limit fsum overflows; both must raise it
+        values = np.array([1e308, 1.5e308, 1.7e308, -1e308, 1.2e308])
+        self.check(values, 1, "linspace", 0, 10)
+        with pytest.raises(OverflowError), np.errstate(over="ignore", invalid="ignore"):
+            kmeans_1d(values, 2)
+
+    def test_mixed_zeros_keep_the_first_zero(self):
+        for values, sign in (([-0.0, 1.0, 0.0], True), ([0.0, -0.0, 1.0], False)):
+            table, assignments = kmeans_1d(values, 2)
+            assert table.centroids.tolist() == [0.0, 1.0]
+            assert np.signbit(table.centroids[0]) == sign
+            assert assignments.tolist() == [0, 1, 0] if sign else [0, 0, 1]
+        # -0.0 and 0.0 are one distinct value, so one centroid holds both
+        table, assignments = kmeans_1d([0.0, -0.0, -0.0], 1)
+        assert table.centroids.view(np.uint32).tolist() == [0]
+        assert assignments.tolist() == [0, 0, 0]
+
+
+class TestSegmentSums:
+    @settings(max_examples=200)
+    @given(
+        style=st.sampled_from(LLOYD_STYLES),
+        n=st.integers(1, 1200),
+        data_seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=20),
+    )
+    def test_sum_is_fsum_of_the_run(self, style, n, data_seed, cuts):
+        svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
+        sums = cluster._SegmentSums(svals)
+        assert sums.prefix is not None
+        for a, b in cuts:
+            lo, hi = sorted((int(a * n), int(b * n)))
+            assert same_float(sums.sum(lo, hi), math.fsum(svals[lo:hi]))
+
+    def test_wide_exponents_use_the_prefix(self):
+        rng = np.random.default_rng(1)
+        svals = np.sort(rng.standard_normal(4000) * 10.0 ** rng.uniform(-300, 300, 4000))
+        sums = cluster._SegmentSums(svals)
+        # the exact prefix sums need many terms at such a spread of exponents
+        assert sums.prefix is not None and sums.prefix.shape[1] > 3
+        for _ in range(300):
+            lo, hi = sorted(rng.integers(0, svals.size + 1, 2).tolist())
+            assert same_float(sums.sum(lo, hi), math.fsum(svals[lo:hi]))
+
+    def test_overflow_falls_back_and_raises_where_fsum_raises(self):
+        svals = np.array([-1.7e308, -1e308, -1e307, 5e307, 1e308, 1.2e308, 1.7e308])
+        sums = cluster._SegmentSums(svals)
+        assert sums.prefix is None
+        raised = 0
+        for lo in range(svals.size + 1):
+            for hi in range(lo, svals.size + 1):
+                try:
+                    want = math.fsum(svals[lo:hi])
+                except OverflowError:
+                    raised += 1
+                    with pytest.raises(OverflowError):
+                        sums.sum(lo, hi)
+                else:
+                    assert same_float(sums.sum(lo, hi), want)
+        assert raised
+
+    def test_fallback_means_raise_like_fsum(self):
+        svals = np.array([1e308, 1.5e308])
+        sums = cluster._SegmentSums(svals)
+        with pytest.raises(OverflowError):
+            cluster._segment_means(sums, np.array([0, 2]))
+
+    @settings(max_examples=200)
+    @given(
+        style=st.sampled_from(LLOYD_STYLES),
+        n=st.integers(1, 600),
+        data_seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(0, 600), max_size=40),
+    )
+    def test_means_are_fsum_means(self, style, n, data_seed, cuts):
+        svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
+        # short segments are common: neighbouring cuts 0, 1 or 2 apart
+        inner = sorted(min(c, n) for c in cuts)
+        bounds = np.array([0, *inner, n], dtype=np.int64)
+        means = cluster._segment_means(cluster._SegmentSums(svals), bounds)
+        for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            if hi == lo:
+                assert np.isnan(means[i])
+            else:
+                assert same_float(float(means[i]), math.fsum(svals[lo:hi]) / (hi - lo))
+
+    def test_negative_zero_pairs_mean_positive_zero(self):
+        # fsum([-0.0]) and fsum([-0.0, -0.0]) are +0.0, where -0.0 + -0.0 is -0.0
+        svals = np.array([-0.0, -0.0, -0.0, 1.0, 2.0, 3.0])
+        bounds = np.array([0, 1, 3, 6])
+        means = cluster._segment_means(cluster._SegmentSums(svals), bounds)
+        assert means.tolist() == [0.0, 0.0, 2.0]
+        assert not np.signbit(means).any()
 
 
 class TestQuantization:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convwatt import cli
 from convwatt.energy import (
     BASE_FP32_ADD_PJ,
     BASE_FP32_MUL_PJ,
@@ -294,6 +293,36 @@ class TestConfigFile:
         with pytest.raises(EnergyConfigError, match="zero denominator"):
             parse_energy_config(text)
 
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("bus_bits = 64", "bus_bits = 64.5", "[dram] bus_bits = '64.5'"),
+            ("read_row_hit_pj = 1735", "read_row_hit_pj = x", "[dram] read_row_hit_pj = 'x'"),
+            (
+                "row_miss_fraction = 0.015625",
+                "row_miss_fraction = 1/x",
+                "[dram] row_miss_fraction = '1/x'",
+            ),
+            (
+                "table_read_5bit_pj = 0.36",
+                "table_read_5bit_pj = 0..36",
+                "[sram] table_read_5bit_pj = '0..36'",
+            ),
+            (
+                "table_read_5bit_pj = 0.36",
+                "table_read_fivebit_pj = 0.36",
+                "[sram] table_read_fivebit_pj = 'five'",
+            ),
+            ("sub_pj = 3.708327854493174", "sub_pj = 3,7", "[fp] sub_pj = '3,7'"),
+            ("target_fps = 25.0", "target_fps = fast", "[system] target_fps = 'fast'"),
+        ],
+    )
+    def test_non_numeric_value_names_section_and_key(self, old, new, where):
+        assert old in DEFAULT_TEXT
+        with pytest.raises(EnergyConfigError) as caught:
+            parse_energy_config(DEFAULT_TEXT.replace(old, new))
+        assert str(caught.value).startswith(where + ": ")
+
     @settings(max_examples=300)
     @given(data=st.data())
     def test_mutated_values_raise_only_typed_errors(self, data):
@@ -313,7 +342,7 @@ class TestConfigFile:
         lines[at] = lines[at].partition(" = ")[0] + " = " + value
         try:
             parse_energy_config("\n".join(lines))
-        except cli._EXPECTED_ERRORS:
+        except EnergyConfigError:
             pass
 
     def test_bad_bus_width(self, config):

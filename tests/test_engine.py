@@ -276,6 +276,19 @@ class TestIm2col:
             2.0,
         ]
 
+    def test_leaky_in_place_matches_where_bitwise(self):
+        info = np.finfo(np.float32)
+        tiny = info.smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                   9 * tiny, -9 * tiny, 1e-39, -1e-39, info.max, -info.max]
+        nans = np.array([0x7FC12345, 0xFFC00001], dtype=np.uint32).view(np.float32)
+        normal = np.random.default_rng(0).standard_normal(200).astype(np.float32)
+        x = np.concatenate((f32(special), nans, normal))
+        want = np.where(x > 0, x, engine.LEAKY_SLOPE * x)
+        got = x.copy()
+        assert leaky(got) is got
+        assert same_bits(got, want)
+
 
 class TestConvForward:
     @pytest.mark.parametrize(
