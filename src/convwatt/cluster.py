@@ -70,8 +70,8 @@ class ClusterConfig:
             raise ValueError("bits must lie in 1..8")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
 
@@ -302,6 +302,29 @@ def _segment_bounds(sorted_values: np.ndarray, centroids: np.ndarray) -> np.ndar
 # Exact segment sums keep the prefix sum at every _BLOCK-th sorted value, so
 # one segment's sum reads at most 2 * _BLOCK values however long it is.
 _BLOCK = 64
+# ceil(log2 n) for n in 1 .. 2 * _BLOCK, at index n
+_CEIL_LOG2 = np.array([0] + [(n - 1).bit_length() for n in range(1, 2 * _BLOCK + 1)])
+# _low_exponents' entry for a zero: above every real one, so that it never
+# sets a segment's smallest
+_ZERO_LOW = 2048
+# _low_exponents works through this many values at a time, which bounds its
+# temporaries
+_CHUNK = 1 << 16
+
+
+def _low_exponents(values: np.ndarray) -> np.ndarray:
+    """For each nonzero value, the e that makes it an odd multiple of 2**e;
+    _ZERO_LOW for a zero."""
+    low = np.empty(values.size, dtype=np.int16)
+    for i in range(0, values.size, _CHUNK):
+        part = values[i : i + _CHUNK]
+        mant, exp = np.frexp(part)
+        # the 53-bit integer significand; sig & -sig is its lowest set bit
+        # 2**tz, whose frexp exponent is tz + 1
+        sig = np.ldexp(mant, 53).astype(np.int64)
+        tz1 = np.frexp((sig & -sig).astype(np.float64))[1]
+        low[i : i + _CHUNK] = np.where(part == 0, _ZERO_LOW, exp - 54 + tz1)
+    return low
 
 
 class _SegmentSums:
@@ -313,11 +336,13 @@ class _SegmentSums:
     inner block boundaries gives the same float as summing all its values.
     prefix is None where n * max|value| is so large that some fsum could
     overflow: runs are then summed directly, so fsum raises where it did.
+    Where prefix is built, negated is -prefix and low holds each value's
+    _low_exponents entry.
     """
 
     def __init__(self, sorted_values: np.ndarray):
         self.values = sorted_values
-        self.prefix = None
+        self.prefix = self.negated = self.low = None
         n = sorted_values.size
         peak = max(abs(float(sorted_values[0])), abs(float(sorted_values[-1])))
         # no value fsum forms below exceeds a few times n * peak
@@ -339,6 +364,8 @@ class _SegmentSums:
                 prefix = np.pad(prefix, ((0, 0), (0, len(terms) - prefix.shape[1])))
             prefix[j, : len(terms)] = terms
         self.prefix = prefix
+        self.negated = -prefix
+        self.low = _low_exponents(sorted_values)
 
     def sum(self, lo: int, hi: int) -> float:
         """math.fsum(values[lo:hi]), raising where it raises."""
@@ -348,7 +375,7 @@ class _SegmentSums:
         parts = self.values[lo : first * _BLOCK].tolist()
         parts += self.values[last * _BLOCK : hi].tolist()
         parts += self.prefix[last].tolist()
-        parts += [-term for term in self.prefix[first].tolist()]
+        parts += self.negated[first].tolist()
         return math.fsum(parts)
 
 
@@ -357,25 +384,56 @@ def _segment_means(sums: _SegmentSums, bounds: np.ndarray) -> np.ndarray:
 
     fsum keeps the mean exactly rounded, pinning results across platforms
     regardless of summation order optimizations.
+
+    Segments of at most 2 * _BLOCK values are summed together in numpy
+    instead wherever that float sum is provably exact, hence equal to fsum:
+    when n <= 2 (one IEEE addition, which cannot overflow here), or when
+    ceil(log2 n) + e_hi - e_min <= 53, where every value is a multiple of
+    2**e_min and max|value| < 2**e_hi. Every partial sum, in any order, is
+    then a multiple of 2**e_min below 2**(e_min + 53), so no addition
+    rounds. fsum never returns -0.0, hence the + 0.0. All other segments,
+    and every segment when sums.prefix is None, go through sums.sum.
     """
-    values = sums.values
     counts = np.diff(bounds)
     means = np.full(counts.size, np.nan)
     by_fsum = counts > 0
     if sums.prefix is not None:
-        # A one- or two-value sum is one IEEE addition, which cannot
-        # overflow here. fsum never returns -0.0, hence the + 0.0.
-        short = (counts == 1) | (counts == 2)
-        lo, n = bounds[:-1][short], counts[short]
-        second = np.where(n == 2, values[lo + n - 1], 0.0)
-        means[short] = (values[lo] + second + 0.0) / n
-        by_fsum = counts > 2
+        short = (by_fsum & (counts <= 2 * _BLOCK)).nonzero()[0]
+        if short.size:
+            n = counts[short]
+            starts = n.cumsum() - n
+            at = np.repeat(bounds[short] - starts, n) + np.arange(starts[-1] + n[-1])
+            run = sums.values[at]
+            total = np.add.reduceat(run, starts) + 0.0
+            e_min = np.minimum.reduceat(sums.low[at], starts)
+            # a sorted run's largest magnitude is -first or last
+            e_hi = np.frexp(np.maximum(-run[starts], run[starts + n - 1]))[1]
+            exact = (n <= 2) | (_CEIL_LOG2[n] + e_hi - e_min <= 53)
+            done = short[exact]
+            means[done] = total[exact] / n[exact]
+            by_fsum[done] = False
     edges = bounds.tolist()
-    rest = np.flatnonzero(by_fsum).tolist()
+    rest = by_fsum.nonzero()[0].tolist()
     means[rest] = [
         sums.sum(edges[i], edges[i + 1]) / (edges[i + 1] - edges[i]) for i in rest
     ]
     return means
+
+
+def _farthest(dist: np.ndarray, e: int, work: np.ndarray) -> np.ndarray:
+    """Indexes of the e largest distances, ties going to the lowest index.
+
+    These are the picks of e rounds of argmax that each retire their pick,
+    found in O(n). They come in index order, not pick order; the centroids
+    are sorted next, so that order never shows. work, as long as dist, is
+    overwritten.
+    """
+    np.copyto(work, dist)
+    work.partition(dist.size - e)
+    threshold = work[dist.size - e]
+    above = np.flatnonzero(dist > threshold)
+    tied = np.flatnonzero(dist == threshold)[: e - above.size]
+    return np.concatenate((above, tied))
 
 
 def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
@@ -398,6 +456,7 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
 
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
+    del vals  # when it is a copy of values, only the sorted copy is needed
 
     # each value that differs from its sorted predecessor starts a new one
     starts = np.empty(svals.size, dtype=bool)
@@ -414,31 +473,34 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
         centroids = np.sort(_init_centroids(svals, k, cfg))
         sums = _SegmentSums(svals)
         bounds = _segment_bounds(svals, centroids)
+        counts = np.diff(bounds)
+        # the SSE residual and the reseed's partition share one buffer
+        work = np.empty_like(svals)
         prev_sse = math.inf
         for _ in range(cfg.max_iters):
             means = _segment_means(sums, bounds)
             empty = np.isnan(means)
             reseeded = bool(empty.any())
             if reseeded:
-                dist = np.abs(svals - np.repeat(means, np.diff(bounds)))
-                for i in np.flatnonzero(empty):
-                    far = int(np.argmax(dist))
-                    means[i] = svals[far]
-                    dist[far] = -1.0
+                dist = np.repeat(means, counts)
+                np.abs(np.subtract(svals, dist, out=dist), out=dist)
+                means[empty] = svals[_farthest(dist, np.count_nonzero(empty), work)]
+                del dist
             new_centroids = np.sort(means)
             movement = float(np.max(np.abs(new_centroids - centroids)))
             centroids = new_centroids
             bounds = _segment_bounds(svals, centroids)
-            d = svals - np.repeat(centroids, np.diff(bounds))
-            sse = float(np.dot(d, d))
+            counts = np.diff(bounds)
+            np.subtract(svals, np.repeat(centroids, counts), out=work)
+            sse = float(np.dot(work, work))
             if not reseeded and sse > prev_sse * (1.0 + 1e-9):
                 raise RuntimeError("k-means SSE increased")
             prev_sse = sse
             if movement <= cfg.tol and not reseeded:
                 break
-        assign_sorted = np.repeat(np.arange(k, dtype=np.uint32), np.diff(bounds))
+        assign_sorted = np.repeat(np.arange(k, dtype=np.uint32), counts)
 
-    assignments = np.empty(vals.size, dtype=np.uint32)
+    assignments = np.empty(svals.size, dtype=np.uint32)
     assignments[order] = assign_sorted
     return CentroidTable(centroids.astype(np.float32)), assignments
 

@@ -227,6 +227,17 @@ class TestCluster:
         assert rc == 1
         assert "convwatt: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_rejects_non_finite_tol(self, cfg_path, weights_path, tmp_path, capsys, tol):
+        out, stats = tmp_path / "x.cwts", tmp_path / "stats.json"
+        rc = main(
+            ["cluster", str(cfg_path), str(weights_path), "--bits", "5",
+             "--tol", tol, "--out", str(out), "--json", str(stats)]
+        )
+        assert rc == 1
+        assert "convwatt: error: tol must be a finite number" in capsys.readouterr().err
+        assert not out.exists() and not stats.exists()
+
     def test_rejects_wrong_weights(self, cfg_path, weights_path, tmp_path, capsys):
         truncated = tmp_path / "short.weights"
         truncated.write_bytes(weights_path.read_bytes()[:-10])

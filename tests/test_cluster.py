@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -237,6 +238,19 @@ class TestKmeans:
         with pytest.raises(RuntimeError, match="k-means SSE increased"):
             kmeans_1d(values, 4)
 
+    def test_peak_memory_per_value(self):
+        # sorted copy, argsort order, one work buffer, one per-sweep
+        # temporary and the int16 low exponents: about 35 bytes per value
+        n = 200_000
+        values = np.random.default_rng(5).standard_normal(n).astype(np.float32)
+        tracemalloc.start()
+        try:
+            kmeans_1d(values, 256, ClusterConfig(max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 40
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="non-empty"):
             kmeans_1d([], 2)
@@ -259,6 +273,12 @@ class TestKmeans:
         with pytest.raises(ValueError, match="init"):
             ClusterConfig(init="random")
         assert ClusterConfig(bits=5).k == 32
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN tol would silently disable the stop rule
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            ClusterConfig(tol=tol)
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -378,6 +398,43 @@ class TestLloydMatchesReference:
             self.check(lloyd_values("clumps", 3000, 5), 4, init, 5, 40)
         assert max(empties) > 0
 
+    def test_reseeding_ties_go_to_the_lowest_index(self, monkeypatch):
+        real = cluster._farthest
+        decided_by_ties = []
+
+        def spy(dist, e, work):
+            # the tie rule matters when more distances equal the e-th
+            # largest than the picks still need
+            kth = np.sort(dist)[-e]
+            needed = e - np.count_nonzero(dist > kth)
+            decided_by_ties.append(np.count_nonzero(dist == kth) > needed > 0)
+            return real(dist, e, work)
+
+        monkeypatch.setattr(cluster, "_farthest", spy)
+        # two clumps of a few repeated values: the segment distances repeat,
+        # and a 16-entry linspace grid leaves the middle clusters empty
+        rng = np.random.default_rng(8)
+        values = np.concatenate(
+            (rng.choice([-1000.0, -999.0, -998.5], 600), rng.choice([998.0, 1000.0], 600),
+             np.linspace(-3.0, 3.0, 20))
+        )
+        for init, seed in (("linspace", 0), ("kmeans_pp", 3)):
+            self.check(rng.permutation(values), 4, init, seed, 40)
+        assert any(decided_by_ties)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_farthest_is_repeated_argmax(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        dist = rng.integers(0, 4, n) * 0.5
+        e = int(rng.integers(1, n))
+        want, left = [], dist.copy()
+        for _ in range(e):
+            want.append(int(np.argmax(left)))
+            left[want[-1]] = -1.0
+        got = cluster._farthest(dist, e, np.empty_like(dist))
+        assert sorted(got.tolist()) == sorted(want)
+
     def test_extreme_exponents_overflow_like_the_reference(self):
         # far beyond the fp32 range: both must reject the table
         values = np.array([-1e300, -3e299, 2e299, 1e300, 1e300, 7e299])
@@ -475,6 +532,68 @@ class TestSegmentSums:
         means = cluster._segment_means(cluster._SegmentSums(svals), bounds)
         assert means.tolist() == [0.0, 0.0, 2.0]
         assert not np.signbit(means).any()
+
+    # (values, whether the segment must go through _SegmentSums.sum)
+    BLOCK2 = 2 * cluster._BLOCK
+    CRAFTED = {
+        # a float sum in ascending order gives 2**54, fsum 2**54 + 4
+        "float-sum-rounds": ([1.0, 2.0**53, 2.0**53 + 2], True),
+        # ceil(log2 4) + 51 - 0 == 53: every partial sum is an integer below 2**53
+        "at-the-limit": ([-(2.0**51 - 1), 3.0, 2.0**50 + 1, 2.0**51 - 1], False),
+        "at-the-limit-equal": ([2.0**51 - 1] * 4, False),
+        # one bit more: 54 > 53, although this float sum happens to be exact
+        "past-the-limit-length": ([2.0**51 - 1] * 5, True),
+        "past-the-limit-magnitude": ([2.0**52 - 1] * 4, True),
+        "subnormals": (np.arange(-20, 21) * 5e-324, False),
+        "subnormal-and-normal": ([5e-324, 1e-300, 1e-300], True),
+        "negative-zeros-3": ([-0.0] * 3, False),
+        "negative-zeros-long": ([-0.0] * BLOCK2, False),
+        "mixed-zeros": ([-0.0, -0.0, 0.0, -0.0], False),
+        "mixed-signs": ([-3.5, -1.25, -0.0, 0.0, 0.75, 2.0, 7.75], False),
+        "mixed-signs-cancel": ([-(2.0**60), -1.0, 1.0, 2.0**60], True),
+        # float32 values hold 24-bit significands; float64 ones 53 bits
+        "length-3": (np.array([0.1, 0.2, 0.3], dtype=np.float32), False),
+        "length-3-float64-significands": ([0.1, 0.2, 0.3], True),
+        "length-2-block": (np.arange(BLOCK2) * 2.0**40 - 2.0**46, False),
+        "length-2-block-plus-1": (np.arange(BLOCK2 + 1) * 1.0, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_crafted_segments_are_fsum_exact(self, case, monkeypatch):
+        values, by_fsum = self.CRAFTED[case]
+        svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+        # pairs around it, which take the fast path, keep the array sorted
+        svals = np.concatenate(([-(2.0**62), -(2.0**61)], svals, [2.0**61, 2.0**62]))
+        n = svals.size
+        bounds = np.array([0, 2, n - 2, n])
+        real, visits = cluster._SegmentSums.sum, []
+
+        def spy(self, lo, hi):
+            visits.append((lo, hi))
+            return real(self, lo, hi)
+
+        monkeypatch.setattr(cluster._SegmentSums, "sum", spy)
+        means = cluster._segment_means(cluster._SegmentSums(svals), bounds)
+        for i in range(3):
+            lo, hi = bounds[i], bounds[i + 1]
+            assert same_float(float(means[i]), math.fsum(svals[lo:hi]) / (hi - lo))
+        assert visits == ([(2, n - 2)] if by_fsum else [])
+
+    def test_crafted_trap_defeats_a_float_sum(self):
+        values, _ = self.CRAFTED["float-sum-rounds"]
+        assert float(np.add.reduce(np.array(values))) != math.fsum(values)
+
+    def test_no_short_segment_of_normal_data_reaches_fsum(self, monkeypatch):
+        real, lengths = cluster._SegmentSums.sum, []
+
+        def spy(self, lo, hi):
+            lengths.append(hi - lo)
+            return real(self, lo, hi)
+
+        monkeypatch.setattr(cluster._SegmentSums, "sum", spy)
+        values = lloyd_values("normal", 20000, 17)
+        kmeans_1d(values, 256, ClusterConfig(max_iters=10))
+        assert lengths and min(lengths) > self.BLOCK2
 
 
 class TestQuantization:
