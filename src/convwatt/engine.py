@@ -1,13 +1,18 @@
 """Reference inference engine for verifying clustered execution.
 
 The point is reproducible arithmetic. All three GEMM variants share one
-core that walks k in increasing order and at step k updates all M x N
-outputs at once with the products A[i,k] * B[k,j]: the output-stationary
-order, vectorized over (i, j) only. Products and sums are separate fp32
-operations, never fused or reassociated, so each output element gets the
-same rounding sequence as a scalar (i, k, j) loop. That makes "bitwise
-equal" a meaningful, testable contract between plain weights, dequantized
-weights, and on-the-fly codebook indirection.
+core, _accumulate, that keeps the output-stationary order: every output
+element starts from C and adds its products A[i,k] * B[k,j] one at a time,
+in increasing k. Products and sums are separate fp32 operations, never
+fused or reassociated, so each element gets the same rounding sequence as a
+scalar (i, k, j) loop. That makes "bitwise equal" a meaningful, testable
+contract between plain weights, dequantized weights, and on-the-fly
+codebook indirection.
+
+Only the bookkeeping is vectorized. Steps with many outputs update all of C
+once per k; steps with few outputs sum a chunk of k at a time with one
+np.add.reduce over an axis that is never the innermost one, which numpy
+adds slice by slice in index order (_accumulate says why that is exact).
 """
 
 from __future__ import annotations
@@ -50,37 +55,85 @@ def _check_extent(name: str, size: int, rows: int, ld: int, cols: int):
 def _rows(flat: np.ndarray, rows: int, cols: int, ld: int) -> np.ndarray:
     """(rows, cols) view of a flat buffer whose rows start ld elements apart.
 
-    Callers check the extent first, so the view never reaches past flat.
+    Callers check the extent first, so the view never reaches past flat. It
+    is writeable when flat is.
     """
     step = flat.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        flat, shape=(rows, cols), strides=(ld * step, step)
-    )
+    shape, strides = (rows, cols), (ld * step, step)
+    if flat.flags.c_contiguous:
+        # a fifth of the cost of as_strided, which the GEMMs pay per call
+        return np.ndarray(shape, flat.dtype, buffer=flat, strides=strides)
+    return np.lib.stride_tricks.as_strided(flat, shape=shape, strides=strides)
 
 
-def _accumulate(M, N, K, columns, b, ldb, c, ldc):
+# Steps with fewer outputs (M*N) than this are summed a chunk at a time in
+# one numpy reduction; wider steps pay little for one update per k.
+_NARROW = 16384
+# fp32 elements in the narrow path's scratch buffer (1 MB)
+_SCRATCH = 1 << 18
+# columns of A the wide path asks a variant for at once
+_BLOCK = 64
+
+
+def _accumulate(M, N, K, block, b, ldb, c, ldc):
     """The GEMM core: C[:M, :N] += A[:, k, None] * B[k, :N] for k in order.
 
-    columns yields A's columns, already scaled by alpha, as (M, 1) fp32
-    arrays; the variants differ only in how they produce them. Each step
-    rounds its M*N products to fp32 and then adds them to C, so every C
-    element sees the same sequence of fp32 roundings as a scalar (i, k, j)
-    loop.
+    block(k0, k1) returns A[:, k0:k1], already scaled by alpha, as an
+    (M, k1 - k0) fp32 array; the variants differ only in how they produce
+    it. Every product is rounded to fp32 on its own, and each C element adds
+    its products one at a time in increasing k, so it sees the same sequence
+    of fp32 roundings as a scalar (i, k, j) loop.
+
+    Wide steps (M*N >= _NARROW) multiply and add in place, one k at a time,
+    taking A from block in _BLOCK columns. Narrow steps go a chunk of w
+    columns at a time, w as large as _SCRATCH allows: one multiply puts the
+    chunk's products in slots 1..w of an (M, w + 1, N') buffer, slot 0
+    holds C, and one np.add.reduce over axis 1 writes the sums back. The
+    exactness rests on how numpy reduces an axis that is not the innermost
+    one: it adds whole slices in index order, element by element, so C[i, j]
+    becomes ((C[i, j] + p0) + p1) + ... as in the loop. An innermost reduced
+    axis is summed pairwise instead, which rounds differently, so
+    N' = max(N, 2) keeps a zero column after the reduced axis even when
+    N = 1. The reduction starts from -0.0, which adding leaves every value
+    unchanged; numpy's default start, +0.0, would turn a -0.0 in C into +0.0.
     """
+    if not (M and N and K):
+        return
     out = _rows(c, M, N, ldc)
-    prod = np.empty((M, N), dtype=np.float32)
-    for column, row in zip(columns, _rows(b, K, N, ldb)):
-        np.multiply(column, row, out=prod)
-        out += prod
+    rows = _rows(b, K, N, ldb)
+    if M * N >= _NARROW:
+        prod = np.empty((M, N), dtype=np.float32)
+        for k0 in range(0, K, _BLOCK):
+            k1 = min(k0 + _BLOCK, K)
+            for column, row in zip(block(k0, k1).T[:, :, None], rows[k0:k1]):
+                np.multiply(column, row, out=prod)
+                out += prod
+        return
+    padded = max(N, 2)
+    width = max(1, min(K, _SCRATCH // (M * padded) - 1))
+    shape = (M, width + 1, padded)
+    if padded == N:
+        steps, total = np.empty(shape, dtype=np.float32), out
+    else:  # the padding column is never written and must read zero
+        steps = np.zeros(shape, dtype=np.float32)
+        total = np.empty((M, padded), dtype=np.float32)
+    for k0 in range(0, K, width):
+        k1 = min(k0 + width, K)
+        chunk = steps[:, : k1 - k0 + 1]
+        chunk[:, 0, :N] = out
+        np.multiply(block(k0, k1)[:, :, None], rows[k0:k1], out=chunk[:, 1:, :N])
+        np.add.reduce(chunk, axis=1, out=total, initial=-0.0)
+        if total is not out:
+            out[...] = total[:, :N]
 
 
 def gemm_nn(M, N, K, alpha, A, lda, B, ldb, C, ldc):
     """C[i,j] += alpha * A[i,k] * B[k,j], accumulated over k in order.
 
     Flat row-major fp32 buffers with explicit leading dimensions; C is
-    updated in place and returned. Step k updates all of C at once and no
-    two steps are fused, so each element still gets one fp32 rounding per
-    multiply and per add, in increasing k.
+    updated in place and returned. Each element gets one fp32 rounding per
+    multiply and per add, in increasing k, as in a scalar loop; _accumulate
+    says how whole chunks of k are summed at once without changing that.
     """
     a = _as_f32("A", A)
     b = _as_f32("B", B)
@@ -89,14 +142,15 @@ def gemm_nn(M, N, K, alpha, A, lda, B, ldb, C, ldc):
     _check_extent("B", b.size, K, ldb, N)
     _check_extent("C", c.size, M, ldc, N)
     scaled = np.float32(alpha) * _rows(a, M, K, lda)
-    _accumulate(M, N, K, scaled.T[:, :, None], b, ldb, c, ldc)
+    _accumulate(M, N, K, lambda k0, k1: scaled[:, k0:k1], b, ldb, c, ldc)
     return C
 
 
 def gemm_nn_centroids(M, N, K, alpha, centroids, indexes, lda, B, ldb, C, ldc):
     """gemm_nn with A[i,k] looked up as centroids[indexes[i*lda + k]].
 
-    Column k of A is gathered from the table only when step k needs it.
+    A's columns are gathered from the table one block at a time, when the
+    core asks for them.
     """
     table = _as_f32("centroids", centroids)
     idx = np.asarray(indexes).reshape(-1)
@@ -112,43 +166,40 @@ def gemm_nn_centroids(M, N, K, alpha, centroids, indexes, lda, B, ldb, C, ldc):
     # alpha * table[i] is the same fp32 product whichever weight uses it
     scaled = np.float32(alpha) * table
     idx2d = _rows(idx, M, K, lda)
-    columns = (scaled[idx2d[:, k, None]] for k in range(K))
-    _accumulate(M, N, K, columns, b, ldb, c, ldc)
+    _accumulate(M, N, K, lambda k0, k1: scaled[idx2d[:, k0:k1]], b, ldb, c, ldc)
     return C
 
 
-def _packed_columns(scaled, packed, M, K, lda, base):
-    """Yield scaled[A_index[:, k, None]] for k = 0 .. K-1, decoding only
-    column k's M indexes at step k.
+def _packed_columns(scaled, packed, M, lda, base):
+    """block(k0, k1) -> scaled[A_index[:, k0:k1]], decoding only the M x
+    (k1 - k0) indexes of those columns.
 
-    Index j sits in word j // per_word at bit (j % per_word) * bits, so
-    column k + per_word reads the words one past column k's, at the same
-    bits: the word and shift of the first per_word columns serve them all.
+    Index j sits in word j // per_word at bit (j % per_word) * bits.
     """
     per_word = 32 // packed.bits
     mask = np.uint32((1 << packed.bits) - 1)
     starts = base + np.arange(M, dtype=np.int64)[:, None] * lda
-    first = starts + np.arange(min(per_word, K))[:, None, None]
-    word, lane = np.divmod(first, per_word)
-    shift = (lane * packed.bits).astype(np.uint32)
-    for k in range(K):
-        q, r = divmod(k, per_word)
-        index = (packed.words[word[r] + q] >> shift[r]) & mask
+
+    def block(k0, k1):
+        word, lane = np.divmod(starts + np.arange(k0, k1), per_word)
+        shift = (lane * packed.bits).astype(np.uint32)
+        index = (packed.words[word] >> shift) & mask
         try:
-            column = scaled[index]
+            return scaled[index]
         except IndexError:
             raise ValueError(
                 f"index {int(index.max())} out of range for {scaled.size}-entry table"
             ) from None
-        yield column
+
+    return block
 
 
 def gemm_nn_packed(M, N, K, alpha, centroids, packed, lda, B, ldb, C, ldc, base=0):
     """gemm_nn_centroids with indexes decoded from packed words on the fly.
 
     base offsets into the packed stream, so one global stream can serve many
-    layers. Step k decodes only column k's indexes, so the stream is never
-    materialized.
+    layers. Each block of columns decodes only its own indexes, so the
+    stream is never materialized.
     """
     table = _as_f32("centroids", centroids)
     b = _as_f32("B", B)
@@ -158,16 +209,18 @@ def gemm_nn_packed(M, N, K, alpha, centroids, packed, lda, B, ldb, C, ldc, base=
     if base < 0 or (M and base + (M - 1) * lda + K > packed.count):
         raise ValueError("packed stream too short for requested extent")
     scaled = np.float32(alpha) * table
-    columns = _packed_columns(scaled, packed, M, K, lda, base)
-    _accumulate(M, N, K, columns, b, ldb, c, ldc)
+    block = _packed_columns(scaled, packed, M, lda, base)
+    _accumulate(M, N, K, block, b, ldb, c, ldc)
     return C
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold a CHW fp32 tensor into a (c*k*k, out_h*out_w) matrix.
+    """Unfold a CHW tensor into a (c*k*k, out_h*out_w) fp32 matrix.
 
     Row (c*kernel + kr)*kernel + kc holds the input values that kernel cell
-    (kr, kc) of channel c sees at each output position.
+    (kr, kc) of channel c sees at each output position. For a 1x1 kernel at
+    stride 1 without padding that is x itself, so a float32 x comes back as a
+    view that shares its memory.
     """
     if x.ndim != 3:
         raise ValueError(f"expected CHW input, got shape {x.shape}")
@@ -176,14 +229,18 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     out_w = (w - kernel + 2 * pad) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError("kernel does not fit the padded input")
+    if kernel == 1 and stride == 1 and pad == 0:
+        # every row is one channel as it is: a view of x, no copy
+        return np.asarray(x, dtype=np.float32).reshape(c, h * w)
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
     padded[:, pad : pad + h, pad : pad + w] = x
     # windows[ch, kr, kc] is the (out_h, out_w) grid that kernel cell (kr, kc)
     # sees; out_h and out_w keep it inside padded. The reshape is the one copy.
     sc, sh, sw = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(c, kernel, kernel, out_h, out_w),
+    windows = np.ndarray(
+        (c, kernel, kernel, out_h, out_w),
+        np.float32,
+        buffer=padded,
         strides=(sc, sh, sw, sh * stride, sw * stride),
     )
     return windows.reshape(c * kernel * kernel, out_h * out_w)

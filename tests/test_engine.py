@@ -226,6 +226,218 @@ class TestGemmPacked:
             gemm_nn_packed(1, 1, 1, 1.0, f32([1.0, 2.0]), packed, 1, f32([1.0]), 1, c, 1)
 
 
+# The core's private constants, set so that a small case takes a chosen path
+# at a chosen chunk width (None keeps the default).
+PATHS = ("narrow", "wide")
+WIDTHS = (1, 7, None)
+VARIANTS = ("gemm_nn", "centroids", "packed")
+
+
+def force_path(monkeypatch, path, width, m, n):
+    """Send an m x n GEMM down one path of engine._accumulate, width columns
+    per reduced chunk (narrow) or per decoded block (wide)."""
+    if path == "narrow":
+        monkeypatch.setattr(engine, "_NARROW", 1 << 62)
+        if width is not None:
+            monkeypatch.setattr(engine, "_SCRATCH", (width + 1) * m * max(n, 2))
+    else:
+        monkeypatch.setattr(engine, "_NARROW", 0)
+        if width is not None:
+            monkeypatch.setattr(engine, "_BLOCK", width)
+
+
+def run_variant(variant, rng, m, n, k, alpha, a, lda, b, ldb, c, ldc):
+    """C after one call of the named variant. The codebook variants read A
+    through a table that holds A's values in shuffled order."""
+    got = c.copy()
+    if variant == "gemm_nn":
+        gemm_nn(m, n, k, alpha, a, lda, b, ldb, got, ldc)
+        return got
+    order = rng.permutation(a.size)
+    idx = np.empty(a.size, dtype=np.int64)
+    idx[order] = np.arange(a.size)
+    table = a[order]
+    if variant == "centroids":
+        gemm_nn_centroids(m, n, k, alpha, table, idx, lda, b, ldb, got, ldc)
+    else:
+        packed = pack_indices(idx, max(1, (a.size - 1).bit_length()))
+        gemm_nn_packed(m, n, k, alpha, table, packed, lda, b, ldb, got, ldc)
+    return got
+
+
+TRAP_K = (7, 8, 9, 127, 128, 129, 300)
+
+
+def pairwise_trap(m, n, k):
+    """C = 1 and every product 2**-24, half an ulp of 1. Added one at a time,
+    each product rounds away and C stays 1; a pairwise sum adds products to
+    each other first, and they add up to more than 1 ulp."""
+    a = np.full(m * k, 2.0**-12, dtype=np.float32)
+    b = np.full(k * n, 2.0**-12, dtype=np.float32)
+    c = np.ones(m * n, dtype=np.float32)
+    return m, n, k, 1.0, a, k, b, n, c, n
+
+
+def sprinkle(rng, values, share=0.2):
+    """values with about share of them replaced by +-0.0 and +-inf."""
+    special = f32([0.0, -0.0, np.inf, -np.inf])
+    hit = rng.random(values.size) < share
+    values[hit] = rng.choice(special, size=int(hit.sum()))
+    return values
+
+
+class TestExactnessBoundary:
+    """Both paths of the GEMM core at several chunk widths, bitwise against
+    the scalar (i, k, j) loop, on inputs where the order of the additions or
+    the start of a reduction would show."""
+
+    @pytest.mark.parametrize("k", TRAP_K)
+    def test_trap_separates_pairwise_from_sequential(self, k):
+        terms = np.concatenate((f32([1.0]), np.full(k, 2.0**-24, dtype=np.float32)))
+        total = np.float32(0.0)
+        for term in terms:
+            total = total + term
+        assert total == 1.0
+        assert np.add.reduce(terms) > 1.0  # numpy sums a 1-D array pairwise
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 1), (1, 3)])
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pairwise_traps(self, monkeypatch, variant, path, width, m, n):
+        rng = np.random.default_rng(1)
+        force_path(monkeypatch, path, width, m, n)
+        for k in TRAP_K:
+            case = pairwise_trap(m, n, k)
+            want = gemm_nn_reference(*case)
+            assert want.tolist() == [1.0] * (m * n)
+            assert same_bits(run_variant(variant, rng, *case), want), k
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_padded_strides_and_special_values(
+        self, monkeypatch, variant, path, width
+    ):
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            m, n, k, alpha, a, lda, b, ldb, c, ldc = random_gemm_instance(
+                rng, True, max_dim=12, min_pad=1
+            )
+            sprinkle(rng, a)
+            sprinkle(rng, b)
+            sprinkle(rng, c, share=0.1)
+            force_path(monkeypatch, path, width, m, n)
+            with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
+                want = gemm_nn_reference(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+                got = run_variant(
+                    variant, rng, m, n, k, alpha, a, lda, b, ldb, c, ldc
+                )
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 1)])
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_negative_zero_survives(self, monkeypatch, variant, path, m, n):
+        # -0.0 + -0.0 is -0.0, but +0.0 + -0.0 is +0.0: a sum that started
+        # from +0.0 rather than from C would lose the sign
+        rng = np.random.default_rng(3)
+        k = 9
+        a = np.full(m * k, -0.0, dtype=np.float32)
+        b = np.full(k * n, 0.5, dtype=np.float32)
+        c = np.full(m * n, -0.0, dtype=np.float32)
+        force_path(monkeypatch, path, None, m, n)
+        want = gemm_nn_reference(m, n, k, 1.0, a, k, b, n, c, n)
+        assert np.signbit(want).all()
+        got = run_variant(variant, rng, m, n, k, 1.0, a, k, b, n, c, n)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_packed_decodes_one_block_at_a_time(self, monkeypatch, path):
+        reads = []
+
+        class Words(np.ndarray):
+            """Packed words that record how many they hand out per read."""
+
+            def __getitem__(self, key):
+                reads.append(np.size(key))
+                return np.asarray(self)[key]
+
+        m, n, k, width, lda = 3, 2, 300, 7, 302
+        force_path(monkeypatch, path, width, m, n)
+        rng = np.random.default_rng(4)
+        table = rng.normal(size=32).astype(np.float32)
+        stream = rng.integers(0, 32, size=(m - 1) * lda + k)
+        packed = pack_indices(stream, 5)
+        object.__setattr__(packed, "words", packed.words.view(Words))
+        b = rng.normal(size=k * n).astype(np.float32)
+        c = rng.normal(size=m * n).astype(np.float32)
+        got = c.copy()
+        gemm_nn_packed(m, n, k, 1.0, table, packed, lda, b, n, got, n)
+        assert reads == [m * min(width, k - k0) for k0 in range(0, k, width)]
+        want = gemm_nn_reference(m, n, k, 1.0, table[stream], lda, b, n, c, n)
+        assert same_bits(got, want)
+
+    def test_narrow_scratch_stays_within_its_budget(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = []
+        for m, n, k in [(1, 1, 5000), (21, 100, 90), (64, 255, 4000), (5000, 1, 40)]:
+            a = rng.normal(size=m * k).astype(np.float32)
+            b = rng.normal(size=k * n).astype(np.float32)
+            c = np.zeros(m * n, dtype=np.float32)
+            cases.append((m, n, k, 1.0, a, k, b, n, c, n))
+        sizes = []
+
+        def recording(allocate):
+            def allocate_and_record(*args, **kwargs):
+                out = allocate(*args, **kwargs)
+                sizes.append(out.nbytes)
+                return out
+
+            return allocate_and_record
+
+        monkeypatch.setattr(engine.np, "empty", recording(np.empty))
+        monkeypatch.setattr(engine.np, "zeros", recording(np.zeros))
+        for case in cases:
+            gemm_nn(*case)
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= 4 * engine._SCRATCH
+
+class TestRows:
+    @pytest.mark.parametrize(
+        "rows, cols, ld", [(0, 3, 5), (3, 0, 5), (2, 3, 5), (1, 4, 4), (4, 1, 3)]
+    )
+    def test_view_of_a_buffer_that_ends_with_the_last_row(self, rows, cols, ld):
+        needed = (rows - 1) * ld + cols if rows else 0
+        flat = np.arange(needed, dtype=np.float32)
+        view = engine._rows(flat, rows, cols, ld)
+        assert view.shape == (rows, cols)
+        assert view.tolist() == [
+            [float(r * ld + j) for j in range(cols)] for r in range(rows)
+        ]
+        if view.size:
+            view[-1, -1] = -1.0
+            assert flat[needed - 1] == -1.0
+
+    def test_view_of_a_read_only_buffer_is_read_only(self):
+        flat = np.frombuffer(bytes(24), dtype=np.float32)
+        assert not engine._rows(flat, 2, 2, 3).flags.writeable
+
+    def test_strided_one_dimensional_buffers(self):
+        rng = np.random.default_rng(6)
+        m, n, k, alpha, a, lda, b, ldb, c, ldc = random_gemm_instance(
+            rng, True, max_dim=8, min_pad=1
+        )
+        want = gemm_nn_reference(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+        wide_a = np.zeros(2 * a.size, dtype=np.float32)
+        wide_a[::2] = a
+        wide_c = np.zeros(2 * c.size, dtype=np.float32)
+        wide_c[::2] = c
+        gemm_nn(m, n, k, alpha, wide_a[::2], lda, b, ldb, wide_c[::2], ldc)
+        assert same_bits(wide_c[::2], want)
+        assert not wide_c[1::2].any()
+
+
 class TestIm2col:
     def test_identity_for_1x1(self):
         x = np.arange(2 * 3 * 3, dtype=np.float32).reshape(2, 3, 3)
@@ -253,6 +465,21 @@ class TestIm2col:
         cols = im2col(x, kernel=3, stride=1, pad=1)
         assert cols[:9][4].max() == 0.0
         assert cols[9:][4].min() == 1.0
+
+    def test_pointwise_is_a_view_of_the_input(self):
+        x = np.random.default_rng(7).normal(size=(4, 5, 6)).astype(np.float32)
+        cols = im2col(x, kernel=1, stride=1, pad=0)
+        assert np.shares_memory(cols, x)
+        # the general path, on a padded grid with the border cut off
+        general = im2col(x, kernel=1, stride=1, pad=1).reshape(4, 7, 8)
+        assert same_bits(cols, general[:, 1:-1, 1:-1].reshape(4, 30))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_pointwise_output_is_float32(self, dtype):
+        x = np.arange(-12, 12).reshape(2, 3, 4).astype(dtype) / 4
+        cols = im2col(x, kernel=1, stride=1, pad=0)
+        # the centre cell of a padded 3x3 unfold sees each input value as is
+        assert same_bits(cols, im2col(x, kernel=3, stride=1, pad=1)[4::9])
 
     def test_stride_two_subsamples(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)

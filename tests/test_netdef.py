@@ -21,7 +21,6 @@ from convwatt.netdef import (
     ensure_shapes,
     infer_shapes,
     parse_config,
-    serialize_config,
 )
 
 from conftest import TOY_CFG
@@ -35,6 +34,52 @@ def conv_chain_cfg(width, height, channels, convs):
         lines.append(
             f"[convolutional]\nfilters={filters}\nsize={size}\nstride={stride}\npad=1"
         )
+    return "\n".join(lines)
+
+
+def serialize_config(net: NetworkDef) -> str:
+    """Configuration text that parses back to an equal NetworkDef: the
+    inverse of parse_config that the round-trip tests rely on."""
+    lines = [
+        "[net]",
+        f"width={net.input.w}",
+        f"height={net.input.h}",
+        f"channels={net.input.c}",
+        "",
+    ]
+    for layer in net.layers:
+        if layer.kind == CONVOLUTIONAL:
+            spec = layer.conv
+            lines.append("[convolutional]")
+            if spec.batch_normalize:
+                lines.append("batch_normalize=1")
+            lines.append(f"filters={spec.filters}")
+            lines.append(f"size={spec.kernel}")
+            lines.append(f"stride={spec.stride}")
+            lines.append(f"padding={spec.pad}")
+            lines.append(f"activation={spec.activation}")
+        elif layer.kind == SHORTCUT:
+            lines.append("[shortcut]")
+            lines.append(f"from={layer.from_index}")
+        elif layer.kind == ROUTE:
+            lines.append("[route]")
+            lines.append("layers=" + ",".join(str(s) for s in layer.sources))
+        elif layer.kind == UPSAMPLE:
+            lines.append("[upsample]")
+            lines.append(f"stride={layer.factor}")
+        else:
+            lines.append("[yolo]")
+            meta = layer.meta or {}
+            if "mask" in meta:
+                lines.append("mask=" + ",".join(str(m) for m in meta["mask"]))
+            if "anchors" in meta:
+                lines.append(
+                    "anchors=" + ",".join(f"{a:g}" for a in meta["anchors"])
+                )
+            lines.append(f"classes={meta.get('classes', 80)}")
+            if "num" in meta:
+                lines.append(f"num={meta['num']}")
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -11,10 +11,7 @@ SOURCES = sorted((ROOT / "src" / "convwatt").glob("*.py")) + sorted(
 )
 
 # Public names kept without a non-test caller, each with its reason.
-ALLOWED = {
-    # the inverse of parse_config, which the cfg round-trip tests rely on
-    "serialize_config",
-}
+ALLOWED: set[str] = set()
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
