@@ -54,6 +54,11 @@ class ClusterConfig:
     hardware lookup tables the energy model prices; smaller widths are
     accepted for storage experiments. Convergence stops when no centroid
     moves more than tol, or after max_iters sweeps.
+
+    init INIT_KMEANS_PP costs O(n*k) before the first sweep: each of the k
+    picks builds an n-value probability array. On 4 M values at 8 bits, a
+    one-sweep run took 23 s with it against 1.9 s with INIT_LINSPACE (2-core
+    x86_64 host), so full-size networks should use INIT_LINSPACE.
     """
 
     scope: str = SCOPE_ALL_LAYERS
@@ -232,22 +237,22 @@ def pack_indices(indices, bits: int) -> PackedIndices:
 
     Index j occupies bits [(j mod f)*bits, (j mod f)*bits + bits) of word
     j // f, where f = floor(32/bits). Indexes never span words; unused high
-    bits stay zero.
+    bits stay zero. indices must have an integer dtype, unless it is empty.
     """
     if not 1 <= bits <= WORD_BITS:
         raise ValueError("bits must lie in 1..32")
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ValueError("indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= (1 << bits)):
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"indexes must be integers, got dtype {idx.dtype}")
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= (1 << bits)):
         raise ValueError(f"indexes must lie in 0..{(1 << bits) - 1}")
     per_word = WORD_BITS // bits
-    n_words = -(-idx.size // per_word)
-    padded = np.zeros(n_words * per_word, dtype=np.uint32)
-    padded[: idx.size] = idx.astype(np.uint32)
-    lanes = padded.reshape(n_words, per_word) if n_words else padded.reshape(0, per_word)
-    shifts = (np.arange(per_word, dtype=np.uint32) * np.uint32(bits)).astype(np.uint32)
-    words = np.bitwise_or.reduce(lanes << shifts, axis=1).astype(np.uint32)
+    lanes = np.zeros((-(-idx.size // per_word), per_word), dtype=np.uint32)
+    lanes.reshape(-1)[: idx.size] = idx
+    lanes <<= np.arange(0, per_word * bits, bits, dtype=np.uint32)
+    words = np.bitwise_or.reduce(lanes, axis=1)
     return PackedIndices(bits=bits, count=int(idx.size), words=words)
 
 
@@ -379,8 +384,17 @@ class _SegmentSums:
         return math.fsum(parts)
 
 
-def _segment_means(sums: _SegmentSums, bounds: np.ndarray) -> np.ndarray:
+def _segment_means(
+    sums: _SegmentSums,
+    bounds: np.ndarray,
+    last: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Mean of each segment, its math.fsum over its length; NaN if empty.
+
+    A mean depends only on its segment's bounds. last, if given, is the
+    (bounds, means) of an earlier call on the same sums; a segment whose two
+    bounds are both unchanged since then keeps its mean from there, and
+    only the others are summed.
 
     fsum keeps the mean exactly rounded, pinning results across platforms
     regardless of summation order optimizations.
@@ -395,8 +409,16 @@ def _segment_means(sums: _SegmentSums, bounds: np.ndarray) -> np.ndarray:
     and every segment when sums.prefix is None, go through sums.sum.
     """
     counts = np.diff(bounds)
-    means = np.full(counts.size, np.nan)
     by_fsum = counts > 0
+    if last is None:
+        means = np.full(counts.size, np.nan)
+    else:
+        last_bounds, means = last
+        moved = bounds != last_bounds
+        redo = moved[:-1] | moved[1:]
+        means = means.copy()
+        means[redo] = np.nan
+        by_fsum &= redo
     if sums.prefix is not None:
         short = (by_fsum & (counts <= 2 * _BLOCK)).nonzero()[0]
         if short.size:
@@ -436,6 +458,56 @@ def _farthest(dist: np.ndarray, e: int, work: np.ndarray) -> np.ndarray:
     return np.concatenate((above, tied))
 
 
+# _residuals rewrites changed segments one by one when the values outnumber
+# the changed segments by at least this factor, and rebuilds every residual
+# with one np.repeat otherwise, where the per-segment calls would cost more
+_PER_SEGMENT = 1024
+
+
+def _residuals(
+    svals: np.ndarray,
+    centroids: np.ndarray,
+    bounds: np.ndarray,
+    work: np.ndarray,
+    last: tuple[np.ndarray, np.ndarray] | None = None,
+) -> None:
+    """Set work to each sorted value minus its segment's centroid.
+
+    A residual depends only on its segment's bounds and centroid. last, if
+    given, is the (centroids, bounds) whose residuals work holds now; a
+    segment whose bounds and centroid bits are all unchanged since then
+    keeps its residuals, and only the others are rewritten.
+    """
+    if last is not None:
+        last_centroids, last_bounds = last
+        moved = bounds != last_bounds
+        redo = moved[:-1] | moved[1:] | (
+            centroids.view(np.int64) != last_centroids.view(np.int64)
+        )
+        changed = redo.nonzero()[0].tolist()
+        if svals.size >= _PER_SEGMENT * len(changed):
+            edges, values = bounds.tolist(), centroids.tolist()
+            for j in changed:
+                lo, hi = edges[j], edges[j + 1]
+                np.subtract(svals[lo:hi], values[j], out=work[lo:hi])
+            return
+    np.subtract(svals, np.repeat(centroids, np.diff(bounds)), out=work)
+
+
+def _stable_zeros(svals: np.ndarray, vals: np.ndarray) -> None:
+    """Give the run of zeros in svals, vals sorted by an unstable sort, the
+    signs those zeros have in vals, in vals's order.
+
+    Equal finite floats have equal bits except for the sign of zero, so
+    svals is then bitwise what a stable sort gives.
+    """
+    lo = np.searchsorted(svals, 0.0, side="left")
+    hi = np.searchsorted(svals, 0.0, side="right")
+    negative = np.signbit(svals[lo:hi])
+    if negative.any() and not negative.all():
+        svals[lo:hi] = vals[vals == 0]
+
+
 def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     """Lloyd's algorithm in one dimension.
 
@@ -444,6 +516,22 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     no more than k distinct values the quantization is exact (SSE 0), with
     surplus table slots repeating the largest value; of -0.0 and 0.0, the
     first one in the input stands for both.
+
+    Results are bitwise those of a Lloyd that stable-sorts the values and
+    recomputes every segment each sweep, by three invariants:
+
+    - svals, the values in numpy's default (unstable) argsort order, is
+      bitwise the stable sort: equal finite floats have equal bits except
+      for the sign of zero, and _stable_zeros puts the zeros' signs back in
+      input order. Assignments depend only on values, so the order of ties
+      in the argsort never shows.
+    - A segment's mean depends only on its bounds, and its residuals only on
+      its bounds and centroid. Each sweep sums only the segments whose
+      bounds moved, and rewrites only the residuals whose segment's bounds
+      or centroid changed; the SSE is the same float64 dot over them all.
+    - A sweep that did not reseed and left every bound where it was is a
+      fixed point: the next sweep would compute the same means, move no
+      centroid and stop. The loop stops there instead.
     """
     cfg = cfg or ClusterConfig()
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -454,8 +542,9 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    order = np.argsort(vals, kind="stable")
+    order = np.argsort(vals)
     svals = vals[order]
+    _stable_zeros(svals, vals)
     del vals  # when it is a copy of values, only the sorted copy is needed
 
     # each value that differs from its sorted predecessor starts a new one
@@ -473,32 +562,36 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
         centroids = np.sort(_init_centroids(svals, k, cfg))
         sums = _SegmentSums(svals)
         bounds = _segment_bounds(svals, centroids)
-        counts = np.diff(bounds)
         # the SSE residual and the reseed's partition share one buffer
         work = np.empty_like(svals)
         prev_sse = math.inf
+        last_means = last_residuals = None
         for _ in range(cfg.max_iters):
-            means = _segment_means(sums, bounds)
+            means = _segment_means(sums, bounds, last_means)
+            last_means = bounds, means
             empty = np.isnan(means)
             reseeded = bool(empty.any())
             if reseeded:
-                dist = np.repeat(means, counts)
+                dist = np.repeat(means, np.diff(bounds))
                 np.abs(np.subtract(svals, dist, out=dist), out=dist)
+                means = means.copy()
                 means[empty] = svals[_farthest(dist, np.count_nonzero(empty), work)]
                 del dist
+                last_residuals = None  # _farthest has overwritten work
             new_centroids = np.sort(means)
             movement = float(np.max(np.abs(new_centroids - centroids)))
-            centroids = new_centroids
-            bounds = _segment_bounds(svals, centroids)
-            counts = np.diff(bounds)
-            np.subtract(svals, np.repeat(centroids, counts), out=work)
+            new_bounds = _segment_bounds(svals, new_centroids)
+            _residuals(svals, new_centroids, new_bounds, work, last_residuals)
+            last_residuals = new_centroids, new_bounds
             sse = float(np.dot(work, work))
             if not reseeded and sse > prev_sse * (1.0 + 1e-9):
                 raise RuntimeError("k-means SSE increased")
             prev_sse = sse
-            if movement <= cfg.tol and not reseeded:
+            fixed = np.array_equal(new_bounds, bounds)
+            centroids, bounds = new_centroids, new_bounds
+            if (movement <= cfg.tol or fixed) and not reseeded:
                 break
-        assign_sorted = np.repeat(np.arange(k, dtype=np.uint32), counts)
+        assign_sorted = np.repeat(np.arange(k, dtype=np.uint32), np.diff(bounds))
 
     assignments = np.empty(svals.size, dtype=np.uint32)
     assignments[order] = assign_sorted
@@ -717,14 +810,20 @@ def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel
     return ClusteredModel(scope=cfg.scope, bits=cfg.bits, entries=entries)
 
 
+def stream_sse(layers: list[tuple[ConvParams, int]], stream: np.ndarray) -> float:
+    """SSE of one table's decoded stream against the kernels of the layers
+    it covers, as ClusteredModel.spans lists them, in float64."""
+    original = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
+    d = original - stream.astype(np.float64)
+    return float(np.dot(d, d))
+
+
 def model_sse(model: ClusteredModel, weights: DarknetWeights) -> list[float]:
     """Per-table SSE of the clustered model against the original kernels."""
-    out = []
-    for entry, layers in model.spans(weights):
-        original = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
-        d = original - dequantize(entry.table, entry.packed).astype(np.float64)
-        out.append(float(np.dot(d, d)))
-    return out
+    return [
+        stream_sse(layers, dequantize(entry.table, entry.packed))
+        for entry, layers in model.spans(weights)
+    ]
 
 
 def write_clustered(model: ClusteredModel) -> bytes:
@@ -793,11 +892,13 @@ def read_clustered(data: bytes) -> ClusteredModel:
             packed = PackedIndices(bits=bits, count=count, words=words)
         except ValueError as exc:
             raise ClusterFormatError(f"table {t}: {exc}") from exc
-        idx = unpack_indices(packed)
-        if idx.size and int(idx.max()) >= k:
-            raise ClusterFormatError(
-                f"table {t}: index {int(idx.max())} out of range for {k} centroids"
-            )
+        # every bits-wide index is in range of a full table
+        if k < (1 << bits):
+            idx = unpack_indices(packed)
+            if idx.size and int(idx.max()) >= k:
+                raise ClusterFormatError(
+                    f"table {t}: index {int(idx.max())} out of range for {k} centroids"
+                )
         entries.append(
             ClusterEntry(
                 None if layer_id == GLOBAL_TABLE_ID else int(layer_id),

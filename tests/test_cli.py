@@ -6,12 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from convwatt import cli
+from convwatt import cli, cluster, engine
 from convwatt.cli import main
 from convwatt.cluster import (
     ClusteredModel,
     ClusterEntry,
+    fold_batch_norm,
+    model_sse,
     read_clustered,
+    read_darknet_weights,
     write_clustered,
 )
 from convwatt.netdef import parse_config
@@ -270,6 +273,30 @@ class TestVerify:
         assert "bitwise equal" in stdout
         assert "final-layer MSE:" in stdout
         assert "quantization SSE:" in stdout
+
+    @pytest.mark.parametrize("scope", ["all-layers", "per-layer"])
+    def test_decodes_each_table_twice(
+        self, cfg_path, weights_path, tmp_path, capsys, monkeypatch, scope
+    ):
+        out = run_cluster(cfg_path, weights_path, tmp_path, "--scope", scope)
+        model = read_clustered(out.read_bytes())
+        folded = fold_batch_norm(read_darknet_weights(weights_path.read_bytes(),
+                                                      cli._load_network(str(cfg_path))))
+        total_sse = sum(model_sse(model, folded))
+        capsys.readouterr()
+        real, calls = cluster.unpack_indices, []
+
+        def spy(packed):
+            calls.append(packed)
+            return real(packed)
+
+        monkeypatch.setattr(cluster, "unpack_indices", spy)
+        monkeypatch.setattr(engine, "unpack_indices", spy)
+        assert main(["verify", str(cfg_path), str(weights_path), str(out)]) == 0
+        # once for the dequantized weights and the SSE, once in the indirect
+        # pass; reading a full table decodes nothing
+        assert len(calls) == 2 * len(model.entries)
+        assert f"weight quantization SSE: {total_sse:.6g}" in capsys.readouterr().out
 
     def test_corrupt_model_fails_with_checksum_error(
         self, cfg_path, weights_path, tmp_path, capsys

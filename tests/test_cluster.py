@@ -91,6 +91,46 @@ class TestPacking:
         with pytest.raises(ValueError, match="0..255"):
             pack_indices([-1], 8)
 
+    def test_rejects_non_integer_dtypes(self):
+        # a float index used to be truncated without a word
+        with pytest.raises(ValueError, match="integers, got dtype float64"):
+            pack_indices([1.7, 2.9], 2)
+        with pytest.raises(ValueError, match="integers, got dtype bool"):
+            pack_indices(np.array([True, False]), 1)
+        with pytest.raises(ValueError, match="integers"):
+            pack_indices(np.array([1.0], dtype=np.float32), 8)
+
+    @pytest.mark.parametrize(
+        "dtype", ["int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64"]
+    )
+    def test_every_integer_dtype_packs_alike(self, dtype):
+        rng = np.random.default_rng(5)
+        for bits in (1, 3, 5, 7):
+            indices = rng.integers(0, 1 << bits, 100).tolist()
+            packed = pack_indices(np.array(indices, dtype=dtype), bits)
+            assert packed.words.dtype == np.uint32
+            assert packed.words.tolist() == pack_indices_reference(indices, bits)
+        # the range check runs on the input's own dtype
+        top = np.iinfo(dtype).max
+        with pytest.raises(ValueError, match="0..63"):
+            pack_indices(np.array([0, top], dtype=dtype), 6)
+        if np.iinfo(dtype).min < 0:
+            with pytest.raises(ValueError, match="0..63"):
+                pack_indices(np.array([np.iinfo(dtype).min, 0], dtype=dtype), 6)
+
+    def test_packs_without_widening_copies(self):
+        # the padded uint32 lanes and the words, shifted in place: about
+        # 5 bytes per 8-bit index
+        indices = np.random.default_rng(2).integers(0, 256, 1 << 20).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            packed = pack_indices(indices, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(unpack_indices(packed), indices)
+        assert peak / indices.size < 6
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="1-D"):
             pack_indices([[1, 2]], 8)
@@ -228,8 +268,8 @@ class TestKmeans:
         real = cluster._segment_means
         sweeps = []
 
-        def worse_on_second_sweep(sums, bounds):
-            means = real(sums, bounds)
+        def worse_on_second_sweep(sums, bounds, last=None):
+            means = real(sums, bounds, last)
             sweeps.append(None)
             return means + 100.0 if len(sweeps) == 2 else means
 
@@ -388,8 +428,8 @@ class TestLloydMatchesReference:
         real = cluster._segment_means
         empties = []
 
-        def spy(sums, bounds):
-            means = real(sums, bounds)
+        def spy(sums, bounds, last=None):
+            means = real(sums, bounds, last)
             empties.append(int(np.isnan(means).sum()))
             return means
 
@@ -456,6 +496,193 @@ class TestLloydMatchesReference:
         assert table.centroids.view(np.uint32).tolist() == [0]
         assert assignments.tolist() == [0, 0, 0]
 
+
+    # The tests below run on 3,000 values and more: numpy's default argsort
+    # sorts small arrays by insertion, which happens to be stable, so only
+    # longer runs of ties come out of it in another order.
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sorted_zeros_keep_their_input_order(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-0.0, 0.0, -0.0, 0.0, 1.5, -2.0, 3.0], 3000)
+        svals = values[np.argsort(values)]
+        cluster._stable_zeros(svals, values)
+        stable = np.sort(values, kind="stable")
+        assert np.array_equal(svals.view(np.uint64), stable.view(np.uint64))
+
+    def test_zeros_of_one_sign_are_left_alone(self):
+        # values == 0 is never evaluated, so vals may be anything
+        for zero in (-0.0, 0.0):
+            values = np.random.default_rng(0).choice([zero, 1.5, -2.0], 3000)
+            svals = values[np.argsort(values)]
+            cluster._stable_zeros(svals, None)
+            stable = np.sort(values, kind="stable")
+            assert np.array_equal(svals.view(np.uint64), stable.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mixed_zeros_exact_path_keeps_the_first_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-0.0, 0.0, 1.5, -2.0, 3.0], 3000)
+        table, assignments = kmeans_1d(values, 8)
+        want_centroids, want_assignments = lloyd_1d_reference(values, 8)
+        assert np.array_equal(assignments, want_assignments)
+        assert np.array_equal(table.centroids, want_centroids)
+        # the one zero in the table is the first zero of the input
+        first_zero = values[values == 0][0]
+        zero = table.centroids[table.centroids == 0]
+        assert zero.size == 1 and np.signbit(zero[0]) == np.signbit(first_zero)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reseed_picking_zeros_keeps_their_signs(self, seed):
+        # a few zeros of both signs below a tight clump: with the two middle
+        # linspace centroids empty, the zeros are the farthest values, and
+        # the tie between them goes to the first ones in sorted order
+        rng = np.random.default_rng(seed)
+        values = rng.permutation(
+            np.concatenate((
+                rng.choice([-0.0, 0.0], 8),
+                1.0 + rng.standard_normal(2500) * 1e-4,
+                1000.0 + rng.standard_normal(500) * 1e-4,
+            ))
+        )
+        for max_iters in (1, 2, 5):
+            self.check(values, 2, "linspace", 0, max_iters)
+        # after one sweep the table still holds the two picked zeros, which
+        # are the first two zeros of the input
+        table, _ = kmeans_1d(values, 4, ClusterConfig(bits=2, max_iters=1))
+        zeros = table.centroids[:2]
+        assert np.array_equal(zeros, [0.0, 0.0])
+        first_two = np.signbit(values[values == 0][:2])
+        assert sorted(np.signbit(zeros).tolist()) == sorted(first_two.tolist())
+
+    @pytest.mark.parametrize("n", [3000, 20000])
+    def test_heavy_ties_with_signed_zeros(self, n):
+        # integers and halves of either sign, so every value ties with
+        # thousands of others and the zeros come as -0.0 and 0.0
+        rng = np.random.default_rng(n)
+        values = rng.integers(-6, 7, n) * 0.5 * rng.choice([-1.0, 1.0], n)
+        for bits, init in ((1, "linspace"), (2, "kmeans_pp"), (3, "linspace")):
+            self.check(values, bits, init, n, 30)
+        # 4 bits hold all 13 distinct values: the exact path
+        self.check(values, 4, "linspace", n, 30)
+
+    @pytest.mark.parametrize("per_segment", [0, None, 10**9])
+    def test_sweep_state_matches_a_fresh_recompute(self, per_segment, monkeypatch):
+        if per_segment is not None:
+            monkeypatch.setattr(cluster, "_PER_SEGMENT", per_segment)
+        real_means, real_residuals, real_farthest = (
+            cluster._segment_means, cluster._residuals, cluster._farthest
+        )
+        events, runs = [], []
+
+        def means_spy(sums, bounds, last=None):
+            means = real_means(sums, bounds, last)
+            fresh = real_means(sums, bounds)
+            assert np.array_equal(means.view(np.uint64), fresh.view(np.uint64))
+            events.append(("means", last is not None))
+            return means
+
+        def residuals_spy(svals, centroids, bounds, work, last=None):
+            real_residuals(svals, centroids, bounds, work, last)
+            fresh = svals - np.repeat(centroids, np.diff(bounds))
+            assert np.array_equal(work.view(np.uint64), fresh.view(np.uint64))
+            events.append(("residuals", last is not None))
+
+        def farthest_spy(dist, e, work):
+            events.append(("reseed", None))
+            return real_farthest(dist, e, work)
+
+        monkeypatch.setattr(cluster, "_segment_means", means_spy)
+        monkeypatch.setattr(cluster, "_residuals", residuals_spy)
+        monkeypatch.setattr(cluster, "_farthest", farthest_spy)
+        for style, n, bits in (("clumps", 3000, 4), ("normal", 20000, 5), ("zeros", 5000, 3)):
+            for init in INITS:
+                events = []
+                self.check(lloyd_values(style, n, n), bits, init, 7, 40)
+                runs.append(events)
+        assert any(("residuals", True) in events for events in runs)
+        # in some run, a sweep after a reseed reused means and residuals
+        after_reseed = [
+            events[events.index(("reseed", None)) :]
+            for events in runs
+            if ("reseed", None) in events
+        ]
+        assert any(
+            ("means", True) in events and ("residuals", True) in events
+            for events in after_reseed
+        )
+
+    def test_fixed_point_stops_early_with_the_same_result(self, monkeypatch):
+        real, states = cluster._residuals, []
+
+        def spy(svals, centroids, bounds, work, last=None):
+            states.append((centroids.copy(), bounds.copy()))
+            return real(svals, centroids, bounds, work, last)
+
+        monkeypatch.setattr(cluster, "_residuals", spy)
+        values = lloyd_values("normal", 5000, 4)
+        self.check(values, 3, "linspace", 0, 1000)
+        (c1, b1), (c2, b2) = states[-2:]
+        # the last sweep left every bound where it was, so the next would
+        # not have moved any centroid; its own still moved, above tol = 0
+        assert np.array_equal(b1, b2) and not np.array_equal(c1, c2)
+        assert len(states) < 1000
+
+
+class TestSweepUpdates:
+    """_segment_means and _residuals given an earlier state agree bit for
+    bit with a recompute from scratch."""
+
+    @settings(max_examples=200)
+    @given(
+        style=st.sampled_from(LLOYD_STYLES),
+        n=st.integers(1, 1500),
+        data_seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 40),
+        replaced=st.floats(0, 1),
+    )
+    def test_updates_equal_a_fresh_recompute(self, style, n, data_seed, k, replaced):
+        svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
+        rng = np.random.default_rng(data_seed)
+        # the second state keeps some centroids of the first, so that some
+        # segments keep their bounds; a kept zero may flip its sign
+        first = np.sort(rng.choice(svals, k))
+        second = first.copy()
+        swap = rng.random(k) < replaced
+        second[swap] = rng.choice(svals, int(swap.sum()))
+        flip = (second == 0) & (rng.random(k) < 0.5)
+        second[flip] = -second[flip]
+        second = np.sort(second)
+        sums = cluster._SegmentSums(svals)
+        b1, b2 = (cluster._segment_bounds(svals, c) for c in (first, second))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                last = b1, cluster._segment_means(sums, b1)
+                means = cluster._segment_means(sums, b2, last)
+            except OverflowError:  # fsum overflows on either path alike
+                means = None
+            if means is not None:
+                fresh = cluster._segment_means(sums, b2)
+                assert np.array_equal(means.view(np.uint64), fresh.view(np.uint64))
+            want = svals - np.repeat(second, np.diff(b2))
+            for per_segment in (0, cluster._PER_SEGMENT, 10**9):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(cluster, "_PER_SEGMENT", per_segment)
+                    work = np.full_like(svals, np.nan)
+                    cluster._residuals(svals, first, b1, work)
+                    cluster._residuals(svals, second, b2, work, (first, b1))
+                assert np.array_equal(work.view(np.uint64), want.view(np.uint64))
+
+    def test_a_zero_centroid_that_flips_sign_is_rewritten(self):
+        # -0.0 - -0.0 is +0.0 but -0.0 - +0.0 is -0.0, though the centroids
+        # compare equal
+        svals = np.array([-0.0, -0.0, 0.0, 5.0, 6.0])
+        bounds = np.array([0, 3, 5])
+        work = np.empty_like(svals)
+        cluster._residuals(svals, np.array([-0.0, 5.5]), bounds, work)
+        new = np.array([0.0, 5.5])
+        cluster._residuals(svals, new, bounds, work, (np.array([-0.0, 5.5]), bounds))
+        assert np.signbit(work[:3]).tolist() == [True, True, False]
 
 class TestSegmentSums:
     @settings(max_examples=200)
@@ -1062,6 +1289,16 @@ class TestContainer:
         data[7] = 9
         with pytest.raises(ClusterFormatError, match="out of range"):
             read_clustered(recrc(bytes(data)))
+
+    def test_full_tables_are_not_decoded(self, model, monkeypatch):
+        # every b-bit index is in range of a 2**b-entry table
+        calls = []
+        monkeypatch.setattr(
+            cluster, "unpack_indices", lambda packed: calls.append(packed) or 1 / 0
+        )
+        assert all(entry.table.k == 1 << model.bits for entry in model.entries)
+        assert read_clustered(write_clustered(model)) == model
+        assert calls == []
 
     def test_index_beyond_table_rejected(self):
         # one 2-entry table at 8 bits, with an index stream holding a 200
