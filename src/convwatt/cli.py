@@ -259,6 +259,7 @@ def cmd_cluster(args) -> int:
     with open(args.weights, "rb") as handle:
         weights = read_darknet_weights(handle.read(), net)
     folded = fold_batch_norm(weights)
+    del weights  # the kernels that folding replaced
     cfg = ClusterConfig(
         scope=_opt_value(args.scope),
         bits=args.bits,
@@ -346,23 +347,21 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(raw), b.view(raw))
 
 
-def _first_difference(reference, *variants):
-    """(layer index, max |delta|) of the first layer where a variant's output
-    is not bitwise equal to reference's, or None if every layer matches.
+def _difference(want: np.ndarray, *got: np.ndarray) -> float | None:
+    """Max |delta| between want and the variants in got that are not bitwise
+    equal to it, or None if all are.
 
     The delta is taken over the differing variants in float64; it is nan
     when their shapes disagree and 0 when only signs of zero differ.
     """
-    for index, (want, *got) in enumerate(zip(reference, *variants)):
-        differing = [g for g in got if not _bitwise_equal(want, g)]
-        if differing:
-            delta = max(
-                float(np.max(np.abs(g.astype(np.float64) - want.astype(np.float64))))
-                if g.shape == want.shape else math.nan
-                for g in differing
-            )
-            return index, delta
-    return None
+    differing = [g for g in got if not _bitwise_equal(want, g)]
+    if not differing:
+        return None
+    return max(
+        float(np.max(np.abs(g.astype(np.float64) - want.astype(np.float64))))
+        if g.shape == want.shape else math.nan
+        for g in differing
+    )
 
 
 def cmd_verify(args) -> int:
@@ -372,22 +371,30 @@ def cmd_verify(args) -> int:
     with open(args.model, "rb") as handle:
         model = read_clustered(handle.read())
     folded = fold_batch_norm(weights)
+    del weights  # the kernels that folding replaced
 
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((net.input.c, net.input.h, net.input.w)).astype(np.float32)
 
     dequantized_weights, sses = _dequantized_weights(model, folded)
-    original = run_network(net, folded, x)
-    dequantized = run_network(net, dequantized_weights, x)
-    indirect = run_network(net, folded, x, clustered=model)
-    on_the_fly = run_network(net, folded, x, clustered=model, on_the_fly=True)
-
-    first = _first_difference(dequantized, indirect, on_the_fly)
+    passes = (
+        run_network(net, folded, x),
+        run_network(net, dequantized_weights, x),
+        run_network(net, folded, x, clustered=model),
+        run_network(net, folded, x, clustered=model, on_the_fly=True),
+    )
+    # The passes run layer by layer in lockstep, so only each one's live set
+    # is held. Comparing stops at the first difference; every pass still runs
+    # to its end, for the final outputs.
+    first = None
+    for index, (original, dequantized, indirect, on_the_fly) in enumerate(zip(*passes)):
+        if first is None:
+            delta = _difference(dequantized, indirect, on_the_fly)
+            if delta is not None:
+                first = index, delta
     equivalent = first is None
     mse = float(
-        np.mean(
-            (original[-1].astype(np.float64) - indirect[-1].astype(np.float64)) ** 2
-        )
+        np.mean((original.astype(np.float64) - indirect.astype(np.float64)) ** 2)
     )
     total_sse = sum(sses)
     status = "PASS" if equivalent else "FAIL"

@@ -13,9 +13,19 @@ Only the bookkeeping is vectorized. Steps with many outputs update all of C
 once per k; steps with few outputs sum a chunk of k at a time with one
 np.add.reduce over an axis that is never the innermost one, which numpy
 adds slice by slice in index order (_accumulate says why that is exact).
+
+Memory is bounded by the live set, not by the depth of the network.
+run_network yields one layer's output at a time and forgets each output
+after its last reader (the next layer, a route or a shortcut). A
+convolution unfolds its input through im2col in bands of whole output rows,
+each at most _BAND fp32 elements, and runs its GEMM once per band. Each
+output column's k-ordered sum depends on no other column, so banding leaves
+every output bit unchanged.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -73,6 +83,9 @@ _NARROW = 16384
 _SCRATCH = 1 << 18
 # columns of A the wide path asks a variant for at once
 _BLOCK = 64
+# fp32 elements in one band of a convolution's im2col matrix (4 MB); a band
+# is at least one output row
+_BAND = 1 << 20
 
 
 def _accumulate(M, N, K, block, b, ldb, c, ldc):
@@ -214,6 +227,17 @@ def gemm_nn_packed(M, N, K, alpha, centroids, packed, lda, B, ldb, C, ldc, base=
     return C
 
 
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """x as fp32 with pad zeros around each channel; x itself if it is fp32
+    and pad is 0."""
+    if not pad:
+        return np.asarray(x, dtype=np.float32)
+    c, h, w = x.shape
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    out[:, pad : pad + h, pad : pad + w] = x
+    return out
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     """Unfold a CHW tensor into a (c*k*k, out_h*out_w) fp32 matrix.
 
@@ -232,17 +256,16 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     if kernel == 1 and stride == 1 and pad == 0:
         # every row is one channel as it is: a view of x, no copy
         return np.asarray(x, dtype=np.float32).reshape(c, h * w)
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-    padded[:, pad : pad + h, pad : pad + w] = x
+    src = _padded(x, pad)
     # windows[ch, kr, kc] is the (out_h, out_w) grid that kernel cell (kr, kc)
-    # sees; out_h and out_w keep it inside padded. The reshape is the one copy.
-    sc, sh, sw = padded.strides
-    windows = np.ndarray(
-        (c, kernel, kernel, out_h, out_w),
-        np.float32,
-        buffer=padded,
-        strides=(sc, sh, sw, sh * stride, sw * stride),
-    )
+    # sees; out_h and out_w keep it inside src. The reshape is the one copy.
+    sc, sh, sw = src.strides
+    shape = (c, kernel, kernel, out_h, out_w)
+    strides = (sc, sh, sw, sh * stride, sw * stride)
+    if src.flags.c_contiguous:
+        windows = np.ndarray(shape, np.float32, buffer=src, strides=strides)
+    else:  # a band of rows cut from a larger input
+        windows = np.lib.stride_tricks.as_strided(src, shape=shape, strides=strides)
     return windows.reshape(c * kernel * kernel, out_h * out_w)
 
 
@@ -255,7 +278,8 @@ def leaky(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
-def _conv_common(layer: LayerSpec, x: np.ndarray):
+def _conv_common(layer: LayerSpec, x: np.ndarray) -> tuple[int, int]:
+    """Check a conv layer and its input; return (filters, c*k*k)."""
     if layer.kind != CONVOLUTIONAL:
         raise ValueError(f"conv forward called on {layer.kind} layer")
     if layer.in_shape is None or layer.out_shape is None:
@@ -264,17 +288,34 @@ def _conv_common(layer: LayerSpec, x: np.ndarray):
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match layer {expected}")
     spec = layer.conv
-    cols = im2col(x, spec.kernel, spec.stride, spec.pad)
-    m = spec.filters
-    kdim = layer.in_shape.c * spec.kernel * spec.kernel
-    n = layer.out_shape.h * layer.out_shape.w
-    out = np.zeros(m * n, dtype=np.float32)
-    return spec, cols, m, kdim, n, out
+    return spec.filters, layer.in_shape.c * spec.kernel * spec.kernel
 
 
-def _finish_conv(layer: LayerSpec, out_flat, biases):
-    spec = layer.conv
-    out = out_flat.reshape(spec.filters, layer.out_shape.h, layer.out_shape.w)
+def _convolve(layer: LayerSpec, x: np.ndarray, biases, gemm) -> np.ndarray:
+    """Unfold x in bands of whole output rows and convolve band by band.
+
+    gemm(n, b, c, ldc) runs the variant's GEMM on one band: b is the band's
+    (c*k*k, n) im2col matrix, flat with ldb = n, and c starts at the band's
+    first output, whose rows lie ldc = out_h*out_w apart. Each band holds at
+    most _BAND fp32 elements, or one output row if that is larger. The input
+    is padded once for all bands. A 1x1/s1/p0 conv is one band, a view of x.
+    """
+    spec, shape = layer.conv, layer.out_shape
+    kernel, stride, pad = spec.kernel, spec.stride, spec.pad
+    n = shape.h * shape.w
+    out = np.zeros(spec.filters * n, dtype=np.float32)
+    if kernel == 1 and stride == 1 and pad == 0:
+        rows = shape.h
+    else:
+        rows = max(1, _BAND // (layer.in_shape.c * kernel * kernel * shape.w))
+    src = _padded(x, pad)
+    for r0 in range(0, shape.h, rows):
+        r1 = min(r0 + rows, shape.h)
+        rows_in = src[:, r0 * stride : (r1 - 1) * stride + kernel]
+        band = im2col(rows_in, kernel, stride, 0).reshape(-1)
+        gemm((r1 - r0) * shape.w, band, out[r0 * shape.w :], n)
+        del band  # freed before the next band is unfolded
+    out = out.reshape(spec.filters, shape.h, shape.w)
     out += biases.reshape(-1, 1, 1)
     if spec.activation == "leaky":
         leaky(out)
@@ -282,16 +323,19 @@ def _finish_conv(layer: LayerSpec, out_flat, biases):
 
 
 def conv_forward(layer: LayerSpec, x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """One convolution layer: im2col, gemm, bias, activation."""
+    """One convolution layer: im2col by bands, gemm, bias, activation."""
     if params.batch_normalized:
         raise ValueError("fold batch norm into the weights before inference")
-    spec, cols, m, kdim, n, out = _conv_common(layer, x)
+    m, kdim = _conv_common(layer, x)
     if params.kernel.size != m * kdim:
         raise ValueError(
             f"kernel holds {params.kernel.size} weights, layer needs {m * kdim}"
         )
-    gemm_nn(m, n, kdim, 1.0, params.kernel, kdim, cols.reshape(-1), n, out, n)
-    return _finish_conv(layer, out, params.biases)
+
+    def gemm(n, b, c, ldc):
+        gemm_nn(m, n, kdim, 1.0, params.kernel, kdim, b, n, c, ldc)
+
+    return _convolve(layer, x, params.biases, gemm)
 
 
 def conv_forward_clustered(
@@ -313,24 +357,27 @@ def conv_forward_clustered(
     already computed by the caller, so that a stream shared by many layers
     is decoded once rather than once per layer.
     """
-    spec, cols, m, kdim, n, out = _conv_common(layer, x)
+    m, kdim = _conv_common(layer, x)
     if base + m * kdim > packed.count:
         raise ValueError(
             f"index stream ends at {packed.count}, layer needs {base + m * kdim}"
         )
     if on_the_fly:
-        gemm_nn_packed(
-            m, n, kdim, 1.0, centroids, packed, kdim, cols.reshape(-1), n, out, n,
-            base=base,
-        )
+
+        def gemm(n, b, c, ldc):
+            gemm_nn_packed(
+                m, n, kdim, 1.0, centroids, packed, kdim, b, n, c, ldc, base=base
+            )
+
     else:
         if indexes is None:
             indexes = unpack_indices(packed)
         idx = indexes[base : base + m * kdim]
-        gemm_nn_centroids(
-            m, n, kdim, 1.0, centroids, idx, kdim, cols.reshape(-1), n, out, n
-        )
-    return _finish_conv(layer, out, biases)
+
+        def gemm(n, b, c, ldc):
+            gemm_nn_centroids(m, n, kdim, 1.0, centroids, idx, kdim, b, n, c, ldc)
+
+    return _convolve(layer, x, biases, gemm)
 
 
 def _clustered_lookup(weights: DarknetWeights, model: ClusteredModel, decode: bool):
@@ -347,18 +394,35 @@ def _clustered_lookup(weights: DarknetWeights, model: ClusteredModel, decode: bo
     return lookup
 
 
+def _reads(index: int, layer: LayerSpec) -> tuple[int, ...]:
+    """The layers whose outputs layer index reads; -1 is the network input."""
+    if layer.kind == ROUTE:
+        return layer.sources
+    if layer.kind == SHORTCUT:
+        return (index - 1, layer.from_index)
+    return (index - 1,)
+
+
 def run_network(
     net: NetworkDef,
     weights: DarknetWeights,
     x: np.ndarray,
     clustered: ClusteredModel | None = None,
     on_the_fly: bool = False,
-) -> list[np.ndarray]:
-    """Execute a toy network, returning every layer's output tensor.
+) -> Iterator[np.ndarray]:
+    """Execute a toy network; return an iterator over each layer's output.
+
+    The input shape, the batch-norm folding of every conv layer and the
+    clustered model's spans are checked here, and each table of the model is
+    decoded here (once, unless on_the_fly), so errors surface at the call.
+    The layers run as the iterator is advanced. It keeps only the live set:
+    an output is dropped after its last reader, the next layer or a route or
+    shortcut that names it. list(run_network(...)) holds every output.
 
     Convolutions use plain weights, or codebook indirection when a clustered
-    model is given. Yolo layers pass their input through unchanged; decoding
-    beyond raw activations is out of scope here.
+    model is given, and unfold their input in bands (see _convolve). Yolo
+    layers pass their input through unchanged; decoding beyond raw
+    activations is out of scope here.
     """
     net = ensure_shapes(net)
     x = np.asarray(x, dtype=np.float32)
@@ -368,31 +432,43 @@ def run_network(
     lookup = None
     if clustered:
         lookup = _clustered_lookup(weights, clustered, decode=not on_the_fly)
-    outputs: list[np.ndarray] = []
+    params = {}
     for index, layer in enumerate(net.layers):
-        current = outputs[index - 1] if index else x
         if layer.kind == CONVOLUTIONAL:
-            params = weights.conv_for_layer(index)
-            if params.batch_normalized:
+            params[index] = weights.conv_for_layer(index)
+            if params[index].batch_normalized:
                 raise ValueError(
                     f"layer {index} still carries batch-norm statistics; fold first"
                 )
+    return _layer_outputs(net, x, params, lookup, on_the_fly)
+
+
+def _layer_outputs(net, x, params, lookup, on_the_fly) -> Iterator[np.ndarray]:
+    reads = [_reads(index, layer) for index, layer in enumerate(net.layers)]
+    last_reader = {}
+    for index, sources in enumerate(reads):
+        last_reader.update((source, index) for source in sources)
+    live = {-1: x}  # outputs that a later layer still reads
+    del x  # the input goes when its last reader is done with it
+    for index, layer in enumerate(net.layers):
+        if layer.kind == CONVOLUTIONAL:
             if lookup is None:
-                out = conv_forward(layer, current, params)
+                out = conv_forward(layer, live[index - 1], params[index])
             else:
                 centroids, packed, base, indexes = lookup[index]
                 out = conv_forward_clustered(
-                    layer, current, params.biases, centroids, packed,
+                    layer, live[index - 1], params[index].biases, centroids, packed,
                     base=base, on_the_fly=on_the_fly, indexes=indexes,
                 )
         elif layer.kind == SHORTCUT:
-            out = current + outputs[layer.from_index]
+            out = live[index - 1] + live[layer.from_index]
         elif layer.kind == ROUTE:
-            out = np.concatenate([outputs[s] for s in layer.sources], axis=0)
+            out = np.concatenate([live[s] for s in layer.sources], axis=0)
         elif layer.kind == UPSAMPLE:
-            out = np.repeat(np.repeat(current, layer.factor, axis=1), layer.factor, axis=2)
+            factor = layer.factor
+            out = np.repeat(np.repeat(live[index - 1], factor, axis=1), factor, axis=2)
         elif layer.kind == YOLO:
-            out = current
+            out = live[index - 1]
         else:
             raise ValueError(f"cannot execute layer kind {layer.kind!r}")
         shape = layer.out_shape
@@ -401,5 +477,9 @@ def run_network(
                 f"layer {index} produced {out.shape}, inference said "
                 f"{(shape.c, shape.h, shape.w)}"
             )
-        outputs.append(out)
-    return outputs
+        for source in reads[index]:
+            if last_reader[source] == index:
+                live.pop(source, None)
+        if index in last_reader:
+            live[index] = out
+        yield out

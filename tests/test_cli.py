@@ -1,7 +1,10 @@
 """End-to-end command-line behavior, including output determinism."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -252,6 +255,30 @@ class TestCluster:
         assert "truncated" in capsys.readouterr().err
 
 
+def conv_chain(depth: int) -> str:
+    """A cfg of depth 3x3 convs that keep 4 channels of 48x48."""
+    layer = "[convolutional]\nfilters=4\nsize=3\nstride=1\npad=1\nactivation=leaky\n"
+    return "[net]\nwidth=48\nheight=48\nchannels=4\n\n" + "\n".join([layer] * depth)
+
+
+def verify_peak(tmp_path, depth: int) -> int:
+    """tracemalloc peak in bytes of verify on a depth-conv chain."""
+    text = conv_chain(depth)
+    cfg, weights, model = (tmp_path / f"chain{depth}{ext}"
+                           for ext in (".cfg", ".weights", ".cwts"))
+    cfg.write_text(text)
+    weights.write_bytes(weights_blob(parse_config(text), seed=depth))
+    argv = [str(cfg), str(weights)]
+    assert main(["cluster", *argv, "--bits", "3", "--max-iters", "5",
+                 "--out", str(model)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["verify", *argv, str(model)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def write_unchecked_model(path, model, entries):
     """Write model's container with its tables replaced by entries, skipping
     ClusteredModel's own validation so that a malformed file can be made."""
@@ -273,6 +300,50 @@ class TestVerify:
         assert "bitwise equal" in stdout
         assert "final-layer MSE:" in stdout
         assert "quantization SSE:" in stdout
+
+    @pytest.mark.parametrize("command, seam", [("verify", "run_network"),
+                                               ("cluster", "cluster_model")])
+    def test_folded_away_kernels_are_released(
+        self, cfg_path, weights_path, tmp_path, capsys, monkeypatch, command, seam
+    ):
+        model = run_cluster(cfg_path, weights_path, tmp_path)
+        real_read, raw = cli.read_darknet_weights, []
+
+        def reading(data, net):
+            weights = real_read(data, net)
+            raw.extend(weakref.ref(c) for c in weights.convs if c.batch_normalized)
+            return weights
+
+        real_seam, alive = getattr(cli, seam), []
+
+        def still_alive():
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in raw))
+
+        def watching(*args, **kwargs):
+            still_alive()
+            result = real_seam(*args, **kwargs)
+            if seam != "run_network":
+                return result
+            return (still_alive() or output for output in result)
+
+        monkeypatch.setattr(cli, "read_darknet_weights", reading)
+        monkeypatch.setattr(cli, seam, watching)
+        argv = {
+            "verify": ["verify", str(cfg_path), str(weights_path), str(model)],
+            "cluster": ["cluster", str(cfg_path), str(weights_path), "--bits", "5",
+                        "--out", str(tmp_path / "again.cwts")],
+        }[command]
+        assert main(argv) == 0
+        # the toy net's layers 0 and 3 are batch-normalized
+        assert len(raw) == 2
+        assert alive and set(alive) == {0}
+
+    def test_peak_memory_does_not_grow_with_depth(self, tmp_path, capsys):
+        # one 48x48x4 output is 36,864 bytes; keeping every layer's output of
+        # the four passes would add 24 * 4 of them, 3.5 MB, from 8 to 32 layers
+        shallow, deep = verify_peak(tmp_path, 8), verify_peak(tmp_path, 32)
+        assert deep - shallow < 256 * 1024, (shallow, deep)
 
     @pytest.mark.parametrize("scope", ["all-layers", "per-layer"])
     def test_decodes_each_table_twice(
@@ -372,16 +443,31 @@ class TestVerify:
 
 
 def patch_outputs(monkeypatch, change):
-    """Make cli.run_network pass each run's outputs through
-    change(outputs, on_the_fly) after the real run."""
-    real = cli.run_network
+    """Make cli.run_network yield change(index, output, run) for each layer's
+    output of the real run, where run is "original", "dequantized",
+    "indirect" or "on_the_fly"; the first plain run is the original one."""
+    real, plain = cli.run_network, []
 
     def fake(net, weights, x, clustered=None, on_the_fly=False):
         outputs = real(net, weights, x, clustered=clustered, on_the_fly=on_the_fly)
-        change(outputs, on_the_fly)
-        return outputs
+        if clustered:
+            run = "on_the_fly" if on_the_fly else "indirect"
+        else:
+            run = "dequantized" if plain else "original"
+            plain.append(run)
+        return (change(index, output, run) for index, output in enumerate(outputs))
 
     monkeypatch.setattr(cli, "run_network", fake)
+
+
+def next_up(output, deltas):
+    """A copy of output with its first element one ulp higher; the step goes
+    to deltas."""
+    layer = output.copy()
+    old = layer.flat[0]
+    layer.flat[0] = np.nextafter(old, np.float32(np.inf))
+    deltas.append(float(layer.flat[0]) - float(old))
+    return layer
 
 
 class TestVerifyVerdict:
@@ -391,13 +477,10 @@ class TestVerifyVerdict:
         out = run_cluster(cfg_path, weights_path, tmp_path)
         deltas = []
 
-        def one_ulp(outputs, on_the_fly):
-            if on_the_fly:
-                layer = outputs[3].copy()
-                old = layer.flat[0]
-                layer.flat[0] = np.nextafter(old, np.float32(np.inf))
-                deltas.append(float(layer.flat[0]) - float(old))
-                outputs[3] = layer
+        def one_ulp(index, output, run):
+            if run == "on_the_fly" and index == 3:
+                return next_up(output, deltas)
+            return output
 
         patch_outputs(monkeypatch, one_ulp)
         rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
@@ -414,10 +497,12 @@ class TestVerifyVerdict:
     ):
         out = run_cluster(cfg_path, weights_path, tmp_path)
 
-        def signed_zero(outputs, on_the_fly):
-            layer = outputs[1].copy()
-            layer.flat[0] = np.float32(-0.0 if on_the_fly else 0.0)
-            outputs[1] = layer
+        def signed_zero(index, output, run):
+            if index != 1:
+                return output
+            layer = output.copy()
+            layer.flat[0] = np.float32(-0.0 if run == "on_the_fly" else 0.0)
+            return layer
 
         patch_outputs(monkeypatch, signed_zero)
         rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
@@ -425,6 +510,43 @@ class TestVerifyVerdict:
         stdout = capsys.readouterr().out
         assert "FAIL" in stdout
         assert "first differing layer: 1 (convolutional), max |delta| 0" in stdout
+
+    def test_indirect_difference_stops_the_comparison_not_the_passes(
+        self, cfg_path, weights_path, tmp_path, capsys, monkeypatch
+    ):
+        out = run_cluster(cfg_path, weights_path, tmp_path)
+        net = cli._load_network(str(cfg_path))
+        folded = fold_batch_norm(read_darknet_weights(weights_path.read_bytes(), net))
+        model = read_clustered(out.read_bytes())
+        x = np.random.default_rng(0).standard_normal(
+            (net.input.c, net.input.h, net.input.w)
+        ).astype(np.float32)
+        original = list(engine.run_network(net, folded, x))[-1]
+        indirect = list(engine.run_network(net, folded, x, clustered=model))[-1]
+        mse = float(
+            np.mean((original.astype(np.float64) - indirect.astype(np.float64)) ** 2)
+        )
+        assert mse > 0
+        deltas = []
+
+        def perturb(index, output, run):
+            if run == "indirect" and index == 3:
+                return next_up(output, deltas)
+            if run in ("dequantized", "on_the_fly") and index == 6:
+                # after the first difference, and in passes the MSE must not read
+                return output + np.float32(1.0)
+            return output
+
+        patch_outputs(monkeypatch, perturb)
+        capsys.readouterr()
+        rc = main(["verify", str(cfg_path), str(weights_path), str(out)])
+        assert rc == 1
+        stdout = capsys.readouterr().out
+        assert (
+            f"first differing layer: 3 (convolutional), max |delta| {deltas[0]:.6g}"
+            in stdout
+        )
+        assert f"clustered-vs-original final-layer MSE: {mse:.6g}\n" in stdout
 
 
 class TestCompare:

@@ -1,5 +1,8 @@
 """Bit-exact inference engine: GEMM variants, im2col and network execution."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from convwatt.engine import (
 
 from conftest import weights_blob
 from oracles import conv_forward_reference, gemm_nn_reference
-from test_traffic import shaped_conv
+from test_traffic import shaped_conv, shaped_net
 
 
 def f32(values) -> np.ndarray:
@@ -625,6 +628,117 @@ class TestClusteredForward:
             )
 
 
+def spy_bands(monkeypatch):
+    """Record each im2col result and the B of each GEMM call made by a conv."""
+    bands, gemm_bs = [], []
+    real_im2col = engine.im2col
+
+    def im2col_spy(x, kernel, stride, pad):
+        bands.append(real_im2col(x, kernel, stride, pad))
+        return bands[-1]
+
+    monkeypatch.setattr(engine, "im2col", im2col_spy)
+    for name in ("gemm_nn", "gemm_nn_centroids", "gemm_nn_packed"):
+        real = getattr(engine, name)
+
+        def gemm_spy(*args, real=real, b_at=6 if name == "gemm_nn" else 7, **kwargs):
+            gemm_bs.append(args[b_at])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, gemm_spy)
+    return bands, gemm_bs
+
+
+def conv_variant(variant, layer, x, table, idx, biases):
+    """The conv of one GEMM variant, weights table[idx]."""
+    if variant == "gemm_nn":
+        params = ConvParams(layer_index=0, biases=biases, kernel=table[idx])
+        return conv_forward(layer, x, params)
+    packed = pack_indices(idx, 5)
+    return conv_forward_clustered(
+        layer, x, biases, table, packed, on_the_fly=variant == "packed"
+    )
+
+
+class TestConvBands:
+    """Convolutions unfolded a few output rows at a time."""
+
+    # 9x7 input, stride 2, pad 1: a 5x4 output; 3 channels, so 27 rows of
+    # im2col and 108 elements per output row
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("rows, band", [(1, 1), (1, 108), (2, 2 * 108 + 107)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bands_match_the_scalar_conv(self, monkeypatch, variant, rows, band, path):
+        rng = np.random.default_rng(rows * 7 + band)
+        layer = shaped_conv(9, 7, 3, 4, 3, 2, pad=1, activation="leaky")
+        out_h, out_w = layer.out_shape.h, layer.out_shape.w
+        assert (out_h, out_w) == (5, 4) and out_h % rows == (0 if rows == 1 else 1)
+        x = rng.normal(size=(3, 9, 7)).astype(np.float32)
+        table = rng.normal(size=32).astype(np.float32)
+        idx = rng.integers(0, 32, size=4 * 27)
+        biases = rng.normal(size=4).astype(np.float32)
+        monkeypatch.setattr(engine, "_BAND", band)
+        force_path(monkeypatch, path, None, 4, rows * out_w)
+        bands, gemm_bs = spy_bands(monkeypatch)
+        got = conv_variant(variant, layer, x, table, idx, biases)
+        assert same_bits(got, conv_forward_reference(layer, x, table[idx], biases))
+        heights = [rows] * (out_h // rows) + [out_h % rows] * (out_h % rows > 0)
+        assert [b.shape for b in bands] == [(27, h * out_w) for h in heights]
+        # every GEMM reads one band, in order, and every band feeds a GEMM
+        assert len(gemm_bs) == len(bands)
+        assert all(np.shares_memory(b, g) for b, g in zip(bands, gemm_bs))
+
+    def test_default_band_is_one_call(self, monkeypatch):
+        layer = shaped_conv(9, 7, 3, 4, 3, 2, pad=1)
+        bands, gemm_bs = spy_bands(monkeypatch)
+        conv_forward(layer, np.zeros((3, 9, 7), dtype=np.float32),
+                     ConvParams(layer_index=0, biases=np.zeros(4, dtype=np.float32),
+                                kernel=np.zeros(4 * 27, dtype=np.float32)))
+        assert [b.shape for b in bands] == [(27, 20)] and len(gemm_bs) == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pointwise_is_one_view_and_one_call(self, monkeypatch, variant):
+        rng = np.random.default_rng(1)
+        layer = shaped_conv(6, 5, 3, 4, 1, 1, pad=0)
+        x = rng.normal(size=(3, 6, 5)).astype(np.float32)
+        table = rng.normal(size=32).astype(np.float32)
+        idx = rng.integers(0, 32, size=4 * 3)
+        biases = rng.normal(size=4).astype(np.float32)
+        monkeypatch.setattr(engine, "_BAND", 1)
+        bands, gemm_bs = spy_bands(monkeypatch)
+        got = conv_variant(variant, layer, x, table, idx, biases)
+        assert same_bits(got, conv_forward_reference(layer, x, table[idx], biases))
+        assert len(bands) == len(gemm_bs) == 1
+        assert np.shares_memory(gemm_bs[0], x)
+
+
+# conv, conv, route back to the first conv, conv
+SKIP = """
+[convolutional]
+filters=4
+size=3
+stride=1
+pad=1
+activation=leaky
+
+[convolutional]
+filters=4
+size=1
+stride=1
+activation=linear
+
+[route]
+layers=-2
+
+[convolutional]
+filters=2
+size=3
+stride=1
+pad=1
+activation=leaky
+"""
+
+
 @pytest.fixture(scope="module")
 def toy_folded(toy_net, toy_weights_bytes):
     return fold_batch_norm(read_darknet_weights(toy_weights_bytes, toy_net))
@@ -640,7 +754,7 @@ def toy_input(toy_net):
 
 class TestRunNetwork:
     def test_layer_shapes_and_count(self, toy_net, toy_folded, toy_input):
-        outputs = run_network(toy_net, toy_folded, toy_input)
+        outputs = list(run_network(toy_net, toy_folded, toy_input))
         assert len(outputs) == len(toy_net.layers)
         for out, layer in zip(outputs, toy_net.layers):
             shape = layer.out_shape
@@ -648,7 +762,7 @@ class TestRunNetwork:
             assert out.dtype == np.float32
 
     def test_graph_semantics(self, toy_net, toy_folded, toy_input):
-        outputs = run_network(toy_net, toy_folded, toy_input)
+        outputs = list(run_network(toy_net, toy_folded, toy_input))
         kinds = [layer.kind for layer in toy_net.layers]
         assert kinds == [
             "convolutional",
@@ -665,8 +779,34 @@ class TestRunNetwork:
         assert same_bits(outputs[5], np.concatenate([outputs[4], outputs[0]], axis=0))
         assert same_bits(outputs[6], outputs[5])
 
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_outputs_are_dropped_after_their_last_reader(
+        self, toy_net, toy_folded, toy_input, skip
+    ):
+        net, folded = toy_net, toy_folded
+        if skip:  # layer 1's output has no reader: the route skips it
+            net = shaped_net(SKIP, in_h=8, in_w=8, in_c=3)
+            folded = fold_batch_norm(read_darknet_weights(weights_blob(net), net))
+        readers = {}
+        for index, layer in enumerate(net.layers):
+            sources = {
+                "route": layer.sources, "shortcut": (index - 1, layer.from_index)
+            }.get(layer.kind, (index - 1,))
+            for source in sources:
+                readers.setdefault(source, set()).add(index)
+        refs = []
+        for index, output in enumerate(run_network(net, folded, toy_input)):
+            refs.append(weakref.ref(output))
+            # a yolo layer yields its input itself
+            same = {i for i, ref in enumerate(refs[:index]) if ref() is output}
+            del output
+            gc.collect()
+            alive = {i for i, ref in enumerate(refs[:index]) if ref() is not None}
+            later = {i for i in range(index) if max(readers.get(i, {-1})) > index}
+            assert alive - same == later
+
     def test_conv_layers_match_direct_calls(self, toy_net, toy_folded, toy_input):
-        outputs = run_network(toy_net, toy_folded, toy_input)
+        outputs = list(run_network(toy_net, toy_folded, toy_input))
         assert same_bits(
             outputs[0],
             conv_forward(toy_net.layers[0], toy_input, toy_folded.conv_for_layer(0)),
@@ -704,10 +844,10 @@ class TestRunNetwork:
                 for c, piece in zip(toy_folded.convs, pieces)
             ),
         )
-        want = run_network(toy_net, dequantized, toy_input)
-        got = run_network(
+        want = list(run_network(toy_net, dequantized, toy_input))
+        got = list(run_network(
             toy_net, toy_folded, toy_input, clustered=model, on_the_fly=on_the_fly
-        )
+        ))
         for a, b in zip(got, want):
             assert same_bits(a, b)
 
@@ -724,18 +864,22 @@ class TestRunNetwork:
             return unpack_indices(packed)
 
         monkeypatch.setattr(engine, "unpack_indices", counting)
-        run_network(toy_net, toy_folded, toy_input, clustered=model, on_the_fly=on_the_fly)
+        list(run_network(
+            toy_net, toy_folded, toy_input, clustered=model, on_the_fly=on_the_fly
+        ))
         expected = [] if on_the_fly else [entry.packed for entry in model.entries]
         assert calls == expected
 
     def test_rejects_unfolded_weights(self, toy_net, toy_weights_bytes, toy_input):
         raw = read_darknet_weights(toy_weights_bytes, toy_net)
         with pytest.raises(ValueError, match="fold"):
-            run_network(toy_net, raw, toy_input)
+            list(run_network(toy_net, raw, toy_input))
 
     def test_rejects_wrong_input_shape(self, toy_net, toy_folded):
         with pytest.raises(ValueError, match="input shape"):
-            run_network(toy_net, toy_folded, np.zeros((3, 4, 4), dtype=np.float32))
+            list(run_network(
+                toy_net, toy_folded, np.zeros((3, 4, 4), dtype=np.float32)
+            ))
 
     def test_rejects_mismatched_clustered_model(self, toy_net, toy_folded, toy_input):
         other = DarknetWeights(
@@ -753,7 +897,7 @@ class TestRunNetwork:
         )
         model = cluster_model(other, ClusterConfig(bits=5))
         with pytest.raises(ValueError, match="does not cover"):
-            run_network(toy_net, toy_folded, toy_input, clustered=model)
+            list(run_network(toy_net, toy_folded, toy_input, clustered=model))
 
     def test_folded_network_close_to_batch_norm_semantics(
         self, toy_net, toy_weights_bytes, toy_input
@@ -761,7 +905,7 @@ class TestRunNetwork:
         """Folding changes rounding but not meaning; outputs stay close."""
         raw = read_darknet_weights(toy_weights_bytes, toy_net)
         folded = fold_batch_norm(raw)
-        outputs = run_network(toy_net, folded, toy_input)
+        outputs = list(run_network(toy_net, folded, toy_input))
         conv0 = raw.convs[0]
         spec = toy_net.layers[0].conv
         plain = shaped_conv(
