@@ -93,18 +93,24 @@ def _accumulate(M, N, K, block, b, ldb, c, ldc):
 
     block(k0, k1) returns A[:, k0:k1], already scaled by alpha, as an
     (M, k1 - k0) fp32 array; the variants differ only in how they produce
-    it. Every product is rounded to fp32 on its own, and each C element adds
+    it, and each reads every element of A once per call, when it is asked
+    for. Every product is rounded to fp32 on its own, and each C element adds
     its products one at a time in increasing k, so it sees the same sequence
     of fp32 roundings as a scalar (i, k, j) loop.
 
     Wide steps (M*N >= _NARROW) multiply and add in place, one k at a time,
-    taking A from block in _BLOCK columns. Narrow steps go a chunk of w
-    columns at a time, w as large as _SCRATCH allows: one multiply puts the
-    chunk's products in slots 1..w of an (M, w + 1, N') buffer, slot 0
-    holds C, and one np.add.reduce over axis 1 writes the sums back. The
-    exactness rests on how numpy reduces an axis that is not the innermost
-    one: it adds whole slices in index order, element by element, so C[i, j]
-    becomes ((C[i, j] + p0) + p1) + ... as in the loop. An innermost reduced
+    taking A from block in _BLOCK columns. When C's rows lie apart (ldc > N,
+    as for one band of a convolution) they add into a contiguous copy of C
+    that is written back at the end: numpy adds a strided 2-D view row by
+    row, which made each k half again as slow at full-size YOLOv3 shapes.
+
+    Narrow steps go a chunk of w columns at a time, w as large as _SCRATCH
+    allows: one multiply puts the chunk's products in slots 1..w of an
+    (M, w + 1, N') buffer, slot 0 holds C, and one np.add.reduce over axis
+    1 writes the sums back. The exactness rests on how numpy reduces an axis
+    that is not the innermost one: it adds whole slices in index order,
+    element by element, so C[i, j] becomes ((C[i, j] + p0) + p1) + ... as in
+    the loop. An innermost reduced
     axis is summed pairwise instead, which rounds differently, so
     N' = max(N, 2) keeps a zero column after the reduced axis even when
     N = 1. The reduction starts from -0.0, which adding leaves every value
@@ -115,12 +121,15 @@ def _accumulate(M, N, K, block, b, ldb, c, ldc):
     out = _rows(c, M, N, ldc)
     rows = _rows(b, K, N, ldb)
     if M * N >= _NARROW:
+        total = np.ascontiguousarray(out)
         prod = np.empty((M, N), dtype=np.float32)
         for k0 in range(0, K, _BLOCK):
             k1 = min(k0 + _BLOCK, K)
             for column, row in zip(block(k0, k1).T[:, :, None], rows[k0:k1]):
                 np.multiply(column, row, out=prod)
-                out += prod
+                total += prod
+        if total is not out:
+            out[...] = total
         return
     padded = max(N, 2)
     width = max(1, min(K, _SCRATCH // (M * padded) - 1))
@@ -154,8 +163,8 @@ def gemm_nn(M, N, K, alpha, A, lda, B, ldb, C, ldc):
     _check_extent("A", a.size, M, lda, K)
     _check_extent("B", b.size, K, ldb, N)
     _check_extent("C", c.size, M, ldc, N)
-    scaled = np.float32(alpha) * _rows(a, M, K, lda)
-    _accumulate(M, N, K, lambda k0, k1: scaled[:, k0:k1], b, ldb, c, ldc)
+    alpha, rows = np.float32(alpha), _rows(a, M, K, lda)
+    _accumulate(M, N, K, lambda k0, k1: alpha * rows[:, k0:k1], b, ldb, c, ldc)
     return C
 
 
@@ -163,7 +172,8 @@ def gemm_nn_centroids(M, N, K, alpha, centroids, indexes, lda, B, ldb, C, ldc):
     """gemm_nn with A[i,k] looked up as centroids[indexes[i*lda + k]].
 
     A's columns are gathered from the table one block at a time, when the
-    core asks for them.
+    core asks for them. An index past the table's end is caught by that
+    gather, so C may be partly updated when the ValueError is raised.
     """
     table = _as_f32("centroids", centroids)
     idx = np.asarray(indexes).reshape(-1)
@@ -172,15 +182,29 @@ def gemm_nn_centroids(M, N, K, alpha, centroids, indexes, lda, B, ldb, C, ldc):
     _check_extent("indexes", idx.size, M, lda, K)
     _check_extent("B", b.size, K, ldb, N)
     _check_extent("C", c.size, M, ldc, N)
-    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= table.size):
+    idx2d = _rows(idx, M, K, lda)
+    # numpy would wrap a negative index; unsigned ones, as unpack_indices
+    # returns, cannot be negative and need no scan
+    if idx.dtype.kind != "u" and idx2d.size and int(idx2d.min()) < 0:
         raise ValueError(
-            f"index out of range for {table.size}-entry centroid table"
+            f"index {int(idx2d.min())} out of range for {table.size}-entry table"
         )
     # alpha * table[i] is the same fp32 product whichever weight uses it
     scaled = np.float32(alpha) * table
-    idx2d = _rows(idx, M, K, lda)
-    _accumulate(M, N, K, lambda k0, k1: scaled[idx2d[:, k0:k1]], b, ldb, c, ldc)
+    _accumulate(
+        M, N, K, lambda k0, k1: _gather(scaled, idx2d[:, k0:k1]), b, ldb, c, ldc
+    )
     return C
+
+
+def _gather(scaled: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """scaled[index], raising ValueError for an index past the table's end."""
+    try:
+        return scaled[index]
+    except IndexError:
+        raise ValueError(
+            f"index {int(index.max())} out of range for {scaled.size}-entry table"
+        ) from None
 
 
 def _packed_columns(scaled, packed, M, lda, base):
@@ -196,13 +220,7 @@ def _packed_columns(scaled, packed, M, lda, base):
     def block(k0, k1):
         word, lane = np.divmod(starts + np.arange(k0, k1), per_word)
         shift = (lane * packed.bits).astype(np.uint32)
-        index = (packed.words[word] >> shift) & mask
-        try:
-            return scaled[index]
-        except IndexError:
-            raise ValueError(
-                f"index {int(index.max())} out of range for {scaled.size}-entry table"
-            ) from None
+        return _gather(scaled, (packed.words[word] >> shift) & mask)
 
     return block
 
@@ -260,12 +278,11 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     # windows[ch, kr, kc] is the (out_h, out_w) grid that kernel cell (kr, kc)
     # sees; out_h and out_w keep it inside src. The reshape is the one copy.
     sc, sh, sw = src.strides
-    shape = (c, kernel, kernel, out_h, out_w)
-    strides = (sc, sh, sw, sh * stride, sw * stride)
-    if src.flags.c_contiguous:
-        windows = np.ndarray(shape, np.float32, buffer=src, strides=strides)
-    else:  # a band of rows cut from a larger input
-        windows = np.lib.stride_tricks.as_strided(src, shape=shape, strides=strides)
+    windows = np.lib.stride_tricks.as_strided(
+        src,
+        shape=(c, kernel, kernel, out_h, out_w),
+        strides=(sc, sh, sw, sh * stride, sw * stride),
+    )
     return windows.reshape(c * kernel * kernel, out_h * out_w)
 
 

@@ -1170,13 +1170,14 @@ CALLERS = {
     "dequantized_weights": lambda model, net, folded: cli._dequantized_weights(
         model, folded
     ),
-    "run_network_indirect": lambda model, net, folded: list(run_network(
+    # run_network checks the model when it is called, before any layer runs
+    "run_network_indirect": lambda model, net, folded: run_network(
         net, folded, np.zeros((3, 8, 8), dtype=np.float32), clustered=model
-    )),
-    "run_network_on_the_fly": lambda model, net, folded: list(run_network(
+    ),
+    "run_network_on_the_fly": lambda model, net, folded: run_network(
         net, folded, np.zeros((3, 8, 8), dtype=np.float32), clustered=model,
         on_the_fly=True,
-    )),
+    ),
 }
 
 

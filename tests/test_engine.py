@@ -157,10 +157,14 @@ class TestGemmCentroids:
             gemm_nn_centroids(m, n, k, alpha, table, idx, lda, b, ldb, got, ldc)
             assert same_bits(got, want)
 
-    def test_rejects_out_of_range_index(self):
+    # -1 would read the table's last entry if numpy were left to wrap it
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_rejects_out_of_range_index(self, index):
         c = np.zeros(1, dtype=np.float32)
         with pytest.raises(ValueError, match="out of range"):
-            gemm_nn_centroids(1, 1, 1, 1.0, f32([1.0]), [1], 1, f32([1.0]), 1, c, 1)
+            gemm_nn_centroids(
+                1, 1, 1, 1.0, f32([1.0]), [index], 1, f32([1.0]), 1, c, 1
+            )
 
 
 class TestGemmPacked:
@@ -864,22 +868,24 @@ class TestRunNetwork:
             return unpack_indices(packed)
 
         monkeypatch.setattr(engine, "unpack_indices", counting)
-        list(run_network(
+        outputs = run_network(
             toy_net, toy_folded, toy_input, clustered=model, on_the_fly=on_the_fly
-        ))
+        )
         expected = [] if on_the_fly else [entry.packed for entry in model.entries]
+        assert calls == expected  # decoded at the call, before any layer runs
+        list(outputs)
         assert calls == expected
 
+    # The rejections below come from the call itself, before any layer runs:
+    # the returned iterator is never advanced.
     def test_rejects_unfolded_weights(self, toy_net, toy_weights_bytes, toy_input):
         raw = read_darknet_weights(toy_weights_bytes, toy_net)
         with pytest.raises(ValueError, match="fold"):
-            list(run_network(toy_net, raw, toy_input))
+            run_network(toy_net, raw, toy_input)
 
     def test_rejects_wrong_input_shape(self, toy_net, toy_folded):
         with pytest.raises(ValueError, match="input shape"):
-            list(run_network(
-                toy_net, toy_folded, np.zeros((3, 4, 4), dtype=np.float32)
-            ))
+            run_network(toy_net, toy_folded, np.zeros((3, 4, 4), dtype=np.float32))
 
     def test_rejects_mismatched_clustered_model(self, toy_net, toy_folded, toy_input):
         other = DarknetWeights(
@@ -897,7 +903,7 @@ class TestRunNetwork:
         )
         model = cluster_model(other, ClusterConfig(bits=5))
         with pytest.raises(ValueError, match="does not cover"):
-            list(run_network(toy_net, toy_folded, toy_input, clustered=model))
+            run_network(toy_net, toy_folded, toy_input, clustered=model)
 
     def test_folded_network_close_to_batch_norm_semantics(
         self, toy_net, toy_weights_bytes, toy_input
