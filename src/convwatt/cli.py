@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("linspace", "kmeans-pp"),
         default="linspace",
         help="centroid initialization; kmeans-pp costs O(n*k) per table, "
-        "about 12x linspace's time on 4 M values at 8 bits, so use linspace "
+        "about 25x linspace's time on 4 M values at 8 bits, so use linspace "
         "on full-size networks",
     )
     cluster.add_argument("--max-iters", type=int, default=300)

@@ -57,7 +57,7 @@ class ClusterConfig:
 
     init INIT_KMEANS_PP costs O(n*k) before the first sweep: each of the k
     picks builds an n-value probability array. On 4 M values at 8 bits, a
-    one-sweep run took 23 s with it against 1.9 s with INIT_LINSPACE (2-core
+    one-sweep run took 24 s with it against 1.0 s with INIT_LINSPACE (2-core
     x86_64 host), so full-size networks should use INIT_LINSPACE.
     """
 
@@ -304,142 +304,104 @@ def _segment_bounds(sorted_values: np.ndarray, centroids: np.ndarray) -> np.ndar
     return np.concatenate(([0], inner, [sorted_values.size]))
 
 
-# Exact segment sums keep the prefix sum at every _BLOCK-th sorted value, so
-# one segment's sum reads at most 2 * _BLOCK values however long it is.
-_BLOCK = 64
-# ceil(log2 n) for n in 1 .. 2 * _BLOCK, at index n
-_CEIL_LOG2 = np.array([0] + [(n - 1).bit_length() for n in range(1, 2 * _BLOCK + 1)])
-# _low_exponents' entry for a zero: above every real one, so that it never
-# sets a segment's smallest
-_ZERO_LOW = 2048
-# _low_exponents works through this many values at a time, which bounds its
-# temporaries
+# _SegmentSums keeps its exact prefix sums at every _STEP-th sorted value, and
+# builds them _CHUNK values at a time, which bounds its temporaries
+_STEP = 8
+_OFFSETS = np.arange(_STEP)[:, None]
 _CHUNK = 1 << 16
-
-
-def _low_exponents(values: np.ndarray) -> np.ndarray:
-    """For each nonzero value, the e that makes it an odd multiple of 2**e;
-    _ZERO_LOW for a zero."""
-    low = np.empty(values.size, dtype=np.int16)
-    for i in range(0, values.size, _CHUNK):
-        part = values[i : i + _CHUNK]
-        mant, exp = np.frexp(part)
-        # the 53-bit integer significand; sig & -sig is its lowest set bit
-        # 2**tz, whose frexp exponent is tz + 1
-        sig = np.ldexp(mant, 53).astype(np.int64)
-        tz1 = np.frexp((sig & -sig).astype(np.float64))[1]
-        low[i : i + _CHUNK] = np.where(part == 0, _ZERO_LOW, exp - 54 + tz1)
-    return low
+_LOW = (1 << 31) - 1
 
 
 class _SegmentSums:
-    """math.fsum of any run of a sorted array, bit for bit.
+    """math.fsum of the runs between bounds of a sorted array, bit for bit.
 
-    Row j of prefix holds floats, largest first and zero-padded, whose exact
-    sum is the exact sum of values[:j * _BLOCK]. fsum is correctly rounded,
-    so summing a run's two partial edge blocks with the prefix rows at its
-    inner block boundaries gives the same float as summing all its values.
-    prefix is None where n * max|value| is so large that some fsum could
-    overflow: runs are then summed directly, so fsum raises where it did.
-    Where prefix is built, negated is -prefix and low holds each value's
-    _low_exponents entry.
+    The grid: every value is m * 2**e for one e, the larger of -1022 and
+    the frexp exponent of the largest magnitude less 62, so |m| < 2**62
+    splits into 31-bit limbs m = hi * 2**31 + lo, 0 <= lo < 2**31 (hi is
+    m >> 31, rounded toward -inf). Column j of prefix holds the sums of hi
+    (row 0) and lo (row 1) over values[:j * _STEP], exact in int64, with
+    lo's carry moved into hi. A run's exact sum is the difference of the
+    prefixes at its bounds, each completed by the at most _STEP - 1 values
+    past its column, and is rounded to float64 once: it is fsum's correctly
+    rounded sum. A nonzero one is at least 2**e >= 2**-1022, so scaling it
+    by 2**e is exact; a zero one is +0.0, as fsum gives.
+
+    prefix is None off the grid: where some value is no multiple of 2**e
+    (its values span more than 62 bits, or need a step below 2**-1022), or
+    where n * max|value| is so large that some fsum could overflow. Runs are
+    then summed with fsum one by one, which raises where it raises.
     """
 
     def __init__(self, sorted_values: np.ndarray):
         self.values = sorted_values
-        self.prefix = self.negated = self.low = None
+        self.prefix = None
         n = sorted_values.size
-        peak = max(abs(float(sorted_values[0])), abs(float(sorted_values[-1])))
-        # no value fsum forms below exceeds a few times n * peak
-        if n * peak > sys.float_info.max / 16:
+        peak = max(-float(sorted_values[0]), float(sorted_values[-1]))
+        # no value fsum forms below exceeds a few times n * peak; no int64
+        # limb sum of fewer than 2**32 values overflows
+        if n * peak > sys.float_info.max / 16 or n >> 32:
             return
-        prefix = np.zeros((n // _BLOCK + 1, 1))
-        terms: list[float] = []
-        for j in range(1, prefix.shape[0]):
-            parts = terms + sorted_values[(j - 1) * _BLOCK : j * _BLOCK].tolist()
-            # peel the exact sum into floats: each fsum rounds what the
-            # previous terms leave, until nothing is left
-            terms = []
-            total = math.fsum(parts)
-            while total:
-                terms.append(total)
-                parts.append(-total)
-                total = math.fsum(parts)
-            if len(terms) > prefix.shape[1]:
-                prefix = np.pad(prefix, ((0, 0), (0, len(terms) - prefix.shape[1])))
-            prefix[j, : len(terms)] = terms
+        e = max(math.frexp(peak)[1] - 62, -1022)
+        self.grid, self.top = math.ldexp(1.0, e), math.ldexp(1.0, e + 52)
+        self.scale = math.ldexp(1.0, -e)
+        # a nonzero multiple of 2**e is at least 2**e in magnitude, and only
+        # such values scale to m exactly
+        inner = sorted_values[
+            np.searchsorted(sorted_values, -self.grid, "right") :
+            np.searchsorted(sorted_values, self.grid)
+        ]
+        if inner.any():
+            return
+        prefix = np.zeros((2, n // _STEP + 1), dtype=np.int64)
+        for i in range(0, n, _CHUNK):
+            part = sorted_values[i : i + _CHUNK] * self.scale
+            m = part.astype(np.int64)
+            if not np.array_equal(m, part):
+                return
+            blocks = m[: m.size - m.size % _STEP].reshape(-1, _STEP)
+            j = i // _STEP + 1
+            prefix[0, j : j + len(blocks)] = (blocks >> 31).sum(axis=1)
+            prefix[1, j : j + len(blocks)] = (blocks & _LOW).sum(axis=1)
+        np.cumsum(prefix, axis=1, out=prefix)
+        prefix[0] += prefix[1] >> 31
+        prefix[1] &= _LOW
         self.prefix = prefix
-        self.negated = -prefix
-        self.low = _low_exponents(sorted_values)
 
-    def sum(self, lo: int, hi: int) -> float:
-        """math.fsum(values[lo:hi]), raising where it raises."""
-        if self.prefix is None or hi - lo <= 2 * _BLOCK:
-            return math.fsum(self.values[lo:hi].tolist())
-        first, last = -(-lo // _BLOCK), hi // _BLOCK
-        parts = self.values[lo : first * _BLOCK].tolist()
-        parts += self.values[last * _BLOCK : hi].tolist()
-        parts += self.prefix[last].tolist()
-        parts += self.negated[first].tolist()
-        return math.fsum(parts)
+    def totals(self, bounds: np.ndarray) -> np.ndarray:
+        """math.fsum(values[bounds[i]:bounds[i + 1]]) for each i."""
+        if self.prefix is None:
+            return self.fsums(bounds)
+        # column i holds the values of bound i's block below it, as m
+        r = bounds % _STEP
+        at = _OFFSETS + (bounds - r)
+        m = (self.values.take(at, mode="clip") * self.scale).astype(np.int64)
+        m *= _OFFSETS < r
+        column = bounds // _STEP
+        hi = (m >> 31).sum(axis=0) + self.prefix[0][column]
+        lo = (m & _LOW).sum(axis=0) + self.prefix[1][column]
+        hi, lo = hi[1:] - hi[:-1], lo[1:] - lo[:-1]
+        # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
+        # |u| < 2**53: both are exact float64s, so the one addition rounds it
+        t, u = hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo
+        return t * self.top + u * self.grid
+
+    def fsums(self, bounds: np.ndarray) -> np.ndarray:
+        """totals off the grid: math.fsum of each run, raising where it raises."""
+        edges = bounds.tolist()
+        return np.array(
+            [math.fsum(self.values[lo:hi].tolist()) for lo, hi in zip(edges, edges[1:])]
+        )
 
 
-def _segment_means(
-    sums: _SegmentSums,
-    bounds: np.ndarray,
-    last: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def _segment_means(sums: _SegmentSums, bounds: np.ndarray) -> np.ndarray:
     """Mean of each segment, its math.fsum over its length; NaN if empty.
-
-    A mean depends only on its segment's bounds. last, if given, is the
-    (bounds, means) of an earlier call on the same sums; a segment whose two
-    bounds are both unchanged since then keeps its mean from there, and
-    only the others are summed.
 
     fsum keeps the mean exactly rounded, pinning results across platforms
     regardless of summation order optimizations.
-
-    Segments of at most 2 * _BLOCK values are summed together in numpy
-    instead wherever that float sum is provably exact, hence equal to fsum:
-    when n <= 2 (one IEEE addition, which cannot overflow here), or when
-    ceil(log2 n) + e_hi - e_min <= 53, where every value is a multiple of
-    2**e_min and max|value| < 2**e_hi. Every partial sum, in any order, is
-    then a multiple of 2**e_min below 2**(e_min + 53), so no addition
-    rounds. fsum never returns -0.0, hence the + 0.0. All other segments,
-    and every segment when sums.prefix is None, go through sums.sum.
     """
-    counts = np.diff(bounds)
-    by_fsum = counts > 0
-    if last is None:
-        means = np.full(counts.size, np.nan)
-    else:
-        last_bounds, means = last
-        moved = bounds != last_bounds
-        redo = moved[:-1] | moved[1:]
-        means = means.copy()
-        means[redo] = np.nan
-        by_fsum &= redo
-    if sums.prefix is not None:
-        short = (by_fsum & (counts <= 2 * _BLOCK)).nonzero()[0]
-        if short.size:
-            n = counts[short]
-            starts = n.cumsum() - n
-            at = np.repeat(bounds[short] - starts, n) + np.arange(starts[-1] + n[-1])
-            run = sums.values[at]
-            total = np.add.reduceat(run, starts) + 0.0
-            e_min = np.minimum.reduceat(sums.low[at], starts)
-            # a sorted run's largest magnitude is -first or last
-            e_hi = np.frexp(np.maximum(-run[starts], run[starts + n - 1]))[1]
-            exact = (n <= 2) | (_CEIL_LOG2[n] + e_hi - e_min <= 53)
-            done = short[exact]
-            means[done] = total[exact] / n[exact]
-            by_fsum[done] = False
-    edges = bounds.tolist()
-    rest = by_fsum.nonzero()[0].tolist()
-    means[rest] = [
-        sums.sum(edges[i], edges[i + 1]) / (edges[i + 1] - edges[i]) for i in rest
-    ]
-    return means
+    counts = bounds[1:] - bounds[:-1]
+    means = np.full(counts.size, np.nan)
+    return np.divide(sums.totals(bounds), counts, out=means, where=counts > 0)
 
 
 def _farthest(dist: np.ndarray, e: int, work: np.ndarray) -> np.ndarray:
@@ -525,10 +487,15 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
       for the sign of zero, and _stable_zeros puts the zeros' signs back in
       input order. Assignments depend only on values, so the order of ties
       in the argsort never shows.
-    - A segment's mean depends only on its bounds, and its residuals only on
-      its bounds and centroid. Each sweep sums only the segments whose
-      bounds moved, and rewrites only the residuals whose segment's bounds
-      or centroid changed; the SSE is the same float64 dot over them all.
+    - A segment's mean is math.fsum of its values over their count, bit for
+      bit. Where the sorted values lie on one integer grid m * 2**e with
+      |m| < 2**62 and e >= -1022, _SegmentSums reads each sweep's k sums off
+      exact int64 prefix sums in O(k) numpy work; elsewhere (wider spans,
+      finer steps, or sums that fsum might overflow) it runs fsum on each
+      segment.
+    - A segment's residuals depend only on its bounds and centroid. Each
+      sweep rewrites only the residuals whose segment's bounds or centroid
+      changed; the SSE is the same float64 dot over them all.
     - A sweep that did not reseed and left every bound where it was is a
       fixed point: the next sweep would compute the same means, move no
       centroid and stop. The loop stops there instead.
@@ -565,16 +532,14 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
         # the SSE residual and the reseed's partition share one buffer
         work = np.empty_like(svals)
         prev_sse = math.inf
-        last_means = last_residuals = None
+        last_residuals = None
         for _ in range(cfg.max_iters):
-            means = _segment_means(sums, bounds, last_means)
-            last_means = bounds, means
+            means = _segment_means(sums, bounds)
             empty = np.isnan(means)
             reseeded = bool(empty.any())
             if reseeded:
                 dist = np.repeat(means, np.diff(bounds))
                 np.abs(np.subtract(svals, dist, out=dist), out=dist)
-                means = means.copy()
                 means[empty] = svals[_farthest(dist, np.count_nonzero(empty), work)]
                 del dist
                 last_residuals = None  # _farthest has overwritten work
@@ -812,10 +777,14 @@ def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel
 
 def stream_sse(layers: list[tuple[ConvParams, int]], stream: np.ndarray) -> float:
     """SSE of one table's decoded stream against the kernels of the layers
-    it covers, as ClusteredModel.spans lists them, in float64."""
-    original = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
-    d = original - stream.astype(np.float64)
-    return float(np.dot(d, d))
+    it covers, as ClusteredModel.spans lists them, in float64.
+
+    einsum sums in one thread, unlike a BLAS dot, whose rounding depends on
+    its thread count and so on the host.
+    """
+    d = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
+    d -= stream
+    return float(np.einsum("i,i->", d, d))
 
 
 def model_sse(model: ClusteredModel, weights: DarknetWeights) -> list[float]:

@@ -1,9 +1,13 @@
 """Weight clustering, bit packing and the binary file formats."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from convwatt.cluster import (
     write_darknet_weights,
 )
 from convwatt.engine import run_network
+from convwatt.netdef import parse_config
 
 from conftest import weights_blob
 from oracles import lloyd_1d_reference, optimal_kmeans_sse, pack_indices_reference
@@ -268,8 +273,8 @@ class TestKmeans:
         real = cluster._segment_means
         sweeps = []
 
-        def worse_on_second_sweep(sums, bounds, last=None):
-            means = real(sums, bounds, last)
+        def worse_on_second_sweep(sums, bounds):
+            means = real(sums, bounds)
             sweeps.append(None)
             return means + 100.0 if len(sweeps) == 2 else means
 
@@ -280,7 +285,8 @@ class TestKmeans:
 
     def test_peak_memory_per_value(self):
         # sorted copy, argsort order, one work buffer, one per-sweep
-        # temporary and the int16 low exponents: about 35 bytes per value
+        # temporary and the 2-byte share of the limb prefix sums: about 35
+        # bytes per value
         n = 200_000
         values = np.random.default_rng(5).standard_normal(n).astype(np.float32)
         tracemalloc.start()
@@ -418,7 +424,7 @@ class TestLloydMatchesReference:
     ):
         self.check(lloyd_values(style, n, data_seed), bits, init, seed, max_iters)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 128, 129, 200, 5000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 128, 129, 200, 5000])
     @pytest.mark.parametrize("style", LLOYD_STYLES)
     def test_sizes_around_the_block(self, style, n):
         for bits, init in ((1, "linspace"), (3, "kmeans_pp"), (8, "linspace")):
@@ -428,8 +434,8 @@ class TestLloydMatchesReference:
         real = cluster._segment_means
         empties = []
 
-        def spy(sums, bounds, last=None):
-            means = real(sums, bounds, last)
+        def spy(sums, bounds):
+            means = real(sums, bounds)
             empties.append(int(np.isnan(means).sum()))
             return means
 
@@ -570,17 +576,8 @@ class TestLloydMatchesReference:
     def test_sweep_state_matches_a_fresh_recompute(self, per_segment, monkeypatch):
         if per_segment is not None:
             monkeypatch.setattr(cluster, "_PER_SEGMENT", per_segment)
-        real_means, real_residuals, real_farthest = (
-            cluster._segment_means, cluster._residuals, cluster._farthest
-        )
+        real_residuals, real_farthest = cluster._residuals, cluster._farthest
         events, runs = [], []
-
-        def means_spy(sums, bounds, last=None):
-            means = real_means(sums, bounds, last)
-            fresh = real_means(sums, bounds)
-            assert np.array_equal(means.view(np.uint64), fresh.view(np.uint64))
-            events.append(("means", last is not None))
-            return means
 
         def residuals_spy(svals, centroids, bounds, work, last=None):
             real_residuals(svals, centroids, bounds, work, last)
@@ -592,7 +589,6 @@ class TestLloydMatchesReference:
             events.append(("reseed", None))
             return real_farthest(dist, e, work)
 
-        monkeypatch.setattr(cluster, "_segment_means", means_spy)
         monkeypatch.setattr(cluster, "_residuals", residuals_spy)
         monkeypatch.setattr(cluster, "_farthest", farthest_spy)
         for style, n, bits in (("clumps", 3000, 4), ("normal", 20000, 5), ("zeros", 5000, 3)):
@@ -601,16 +597,13 @@ class TestLloydMatchesReference:
                 self.check(lloyd_values(style, n, n), bits, init, 7, 40)
                 runs.append(events)
         assert any(("residuals", True) in events for events in runs)
-        # in some run, a sweep after a reseed reused means and residuals
+        # in some run, a sweep after a reseed reused residuals
         after_reseed = [
             events[events.index(("reseed", None)) :]
             for events in runs
             if ("reseed", None) in events
         ]
-        assert any(
-            ("means", True) in events and ("residuals", True) in events
-            for events in after_reseed
-        )
+        assert any(("residuals", True) in events for events in after_reseed)
 
     def test_fixed_point_stops_early_with_the_same_result(self, monkeypatch):
         real, states = cluster._residuals, []
@@ -630,8 +623,8 @@ class TestLloydMatchesReference:
 
 
 class TestSweepUpdates:
-    """_segment_means and _residuals given an earlier state agree bit for
-    bit with a recompute from scratch."""
+    """_residuals given an earlier state agrees bit for bit with a recompute
+    from scratch."""
 
     @settings(max_examples=200)
     @given(
@@ -653,17 +646,8 @@ class TestSweepUpdates:
         flip = (second == 0) & (rng.random(k) < 0.5)
         second[flip] = -second[flip]
         second = np.sort(second)
-        sums = cluster._SegmentSums(svals)
         b1, b2 = (cluster._segment_bounds(svals, c) for c in (first, second))
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                last = b1, cluster._segment_means(sums, b1)
-                means = cluster._segment_means(sums, b2, last)
-            except OverflowError:  # fsum overflows on either path alike
-                means = None
-            if means is not None:
-                fresh = cluster._segment_means(sums, b2)
-                assert np.array_equal(means.view(np.uint64), fresh.view(np.uint64))
             want = svals - np.repeat(second, np.diff(b2))
             for per_segment in (0, cluster._PER_SEGMENT, 10**9):
                 with pytest.MonkeyPatch.context() as patch:
@@ -684,6 +668,26 @@ class TestSweepUpdates:
         cluster._residuals(svals, new, bounds, work, (np.array([-0.0, 5.5]), bounds))
         assert np.signbit(work[:3]).tolist() == [True, True, False]
 
+
+def on_grid(svals) -> bool:
+    """Whether _SegmentSums sums svals on its integer grid, in exact integer
+    arithmetic: n * max|value| passes the overflow guard, and every value is
+    m * 2**e for one e >= -1022 with |m| < 2**62."""
+    peak = max(abs(float(v)) for v in svals)
+    if len(svals) * peak > sys.float_info.max / 16:
+        return False
+    # the exponent of each nonzero value's lowest set bit; as_integer_ratio
+    # gives an odd numerator over a power of two, or an integer over 1
+    lows = [
+        (num & -num).bit_length() - den.bit_length()
+        for num, den in (float(v).as_integer_ratio() for v in svals if v != 0)
+    ]
+    if not lows:
+        return True
+    low = min(lows)
+    return low >= -1022 and Fraction(peak) / Fraction(2) ** low < 2**62
+
+
 class TestSegmentSums:
     @settings(max_examples=200)
     @given(
@@ -695,20 +699,21 @@ class TestSegmentSums:
     def test_sum_is_fsum_of_the_run(self, style, n, data_seed, cuts):
         svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
         sums = cluster._SegmentSums(svals)
-        assert sums.prefix is not None
+        assert (sums.prefix is not None) == on_grid(svals)
         for a, b in cuts:
             lo, hi = sorted((int(a * n), int(b * n)))
-            assert same_float(sums.sum(lo, hi), math.fsum(svals[lo:hi]))
+            total = sums.totals(np.array([lo, hi]))[0]
+            assert same_float(total, math.fsum(svals[lo:hi]))
 
-    def test_wide_exponents_use_the_prefix(self):
+    def test_wide_exponents_fall_back_to_fsum(self):
         rng = np.random.default_rng(1)
         svals = np.sort(rng.standard_normal(4000) * 10.0 ** rng.uniform(-300, 300, 4000))
         sums = cluster._SegmentSums(svals)
-        # the exact prefix sums need many terms at such a spread of exponents
-        assert sums.prefix is not None and sums.prefix.shape[1] > 3
+        assert sums.prefix is None
         for _ in range(300):
             lo, hi = sorted(rng.integers(0, svals.size + 1, 2).tolist())
-            assert same_float(sums.sum(lo, hi), math.fsum(svals[lo:hi]))
+            total = sums.totals(np.array([lo, hi]))[0]
+            assert same_float(total, math.fsum(svals[lo:hi]))
 
     def test_overflow_falls_back_and_raises_where_fsum_raises(self):
         svals = np.array([-1.7e308, -1e308, -1e307, 5e307, 1e308, 1.2e308, 1.7e308])
@@ -722,9 +727,9 @@ class TestSegmentSums:
                 except OverflowError:
                     raised += 1
                     with pytest.raises(OverflowError):
-                        sums.sum(lo, hi)
+                        sums.totals(np.array([lo, hi]))
                 else:
-                    assert same_float(sums.sum(lo, hi), want)
+                    assert same_float(sums.totals(np.array([lo, hi]))[0], want)
         assert raised
 
     def test_fallback_means_raise_like_fsum(self):
@@ -752,6 +757,109 @@ class TestSegmentSums:
             else:
                 assert same_float(float(means[i]), math.fsum(svals[lo:hi]) / (hi - lo))
 
+    @settings(max_examples=300)
+    @given(
+        # 53-bit significands shifted apart by up to 10 bits span 52 to 63
+        # bits, either side of the grid's 62; e reaches subnormals and the
+        # overflow guard
+        parts=st.lists(
+            st.tuples(st.integers(-(2**53) + 1, 2**53 - 1), st.integers(0, 10)),
+            min_size=1,
+            max_size=200,
+        ),
+        e=st.one_of(st.integers(-1100, 955), st.sampled_from([-1074, -1022, -1, 0])),
+        cuts=st.lists(st.integers(0, 200), max_size=30),
+    )
+    def test_means_about_the_grid_edges_are_fsum_means(self, parts, e, cuts):
+        svals = np.sort([math.ldexp(m, shift + e) for m, shift in parts], kind="stable")
+        n = svals.size
+        sums = cluster._SegmentSums(svals)
+        assert (sums.prefix is not None) == on_grid(svals)
+        bounds = np.array([0, *sorted(min(c, n) for c in cuts), n], dtype=np.int64)
+        edges = bounds.tolist()
+        try:
+            want = [
+                math.fsum(svals[lo:hi].tolist()) / (hi - lo) if hi > lo else None
+                for lo, hi in zip(edges, edges[1:])
+            ]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                cluster._segment_means(sums, bounds)
+            return
+        means = cluster._segment_means(sums, bounds)
+        for got, mean in zip(means.tolist(), want):
+            assert np.isnan(got) if mean is None else same_float(got, mean)
+
+    # (values, whether they lie on the integer grid of _SegmentSums)
+    CRAFTED = {
+        # a float sum in ascending order gives 2**54, fsum 2**54 + 4
+        "float-sum-rounds": ([1.0, 2.0**53, 2.0**53 + 2], True),
+        # every partial sum an integer below 2**53, and one bit past that
+        "at-the-limit": ([-(2.0**51 - 1), 3.0, 2.0**50 + 1, 2.0**51 - 1], True),
+        "at-the-limit-equal": ([2.0**51 - 1] * 4, True),
+        "past-the-limit-length": ([2.0**51 - 1] * 5, True),
+        "past-the-limit-magnitude": ([2.0**52 - 1] * 4, True),
+        "mixed-signs": ([-3.5, -1.25, -0.0, 0.0, 0.75, 2.0, 7.75], True),
+        "mixed-signs-cancel": ([-(2.0**60), -1.0, 1.0, 2.0**60], True),
+        # float32 values hold 24-bit significands; float64 ones 53 bits
+        "length-3": (np.array([0.1, 0.2, 0.3], dtype=np.float32), True),
+        "length-3-float64-significands": ([0.1, 0.2, 0.3], True),
+        "block-of-128": (np.arange(128) * 2.0**40 - 2.0**46, True),
+        "integers-129": (np.arange(129) * 1.0, True),
+        # |m| < 2**62 at e = 0 on the one side, |m| = 2**62 on the other
+        "span-62-bits": ([-(2.0**61 + 2.0**9), -3.0, 1.0, 2.0**61 + 2.0**10], True),
+        "span-63-bits": ([-(2.0**62), -3.0, 1.0], False),
+        # hi = m >> 31 rounds toward -inf, so every negative m borrows from lo
+        "negative": (-(np.arange(1, 100) ** 7 * 0.75), True),
+        "negative-small": ([-(2.0**-31), -3.0 * 2.0**-40, -(2.0**-60)], True),
+        "signed-zeros": ([-0.0, -0.0, 0.0, -0.0], True),
+        "negative-zeros-3": ([-0.0] * 3, True),
+        "negative-zeros-128": ([-0.0] * 128, True),
+        "zeros-that-cancel": ([-1.5, -0.0, -0.0, 0.0, 1.5], True),
+        "subnormals": (np.arange(-20, 21) * 5e-324, False),
+        "subnormal-and-normal": ([5e-324, 1e-300, 1e-300], False),
+        # normal, but its lowest bit lies below 2**-1022
+        "step-below-2**-1022": ([math.ldexp(1.0 + 2.0**-52, -1022), 1e-300], False),
+        "step-at-2**-1022": ([2.0**-1022, 3 * 2.0**-1022, 2.0**-1000], True),
+        # the small values scale to m below 2**-1074, which rounds to 0
+        "tiny-beside-huge": ([1e-300, 3e-300, 1e300], False),
+        # n * max|value| against sys.float_info.max / 16, which is just
+        # below 2**1020
+        "overflow-guard-below": ([2.0**1018] * 3, True),
+        "overflow-guard-above": ([2.0**1018] * 4, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_crafted_runs_are_fsum_exact(self, case, monkeypatch):
+        values, grid = self.CRAFTED[case]
+        svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+        n = svals.size
+        real, fallbacks = cluster._SegmentSums.fsums, []
+
+        def spy(self, bounds):
+            fallbacks.append(bounds.tolist())
+            return real(self, bounds)
+
+        monkeypatch.setattr(cluster._SegmentSums, "fsums", spy)
+        sums = cluster._SegmentSums(svals)
+        assert on_grid(svals) == grid
+        assert (sums.prefix is not None) == grid
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                total = sums.totals(np.array([lo, hi]))[0]
+                assert same_float(total, math.fsum(svals[lo:hi]))
+        bounds = np.array([0, n // 3, n // 2, n])
+        means = cluster._segment_means(sums, bounds)
+        for i in range(3):
+            lo, hi = bounds[i], bounds[i + 1]
+            if hi > lo:
+                assert same_float(float(means[i]), math.fsum(svals[lo:hi]) / (hi - lo))
+        assert bool(fallbacks) != grid
+
+    def test_crafted_trap_defeats_a_float_sum(self):
+        values, _ = self.CRAFTED["float-sum-rounds"]
+        assert float(np.add.reduce(np.array(values))) != math.fsum(values)
+
     def test_negative_zero_pairs_mean_positive_zero(self):
         # fsum([-0.0]) and fsum([-0.0, -0.0]) are +0.0, where -0.0 + -0.0 is -0.0
         svals = np.array([-0.0, -0.0, -0.0, 1.0, 2.0, 3.0])
@@ -760,67 +868,37 @@ class TestSegmentSums:
         assert means.tolist() == [0.0, 0.0, 2.0]
         assert not np.signbit(means).any()
 
-    # (values, whether the segment must go through _SegmentSums.sum)
-    BLOCK2 = 2 * cluster._BLOCK
-    CRAFTED = {
-        # a float sum in ascending order gives 2**54, fsum 2**54 + 4
-        "float-sum-rounds": ([1.0, 2.0**53, 2.0**53 + 2], True),
-        # ceil(log2 4) + 51 - 0 == 53: every partial sum is an integer below 2**53
-        "at-the-limit": ([-(2.0**51 - 1), 3.0, 2.0**50 + 1, 2.0**51 - 1], False),
-        "at-the-limit-equal": ([2.0**51 - 1] * 4, False),
-        # one bit more: 54 > 53, although this float sum happens to be exact
-        "past-the-limit-length": ([2.0**51 - 1] * 5, True),
-        "past-the-limit-magnitude": ([2.0**52 - 1] * 4, True),
-        "subnormals": (np.arange(-20, 21) * 5e-324, False),
-        "subnormal-and-normal": ([5e-324, 1e-300, 1e-300], True),
-        "negative-zeros-3": ([-0.0] * 3, False),
-        "negative-zeros-long": ([-0.0] * BLOCK2, False),
-        "mixed-zeros": ([-0.0, -0.0, 0.0, -0.0], False),
-        "mixed-signs": ([-3.5, -1.25, -0.0, 0.0, 0.75, 2.0, 7.75], False),
-        "mixed-signs-cancel": ([-(2.0**60), -1.0, 1.0, 2.0**60], True),
-        # float32 values hold 24-bit significands; float64 ones 53 bits
-        "length-3": (np.array([0.1, 0.2, 0.3], dtype=np.float32), False),
-        "length-3-float64-significands": ([0.1, 0.2, 0.3], True),
-        "length-2-block": (np.arange(BLOCK2) * 2.0**40 - 2.0**46, False),
-        "length-2-block-plus-1": (np.arange(BLOCK2 + 1) * 1.0, True),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CRAFTED))
-    def test_crafted_segments_are_fsum_exact(self, case, monkeypatch):
-        values, by_fsum = self.CRAFTED[case]
-        svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
-        # pairs around it, which take the fast path, keep the array sorted
-        svals = np.concatenate(([-(2.0**62), -(2.0**61)], svals, [2.0**61, 2.0**62]))
+    def test_limb_difference_past_2_53_rounds_once(self):
+        # 2**22 values of 2**62 - 2**10 and 1, 2**31 and 2**32 sum to
+        # 2**84 + 2**31 + 1, just above the tie between 2**84 and its next
+        # float. With five zeros the run fills whole blocks, so its limb
+        # difference is hi = 2**53 + 1, lo = 1. float64 cannot hold that hi:
+        # converting it on its own rounds it to 2**53, and the sum then
+        # rounds down to 2**84
+        big = 2.0**62 - 2.0**10
+        small = [0.0] * 5 + [1.0, 2.0**31, 2.0**32]
+        svals = np.concatenate((small, np.full(1 << 22, big)))
+        exact = 2**84 + 2**31 + 1
+        assert divmod(exact, 2**31) == (2**53 + 1, 1)
+        assert float(2**53 + 1) * 2.0**31 + 1.0 == 2.0**84 != float(exact)
+        sums = cluster._SegmentSums(svals)
+        assert sums.prefix is not None
         n = svals.size
-        bounds = np.array([0, 2, n - 2, n])
-        real, visits = cluster._SegmentSums.sum, []
+        assert n % cluster._STEP == 0
+        for lo, hi in ((0, n), (5, n), (1, n - 5)):
+            total = sums.totals(np.array([lo, hi]))[0]
+            assert same_float(total, math.fsum(svals[lo:hi].tolist()))
+        assert sums.totals(np.array([0, n]))[0] == float(exact) == 2.0**84 + 2.0**32
 
-        def spy(self, lo, hi):
-            visits.append((lo, hi))
-            return real(self, lo, hi)
+    def test_fp32_normal_values_take_the_grid(self, monkeypatch):
+        values = np.random.default_rng(17).standard_normal(1 << 20).astype(np.float32)
+        assert cluster._SegmentSums(np.sort(values.astype(np.float64))).prefix is not None
 
-        monkeypatch.setattr(cluster._SegmentSums, "sum", spy)
-        means = cluster._segment_means(cluster._SegmentSums(svals), bounds)
-        for i in range(3):
-            lo, hi = bounds[i], bounds[i + 1]
-            assert same_float(float(means[i]), math.fsum(svals[lo:hi]) / (hi - lo))
-        assert visits == ([(2, n - 2)] if by_fsum else [])
+        def no_fallback(self, bounds):
+            raise AssertionError("fp32 normal values left the grid")
 
-    def test_crafted_trap_defeats_a_float_sum(self):
-        values, _ = self.CRAFTED["float-sum-rounds"]
-        assert float(np.add.reduce(np.array(values))) != math.fsum(values)
-
-    def test_no_short_segment_of_normal_data_reaches_fsum(self, monkeypatch):
-        real, lengths = cluster._SegmentSums.sum, []
-
-        def spy(self, lo, hi):
-            lengths.append(hi - lo)
-            return real(self, lo, hi)
-
-        monkeypatch.setattr(cluster._SegmentSums, "sum", spy)
-        values = lloyd_values("normal", 20000, 17)
-        kmeans_1d(values, 256, ClusterConfig(max_iters=10))
-        assert lengths and min(lengths) > self.BLOCK2
+        monkeypatch.setattr(cluster._SegmentSums, "fsums", no_fallback)
+        kmeans_1d(lloyd_values("normal", 20000, 17), 256, ClusterConfig(max_iters=10))
 
 
 class TestQuantization:
@@ -988,6 +1066,51 @@ class TestClusterModel:
         recon = dequantize(model.entries[0].table, model.entries[0].packed)
         d = stream.astype(np.float64) - recon.astype(np.float64)
         assert sse == pytest.approx(float(np.dot(d, d)), rel=1e-12)
+
+    def test_stream_sse_peak_memory_per_weight(self):
+        # one float64 difference: 8 bytes per weight, and no BLAS copies
+        n = 1 << 20
+        rng = np.random.default_rng(9)
+        kernels = rng.standard_normal(n).astype(np.float32)
+        quarter = n // 4
+        layers = [
+            (ConvParams(i, np.zeros(1), kernels[i * quarter : (i + 1) * quarter]),
+             i * quarter)
+            for i in range(4)
+        ]
+        stream = kernels + (rng.standard_normal(n) * 0.01).astype(np.float32)
+        tracemalloc.start()
+        try:
+            sse = cluster.stream_sse(layers, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 13
+        d = kernels.astype(np.float64) - stream.astype(np.float64)
+        assert sse == pytest.approx(math.fsum(d * d), rel=1e-12)
+
+    def test_json_does_not_depend_on_blas_threads(self, tmp_path):
+        # over 100 K weights, OpenBLAS splits a dot product between its
+        # threads, and the rounding of the sum follows the split
+        cfg = "[net]\nwidth=4\nheight=4\nchannels=128\n\n" \
+              "[convolutional]\nfilters=96\nsize=3\nstride=1\npad=1\nactivation=linear\n"
+        cfg_path, weights_path = tmp_path / "wide.cfg", tmp_path / "wide.weights"
+        cfg_path.write_text(cfg)
+        weights_path.write_bytes(weights_blob(parse_config(cfg), seed=4))
+        src = os.path.dirname(os.path.dirname(cluster.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SOURCE_DATE_EPOCH="0",
+                       PYTHONPATH=src)
+            report = tmp_path / f"threads-{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "convwatt.cli", "cluster", str(cfg_path),
+                 str(weights_path), "--bits", "5", "--max-iters", "3",
+                 "--out", str(tmp_path / "wide.cwts"), "--json", str(report)],
+                env=env, check=True, capture_output=True,
+            )
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_model_sse_count_mismatch(self, folded):
         model = cluster_model(folded, ClusterConfig(bits=5))
