@@ -77,11 +77,13 @@ def _sha256(path: str) -> str:
 
 def _timestamp(paths) -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        stamp = int(epoch)
-    else:
+    if epoch is None:
         stamp = max((int(os.path.getmtime(p)) for p in paths), default=0)
-    return datetime.fromtimestamp(stamp, tz=timezone.utc).isoformat()
+        return datetime.fromtimestamp(stamp, tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(f"SOURCE_DATE_EPOCH={epoch!r} is not a usable timestamp: {exc}") from exc
 
 
 def _manifest(command: str, inputs, options: dict, seed=None) -> dict:
@@ -410,6 +412,44 @@ def cmd_verify(args) -> int:
     return 0 if equivalent else 1
 
 
+def _energy_reductions(path: str) -> list[tuple[str, float]]:
+    """(label, overall energy reduction %) for each report of an analyze JSON
+    file. Any other content is a ValueError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: not a JSON report: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    if payload.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: expected schema_version {SCHEMA_VERSION}, "
+            f"got {payload.get('schema_version')!r}"
+        )
+    reports = payload.get("reports")
+    if not isinstance(reports, list):
+        raise ValueError(f"{path}: expected a list of reports")
+    rows = []
+    for index, report in enumerate(reports):
+        label = overall = None
+        if isinstance(report, dict) and isinstance(report.get("relative_pct"), dict):
+            label, overall = report.get("label"), report["relative_pct"].get("overall_energy")
+        # type() leaves out bool, an int subclass; the bound leaves out nan,
+        # +-inf and integers beyond the float range
+        if not (
+            isinstance(label, str)
+            and type(overall) in (int, float)
+            and abs(overall) <= sys.float_info.max
+        ):
+            raise ValueError(
+                f"{path}: report {index} needs a string label and a finite "
+                "relative_pct.overall_energy"
+            )
+        rows.append((label, 100.0 - overall))
+    return rows
+
+
 def cmd_compare(args) -> int:
     quality = {}
     for item in args.quality or ():
@@ -419,16 +459,7 @@ def cmd_compare(args) -> int:
         quality[label] = value
     rows = []
     for path in args.reports:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: expected schema_version {SCHEMA_VERSION}, "
-                f"got {payload.get('schema_version')!r}"
-            )
-        for report in payload["reports"]:
-            label = report["label"]
-            reduction = 100.0 - report["relative_pct"]["overall_energy"]
+        for label, reduction in _energy_reductions(path):
             if label in quality:
                 value = quality[label]
             else:

@@ -278,6 +278,12 @@ def dequantize(table: CentroidTable, packed: PackedIndices) -> np.ndarray:
 
 
 def _init_centroids(values: np.ndarray, k: int, cfg: ClusterConfig) -> np.ndarray:
+    """k starting centroids in ascending order.
+
+    One exception: over a span beyond the float range, linspace gives nan,
+    then inf, then the maximum. Every value still falls in the first
+    segment, as it would from the sorted centroids.
+    """
     if cfg.init == INIT_LINSPACE:
         return np.linspace(values.min(), values.max(), k)
     rng = np.random.default_rng(cfg.seed)
@@ -526,7 +532,7 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
         assign_sorted = np.searchsorted(distinct, svals).astype(np.uint32)
     else:
         del starts
-        centroids = np.sort(_init_centroids(svals, k, cfg))
+        centroids = _init_centroids(svals, k, cfg)
         sums = _SegmentSums(svals)
         bounds = _segment_bounds(svals, centroids)
         # the SSE residual and the reseed's partition share one buffer

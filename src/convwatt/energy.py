@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 
 from .traffic import AccessProfile, OpProfile
@@ -157,8 +157,10 @@ def parse_energy_config(text: str) -> EnergyConfig:
         attr = _DRAM_KEYS[key]
         parse = int if attr == "bus_bits" else _parse_fraction
         kwargs[attr] = _parse_value(parse, "dram", key, value)
-    missing = {v for v in _DRAM_KEYS.values() if v.startswith("dram_") or v == "row_miss_fraction"}
-    missing -= set(kwargs) | {"dram_peak_gbps"}
+    missing = {
+        f.name for f in fields(EnergyConfig)
+        if f.default is MISSING and f.default_factory is MISSING
+    } - set(kwargs)
     if missing:
         raise EnergyConfigError(f"missing [dram] settings: {sorted(missing)}")
     if "sram" in parser:
@@ -249,12 +251,8 @@ def fp_energy_mj(ops: OpProfile, fp_pj: dict[str, float]) -> float:
     mul = fp_pj.get("mul", BASE_FP32_MUL_PJ)
     price = {op: fp_pj.get(op, mul) for op in FP_OPS}
     pj = ops.macs * (price["add"] + price["mul"])
-    pj += ops.fp_add * price["add"]
-    pj += ops.fp_sub * price["sub"]
-    pj += ops.fp_mul * price["mul"]
-    pj += ops.fp_div * price["div"]
-    pj += ops.fp_exp * price["exp"]
-    pj += ops.fp_sqrt * price["sqrt"]
+    for op in FP_OPS:
+        pj += getattr(ops, f"fp_{op}") * price[op]
     return pj * MJ_PER_PJ
 
 
@@ -304,14 +302,15 @@ def size_reduction_factor(
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-frame energy and bandwidth summary for one configuration."""
+    """Per-frame energy and bandwidth summary for one configuration.
+
+    profile is the AccessProfile that was priced; the element counts of
+    to_dict and access_split_pct are read from it.
+    """
 
     label: str
     weight_bits: int | None
-    weight_read_elements: int
-    input_read_elements: int
-    output_read_elements: int
-    output_write_elements: int
+    profile: AccessProfile
     table_read_elements: int
     dram_read_accesses: int
     dram_write_accesses: int
@@ -336,33 +335,21 @@ class EnergyReport:
     @property
     def access_split_pct(self) -> dict[str, float]:
         """Share of element accesses by bucket: weights / inputs / outputs."""
-        total = (
-            self.weight_read_elements
-            + self.input_read_elements
-            + self.output_read_elements
-            + self.output_write_elements
-        )
+        p = self.profile
+        total = p.weight_reads + p.input_reads + p.output_reads + p.output_writes
         if not total:
             return {"weights": 0.0, "inputs": 0.0, "outputs": 0.0}
         return {
-            "weights": 100.0 * self.weight_read_elements / total,
-            "inputs": 100.0 * self.input_read_elements / total,
-            "outputs": 100.0
-            * (self.output_read_elements + self.output_write_elements)
-            / total,
+            "weights": 100.0 * p.weight_reads / total,
+            "inputs": 100.0 * p.input_reads / total,
+            "outputs": 100.0 * (p.output_reads + p.output_writes) / total,
         }
 
     def to_dict(self) -> dict:
         data = {
             "label": self.label,
             "weight_bits": self.weight_bits,
-            "elements": {
-                "weight_reads": self.weight_read_elements,
-                "input_reads": self.input_read_elements,
-                "output_reads": self.output_read_elements,
-                "output_writes": self.output_write_elements,
-                "table_reads": self.table_read_elements,
-            },
+            "elements": {**asdict(self.profile), "table_reads": self.table_read_elements},
             "dram": {
                 "read_accesses": self.dram_read_accesses,
                 "write_accesses": self.dram_write_accesses,
@@ -436,10 +423,7 @@ def frame_energy(
     return EnergyReport(
         label=label,
         weight_bits=bits,
-        weight_read_elements=profile.weight_reads,
-        input_read_elements=profile.input_reads,
-        output_read_elements=profile.output_reads,
-        output_write_elements=profile.output_writes,
+        profile=profile,
         table_read_elements=table_elements,
         dram_read_accesses=reads,
         dram_write_accesses=writes,

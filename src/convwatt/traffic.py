@@ -11,7 +11,7 @@ bus transactions happens later, in the energy model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .netdef import (
     CONVOLUTIONAL,
@@ -40,17 +40,35 @@ ROWS_OUTPUT = "output_rows"
 ROWS_INPUT = "input_rows"
 ROW_CONVENTIONS = (ROWS_OUTPUT, ROWS_INPUT)
 
-# Bucketing of feature-map re-reads done by shortcut/route/upsample/yolo
-# layers. "inputs" reports them all in the input-read bucket (default; this
-# matches the published access breakdown); "split" reports re-reads of maps
-# produced before the immediately preceding layer as output reads instead.
+# Reporting buckets for the feature-map reads of shortcut, route, upsample
+# and yolo layers; other_layer_accesses states the rule.
 READS_AS_INPUTS = "inputs"
 READS_SPLIT = "split"
 READ_BUCKETS = (READS_AS_INPUTS, READS_SPLIT)
 
 
+class _Counts:
+    """Integer counts, each >= 0, that add field by field. A count record
+    subclasses this as a frozen dataclass and only declares its fields."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._sum((self, other))
+
+    @classmethod
+    def _sum(cls, records):
+        """Field-wise sum of a sequence of records, in one pass per field."""
+        return cls(**{f.name: sum(getattr(r, f.name) for r in records) for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class AccessProfile:
+class AccessProfile(_Counts):
     """DRAM element accesses bucketed as weights / inputs / outputs."""
 
     weight_reads: int = 0
@@ -58,22 +76,9 @@ class AccessProfile:
     output_reads: int = 0
     output_writes: int = 0
 
-    def __post_init__(self):
-        for name in ("weight_reads", "input_reads", "output_reads", "output_writes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def __add__(self, other: "AccessProfile") -> "AccessProfile":
-        return AccessProfile(
-            self.weight_reads + other.weight_reads,
-            self.input_reads + other.input_reads,
-            self.output_reads + other.output_reads,
-            self.output_writes + other.output_writes,
-        )
-
 
 @dataclass(frozen=True)
-class OpProfile:
+class OpProfile(_Counts):
     """Floating-point operation counts for one inference pass."""
 
     macs: int = 0
@@ -83,22 +88,6 @@ class OpProfile:
     fp_div: int = 0
     fp_exp: int = 0
     fp_sqrt: int = 0
-
-    def __post_init__(self):
-        for name in ("macs", "fp_add", "fp_sub", "fp_mul", "fp_div", "fp_exp", "fp_sqrt"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def __add__(self, other: "OpProfile") -> "OpProfile":
-        return OpProfile(
-            self.macs + other.macs,
-            self.fp_add + other.fp_add,
-            self.fp_sub + other.fp_sub,
-            self.fp_mul + other.fp_mul,
-            self.fp_div + other.fp_div,
-            self.fp_exp + other.fp_exp,
-            self.fp_sqrt + other.fp_sqrt,
-        )
 
 
 def _require_shapes(layer: LayerSpec):
@@ -169,9 +158,11 @@ def conv_accesses(
 def other_layer_accesses(layer: LayerSpec, read_bucket: str = READS_AS_INPUTS) -> AccessProfile:
     """Element accesses of shortcut/route/upsample/yolo layers.
 
-    These layers re-read feature maps produced earlier and write their result
-    once (upsampling writes each input element four times). read_bucket picks
-    the reporting bucket for the re-reads; totals are unaffected.
+    These layers read feature maps already in DRAM and write their result
+    once (upsampling writes each input element four times). A shortcut's read
+    of its preceding layer's map is a fresh read; every other read of these
+    layers is a re-read. read_bucket "inputs" reports both as input reads;
+    "split" reports the re-reads as output reads. Totals are unaffected.
     """
     if layer.kind == CONVOLUTIONAL:
         raise ValueError("use conv_accesses for convolution layers")
@@ -180,32 +171,18 @@ def other_layer_accesses(layer: LayerSpec, read_bucket: str = READS_AS_INPUTS) -
         raise ValueError(f"unknown read bucket {read_bucket!r}")
     if layer.kind == SHORTCUT:
         previous, other = layer.source_shapes
-        writes = previous.elements  # one result map, written once
-        if read_bucket == READS_AS_INPUTS:
-            return AccessProfile(
-                input_reads=previous.elements + other.elements, output_writes=writes
-            )
-        return AccessProfile(
-            input_reads=previous.elements,
-            output_reads=other.elements,
-            output_writes=writes,
-        )
-    if layer.kind == ROUTE:
+        fresh, reread, writes = previous.elements, other.elements, previous.elements
+    elif layer.kind == ROUTE:
         moved = sum(shape.elements for shape in layer.source_shapes)
-        if read_bucket == READS_AS_INPUTS:
-            return AccessProfile(input_reads=moved, output_writes=moved)
-        return AccessProfile(output_reads=moved, output_writes=moved)
-    if layer.kind == UPSAMPLE:
-        n = layer.in_shape.elements
-        if read_bucket == READS_AS_INPUTS:
-            return AccessProfile(input_reads=n, output_writes=4 * n)
-        return AccessProfile(output_reads=n, output_writes=4 * n)
-    if layer.kind == YOLO:
-        n = layer.in_shape.elements
-        if read_bucket == READS_AS_INPUTS:
-            return AccessProfile(input_reads=n, output_writes=n)
-        return AccessProfile(output_reads=n, output_writes=n)
-    raise ValueError(f"no access model for layer kind {layer.kind!r}")
+        fresh, reread, writes = 0, moved, moved
+    elif layer.kind in (UPSAMPLE, YOLO):
+        fresh, reread = 0, layer.in_shape.elements
+        writes = 4 * reread if layer.kind == UPSAMPLE else reread
+    else:
+        raise ValueError(f"no access model for layer kind {layer.kind!r}")
+    if read_bucket == READS_AS_INPUTS:
+        fresh, reread = fresh + reread, 0
+    return AccessProfile(input_reads=fresh, output_reads=reread, output_writes=writes)
 
 
 def aggregate(
@@ -221,10 +198,7 @@ def aggregate(
         else other_layer_accesses(layer, read_bucket=read_bucket)
         for layer in net.layers
     ]
-    total = AccessProfile()
-    for profile in per_layer:
-        total = total + profile
-    return per_layer, total
+    return per_layer, AccessProfile._sum(per_layer)
 
 
 def conv_macs(layer: LayerSpec) -> int:
@@ -266,6 +240,18 @@ def _yolo_ops(layer: LayerSpec) -> OpProfile:
     )
 
 
+def _layer_ops(layer: LayerSpec) -> OpProfile:
+    _require_shapes(layer)
+    if layer.kind == CONVOLUTIONAL:
+        n = layer.out_shape.elements if layer.conv.activation == "leaky" else 0
+        return OpProfile(macs=conv_macs(layer), fp_sub=n, fp_mul=n)
+    if layer.kind == SHORTCUT:
+        return OpProfile(fp_add=layer.out_shape.elements)
+    if layer.kind == YOLO:
+        return _yolo_ops(layer)
+    return OpProfile()  # upsample and route: pure data movement
+
+
 def op_profile(net: NetworkDef) -> OpProfile:
     """Floating-point operation census for one inference pass.
 
@@ -274,20 +260,4 @@ def op_profile(net: NetworkDef) -> OpProfile:
     adds no runtime work. Shortcuts cost one add per output element;
     upsampling and routing move data without arithmetic.
     """
-    total = OpProfile()
-    for layer in net.layers:
-        _require_shapes(layer)
-        if layer.kind == CONVOLUTIONAL:
-            n = layer.out_shape.elements
-            leaky = layer.conv.activation == "leaky"
-            total = total + OpProfile(
-                macs=conv_macs(layer),
-                fp_sub=n if leaky else 0,
-                fp_mul=n if leaky else 0,
-            )
-        elif layer.kind == SHORTCUT:
-            total = total + OpProfile(fp_add=layer.out_shape.elements)
-        elif layer.kind == YOLO:
-            total = total + _yolo_ops(layer)
-        # upsample and route: pure data movement
-    return total
+    return OpProfile._sum([_layer_ops(layer) for layer in net.layers])

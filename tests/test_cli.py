@@ -1,13 +1,18 @@
 """End-to-end command-line behavior, including output determinism."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import tracemalloc
 import weakref
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convwatt import cli, cluster, engine
 from convwatt.cli import main
@@ -174,6 +179,108 @@ class TestAnalyze:
         bad.write_text("[convolutional]\nfilters=8\n")
         assert main(["analyze", str(bad)]) == 1
         assert "convwatt: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epoch", ["100000000000000000000", "-10**20", "soon", ""])
+    def test_unusable_source_date_epoch_is_one_error_line(
+        self, cfg_path, tmp_path, capsys, monkeypatch, epoch
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        rc = main(["analyze", str(cfg_path), "--json", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"convwatt: error: SOURCE_DATE_EPOCH={epoch!r} ")
+        assert err.count("\n") == 1
+
+
+# sha256 of analyze's stdout, JSON and CSV on the shipped yolov3.cfg with
+# --bits 5 6 7 8 and SOURCE_DATE_EPOCH=1700000000, for each (scope, read
+# bucket, row convention), and of the compare CSV of the two scopes' default
+# reports. Any moved count, bucket, JSON field or printed digit changes a
+# digest; change one only together with an intended change of the output.
+ANALYZE_SHA256 = {
+    ("all-layers", "inputs", "output-rows"): (
+        "7a63c93e6119f30f30efde7c0e2393dec845c1f009b79dc190442f3ca9377d0d",
+        "160eab301f03b9b7631fdbfb83a8ce0b044f446e5935a481126b60337a4671fe",
+        "ac11ab87bebbb9ccfc4873387b46a0322544f0df3a9bdbe12bfdcfb383df2822",
+    ),
+    ("all-layers", "inputs", "input-rows"): (
+        "88f5fecbcb1d3efb9a2af8bafb5650f6baac0f31ff24b398aef4fb8cf9cca177",
+        "9299073ea9c405db07755e2c6a0f4b0c303bc378fc7a67935c10634a3fcf55ca",
+        "a11f204766850ceb181f810a9a2a9b7a52df604914310a03210a622dbd48a2a4",
+    ),
+    ("all-layers", "split", "output-rows"): (
+        "398f8a14f846f00996c6f19b020f0c239e311bce2f71ed56ba2a8133698602d3",
+        "75f605d102595523344763bdb60518163520d219d7c942a70fb6429b1ef28442",
+        "d3131e1a2f33d2b3e65a1a643d481724980db912867aca23225791fac56c958d",
+    ),
+    ("all-layers", "split", "input-rows"): (
+        "af040d097d1871fcce1fe95a1a50a4491cc5d755c2ff247a1f66f590a3ebb030",
+        "090d0f53a384bc2dcb257acbaa2dd48033520efc2c1c98018c63235760225e4c",
+        "858566c06b047052d9c3433e476920d324a602d7162894a9aa170d358fb371e4",
+    ),
+    ("per-layer", "inputs", "output-rows"): (
+        "396a7f9078026159260fd145e43ade78f7d250ef1db3c3b35f7bdf5b56448502",
+        "9ff9d07b7f563a2be17f69bf57127d0103262312916555e114debb653054f3be",
+        "627be4caed8dc26bbb600866b189701274f8f072eb7a0860cbe2483832f9b8c1",
+    ),
+    ("per-layer", "inputs", "input-rows"): (
+        "b02422b47ad6432a0076be4eb5359647a9913f41969b11a7b1e9f2a8e47a1e41",
+        "ebabf4f5a08c80ed3598a6914515b30cdff2955acf3603076d302016a4925f85",
+        "567a2c05197253da74e1599e5c858ccaaf49151d86982634e80526a3dec1e613",
+    ),
+    ("per-layer", "split", "output-rows"): (
+        "90f094b5a1709b63746e548ad92f0b123ceb564577f2704ee5396518529e05b6",
+        "dcca78ebf8bc0ce563ae7190386f73385fe04fb3cbe66f203a76985c7d4a44b5",
+        "2545f33f9c3b3731ba92e6a3c32bd0c4fc1b182b6a0b84acf4570896da062c44",
+    ),
+    ("per-layer", "split", "input-rows"): (
+        "5452da677165bff35b2d71294d8a89f874a31bbe70605c641d37727f05867322",
+        "45150667ff0a7d8bb5e477855c89bd21b9ba0345a9a8f84f9df32e8d6cc359c5",
+        "5d06fe73b54effbd2d9af7021f06037249153181a39922e4b56ea2ce92b19d0f",
+    ),
+}
+COMPARE_SHA256 = "313aa09a1dbc1e99dde5b61d0f3a9089dac9a98899aa31abe7fb56a77f9974d3"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def analyze_digests(tmp_path, capsys, scope, bucket, rows) -> tuple[str, str, str]:
+    cfg = tmp_path / "yolov3.cfg"
+    if not cfg.exists():
+        cfg.write_bytes(resources.files("convwatt").joinpath("data/yolov3.cfg").read_bytes())
+    stem = tmp_path / f"{scope}-{bucket}-{rows}"
+    json_path, csv_path = stem.with_suffix(".json"), stem.with_suffix(".csv")
+    assert main(
+        ["analyze", str(cfg), "--bits", "5", "--bits", "6", "--bits", "7",
+         "--bits", "8", "--scope", scope, "--read-bucket", bucket,
+         "--row-convention", rows, "--json", str(json_path), "--csv", str(csv_path)]
+    ) == 0
+    stdout = capsys.readouterr().out.encode()
+    return sha256(stdout), sha256(json_path.read_bytes()), sha256(csv_path.read_bytes())
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("key", sorted(ANALYZE_SHA256), ids="/".join)
+    def test_analyze_bytes_are_pinned(self, tmp_path, capsys, key):
+        assert analyze_digests(tmp_path, capsys, *key) == ANALYZE_SHA256[key]
+
+    def test_every_option_combination_is_pinned(self):
+        assert set(ANALYZE_SHA256) == {
+            (scope, bucket, rows)
+            for scope in ("all-layers", "per-layer")
+            for bucket in ("inputs", "split")
+            for rows in ("output-rows", "input-rows")
+        }
+
+    def test_compare_bytes_are_pinned(self, tmp_path, capsys):
+        for scope in ("all-layers", "per-layer"):
+            analyze_digests(tmp_path, capsys, scope, "inputs", "output-rows")
+        reports = [str(tmp_path / f"{s}-inputs-output-rows.json")
+                   for s in ("all-layers", "per-layer")]
+        assert main(["compare", *reports]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == COMPARE_SHA256
 
 
 class TestCluster:
@@ -597,6 +704,103 @@ class TestCompare:
         bogus.write_text(json.dumps({"schema_version": 99, "reports": []}))
         assert main(["compare", str(bogus)]) == 1
         assert "schema_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            pytest.param("[1, 2]", "expected a JSON object, got list", id="list"),
+            pytest.param('{"schema_version": 1}', "expected a list of reports",
+                         id="no-reports"),
+            pytest.param('{"schema_version": 1, "reports": {}}',
+                         "expected a list of reports", id="reports-object"),
+            pytest.param('{"schema_version": 1, "reports": [[]]}', "report 0 needs",
+                         id="report-list"),
+            pytest.param('{"schema_version": 1, "reports": [{"label": "a"}]}',
+                         "report 0 needs", id="no-relative-pct"),
+            *(
+                pytest.param(
+                    '{"schema_version": 1, "reports": [{"label": %s, "relative_pct": '
+                    '{"overall_energy": %s}}]}' % (label, energy),
+                    "report 0 needs", id=name,
+                )
+                for name, label, energy in [
+                    ("string-energy", '"a"', '"5"'),
+                    ("bool-energy", '"a"', "true"),
+                    ("nan-energy", '"a"', "NaN"),
+                    ("huge-energy", '"a"', "1" + "0" * 400),
+                    ("list-label", '["a"]', "5"),
+                ]
+            ),
+            pytest.param('{"schema_version": 1, "reports": [', "not a JSON report",
+                         id="truncated"),
+            pytest.param("\udcff", "not a JSON report", id="not-utf8"),
+        ],
+    )
+    def test_malformed_report_is_one_error_line(self, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["compare", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"convwatt: error: {bad}: ")
+        assert reason in err
+        assert err.count("\n") == 1
+
+    def test_integer_energy_is_accepted(self, tmp_path, capsys):
+        report = tmp_path / "int.json"
+        report.write_text(json.dumps({
+            "schema_version": 1,
+            "reports": [{"label": "a", "relative_pct": {"overall_energy": 40}}],
+        }))
+        assert main(["compare", str(report)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "a,60.000,"
+
+
+# Fragments that keep mutated reports close to JSON, so mutants reach the
+# report checks rather than all failing in the decoder.
+JSON_FRAGMENTS = st.sampled_from([
+    b"{", b"}", b"[", b"]", b",", b":", b'"', b"0", b"1", b"-", b".", b"e9",
+    b"1e999", b"NaN", b"-Infinity", b"true", b"null", b'""', b"[]", b"{}",
+    b'"5"', b'"label"', b'"reports"', b'"relative_pct"', b'"overall_energy"',
+    b'"schema_version"',
+])
+
+
+@pytest.fixture(scope="module")
+def report_bytes(tmp_path_factory) -> bytes:
+    root = tmp_path_factory.mktemp("report")
+    cfg, report = root / "toy.cfg", root / "report.json"
+    cfg.write_text(TOY_CFG)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        patch.delenv("CONVWATT_ENERGY_CONFIG", raising=False)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", str(cfg), "--bits", "5", "--json", str(report)]) == 0
+    return report.read_bytes()
+
+
+class TestCompareFuzz:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_report_exits_cleanly(self, data, report_bytes, tmp_path_factory):
+        blob = report_bytes
+        at = data.draw(st.integers(0, len(blob)), label="at")
+        cut = data.draw(st.integers(0, 12), label="cut")
+        insert = b"".join(data.draw(
+            st.lists(st.one_of(JSON_FRAGMENTS, st.binary(max_size=3)), max_size=6),
+            label="insert",
+        ))
+        path = tmp_path_factory.getbasetemp() / "mutant.json"
+        path.write_bytes(blob[:at] + insert + blob[at + cut:])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["compare", str(path)])
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert out.getvalue().startswith("configuration,energy_reduction_pct,quality\n")
+        else:
+            assert rc == 1
+            assert err.getvalue().startswith(f"convwatt: error: {path}: ")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestParser:

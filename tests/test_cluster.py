@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from convwatt import cli, cluster
@@ -340,6 +340,12 @@ def same_float(a: float, b: float) -> bool:
     return float(a).hex() == float(b).hex()
 
 
+# The Lloyd and segment-sum properties below call kmeans_1d or the fsum
+# oracle on up to 1,500 values per example, so shrinking a failure could run
+# for over 5 minutes. They generate the same examples but report the first
+# failing one as found.
+UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
 def lloyd_values(style: str, n: int, seed: int) -> np.ndarray:
     """Test data for 1-D Lloyd; each style aims at one kind of edge case."""
     rng = np.random.default_rng(seed)
@@ -409,7 +415,7 @@ class TestLloydMatchesReference:
         else:
             assert np.array_equal(got[0].view(np.uint32), want[0].view(np.uint32))
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, phases=UNSHRUNK)
     @given(
         style=st.sampled_from(LLOYD_STYLES),
         n=st.one_of(st.integers(1, 70), st.integers(120, 1500)),
@@ -429,6 +435,14 @@ class TestLloydMatchesReference:
     def test_sizes_around_the_block(self, style, n):
         for bits, init in ((1, "linspace"), (3, "kmeans_pp"), (8, "linspace")):
             self.check(lloyd_values(style, n, n), bits, init, n, 25)
+
+    @pytest.mark.parametrize("bits", [1, 2, 5, 8])
+    def test_span_beyond_float_range(self, bits):
+        # linspace's centroids over this span are not ascending (nan, inf,
+        # ..., max); kmeans_1d uses them unsorted, the reference sorts them
+        for extra in ([-1e308, 1e308], [-1.7e308, 1e308, 1.7e308]):
+            values = np.concatenate((extra, lloyd_values("normal", 60, bits)))
+            self.check(values, bits, "linspace", 0, 10)
 
     def test_reseeding_empty_clusters(self, monkeypatch):
         real = cluster._segment_means
@@ -626,7 +640,7 @@ class TestSweepUpdates:
     """_residuals given an earlier state agrees bit for bit with a recompute
     from scratch."""
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, phases=UNSHRUNK)
     @given(
         style=st.sampled_from(LLOYD_STYLES),
         n=st.integers(1, 1500),
@@ -689,7 +703,7 @@ def on_grid(svals) -> bool:
 
 
 class TestSegmentSums:
-    @settings(max_examples=200)
+    @settings(max_examples=200, phases=UNSHRUNK)
     @given(
         style=st.sampled_from(LLOYD_STYLES),
         n=st.integers(1, 1200),
@@ -738,7 +752,7 @@ class TestSegmentSums:
         with pytest.raises(OverflowError):
             cluster._segment_means(sums, np.array([0, 2]))
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, phases=UNSHRUNK)
     @given(
         style=st.sampled_from(LLOYD_STYLES),
         n=st.integers(1, 600),
@@ -757,7 +771,7 @@ class TestSegmentSums:
             else:
                 assert same_float(float(means[i]), math.fsum(svals[lo:hi]) / (hi - lo))
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, phases=UNSHRUNK)
     @given(
         # 53-bit significands shifted apart by up to 10 bits span 52 to 63
         # bits, either side of the grid's 62; e reaches subnormals and the

@@ -227,6 +227,17 @@ class TestCalibration:
         expected = (10 * (1 + 3) + 1 + 2 + 3 + 4 + 5 + 6) * 1e-9
         assert fp_energy_mj(ops, prices) == pytest.approx(expected, rel=1e-12)
 
+    def test_sum_order_is_mac_add_sub_mul_div_exp_sqrt(self, fixture_ops, config):
+        price = config.fp_pj
+        pj = fixture_ops.macs * (price["add"] + price["mul"])
+        pj += fixture_ops.fp_add * price["add"]
+        pj += fixture_ops.fp_sub * price["sub"]
+        pj += fixture_ops.fp_mul * price["mul"]
+        pj += fixture_ops.fp_div * price["div"]
+        pj += fixture_ops.fp_exp * price["exp"]
+        pj += fixture_ops.fp_sqrt * price["sqrt"]
+        assert fp_energy_mj(fixture_ops, price) == pj * 1e-9
+
     def test_missing_ops_priced_as_mul(self):
         ops = OpProfile(fp_exp=100)
         assert fp_energy_mj(ops, {"add": 1.0, "mul": 2.0}) == pytest.approx(200e-9)
@@ -274,8 +285,18 @@ class TestConfigFile:
             parse_energy_config(mutate(DEFAULT_TEXT))
 
     def test_missing_dram_settings(self):
-        with pytest.raises(EnergyConfigError, match="missing"):
-            parse_energy_config("[dram]\nread_row_miss_pj = 2937\n")
+        with pytest.raises(EnergyConfigError) as caught:
+            parse_energy_config("[dram]\nread_row_miss_pj = 2937\nbus_bits = 64\n")
+        assert str(caught.value) == (
+            "missing [dram] settings: ['dram_read_hit_pj', 'dram_write_hit_pj', "
+            "'dram_write_miss_pj', 'row_miss_fraction']"
+        )
+
+    @pytest.mark.parametrize("key", ["bus_bits", "peak_bandwidth_gbps"])
+    def test_dram_settings_with_defaults_may_be_left_out(self, config, key):
+        lines = [line for line in DEFAULT_TEXT.splitlines() if not line.startswith(key)]
+        assert len(lines) < len(DEFAULT_TEXT.splitlines())
+        assert parse_energy_config("\n".join(lines)) == config
 
     def test_fraction_syntax(self):
         text = (
@@ -477,6 +498,16 @@ class TestFrameEnergy:
         )
         split = data["access_split_pct"]
         assert sum(split.values()) == pytest.approx(100.0, abs=1e-9)
+
+    def test_report_carries_the_profile_it_priced(self, baseline, fixture_profile):
+        assert baseline.profile == fixture_profile
+        assert baseline.to_dict()["elements"] == {
+            "weight_reads": fixture_profile.weight_reads,
+            "input_reads": fixture_profile.input_reads,
+            "output_reads": fixture_profile.output_reads,
+            "output_writes": fixture_profile.output_writes,
+            "table_reads": 0,
+        }
 
     def test_access_split_from_report(self, baseline):
         split = baseline.access_split_pct

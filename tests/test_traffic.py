@@ -323,10 +323,16 @@ class TestProfiles:
         assert elements(a + b) == 110
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            AccessProfile(weight_reads=-1)
-        with pytest.raises(ValueError):
-            OpProfile(macs=-1)
+        for record in (AccessProfile, OpProfile):
+            for f in dataclasses.fields(record):
+                with pytest.raises(ValueError, match=f"^{f.name} must be >= 0$"):
+                    record(**{f.name: -1})
+
+    def test_records_of_different_kinds_do_not_add(self):
+        with pytest.raises(TypeError):
+            AccessProfile(weight_reads=1) + OpProfile(macs=1)
+        with pytest.raises(TypeError):
+            OpProfile(macs=1) + AccessProfile(weight_reads=1)
 
     def test_op_profile_addition(self):
         a = OpProfile(macs=5, fp_add=1, fp_exp=2)
