@@ -154,6 +154,19 @@ def cmd_analyze(args) -> int:
     n_convs = sum(1 for layer in net.layers if layer.kind == CONVOLUTIONAL)
     n_weights = _kernel_params(net)
     scope = _opt_value(args.scope)
+    # before any output, so that a failure prints only its error line
+    if args.json or args.csv:
+        manifest = _manifest(
+            "analyze",
+            [args.config] + ([args.energy_config] if args.energy_config else []),
+            {
+                "bits": list(args.bits or ()),
+                "scope": scope,
+                "row_convention": _opt_value(args.row_convention),
+                "read_bucket": args.read_bucket,
+                "generalized": args.generalized,
+            },
+        )
 
     baseline = frame_energy(total, ops, config)
     reports = [baseline]
@@ -228,17 +241,6 @@ def cmd_analyze(args) -> int:
                 f"SRAM table {note['sram_table_bytes']} B"
             )
 
-    manifest = _manifest(
-        "analyze",
-        [args.config] + ([args.energy_config] if args.energy_config else []),
-        {
-            "bits": list(args.bits or ()),
-            "scope": scope,
-            "row_convention": _opt_value(args.row_convention),
-            "read_bucket": args.read_bucket,
-            "generalized": args.generalized,
-        },
-    )
     if args.json:
         _write_json(
             args.json,

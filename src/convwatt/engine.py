@@ -14,13 +14,17 @@ once per k; steps with few outputs sum a chunk of k at a time with one
 np.add.reduce over an axis that is never the innermost one, which numpy
 adds slice by slice in index order (_accumulate says why that is exact).
 
+The GEMMs take 2-D arrays: an (M, K) A or index matrix, a (K, N) B and an
+(M, N) C that is updated in place. Any of them may be a view whose rows lie
+apart, such as one band's view of a convolution's output.
+
 Memory is bounded by the live set, not by the depth of the network.
 run_network yields one layer's output at a time and forgets each output
 after its last reader (the next layer, a route or a shortcut). A
 convolution unfolds its input through im2col in bands of whole output rows,
-each at most _BAND fp32 elements, and runs its GEMM once per band. Each
-output column's k-ordered sum depends on no other column, so banding leaves
-every output bit unchanged.
+each at most _BAND fp32 elements, and runs its GEMM once per band on that
+band's columns of the output. Each output column's k-ordered sum depends on
+no other column, so banding leaves every output bit unchanged.
 """
 
 from __future__ import annotations
@@ -44,36 +48,18 @@ from .netdef import (
 LEAKY_SLOPE = np.float32(0.1)
 
 
-def _as_f32(name: str, arr, inout: bool = False) -> np.ndarray:
-    out = np.asarray(arr)
-    if out.dtype != np.float32:
-        raise TypeError(f"{name} must be float32, got {out.dtype}")
-    flat = out.reshape(-1)
-    if inout and not np.shares_memory(flat, out):
-        raise ValueError(f"{name} must be a contiguous buffer (updated in place)")
-    return flat
+def _fp32(name: str, arr, shape: tuple[int, ...]):
+    """Raise TypeError unless arr is an fp32 array, ValueError unless it has
+    the given shape."""
+    dtype = getattr(arr, "dtype", None)
+    if dtype != np.float32:
+        raise TypeError(f"{name} must be float32, got {dtype}")
+    _shaped(name, arr, shape)
 
 
-def _check_extent(name: str, size: int, rows: int, ld: int, cols: int):
-    if ld < cols:
-        raise ValueError(f"{name}: leading dimension {ld} < row width {cols}")
-    needed = (rows - 1) * ld + cols if rows else 0
-    if size < needed:
-        raise ValueError(f"{name}: {size} elements, need at least {needed}")
-
-
-def _rows(flat: np.ndarray, rows: int, cols: int, ld: int) -> np.ndarray:
-    """(rows, cols) view of a flat buffer whose rows start ld elements apart.
-
-    Callers check the extent first, so the view never reaches past flat. It
-    is writeable when flat is.
-    """
-    step = flat.strides[0]
-    shape, strides = (rows, cols), (ld * step, step)
-    if flat.flags.c_contiguous:
-        # a fifth of the cost of as_strided, which the GEMMs pay per call
-        return np.ndarray(shape, flat.dtype, buffer=flat, strides=strides)
-    return np.lib.stride_tricks.as_strided(flat, shape=shape, strides=strides)
+def _shaped(name: str, arr, shape: tuple[int, ...]):
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, (M, N, K) ask for {shape}")
 
 
 # Steps with fewer outputs (M*N) than this are summed a chunk at a time in
@@ -88,10 +74,11 @@ _BLOCK = 64
 _BAND = 1 << 20
 
 
-def _accumulate(M, N, K, block, b, ldb, c, ldc):
-    """The GEMM core: C[:M, :N] += A[:, k, None] * B[k, :N] for k in order.
+def _accumulate(M, N, K, block, b, c):
+    """The GEMM core: c += A[:, k, None] * b[k] for k in order.
 
-    block(k0, k1) returns A[:, k0:k1], already scaled by alpha, as an
+    b is a (K, N) and c an (M, N) fp32 array, c updated in place; either may
+    be a view whose rows lie apart. block(k0, k1) returns A[:, k0:k1] as an
     (M, k1 - k0) fp32 array; the variants differ only in how they produce
     it, and each reads every element of A once per call, when it is asked
     for. Every product is rounded to fp32 on its own, and each C element adds
@@ -99,10 +86,10 @@ def _accumulate(M, N, K, block, b, ldb, c, ldc):
     of fp32 roundings as a scalar (i, k, j) loop.
 
     Wide steps (M*N >= _NARROW) multiply and add in place, one k at a time,
-    taking A from block in _BLOCK columns. When C's rows lie apart (ldc > N,
-    as for one band of a convolution) they add into a contiguous copy of C
-    that is written back at the end: numpy adds a strided 2-D view row by
-    row, which made each k half again as slow at full-size YOLOv3 shapes.
+    taking A from block in _BLOCK columns. When c's rows lie apart (as for a
+    band's view of a convolution's output) they add into a contiguous copy
+    of c that is written back at the end: numpy adds a strided 2-D view row
+    by row, which made each k half again as slow at full-size YOLOv3 shapes.
 
     Narrow steps go a chunk of w columns at a time, w as large as _SCRATCH
     allows: one multiply puts the chunk's products in slots 1..w of an
@@ -116,132 +103,105 @@ def _accumulate(M, N, K, block, b, ldb, c, ldc):
     N = 1. The reduction starts from -0.0, which adding leaves every value
     unchanged; numpy's default start, +0.0, would turn a -0.0 in C into +0.0.
     """
+    _fp32("B", b, (K, N))
+    _fp32("C", c, (M, N))
     if not (M and N and K):
         return
-    out = _rows(c, M, N, ldc)
-    rows = _rows(b, K, N, ldb)
     if M * N >= _NARROW:
-        total = np.ascontiguousarray(out)
+        total = np.ascontiguousarray(c)
         prod = np.empty((M, N), dtype=np.float32)
         for k0 in range(0, K, _BLOCK):
             k1 = min(k0 + _BLOCK, K)
-            for column, row in zip(block(k0, k1).T[:, :, None], rows[k0:k1]):
+            for column, row in zip(block(k0, k1).T[:, :, None], b[k0:k1]):
                 np.multiply(column, row, out=prod)
                 total += prod
-        if total is not out:
-            out[...] = total
+        if total is not c:
+            c[...] = total
         return
     padded = max(N, 2)
     width = max(1, min(K, _SCRATCH // (M * padded) - 1))
     shape = (M, width + 1, padded)
     if padded == N:
-        steps, total = np.empty(shape, dtype=np.float32), out
+        steps, total = np.empty(shape, dtype=np.float32), c
     else:  # the padding column is never written and must read zero
         steps = np.zeros(shape, dtype=np.float32)
         total = np.empty((M, padded), dtype=np.float32)
     for k0 in range(0, K, width):
         k1 = min(k0 + width, K)
         chunk = steps[:, : k1 - k0 + 1]
-        chunk[:, 0, :N] = out
-        np.multiply(block(k0, k1)[:, :, None], rows[k0:k1], out=chunk[:, 1:, :N])
+        chunk[:, 0, :N] = c
+        np.multiply(block(k0, k1)[:, :, None], b[k0:k1], out=chunk[:, 1:, :N])
         np.add.reduce(chunk, axis=1, out=total, initial=-0.0)
-        if total is not out:
-            out[...] = total[:, :N]
+        if total is not c:
+            c[...] = total[:, :N]
 
 
-def gemm_nn(M, N, K, alpha, A, lda, B, ldb, C, ldc):
-    """C[i,j] += alpha * A[i,k] * B[k,j], accumulated over k in order.
+def gemm_nn(M, N, K, A, B, C):
+    """C[i,j] += A[i,k] * B[k,j], accumulated over k in order.
 
-    Flat row-major fp32 buffers with explicit leading dimensions; C is
-    updated in place and returned. Each element gets one fp32 rounding per
-    multiply and per add, in increasing k, as in a scalar loop; _accumulate
-    says how whole chunks of k are summed at once without changing that.
+    A is an (M, K), B a (K, N) and C an (M, N) fp32 array; any of them may
+    be a view whose rows lie apart. C is updated in place and returned. Each
+    element gets one fp32 rounding per multiply and per add, in increasing
+    k, as in a scalar loop; _accumulate says how whole chunks of k are summed
+    at once without changing that.
     """
-    a = _as_f32("A", A)
-    b = _as_f32("B", B)
-    c = _as_f32("C", C, inout=True)
-    _check_extent("A", a.size, M, lda, K)
-    _check_extent("B", b.size, K, ldb, N)
-    _check_extent("C", c.size, M, ldc, N)
-    alpha, rows = np.float32(alpha), _rows(a, M, K, lda)
-    _accumulate(M, N, K, lambda k0, k1: alpha * rows[:, k0:k1], b, ldb, c, ldc)
+    _fp32("A", A, (M, K))
+    _accumulate(M, N, K, lambda k0, k1: A[:, k0:k1], B, C)
     return C
 
 
-def gemm_nn_centroids(M, N, K, alpha, centroids, indexes, lda, B, ldb, C, ldc):
-    """gemm_nn with A[i,k] looked up as centroids[indexes[i*lda + k]].
+def gemm_nn_centroids(M, N, K, centroids, indexes, B, C):
+    """gemm_nn with A[i,k] looked up as centroids[indexes[i, k]].
 
-    A's columns are gathered from the table one block at a time, when the
-    core asks for them. An index past the table's end is caught by that
-    gather, so C may be partly updated when the ValueError is raised.
+    indexes is an (M, K) integer array. A's columns are gathered from the
+    table one block at a time, when the core asks for them. An index past
+    the table's end is caught by that gather, so C may be partly updated
+    when the ValueError is raised.
     """
-    table = _as_f32("centroids", centroids)
-    idx = np.asarray(indexes).reshape(-1)
-    b = _as_f32("B", B)
-    c = _as_f32("C", C, inout=True)
-    _check_extent("indexes", idx.size, M, lda, K)
-    _check_extent("B", b.size, K, ldb, N)
-    _check_extent("C", c.size, M, ldc, N)
-    idx2d = _rows(idx, M, K, lda)
+    _fp32("centroids", centroids, (np.size(centroids),))
+    idx = np.asarray(indexes)
+    _shaped("indexes", idx, (M, K))
     # numpy would wrap a negative index; unsigned ones, as unpack_indices
     # returns, cannot be negative and need no scan
-    if idx.dtype.kind != "u" and idx2d.size and int(idx2d.min()) < 0:
+    if idx.dtype.kind != "u" and idx.size and int(idx.min()) < 0:
         raise ValueError(
-            f"index {int(idx2d.min())} out of range for {table.size}-entry table"
+            f"index {int(idx.min())} out of range for {centroids.size}-entry table"
         )
-    # alpha * table[i] is the same fp32 product whichever weight uses it
-    scaled = np.float32(alpha) * table
-    _accumulate(
-        M, N, K, lambda k0, k1: _gather(scaled, idx2d[:, k0:k1]), b, ldb, c, ldc
-    )
+    _accumulate(M, N, K, lambda k0, k1: _gather(centroids, idx[:, k0:k1]), B, C)
     return C
 
 
-def _gather(scaled: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """scaled[index], raising ValueError for an index past the table's end."""
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index], raising ValueError for an index past the table's end."""
     try:
-        return scaled[index]
+        return table[index]
     except IndexError:
         raise ValueError(
-            f"index {int(index.max())} out of range for {scaled.size}-entry table"
+            f"index {int(index.max())} out of range for {table.size}-entry table"
         ) from None
 
 
-def _packed_columns(scaled, packed, M, lda, base):
-    """block(k0, k1) -> scaled[A_index[:, k0:k1]], decoding only the M x
-    (k1 - k0) indexes of those columns.
+def gemm_nn_packed(M, N, K, centroids, packed, B, C, base=0):
+    """gemm_nn_centroids with indexes decoded from packed words on the fly.
 
-    Index j sits in word j // per_word at bit (j % per_word) * bits.
+    Row i of the index matrix starts at index base + i*K of the packed
+    stream, so one global stream can serve many layers; index j sits in word
+    j // per_word at bit (j % per_word) * bits. Each block of columns decodes
+    only its own M x (k1 - k0) indexes, so the stream is never materialized.
     """
+    _fp32("centroids", centroids, (np.size(centroids),))
+    if base < 0 or (M and base + M * K > packed.count):
+        raise ValueError("packed stream too short for requested extent")
     per_word = 32 // packed.bits
     mask = np.uint32((1 << packed.bits) - 1)
-    starts = base + np.arange(M, dtype=np.int64)[:, None] * lda
+    starts = base + np.arange(M, dtype=np.int64)[:, None] * K
 
     def block(k0, k1):
         word, lane = np.divmod(starts + np.arange(k0, k1), per_word)
         shift = (lane * packed.bits).astype(np.uint32)
-        return _gather(scaled, (packed.words[word] >> shift) & mask)
+        return _gather(centroids, (packed.words[word] >> shift) & mask)
 
-    return block
-
-
-def gemm_nn_packed(M, N, K, alpha, centroids, packed, lda, B, ldb, C, ldc, base=0):
-    """gemm_nn_centroids with indexes decoded from packed words on the fly.
-
-    base offsets into the packed stream, so one global stream can serve many
-    layers. Each block of columns decodes only its own indexes, so the
-    stream is never materialized.
-    """
-    table = _as_f32("centroids", centroids)
-    b = _as_f32("B", B)
-    c = _as_f32("C", C, inout=True)
-    _check_extent("B", b.size, K, ldb, N)
-    _check_extent("C", c.size, M, ldc, N)
-    if base < 0 or (M and base + (M - 1) * lda + K > packed.count):
-        raise ValueError("packed stream too short for requested extent")
-    scaled = np.float32(alpha) * table
-    block = _packed_columns(scaled, packed, M, lda, base)
-    _accumulate(M, N, K, block, b, ldb, c, ldc)
+    _accumulate(M, N, K, block, B, C)
     return C
 
 
@@ -311,28 +271,28 @@ def _conv_common(layer: LayerSpec, x: np.ndarray) -> tuple[int, int]:
 def _convolve(layer: LayerSpec, x: np.ndarray, biases, gemm) -> np.ndarray:
     """Unfold x in bands of whole output rows and convolve band by band.
 
-    gemm(n, b, c, ldc) runs the variant's GEMM on one band: b is the band's
-    (c*k*k, n) im2col matrix, flat with ldb = n, and c starts at the band's
-    first output, whose rows lie ldc = out_h*out_w apart. Each band holds at
-    most _BAND fp32 elements, or one output row if that is larger. The input
-    is padded once for all bands. A 1x1/s1/p0 conv is one band, a view of x.
+    gemm(b, c) runs the variant's GEMM on one band: b is the band's
+    (c*k*k, n) im2col matrix and c the band's (filters, n) view of the
+    output, whose rows lie out_h*out_w apart. Each band holds at most _BAND
+    fp32 elements, or one output row if that is larger. The input is padded
+    once for all bands. A 1x1/s1/p0 conv is one band, a view of x.
     """
     spec, shape = layer.conv, layer.out_shape
     kernel, stride, pad = spec.kernel, spec.stride, spec.pad
-    n = shape.h * shape.w
-    out = np.zeros(spec.filters * n, dtype=np.float32)
+    w = shape.w
+    out = np.zeros((spec.filters, shape.h * w), dtype=np.float32)
     if kernel == 1 and stride == 1 and pad == 0:
         rows = shape.h
     else:
-        rows = max(1, _BAND // (layer.in_shape.c * kernel * kernel * shape.w))
+        rows = max(1, _BAND // (layer.in_shape.c * kernel * kernel * w))
     src = _padded(x, pad)
     for r0 in range(0, shape.h, rows):
         r1 = min(r0 + rows, shape.h)
         rows_in = src[:, r0 * stride : (r1 - 1) * stride + kernel]
-        band = im2col(rows_in, kernel, stride, 0).reshape(-1)
-        gemm((r1 - r0) * shape.w, band, out[r0 * shape.w :], n)
+        band = im2col(rows_in, kernel, stride, 0)
+        gemm(band, out[:, r0 * w : r1 * w])
         del band  # freed before the next band is unfolded
-    out = out.reshape(spec.filters, shape.h, shape.w)
+    out = out.reshape(spec.filters, shape.h, w)
     out += biases.reshape(-1, 1, 1)
     if spec.activation == "leaky":
         leaky(out)
@@ -348,9 +308,10 @@ def conv_forward(layer: LayerSpec, x: np.ndarray, params: ConvParams) -> np.ndar
         raise ValueError(
             f"kernel holds {params.kernel.size} weights, layer needs {m * kdim}"
         )
+    kernel = params.kernel.reshape(m, kdim)
 
-    def gemm(n, b, c, ldc):
-        gemm_nn(m, n, kdim, 1.0, params.kernel, kdim, b, n, c, ldc)
+    def gemm(b, c):
+        gemm_nn(m, b.shape[1], kdim, kernel, b, c)
 
     return _convolve(layer, x, params.biases, gemm)
 
@@ -381,18 +342,16 @@ def conv_forward_clustered(
         )
     if on_the_fly:
 
-        def gemm(n, b, c, ldc):
-            gemm_nn_packed(
-                m, n, kdim, 1.0, centroids, packed, kdim, b, n, c, ldc, base=base
-            )
+        def gemm(b, c):
+            gemm_nn_packed(m, b.shape[1], kdim, centroids, packed, b, c, base=base)
 
     else:
         if indexes is None:
             indexes = unpack_indices(packed)
-        idx = indexes[base : base + m * kdim]
+        idx = indexes[base : base + m * kdim].reshape(m, kdim)
 
-        def gemm(n, b, c, ldc):
-            gemm_nn_centroids(m, n, kdim, 1.0, centroids, idx, kdim, b, n, c, ldc)
+        def gemm(b, c):
+            gemm_nn_centroids(m, b.shape[1], kdim, centroids, idx, b, c)
 
     return _convolve(layer, x, biases, gemm)
 

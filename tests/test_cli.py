@@ -187,9 +187,20 @@ class TestAnalyze:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
         rc = main(["analyze", str(cfg_path), "--json", str(tmp_path / "r.json")])
         assert rc == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith(f"convwatt: error: SOURCE_DATE_EPOCH={epoch!r} ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("epoch", ["100000000000000000000", "soon"])
+    def test_source_date_epoch_is_read_only_for_an_output_file(
+        self, cfg_path, capsys, monkeypatch, epoch
+    ):
+        assert main(["analyze", str(cfg_path), "--bits", "5"]) == 0
+        usual = capsys.readouterr().out
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(["analyze", str(cfg_path), "--bits", "5"]) == 0
+        assert capsys.readouterr() == (usual, "")
 
 
 # sha256 of analyze's stdout, JSON and CSV on the shipped yolov3.cfg with
@@ -281,6 +292,106 @@ class TestOutputBytes:
                    for s in ("all-layers", "per-layer")]
         assert main(["compare", *reports]) == 0
         assert sha256(capsys.readouterr().out.encode()) == COMPARE_SHA256
+
+
+# One strided 3x3 conv: a 13x13 input unfolds to 27 rows of 7 * 27 = 189
+# elements per output row, so a _BAND of two rows runs the 7x7 output as
+# bands of 2, 2, 2 and 1 rows, each one a view of the output whose rows lie
+# apart.
+BANDED_CFG = """
+[net]
+width=13
+height=13
+channels=3
+
+[convolutional]
+batch_normalize=1
+filters=6
+size=3
+stride=2
+pad=1
+activation=leaky
+"""
+
+# sha256 of every layer output of verify's four run_network passes, with
+# 5-bit models clustered from weights_blob(net, seed=11) and an input drawn
+# from default_rng(99): "plain" for the folded weights, and the scope for
+# the dequantized, indirect and on-the-fly passes, which must all give it.
+RUN_NETWORK_SHA256 = {
+    ("toy", "plain"): (
+        "c6476f89d343ac5aea0ada6efa49f72f85fdff23dd08f6b97dc7dfcb5441ea0a",
+        "9517cbf400e7dba13a154283223eb531d5b70f5fbb8f270dee934cf16c221cae",
+        "f07b3178ca364fd9702df79fc37337421a86f99e75df2dbe5126c91c260326ff",
+        "822c932bc0bee701e5b92ccb20f787f134388181b99a1bc3e492a9f01a943983",
+        "e8ddaa393b7f17d0997730dd48a291096f5bbf4b933a167d987b96795e4fb71e",
+        "f841d4a2fb7fadafe32d1ee6e95dcd3de396b1b09e7eb8ef70a271317535cd26",
+        "f841d4a2fb7fadafe32d1ee6e95dcd3de396b1b09e7eb8ef70a271317535cd26",
+    ),
+    ("toy", "all_layers"): (
+        "fe4b314ff9a22b2e76471381f096d4b50b150415f91d7e636cf943a32711c2f0",
+        "caafa03e6bacfb720785621117400da45735ce8d14b8f37ab38b2c91f6e5807d",
+        "f97796524d5bfa468abce3b70a8a327c2f4270c6eb98bd65ed47a7f2d791dc86",
+        "10b144dd6dddd7856685ac19a698b7db2f9d348be2fe06cdd802f740c90ee67d",
+        "6d65fe3ecf416ddae3e298fab0e74fcb63ba67072a55d525c6bdfcd7110e2e5c",
+        "317f5face30730227796fae1bdbd016de854dcc06f4b1ae9a3960892d4a63a3a",
+        "317f5face30730227796fae1bdbd016de854dcc06f4b1ae9a3960892d4a63a3a",
+    ),
+    ("toy", "per_layer"): (
+        "6522e4ae318c9c60fc8d34bd8c69e33a4b49988676a944b839f49cb724fb2bbe",
+        "c1c2bcc60bce6a9e0cb6becfe818610a4b515d70a9ab1ffe50b104ae876bcc0a",
+        "ebdd127d9198d562f3db78232f9bebe2a31661270cfbaa40ed81b3a3cc14e436",
+        "72797b7320f23122fc5984df79bd549df93e425dffd286f0afb989bc7ed24c82",
+        "b7b6a5eac32404f0e388617fd7f61ea6c230487e11c40d2e9c0611a740b04b28",
+        "d0523b63004467647a2800592b3e27a64a751fc65f7bee923c8436ed2b788cd2",
+        "d0523b63004467647a2800592b3e27a64a751fc65f7bee923c8436ed2b788cd2",
+    ),
+    ("banded", "plain"): (
+        "fba3b38e41bf787b75d72b98ec0a50d70aded431e4fd557618ef04d97a107f0f",
+    ),
+    ("banded", "all_layers"): (
+        "59d0f544f73b91b961659cc417b7c9ef248e09250ce8e0f87745db82a4da9731",
+    ),
+    ("banded", "per_layer"): (
+        "59d0f544f73b91b961659cc417b7c9ef248e09250ce8e0f87745db82a4da9731",
+    ),
+}
+
+
+def run_network_digests(text: str, scope: str) -> dict[str, list[str]]:
+    net = parse_config(text)
+    folded = fold_batch_norm(read_darknet_weights(weights_blob(net, seed=11), net))
+    model = cluster.cluster_model(folded, cluster.ClusterConfig(scope=scope, bits=5))
+    dequantized, _ = cli._dequantized_weights(model, folded)
+    x = np.random.default_rng(99).standard_normal(
+        (net.input.c, net.input.h, net.input.w)
+    ).astype(np.float32)
+    passes = {
+        "plain": engine.run_network(net, folded, x),
+        "dequantized": engine.run_network(net, dequantized, x),
+        "indirect": engine.run_network(net, folded, x, clustered=model),
+        "on_the_fly": engine.run_network(net, folded, x, clustered=model, on_the_fly=True),
+    }
+    return {
+        name: [sha256(out.tobytes()) for out in outputs]
+        for name, outputs in passes.items()
+    }
+
+
+class TestRunNetworkBytes:
+    """The engine's output bytes end to end, on both paths of its core."""
+
+    @pytest.mark.parametrize("path", ["narrow", "wide"])
+    @pytest.mark.parametrize("name", ["toy", "banded"])
+    def test_layer_output_bytes_are_pinned(self, monkeypatch, name, path):
+        monkeypatch.setattr(engine, "_BAND", 2 * 189)
+        if path == "wide":
+            monkeypatch.setattr(engine, "_NARROW", 0)
+        text = {"toy": TOY_CFG, "banded": BANDED_CFG}[name]
+        for scope in ("all_layers", "per_layer"):
+            digests = run_network_digests(text, scope)
+            assert tuple(digests.pop("plain")) == RUN_NETWORK_SHA256[name, "plain"]
+            for clustered in digests.values():
+                assert tuple(clustered) == RUN_NETWORK_SHA256[name, scope]
 
 
 class TestCluster:

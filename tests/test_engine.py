@@ -1,6 +1,7 @@
 """Bit-exact inference engine: GEMM variants, im2col and network execution."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -48,6 +49,23 @@ def same_bits(got, want) -> bool:
     )
 
 
+def strided(flat, rows, cols, ld):
+    """(rows, cols) view of the flat array flat whose rows start ld elements
+    apart; writing through it writes flat."""
+    step = flat.itemsize
+    return np.lib.stride_tricks.as_strided(flat, (rows, cols), (ld * step, step))
+
+
+def views(m, n, k, a, lda, b, ldb, c, ldc):
+    """The engine's operands for gemm_nn_reference's flat buffers: 2-D views
+    of a, b and c whose rows lie lda, ldb and ldc apart."""
+    return strided(a, m, k, lda), strided(b, k, n, ldb), strided(c, m, n, ldc)
+
+
+def reference(m, n, k, a, lda, b, ldb, c, ldc):
+    return gemm_nn_reference(m, n, k, 1.0, a, lda, b, ldb, c, ldc)
+
+
 def random_gemm_instance(rng, with_padding=False, max_dim=6, min_pad=0):
     m, n, k = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
     if with_padding:
@@ -59,8 +77,7 @@ def random_gemm_instance(rng, with_padding=False, max_dim=6, min_pad=0):
     a = rng.normal(size=(m - 1) * lda + k).astype(np.float32)
     b = rng.normal(size=(k - 1) * ldb + n).astype(np.float32)
     c = rng.normal(size=(m - 1) * ldc + n).astype(np.float32)
-    alpha = float(rng.choice([1.0, 0.5, -0.25]))
-    return m, n, k, alpha, a, lda, b, ldb, c, ldc
+    return m, n, k, a, lda, b, ldb, c, ldc
 
 
 def gemm_cases(rng, count, with_padding=False):
@@ -72,39 +89,43 @@ def gemm_cases(rng, count, with_padding=False):
         yield random_gemm_instance(rng, True, max_dim=40, min_pad=1)
 
 
+VARIANTS = ("gemm_nn", "centroids", "packed")
+# M, N, K = 2, 3, 4: A (2, 4), B (4, 3) and C (2, 3); each case gives one
+# operand another shape, a flat one among them.
+# The packed stream has no shape, and the centroids variant's A is indexes.
+BAD_SHAPES = [
+    (variant, name, shape)
+    for variant in VARIANTS
+    for name, shape in [("A", (2, 5)), ("A", (8,)), ("B", (3, 4)), ("B", (12,)),
+                        ("C", (2, 4)), ("C", (6,)), ("C", (3, 3))]
+    if (variant, name) != ("packed", "A")
+]
+
+
 class TestGemm:
     def test_two_by_two_by_hand(self):
-        a = f32([1, 2, 3, 4])
-        b = f32([5, 6, 7, 8])
-        c = np.zeros(4, dtype=np.float32)
-        gemm_nn(2, 2, 2, 1.0, a, 2, b, 2, c, 2)
-        assert c.tolist() == [19.0, 22.0, 43.0, 50.0]
+        c = np.zeros((2, 2), dtype=np.float32)
+        gemm_nn(2, 2, 2, f32([[1, 2], [3, 4]]), f32([[5, 6], [7, 8]]), c)
+        assert c.tolist() == [[19.0, 22.0], [43.0, 50.0]]
 
     def test_updates_in_place_and_returns_c(self):
-        c = np.zeros(1, dtype=np.float32)
-        out = gemm_nn(1, 1, 1, 1.0, f32([2.0]), 1, f32([3.0]), 1, c, 1)
+        c = np.zeros((1, 1), dtype=np.float32)
+        out = gemm_nn(1, 1, 1, f32([[2.0]]), f32([[3.0]]), c)
         assert out is c
-        assert c[0] == 6.0
+        assert c[0, 0] == 6.0
 
     def test_accumulates_into_existing_c(self):
-        c = f32([100.0])
-        gemm_nn(1, 1, 1, 1.0, f32([2.0]), 1, f32([3.0]), 1, c, 1)
-        assert c[0] == 106.0
-
-    def test_alpha_zero_leaves_c(self):
-        c = f32([5.0, -1.0])
-        gemm_nn(1, 2, 3, 0.0, f32([1, 2, 3]), 3, np.ones(6, dtype=np.float32), 2, c, 2)
-        assert c.tolist() == [5.0, -1.0]
+        c = f32([[100.0]])
+        gemm_nn(1, 1, 1, f32([[2.0]]), f32([[3.0]]), c)
+        assert c[0, 0] == 106.0
 
     @pytest.mark.parametrize("with_padding", [False, True])
     def test_matches_scalar_reference_bitwise(self, with_padding):
         rng = np.random.default_rng(42 + with_padding)
-        for m, n, k, alpha, a, lda, b, ldb, c, ldc in gemm_cases(
-            rng, 60, with_padding
-        ):
-            expected = gemm_nn_reference(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+        for m, n, k, a, lda, b, ldb, c, ldc in gemm_cases(rng, 60, with_padding):
+            expected = reference(m, n, k, a, lda, b, ldb, c, ldc)
             got = c.copy()
-            gemm_nn(m, n, k, alpha, a, lda, b, ldb, got, ldc)
+            gemm_nn(m, n, k, *views(m, n, k, a, lda, b, ldb, got, ldc))
             assert same_bits(got, expected)
 
     @pytest.mark.parametrize("m, n, k", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (0, 0, 0)])
@@ -114,72 +135,94 @@ class TestGemm:
         a = rng.normal(size=m * lda).astype(np.float32)
         b = rng.normal(size=k * ldb).astype(np.float32)
         c = rng.normal(size=max(m, 1) * ldc).astype(np.float32)
-        idx = np.zeros(a.size, dtype=np.int64)
+        idx = strided(np.zeros(a.size, dtype=np.int64), m, k, lda)
         table = f32([2.0])
         outs = [c.copy() for _ in range(3)]
-        gemm_nn(m, n, k, 1.0, a, lda, b, ldb, outs[0], ldc)
-        gemm_nn_centroids(m, n, k, 1.0, table, idx, lda, b, ldb, outs[1], ldc)
+        a2, b2, _ = views(m, n, k, a, lda, b, ldb, c, ldc)
+        gemm_nn(m, n, k, a2, b2, strided(outs[0], m, n, ldc))
+        gemm_nn_centroids(m, n, k, table, idx, b2, strided(outs[1], m, n, ldc))
         gemm_nn_packed(
-            m, n, k, 1.0, table, pack_indices(idx, 5), lda, b, ldb, outs[2], ldc
+            m, n, k, table, pack_indices(idx.reshape(-1), 5), b2,
+            strided(outs[2], m, n, ldc),
         )
         for got in outs:
             assert same_bits(got, c)
 
     def test_rejects_float64(self):
-        c = np.zeros(1, dtype=np.float32)
-        with pytest.raises(TypeError, match="float32"):
-            gemm_nn(1, 1, 1, 1.0, np.ones(1), 1, f32([1.0]), 1, c, 1)
-        with pytest.raises(TypeError, match="float32"):
-            gemm_nn(1, 1, 1, 1.0, f32([1.0]), 1, f32([1.0]), 1, np.zeros(1), 1)
+        c = np.zeros((1, 1), dtype=np.float32)
+        with pytest.raises(TypeError, match="A must be float32"):
+            gemm_nn(1, 1, 1, np.ones((1, 1)), f32([[1.0]]), c)
+        with pytest.raises(TypeError, match="B must be float32"):
+            gemm_nn(1, 1, 1, f32([[1.0]]), [[1.0]], c)
+        with pytest.raises(TypeError, match="C must be float32"):
+            gemm_nn(1, 1, 1, f32([[1.0]]), f32([[1.0]]), np.zeros((1, 1)))
+        with pytest.raises(TypeError, match="centroids must be float32"):
+            gemm_nn_centroids(1, 1, 1, np.ones(2), [[0]], f32([[1.0]]), c)
+        with pytest.raises(TypeError, match="centroids must be float32"):
+            gemm_nn_packed(1, 1, 1, np.ones(2), pack_indices([0], 5), f32([[1.0]]), c)
 
-    def test_rejects_output_that_cannot_be_updated_in_place(self):
-        c = np.zeros((4, 4), dtype=np.float32)[:2, :3]
-        with pytest.raises(ValueError, match="contiguous"):
-            gemm_nn(2, 3, 1, 1.0, f32([1.0, 1.0]), 1, f32([1.0, 2.0, 3.0]), 3, c, 3)
+    @pytest.mark.parametrize("variant, name, shape", BAD_SHAPES)
+    def test_rejects_a_shape_that_disagrees_with_mnk(self, variant, name, shape):
+        right = {"A": (2, 4), "B": (4, 3), "C": (2, 3)}
+        operands = {**right, name: shape}
+        a, b, c = (np.ones(operands[key], dtype=np.float32) for key in "ABC")
+        table = f32([1.0, 2.0])
+        label = "indexes" if (variant, name) == ("centroids", "A") else name
+        message = f"{label} has shape {shape}, (M, N, K) ask for {right[name]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if variant == "gemm_nn":
+                gemm_nn(2, 3, 4, a, b, c)
+            elif variant == "centroids":
+                gemm_nn_centroids(2, 3, 4, table, a.astype(np.int64), b, c)
+            else:
+                gemm_nn_packed(2, 3, 4, table, pack_indices([1] * 8, 5), b, c)
+        assert c.min() == c.max() == 1.0
 
-    def test_rejects_short_buffers(self):
-        c = np.zeros(4, dtype=np.float32)
-        with pytest.raises(ValueError, match="A: .*elements"):
-            gemm_nn(2, 2, 2, 1.0, f32([1, 2, 3]), 2, np.ones(4, dtype=np.float32), 2, c, 2)
-        with pytest.raises(ValueError, match="leading dimension"):
-            gemm_nn(1, 2, 2, 1.0, f32([1, 2]), 1, np.ones(4, dtype=np.float32), 2, c, 2)
+    def test_rejects_a_table_that_is_not_one_dimensional(self):
+        c = np.zeros((1, 1), dtype=np.float32)
+        table = f32([[1.0], [2.0]])
+        with pytest.raises(ValueError, match="centroids has shape"):
+            gemm_nn_centroids(1, 1, 1, table, [[1]], f32([[1.0]]), c)
+        with pytest.raises(ValueError, match="centroids has shape"):
+            gemm_nn_packed(1, 1, 1, table, pack_indices([1], 5), f32([[1.0]]), c)
 
 
 class TestGemmCentroids:
     def test_matches_dequantized_gemm_bitwise(self):
         rng = np.random.default_rng(9)
-        for m, n, k, alpha, _, lda, b, ldb, c, ldc in gemm_cases(rng, 60, True):
+        for m, n, k, _, lda, b, ldb, c, ldc in gemm_cases(rng, 60, True):
             table = rng.normal(size=int(rng.integers(2, 33))).astype(np.float32)
             idx = rng.integers(0, table.size, size=(m - 1) * lda + k)
-            dense = table[idx]
-            want = gemm_nn_reference(m, n, k, alpha, dense, lda, b, ldb, c, ldc)
+            want = reference(m, n, k, table[idx], lda, b, ldb, c, ldc)
             got = c.copy()
-            gemm_nn_centroids(m, n, k, alpha, table, idx, lda, b, ldb, got, ldc)
+            gemm_nn_centroids(
+                m, n, k, table, strided(idx, m, k, lda), strided(b, k, n, ldb),
+                strided(got, m, n, ldc),
+            )
             assert same_bits(got, want)
 
     # -1 would read the table's last entry if numpy were left to wrap it
     @pytest.mark.parametrize("index", [1, -1])
     def test_rejects_out_of_range_index(self, index):
-        c = np.zeros(1, dtype=np.float32)
+        c = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="out of range"):
-            gemm_nn_centroids(
-                1, 1, 1, 1.0, f32([1.0]), [index], 1, f32([1.0]), 1, c, 1
-            )
+            gemm_nn_centroids(1, 1, 1, f32([1.0]), [[index]], f32([[1.0]]), c)
 
 
 class TestGemmPacked:
     def test_matches_unpacked_bitwise(self):
         rng = np.random.default_rng(13)
         for bits in (5, 6, 7, 8):
-            for m, n, k, alpha, _, lda, b, ldb, c, ldc in gemm_cases(rng, 20):
+            for m, n, k, _, lda, b, ldb, c, ldc in gemm_cases(rng, 20):
                 table = rng.normal(size=1 << bits).astype(np.float32)
                 idx = rng.integers(0, table.size, size=(m - 1) * lda + k)
-                packed = pack_indices(idx, bits)
-                want = gemm_nn_reference(
-                    m, n, k, alpha, table[idx], lda, b, ldb, c, ldc
-                )
+                packed = pack_indices(strided(idx, m, k, lda).reshape(-1), bits)
+                want = reference(m, n, k, table[idx], lda, b, ldb, c, ldc)
                 got = c.copy()
-                gemm_nn_packed(m, n, k, alpha, table, packed, lda, b, ldb, got, ldc)
+                gemm_nn_packed(
+                    m, n, k, table, packed, strided(b, k, n, ldb),
+                    strided(got, m, n, ldc),
+                )
                 assert same_bits(got, want)
 
     @pytest.mark.parametrize("bits", [5, 6, 7])
@@ -187,19 +230,21 @@ class TestGemmPacked:
         rng = np.random.default_rng(100 + bits)
         per_word = 32 // bits
         for _ in range(4):
-            m, n, k, alpha, _, lda, b, ldb, c, ldc = random_gemm_instance(
+            m, n, k, _, lda, b, ldb, c, ldc = random_gemm_instance(
                 rng, True, max_dim=40, min_pad=1
             )
             base = per_word * int(rng.integers(0, 4)) + int(rng.integers(1, per_word))
             table = rng.normal(size=1 << bits).astype(np.float32)
             stream = rng.integers(0, table.size, size=base + (m - 1) * lda + k)
-            packed = pack_indices(stream, bits)
-            want = gemm_nn_reference(
-                m, n, k, alpha, table[stream[base:]], lda, b, ldb, c, ldc
-            )
+            # the packed stream holds the rows of the padded index matrix,
+            # each K long, from base on
+            rows = strided(stream[base:], m, k, lda).reshape(-1)
+            packed = pack_indices(np.concatenate((stream[:base], rows)), bits)
+            want = reference(m, n, k, table[stream[base:]], lda, b, ldb, c, ldc)
             got = c.copy()
             gemm_nn_packed(
-                m, n, k, alpha, table, packed, lda, b, ldb, got, ldc, base=base
+                m, n, k, table, packed, strided(b, k, n, ldb),
+                strided(got, m, n, ldc), base=base,
             )
             assert same_bits(got, want)
 
@@ -208,36 +253,34 @@ class TestGemmPacked:
         table = rng.normal(size=16).astype(np.float32)
         stream = rng.integers(0, 16, size=40)
         packed = pack_indices(stream, 4)
-        b = rng.normal(size=18).astype(np.float32)
+        b = rng.normal(size=(6, 3)).astype(np.float32)
         for base in (0, 7, 28):
-            idx = stream[base : base + 12]
-            want = np.zeros(6, dtype=np.float32)
-            gemm_nn_centroids(2, 3, 6, 1.0, table, idx, 6, b, 3, want, 3)
-            got = np.zeros(6, dtype=np.float32)
-            gemm_nn_packed(2, 3, 6, 1.0, table, packed, 6, b, 3, got, 3, base=base)
+            idx = stream[base : base + 12].reshape(2, 6)
+            want = np.zeros((2, 3), dtype=np.float32)
+            gemm_nn_centroids(2, 3, 6, table, idx, b, want)
+            got = np.zeros((2, 3), dtype=np.float32)
+            gemm_nn_packed(2, 3, 6, table, packed, b, got, base=base)
             assert same_bits(got, want)
 
     def test_stream_too_short(self):
         packed = pack_indices([0, 1, 2], 8)
-        c = np.zeros(1, dtype=np.float32)
+        c = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="too short"):
             gemm_nn_packed(
-                1, 1, 2, 1.0, f32([1.0, 2.0, 3.0]), packed, 2, f32([1.0, 1.0]), 1, c, 1,
-                base=2,
+                1, 1, 2, f32([1.0, 2.0, 3.0]), packed, f32([[1.0], [1.0]]), c, base=2
             )
 
     def test_index_beyond_table(self):
         packed = pack_indices([5], 8)
-        c = np.zeros(1, dtype=np.float32)
+        c = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="out of range"):
-            gemm_nn_packed(1, 1, 1, 1.0, f32([1.0, 2.0]), packed, 1, f32([1.0]), 1, c, 1)
+            gemm_nn_packed(1, 1, 1, f32([1.0, 2.0]), packed, f32([[1.0]]), c)
 
 
 # The core's private constants, set so that a small case takes a chosen path
 # at a chosen chunk width (None keeps the default).
 PATHS = ("narrow", "wide")
 WIDTHS = (1, 7, None)
-VARIANTS = ("gemm_nn", "centroids", "packed")
 
 
 def force_path(monkeypatch, path, width, m, n):
@@ -253,22 +296,25 @@ def force_path(monkeypatch, path, width, m, n):
             monkeypatch.setattr(engine, "_BLOCK", width)
 
 
-def run_variant(variant, rng, m, n, k, alpha, a, lda, b, ldb, c, ldc):
-    """C after one call of the named variant. The codebook variants read A
-    through a table that holds A's values in shuffled order."""
+def run_variant(variant, rng, m, n, k, a, lda, b, ldb, c, ldc):
+    """C after one call of the named variant on views of the flat buffers.
+    The codebook variants read A through a table that holds A's values in
+    shuffled order."""
     got = c.copy()
+    a2, b2, c2 = views(m, n, k, a, lda, b, ldb, got, ldc)
     if variant == "gemm_nn":
-        gemm_nn(m, n, k, alpha, a, lda, b, ldb, got, ldc)
+        gemm_nn(m, n, k, a2, b2, c2)
         return got
     order = rng.permutation(a.size)
     idx = np.empty(a.size, dtype=np.int64)
     idx[order] = np.arange(a.size)
     table = a[order]
+    idx2 = strided(idx, m, k, lda)
     if variant == "centroids":
-        gemm_nn_centroids(m, n, k, alpha, table, idx, lda, b, ldb, got, ldc)
+        gemm_nn_centroids(m, n, k, table, idx2, b2, c2)
     else:
-        packed = pack_indices(idx, max(1, (a.size - 1).bit_length()))
-        gemm_nn_packed(m, n, k, alpha, table, packed, lda, b, ldb, got, ldc)
+        packed = pack_indices(idx2.reshape(-1), max(1, (a.size - 1).bit_length()))
+        gemm_nn_packed(m, n, k, table, packed, b2, c2)
     return got
 
 
@@ -282,7 +328,7 @@ def pairwise_trap(m, n, k):
     a = np.full(m * k, 2.0**-12, dtype=np.float32)
     b = np.full(k * n, 2.0**-12, dtype=np.float32)
     c = np.ones(m * n, dtype=np.float32)
-    return m, n, k, 1.0, a, k, b, n, c, n
+    return m, n, k, a, k, b, n, c, n
 
 
 def sprinkle(rng, values, share=0.2):
@@ -316,7 +362,7 @@ class TestExactnessBoundary:
         force_path(monkeypatch, path, width, m, n)
         for k in TRAP_K:
             case = pairwise_trap(m, n, k)
-            want = gemm_nn_reference(*case)
+            want = reference(*case)
             assert want.tolist() == [1.0] * (m * n)
             assert same_bits(run_variant(variant, rng, *case), want), k
 
@@ -328,18 +374,15 @@ class TestExactnessBoundary:
     ):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            m, n, k, alpha, a, lda, b, ldb, c, ldc = random_gemm_instance(
-                rng, True, max_dim=12, min_pad=1
-            )
+            case = random_gemm_instance(rng, True, max_dim=12, min_pad=1)
+            m, n, k, a, lda, b, ldb, c, ldc = case
             sprinkle(rng, a)
             sprinkle(rng, b)
             sprinkle(rng, c, share=0.1)
             force_path(monkeypatch, path, width, m, n)
             with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
-                want = gemm_nn_reference(m, n, k, alpha, a, lda, b, ldb, c, ldc)
-                got = run_variant(
-                    variant, rng, m, n, k, alpha, a, lda, b, ldb, c, ldc
-                )
+                want = reference(*case)
+                got = run_variant(variant, rng, *case)
             assert same_bits(got, want)
 
     @pytest.mark.parametrize("m, n", [(2, 3), (3, 1)])
@@ -354,9 +397,9 @@ class TestExactnessBoundary:
         b = np.full(k * n, 0.5, dtype=np.float32)
         c = np.full(m * n, -0.0, dtype=np.float32)
         force_path(monkeypatch, path, None, m, n)
-        want = gemm_nn_reference(m, n, k, 1.0, a, k, b, n, c, n)
+        want = reference(m, n, k, a, k, b, n, c, n)
         assert np.signbit(want).all()
-        got = run_variant(variant, rng, m, n, k, 1.0, a, k, b, n, c, n)
+        got = run_variant(variant, rng, m, n, k, a, k, b, n, c, n)
         assert same_bits(got, want)
 
     @pytest.mark.parametrize("path", PATHS)
@@ -370,29 +413,32 @@ class TestExactnessBoundary:
                 reads.append(np.size(key))
                 return np.asarray(self)[key]
 
-        m, n, k, width, lda = 3, 2, 300, 7, 302
+        m, n, k, width = 3, 2, 300, 7
+        lda, ldb, ldc = 302, n + 1, n + 2
         force_path(monkeypatch, path, width, m, n)
         rng = np.random.default_rng(4)
         table = rng.normal(size=32).astype(np.float32)
         stream = rng.integers(0, 32, size=(m - 1) * lda + k)
-        packed = pack_indices(stream, 5)
+        packed = pack_indices(strided(stream, m, k, lda).reshape(-1), 5)
         object.__setattr__(packed, "words", packed.words.view(Words))
-        b = rng.normal(size=k * n).astype(np.float32)
-        c = rng.normal(size=m * n).astype(np.float32)
+        b = rng.normal(size=(k - 1) * ldb + n).astype(np.float32)
+        c = rng.normal(size=(m - 1) * ldc + n).astype(np.float32)
         got = c.copy()
-        gemm_nn_packed(m, n, k, 1.0, table, packed, lda, b, n, got, n)
+        gemm_nn_packed(
+            m, n, k, table, packed, strided(b, k, n, ldb), strided(got, m, n, ldc)
+        )
         assert reads == [m * min(width, k - k0) for k0 in range(0, k, width)]
-        want = gemm_nn_reference(m, n, k, 1.0, table[stream], lda, b, n, c, n)
+        want = reference(m, n, k, table[stream], lda, b, ldb, c, ldc)
         assert same_bits(got, want)
 
     def test_narrow_scratch_stays_within_its_budget(self, monkeypatch):
         rng = np.random.default_rng(5)
         cases = []
         for m, n, k in [(1, 1, 5000), (21, 100, 90), (64, 255, 4000), (5000, 1, 40)]:
-            a = rng.normal(size=m * k).astype(np.float32)
-            b = rng.normal(size=k * n).astype(np.float32)
-            c = np.zeros(m * n, dtype=np.float32)
-            cases.append((m, n, k, 1.0, a, k, b, n, c, n))
+            a = rng.normal(size=(m, k)).astype(np.float32)
+            b = rng.normal(size=(k, n)).astype(np.float32)
+            c = np.zeros((m, n), dtype=np.float32)
+            cases.append((m, n, k, a, b, c))
         sizes = []
 
         def recording(allocate):
@@ -410,39 +456,24 @@ class TestExactnessBoundary:
         monkeypatch.undo()
         assert sizes and max(sizes) <= 4 * engine._SCRATCH
 
-class TestRows:
-    @pytest.mark.parametrize(
-        "rows, cols, ld", [(0, 3, 5), (3, 0, 5), (2, 3, 5), (1, 4, 4), (4, 1, 3)]
-    )
-    def test_view_of_a_buffer_that_ends_with_the_last_row(self, rows, cols, ld):
-        needed = (rows - 1) * ld + cols if rows else 0
-        flat = np.arange(needed, dtype=np.float32)
-        view = engine._rows(flat, rows, cols, ld)
-        assert view.shape == (rows, cols)
-        assert view.tolist() == [
-            [float(r * ld + j) for j in range(cols)] for r in range(rows)
-        ]
-        if view.size:
-            view[-1, -1] = -1.0
-            assert flat[needed - 1] == -1.0
-
-    def test_view_of_a_read_only_buffer_is_read_only(self):
-        flat = np.frombuffer(bytes(24), dtype=np.float32)
-        assert not engine._rows(flat, 2, 2, 3).flags.writeable
-
-    def test_strided_one_dimensional_buffers(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_c_view_whose_rows_lie_apart(self, monkeypatch, path):
+        # the middle columns of a wider array, as a band's view of a
+        # convolution's output
         rng = np.random.default_rng(6)
-        m, n, k, alpha, a, lda, b, ldb, c, ldc = random_gemm_instance(
-            rng, True, max_dim=8, min_pad=1
-        )
-        want = gemm_nn_reference(m, n, k, alpha, a, lda, b, ldb, c, ldc)
-        wide_a = np.zeros(2 * a.size, dtype=np.float32)
-        wide_a[::2] = a
-        wide_c = np.zeros(2 * c.size, dtype=np.float32)
-        wide_c[::2] = c
-        gemm_nn(m, n, k, alpha, wide_a[::2], lda, b, ldb, wide_c[::2], ldc)
-        assert same_bits(wide_c[::2], want)
-        assert not wide_c[1::2].any()
+        m, n, k = 5, 4, 9
+        a = rng.normal(size=(m, k)).astype(np.float32)
+        b = rng.normal(size=(k, n)).astype(np.float32)
+        whole = rng.normal(size=(m, 3 * n)).astype(np.float32)
+        before = whole.copy()
+        view = whole[:, n : 2 * n]
+        force_path(monkeypatch, path, None, m, n)
+        assert gemm_nn(m, n, k, a, b, view) is view
+        want = reference(m, n, k, a.reshape(-1), k, b.reshape(-1), n,
+                         before[:, n : 2 * n].reshape(-1), n)
+        assert same_bits(whole[:, n : 2 * n].reshape(-1), want)
+        assert same_bits(whole[:, :n], before[:, :n])
+        assert same_bits(whole[:, 2 * n :], before[:, 2 * n :])
 
 
 class TestIm2col:
@@ -645,7 +676,7 @@ def spy_bands(monkeypatch):
     for name in ("gemm_nn", "gemm_nn_centroids", "gemm_nn_packed"):
         real = getattr(engine, name)
 
-        def gemm_spy(*args, real=real, b_at=6 if name == "gemm_nn" else 7, **kwargs):
+        def gemm_spy(*args, real=real, b_at=4 if name == "gemm_nn" else 5, **kwargs):
             gemm_bs.append(args[b_at])
             return real(*args, **kwargs)
 
