@@ -279,7 +279,9 @@ def cmd_cluster(args) -> int:
 
     sses = model_sse(model, folded)
     n_weights = model.total_count
-    stored = clustered_size_bits(n_weights, cfg.bits, sum(e.table.k for e in model.entries))
+    tight = size_reduction_factor(
+        n_weights, cfg.bits, sum(e.table.k for e in model.entries), word_aligned=False
+    )
     table_stats = []
     for entry, sse in zip(model.entries, sses):
         name = "global" if entry.layer_id is None else f"layer {entry.layer_id}"
@@ -298,7 +300,7 @@ def cmd_cluster(args) -> int:
               f"SSE={sse:.6g}{flag}")
     print(f"wrote {args.out}: {len(payload)} bytes, "
           f"{size_reduction_factor(n_weights, cfg.bits):.0f}x word-aligned reduction, "
-          f"{32 * n_weights / stored:.2f}x tight")
+          f"{tight:.2f}x tight")
     if args.json:
         manifest = _manifest(
             "cluster",

@@ -136,6 +136,21 @@ class PackedIndices:
         if used < WORD_BITS and words.size and int(words.max()) >> used:
             raise ValueError("unused high bits of packed words must be zero")
         object.__setattr__(self, "words", words)
+        object.__setattr__(self, "_per_word", per_word)
+        object.__setattr__(self, "_mask", np.uint32((1 << self.bits) - 1))
+
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        """The uint32 indexes at the given stream positions, an integer array
+        of any shape, reading only the words that hold them.
+
+        Index j sits in word j // per_word, at bit (j % per_word) * bits,
+        where per_word = floor(32/bits). The positions must lie in
+        0..count - 1; they are not checked, so a caller that reads one span
+        block by block checks the span once.
+        """
+        word, lane = np.divmod(positions, self._per_word)
+        shift = (lane * self.bits).astype(np.uint32)
+        return (self.words[word] >> shift) & self._mask
 
     def __eq__(self, other):
         if not isinstance(other, PackedIndices):
@@ -256,15 +271,28 @@ def pack_indices(indices, bits: int) -> PackedIndices:
     return PackedIndices(bits=bits, count=int(idx.size), words=words)
 
 
-def unpack_indices(packed: PackedIndices) -> np.ndarray:
-    """Inverse of pack_indices; returns uint32 indexes of length count."""
-    per_word = WORD_BITS // packed.bits
-    shifts = (np.arange(per_word, dtype=np.uint32) * np.uint32(packed.bits)).astype(
-        np.uint32
-    )
-    mask = np.uint32((1 << packed.bits) - 1)
-    lanes = (packed.words[:, None] >> shifts) & mask
-    return lanes.reshape(-1)[: packed.count].astype(np.uint32)
+def unpack_indices(
+    packed: PackedIndices, start: int = 0, count: int | None = None
+) -> np.ndarray:
+    """Inverse of pack_indices: the uint32 indexes start .. start + count - 1
+    of the stream, the whole stream by default.
+
+    Only the words that hold the span are decoded. Raises ValueError unless
+    the span lies within 0..packed.count.
+    """
+    if count is None:
+        count = packed.count - start
+    if start < 0 or count < 0 or start + count > packed.count:
+        raise ValueError(
+            f"span {start}..{start + count} lies outside the stream's "
+            f"0..{packed.count}"
+        )
+    per_word = packed._per_word
+    first, skip = divmod(start, per_word)
+    shifts = np.arange(0, per_word * packed.bits, packed.bits, dtype=np.uint32)
+    lanes = packed.words[first : -(-(start + count) // per_word), None] >> shifts
+    lanes &= packed._mask
+    return lanes.reshape(-1)[skip : skip + count]
 
 
 def dequantize(table: CentroidTable, packed: PackedIndices) -> np.ndarray:

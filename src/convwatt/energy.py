@@ -10,7 +10,6 @@ into each 32-bit word, cutting both bus transactions and DRAM energy.
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 
@@ -116,18 +115,13 @@ _DRAM_KEYS = {
     "peak_bandwidth_gbps": "dram_peak_gbps",
 }
 
-ENV_CONFIG_VAR = "CONVWATT_ENERGY_CONFIG"
-
 
 def load_energy_config(path: str | None = None) -> EnergyConfig:
-    """Load an energy configuration file.
+    """Load the energy configuration file at path, or the packaged defaults
+    when path is None.
 
-    Resolution order: explicit path, the CONVWATT_ENERGY_CONFIG environment
-    variable, then the packaged defaults. Unknown sections or keys are
-    rejected so typos fail loudly.
+    Unknown sections or keys are rejected so typos fail loudly.
     """
-    if path is None:
-        path = os.environ.get(ENV_CONFIG_VAR)
     if path is None:
         text = (
             resources.files("convwatt").joinpath("data/default-energy.cfg").read_text()

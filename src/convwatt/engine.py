@@ -24,7 +24,10 @@ after its last reader (the next layer, a route or a shortcut). A
 convolution unfolds its input through im2col in bands of whole output rows,
 each at most _BAND fp32 elements, and runs its GEMM once per band on that
 band's columns of the output. Each output column's k-ordered sum depends on
-no other column, so banding leaves every output bit unchanged.
+no other column, so banding leaves every output bit unchanged. A clustered
+convolution decodes only its own span of the packed index stream, while it
+runs: in one piece before its first band, or a block at a time inside the
+GEMM.
 """
 
 from __future__ import annotations
@@ -185,21 +188,17 @@ def gemm_nn_packed(M, N, K, centroids, packed, B, C, base=0):
     """gemm_nn_centroids with indexes decoded from packed words on the fly.
 
     Row i of the index matrix starts at index base + i*K of the packed
-    stream, so one global stream can serve many layers; index j sits in word
-    j // per_word at bit (j % per_word) * bits. Each block of columns decodes
-    only its own M x (k1 - k0) indexes, so the stream is never materialized.
+    stream, so one global stream can serve many layers. Each block of
+    columns decodes only its own M x (k1 - k0) indexes (PackedIndices.take),
+    so the stream is never materialized.
     """
     _fp32("centroids", centroids, (np.size(centroids),))
     if base < 0 or (M and base + M * K > packed.count):
         raise ValueError("packed stream too short for requested extent")
-    per_word = 32 // packed.bits
-    mask = np.uint32((1 << packed.bits) - 1)
     starts = base + np.arange(M, dtype=np.int64)[:, None] * K
 
     def block(k0, k1):
-        word, lane = np.divmod(starts + np.arange(k0, k1), per_word)
-        shift = (lane * packed.bits).astype(np.uint32)
-        return _gather(centroids, (packed.words[word] >> shift) & mask)
+        return _gather(centroids, packed.take(starts + np.arange(k0, k1)))
 
     _accumulate(M, N, K, block, B, C)
     return C
@@ -324,16 +323,14 @@ def conv_forward_clustered(
     packed,
     base: int = 0,
     on_the_fly: bool = False,
-    indexes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convolution with codebook-indirected weights.
 
     packed is a PackedIndices stream; base selects this layer's span within
-    it. With on_the_fly the indexes are decoded inside the GEMM loop,
-    otherwise they are unpacked up front. Both paths produce bitwise
-    identical results. indexes, when given, is unpack_indices(packed)
-    already computed by the caller, so that a stream shared by many layers
-    is decoded once rather than once per layer.
+    it, and only that span is decoded. With on_the_fly the indexes are
+    decoded inside the GEMM loop, a block of columns at a time; otherwise
+    the span is unpacked before the first band and dropped when the layer
+    is done. Both paths produce bitwise identical results.
     """
     m, kdim = _conv_common(layer, x)
     if base + m * kdim > packed.count:
@@ -346,9 +343,7 @@ def conv_forward_clustered(
             gemm_nn_packed(m, b.shape[1], kdim, centroids, packed, b, c, base=base)
 
     else:
-        if indexes is None:
-            indexes = unpack_indices(packed)
-        idx = indexes[base : base + m * kdim].reshape(m, kdim)
+        idx = unpack_indices(packed, base, m * kdim).reshape(m, kdim)
 
         def gemm(b, c):
             gemm_nn_centroids(m, b.shape[1], kdim, centroids, idx, b, c)
@@ -356,18 +351,13 @@ def conv_forward_clustered(
     return _convolve(layer, x, biases, gemm)
 
 
-def _clustered_lookup(weights: DarknetWeights, model: ClusteredModel, decode: bool):
-    """Map conv layer index -> (centroids, packed, base, indexes).
-
-    With decode, indexes is each table's whole decoded stream, unpacked once
-    and shared by every layer the table serves; otherwise it is None.
-    """
-    lookup = {}
-    for entry, layers in model.spans(weights):
-        indexes = unpack_indices(entry.packed) if decode else None
-        for conv, base in layers:
-            lookup[conv.layer_index] = (entry.table.centroids, entry.packed, base, indexes)
-    return lookup
+def _clustered_lookup(weights: DarknetWeights, model: ClusteredModel):
+    """Map conv layer index -> (centroids, packed, base)."""
+    return {
+        conv.layer_index: (entry.table.centroids, entry.packed, base)
+        for entry, layers in model.spans(weights)
+        for conv, base in layers
+    }
 
 
 def _reads(index: int, layer: LayerSpec) -> tuple[int, ...]:
@@ -389,14 +379,14 @@ def run_network(
     """Execute a toy network; return an iterator over each layer's output.
 
     The input shape, the batch-norm folding of every conv layer and the
-    clustered model's spans are checked here, and each table of the model is
-    decoded here (once, unless on_the_fly), so errors surface at the call.
+    clustered model's spans are checked here, so errors surface at the call.
     The layers run as the iterator is advanced. It keeps only the live set:
     an output is dropped after its last reader, the next layer or a route or
     shortcut that names it. list(run_network(...)) holds every output.
 
     Convolutions use plain weights, or codebook indirection when a clustered
-    model is given, and unfold their input in bands (see _convolve). Yolo
+    model is given, and unfold their input in bands (see _convolve). A
+    clustered conv decodes its own span of indexes when it runs. Yolo
     layers pass their input through unchanged; decoding beyond raw
     activations is out of scope here.
     """
@@ -405,9 +395,7 @@ def run_network(
     expected = (net.input.c, net.input.h, net.input.w)
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match network {expected}")
-    lookup = None
-    if clustered:
-        lookup = _clustered_lookup(weights, clustered, decode=not on_the_fly)
+    lookup = _clustered_lookup(weights, clustered) if clustered else None
     params = {}
     for index, layer in enumerate(net.layers):
         if layer.kind == CONVOLUTIONAL:
@@ -431,10 +419,10 @@ def _layer_outputs(net, x, params, lookup, on_the_fly) -> Iterator[np.ndarray]:
             if lookup is None:
                 out = conv_forward(layer, live[index - 1], params[index])
             else:
-                centroids, packed, base, indexes = lookup[index]
+                centroids, packed, base = lookup[index]
                 out = conv_forward_clustered(
                     layer, live[index - 1], params[index].biases, centroids, packed,
-                    base=base, on_the_fly=on_the_fly, indexes=indexes,
+                    base=base, on_the_fly=on_the_fly,
                 )
         elif layer.kind == SHORTCUT:
             out = live[index - 1] + live[layer.from_index]

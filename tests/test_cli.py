@@ -33,7 +33,6 @@ from conftest import TOY_CFG, weights_blob
 @pytest.fixture(autouse=True)
 def fixed_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    monkeypatch.delenv("CONVWATT_ENERGY_CONFIG", raising=False)
 
 
 @pytest.fixture()
@@ -405,6 +404,17 @@ class TestCluster:
         assert model.scope == "all_layers"
         assert model.bits == 5
 
+    # the toy net's 568 kernel weights, each table holding 2**bits fp32
+    # entries: tight = 32*568 / (bits*568 + 32*entries)
+    @pytest.mark.parametrize("scope, bits, sizes", [
+        ("all-layers", "5", "540 bytes, 6x word-aligned reduction, 4.70x tight"),
+        ("per-layer", "8", "3704 bytes, 4x word-aligned reduction, 0.62x tight"),
+        ("all-layers", "1", "112 bytes, 32x word-aligned reduction, 28.76x tight"),
+    ])
+    def test_size_line(self, cfg_path, weights_path, tmp_path, capsys, scope, bits, sizes):
+        out = run_cluster(cfg_path, weights_path, tmp_path, "--scope", scope, "--bits", bits)
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}: {sizes}"
+
     def test_output_is_byte_deterministic(self, cfg_path, weights_path, tmp_path, capsys):
         first = run_cluster(cfg_path, weights_path, tmp_path).read_bytes()
         second = run_cluster(cfg_path, weights_path, tmp_path).read_bytes()
@@ -564,7 +574,7 @@ class TestVerify:
         assert deep - shallow < 256 * 1024, (shallow, deep)
 
     @pytest.mark.parametrize("scope", ["all-layers", "per-layer"])
-    def test_decodes_each_table_twice(
+    def test_decodes_each_weight_twice(
         self, cfg_path, weights_path, tmp_path, capsys, monkeypatch, scope
     ):
         out = run_cluster(cfg_path, weights_path, tmp_path, "--scope", scope)
@@ -573,18 +583,20 @@ class TestVerify:
                                                       cli._load_network(str(cfg_path))))
         total_sse = sum(model_sse(model, folded))
         capsys.readouterr()
-        real, calls = cluster.unpack_indices, []
+        real, decoded = cluster.unpack_indices, []
 
-        def spy(packed):
-            calls.append(packed)
-            return real(packed)
+        def spy(*args):
+            indexes = real(*args)
+            decoded.append(indexes.size)
+            return indexes
 
         monkeypatch.setattr(cluster, "unpack_indices", spy)
         monkeypatch.setattr(engine, "unpack_indices", spy)
         assert main(["verify", str(cfg_path), str(weights_path), str(out)]) == 0
-        # once for the dequantized weights and the SSE, once in the indirect
-        # pass; reading a full table decodes nothing
-        assert len(calls) == 2 * len(model.entries)
+        # each table whole for the dequantized weights and the SSE, and each
+        # conv's span in the indirect pass; reading a full table decodes nothing
+        assert sum(decoded) == 2 * model.total_count
+        assert len(decoded) == len(model.entries) + len(folded.convs)
         assert f"weight quantization SSE: {total_sse:.6g}" in capsys.readouterr().out
 
     def test_corrupt_model_fails_with_checksum_error(
@@ -883,7 +895,6 @@ def report_bytes(tmp_path_factory) -> bytes:
     cfg.write_text(TOY_CFG)
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-        patch.delenv("CONVWATT_ENERGY_CONFIG", raising=False)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["analyze", str(cfg), "--bits", "5", "--json", str(report)]) == 0
     return report.read_bytes()

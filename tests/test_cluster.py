@@ -175,6 +175,31 @@ class TestPacking:
         assert packed.words.tolist() == pack_indices_reference(indices, bits)
         assert unpack_indices(packed).tolist() == indices
 
+    @given(data=st.data(), bits=st.integers(min_value=1, max_value=32))
+    def test_spans_are_slices_of_the_whole_decode(self, data, bits):
+        # spans may be empty and may start or end inside a word
+        indices = data.draw(
+            st.lists(st.integers(0, (1 << bits) - 1), max_size=3 * (32 // bits) + 2)
+        )
+        packed = pack_indices(indices, bits)
+        whole = unpack_indices(packed)
+        start = data.draw(st.integers(0, len(indices)), label="start")
+        count = data.draw(st.integers(0, len(indices) - start), label="count")
+        span = unpack_indices(packed, start, count)
+        assert span.dtype == np.uint32
+        assert np.array_equal(span, whole[start : start + count])
+        assert np.array_equal(unpack_indices(packed, start), whole[start:])
+        assert np.array_equal(
+            packed.take(np.arange(start, start + count)), whole[start : start + count]
+        )
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (0, 11), (10, 1), (11, None),
+                                              (3, -1), (-1, None)])
+    def test_span_outside_the_stream_is_rejected(self, start, count):
+        packed = pack_indices(list(range(10)), 5)
+        with pytest.raises(ValueError, match="outside the stream's 0..10"):
+            unpack_indices(packed, start, count)
+
 
 class TestKmeans:
     def test_two_tight_groups(self):

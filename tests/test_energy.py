@@ -257,17 +257,11 @@ class TestConfigFile:
         assert config.fp_pj["add"] == CALIBRATED_ADD_PJ
         assert config.fp_pj["mul"] == CALIBRATED_MUL_PJ
 
-    def test_env_var_override(self, config, tmp_path, monkeypatch):
+    def test_explicit_path_is_read(self, config, tmp_path):
         path = tmp_path / "alt.cfg"
         path.write_text(DEFAULT_TEXT.replace("target_fps = 25.0", "target_fps = 30.0"))
-        monkeypatch.setenv("CONVWATT_ENERGY_CONFIG", str(path))
-        assert load_energy_config() == dataclasses.replace(config, target_fps=30.0)
-
-    def test_explicit_path_wins(self, config, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONVWATT_ENERGY_CONFIG", str(tmp_path / "missing.cfg"))
-        path = tmp_path / "real.cfg"
-        path.write_text(DEFAULT_TEXT)
-        assert load_energy_config(str(path)) == config
+        want = dataclasses.replace(config, target_fps=30.0)
+        assert load_energy_config(str(path)) == want
 
     @pytest.mark.parametrize(
         "mutate, fragment",

@@ -2,6 +2,7 @@
 
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 
 from convwatt import engine
 from convwatt.cluster import (
+    CentroidTable,
     ClusterConfig,
+    ClusteredModel,
+    ClusterEntry,
     ConvParams,
     DarknetWeights,
     cluster_model,
@@ -888,24 +892,61 @@ class TestRunNetwork:
 
     @pytest.mark.parametrize("scope", ["all_layers", "per_layer"])
     @pytest.mark.parametrize("on_the_fly", [False, True])
-    def test_each_stream_decoded_at_most_once(
+    def test_each_conv_decodes_its_own_span_when_it_runs(
         self, toy_net, toy_folded, toy_input, scope, on_the_fly, monkeypatch
     ):
         model = cluster_model(toy_folded, ClusterConfig(scope=scope, bits=5))
         calls = []
 
-        def counting(packed):
-            calls.append(packed)
-            return unpack_indices(packed)
+        def counting(packed, start=0, count=None):
+            calls.append((packed, start, count))
+            return unpack_indices(packed, start, count)
 
         monkeypatch.setattr(engine, "unpack_indices", counting)
         outputs = run_network(
             toy_net, toy_folded, toy_input, clustered=model, on_the_fly=on_the_fly
         )
-        expected = [] if on_the_fly else [entry.packed for entry in model.entries]
-        assert calls == expected  # decoded at the call, before any layer runs
-        list(outputs)
-        assert calls == expected
+        assert calls == []  # nothing is decoded at the call
+        spans = {
+            conv.layer_index: (entry.packed, base, conv.n_weights)
+            for entry, layers in model.spans(toy_folded)
+            for conv, base in layers
+        }
+        for index, _ in enumerate(outputs):
+            # the on-the-fly pass decodes inside the GEMM, never a whole span
+            want = [spans[index]] if index in spans and not on_the_fly else []
+            assert calls == want, index
+            calls.clear()
+
+    def test_indirect_pass_holds_one_conv_of_indexes(self):
+        # 16 1x1 64->64 convs on a 2x2 map share one 5-bit table: its decoded
+        # stream is 256 KB, one conv's span of it 16 KB. The on-the-fly pass
+        # decodes a block at a time, so its peak is the floor to compare with.
+        body = "[convolutional]\nfilters=64\nsize=1\nstride=1\nactivation=linear\n"
+        net = shaped_net(body * 16, in_h=2, in_w=2, in_c=64)
+        rng = np.random.default_rng(6)
+        n = 64 * 64
+        zeros = np.zeros(n, dtype=np.float32)
+        weights = DarknetWeights(0, 2, 0, 0, tuple(
+            ConvParams(layer_index=i, biases=zeros[:64], kernel=zeros)
+            for i in range(16)
+        ))
+        table = CentroidTable(rng.normal(size=32).astype(np.float32))
+        packed = pack_indices(rng.integers(0, 32, size=16 * n), 5)
+        model = ClusteredModel("all_layers", 5, (ClusterEntry(None, table, packed),))
+        x = rng.normal(size=(64, 2, 2)).astype(np.float32)
+
+        def peak(on_the_fly):
+            tracemalloc.start()
+            try:
+                for _ in run_network(net, weights, x, model, on_the_fly):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        floor = peak(True)
+        assert peak(False) <= floor + 2 * n * 4, floor
 
     # The rejections below come from the call itself, before any layer runs:
     # the returned iterator is never advanced.
