@@ -16,6 +16,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -655,10 +656,14 @@ class DarknetWeights:
     convs: tuple[ConvParams, ...]
 
     def conv_for_layer(self, layer_index: int) -> ConvParams:
-        for conv in self.convs:
-            if conv.layer_index == layer_index:
-                return conv
-        raise KeyError(f"no conv parameters for layer {layer_index}")
+        try:
+            return self._by_layer[layer_index]
+        except KeyError:
+            raise KeyError(f"no conv parameters for layer {layer_index}") from None
+
+    @cached_property
+    def _by_layer(self) -> dict[int, ConvParams]:
+        return {conv.layer_index: conv for conv in self.convs}
 
 
 class _Cursor:

@@ -360,15 +360,6 @@ def _clustered_lookup(weights: DarknetWeights, model: ClusteredModel):
     }
 
 
-def _reads(index: int, layer: LayerSpec) -> tuple[int, ...]:
-    """The layers whose outputs layer index reads; -1 is the network input."""
-    if layer.kind == ROUTE:
-        return layer.sources
-    if layer.kind == SHORTCUT:
-        return (index - 1, layer.from_index)
-    return (index - 1,)
-
-
 def run_network(
     net: NetworkDef,
     weights: DarknetWeights,
@@ -408,40 +399,41 @@ def run_network(
 
 
 def _layer_outputs(net, x, params, lookup, on_the_fly) -> Iterator[np.ndarray]:
-    reads = [_reads(index, layer) for index, layer in enumerate(net.layers)]
-    last_reader = {}
-    for index, sources in enumerate(reads):
-        last_reader.update((source, index) for source in sources)
+    # each map's last reader: a later layer overwrites an earlier one's entry
+    last_reader = {source: layer.index for layer in net.layers for source in layer.sources}
     live = {-1: x}  # outputs that a later layer still reads
     del x  # the input goes when its last reader is done with it
-    for index, layer in enumerate(net.layers):
+    for layer in net.layers:
+        index = layer.index
+        inputs = [live[source] for source in layer.sources]
         if layer.kind == CONVOLUTIONAL:
             if lookup is None:
-                out = conv_forward(layer, live[index - 1], params[index])
+                out = conv_forward(layer, inputs[0], params[index])
             else:
                 centroids, packed, base = lookup[index]
                 out = conv_forward_clustered(
-                    layer, live[index - 1], params[index].biases, centroids, packed,
+                    layer, inputs[0], params[index].biases, centroids, packed,
                     base=base, on_the_fly=on_the_fly,
                 )
         elif layer.kind == SHORTCUT:
-            out = live[index - 1] + live[layer.from_index]
+            out = inputs[0] + inputs[1]
         elif layer.kind == ROUTE:
-            out = np.concatenate([live[s] for s in layer.sources], axis=0)
+            out = np.concatenate(inputs, axis=0)
         elif layer.kind == UPSAMPLE:
             factor = layer.factor
-            out = np.repeat(np.repeat(live[index - 1], factor, axis=1), factor, axis=2)
+            out = np.repeat(np.repeat(inputs[0], factor, axis=1), factor, axis=2)
         elif layer.kind == YOLO:
-            out = live[index - 1]
+            out = inputs[0]
         else:
             raise ValueError(f"cannot execute layer kind {layer.kind!r}")
+        del inputs  # a map read for the last time goes before the yield
         shape = layer.out_shape
         if out.shape != (shape.c, shape.h, shape.w):
             raise RuntimeError(
                 f"layer {index} produced {out.shape}, inference said "
                 f"{(shape.c, shape.h, shape.w)}"
             )
-        for source in reads[index]:
+        for source in layer.sources:
             if last_reader[source] == index:
                 live.pop(source, None)
         if index in last_reader:

@@ -72,16 +72,19 @@ class ConvSpec:
 class LayerSpec:
     """One network layer.
 
-    Exactly the fields relevant to the layer's kind are set. Shape fields
-    (in_shape, out_shape, source_shapes) are filled by infer_shapes; shortcut
-    and route layers carry the shapes of all maps they consume so that access
-    counting needs no surrounding context.
+    index is the layer's position in its network. sources are the absolute
+    indexes of the maps it reads, in read order, -1 for the network input:
+    (index - 1,) for conv, upsample and yolo layers, (index - 1, from) for a
+    shortcut, and the listed layers for a route. conv, factor and meta are
+    set for conv, upsample and yolo layers only. The shape fields are filled
+    by infer_shapes: source_shapes holds the shape of each source, so that
+    access counting needs no surrounding context, and in_shape is the first.
     """
 
     kind: str
+    index: int
+    sources: tuple[int, ...]
     conv: ConvSpec | None = None
-    from_index: int | None = None  # shortcut source, absolute
-    sources: tuple[int, ...] | None = None  # route sources, absolute
     factor: int | None = None  # upsample scale
     meta: dict | None = None  # yolo head parameters
     in_shape: TensorShape | None = None
@@ -91,6 +94,11 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
+
+    @property
+    def from_index(self) -> int | None:
+        """A shortcut's second operand, absolute; None for other kinds."""
+        return self.sources[1] if self.kind == SHORTCUT else None
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,7 @@ def _parse_yolo_meta(options: dict[str, str]) -> dict:
 
 
 def _parse_layer(name: str, options: dict[str, str], index: int) -> LayerSpec:
+    previous = (index - 1,)
     if name == CONVOLUTIONAL:
         size = int(options.get("size", 1))
         # pad=1 requests same-style padding of size//2; an explicit padding=
@@ -172,11 +181,12 @@ def _parse_layer(name: str, options: dict[str, str], index: int) -> LayerSpec:
             batch_normalize=bool(int(options.get("batch_normalize", 0))),
             activation=options.get("activation", "linear"),
         )
-        return LayerSpec(kind=CONVOLUTIONAL, conv=conv)
+        return LayerSpec(CONVOLUTIONAL, index, previous, conv=conv)
     if name == SHORTCUT:
         if "from" not in options:
             raise ConfigError(f"layer {index}: shortcut requires a from= key")
-        return LayerSpec(kind=SHORTCUT, from_index=_resolve_index(int(options["from"]), index))
+        other = _resolve_index(int(options["from"]), index)
+        return LayerSpec(SHORTCUT, index, previous + (other,))
     if name == ROUTE:
         if "layers" not in options:
             raise ConfigError(f"layer {index}: route requires a layers= key")
@@ -185,16 +195,14 @@ def _parse_layer(name: str, options: dict[str, str], index: int) -> LayerSpec:
             raise ConfigError(
                 f"layer {index}: route supports one or two sources, got {len(tokens)}"
             )
-        return LayerSpec(
-            kind=ROUTE, sources=tuple(_resolve_index(tok, index) for tok in tokens)
-        )
+        return LayerSpec(ROUTE, index, tuple(_resolve_index(tok, index) for tok in tokens))
     if name == UPSAMPLE:
         factor = int(options.get("stride", 2))
         if factor != 2:
             raise ConfigError(f"layer {index}: only factor-2 upsampling is modeled, got {factor}")
-        return LayerSpec(kind=UPSAMPLE, factor=factor)
+        return LayerSpec(UPSAMPLE, index, previous, factor=factor)
     if name == YOLO:
-        return LayerSpec(kind=YOLO, meta=_parse_yolo_meta(options))
+        return LayerSpec(YOLO, index, previous, meta=_parse_yolo_meta(options))
     raise ConfigError(f"layer {index}: unknown section kind [{name}]")
 
 
@@ -231,60 +239,48 @@ def parse_config(text: str) -> NetworkDef:
 
 
 def infer_shapes(net: NetworkDef) -> NetworkDef:
-    """Return a copy of net with in/out shapes filled for every layer.
+    """Return a copy of net with the shapes filled for every layer.
 
     Convolution output extent is (input - kernel + 2 * pad) // stride + 1 per
     axis (floor division).
     """
     shaped: list[LayerSpec] = []
-    outputs: list[TensorShape] = []
-    for index, layer in enumerate(net.layers):
-        previous = outputs[index - 1] if index else net.input
+    outputs = {-1: net.input}
+    for layer in net.layers:
+        index = layer.index
+        shapes = tuple(outputs[source] for source in layer.sources)
+        first = shapes[0]
         if layer.kind == CONVOLUTIONAL:
             spec = layer.conv
-            out_h = (previous.h - spec.kernel + 2 * spec.pad) // spec.stride + 1
-            out_w = (previous.w - spec.kernel + 2 * spec.pad) // spec.stride + 1
+            out_h = (first.h - spec.kernel + 2 * spec.pad) // spec.stride + 1
+            out_w = (first.w - spec.kernel + 2 * spec.pad) // spec.stride + 1
             if out_h < 1 or out_w < 1:
                 raise ShapeError(
                     f"layer {index}: kernel {spec.kernel} stride {spec.stride} "
-                    f"pad {spec.pad} yields empty output from {previous.h}x{previous.w}"
+                    f"pad {spec.pad} yields empty output from {first.h}x{first.w}"
                 )
-            new = replace(
-                layer,
-                in_shape=previous,
-                out_shape=TensorShape(h=out_h, w=out_w, c=spec.filters),
-            )
+            out = TensorShape(h=out_h, w=out_w, c=spec.filters)
         elif layer.kind == SHORTCUT:
-            other = outputs[layer.from_index]
-            if other != previous:
+            other = shapes[1]
+            if other != first:
                 raise ShapeError(
-                    f"layer {index}: shortcut operands differ, "
-                    f"{previous.h}x{previous.w}x{previous.c} vs {other.h}x{other.w}x{other.c}"
+                    f"layer {index}: shortcut operands differ, {first.h}x{first.w}x{first.c}"
+                    f" vs {other.h}x{other.w}x{other.c} from layer {layer.from_index}"
                 )
-            new = replace(
-                layer,
-                in_shape=previous,
-                out_shape=previous,
-                source_shapes=(previous, other),
-            )
+            out = first
         elif layer.kind == ROUTE:
-            shapes = tuple(outputs[s] for s in layer.sources)
-            if len(shapes) == 2 and (shapes[0].h, shapes[0].w) != (shapes[1].h, shapes[1].w):
+            if len({(s.h, s.w) for s in shapes}) > 1:
                 raise ShapeError(
                     f"layer {index}: route sources disagree on spatial extent, "
-                    f"{shapes[0].h}x{shapes[0].w} vs {shapes[1].h}x{shapes[1].w}"
+                    + " vs ".join(f"{s.h}x{s.w}" for s in shapes)
                 )
-            out = TensorShape(
-                h=shapes[0].h, w=shapes[0].w, c=sum(s.c for s in shapes)
-            )
-            new = replace(layer, in_shape=shapes[0], out_shape=out, source_shapes=shapes)
+            out = TensorShape(h=first.h, w=first.w, c=sum(s.c for s in shapes))
         elif layer.kind == UPSAMPLE:
-            out = TensorShape(h=previous.h * 2, w=previous.w * 2, c=previous.c)
-            new = replace(layer, in_shape=previous, out_shape=out)
+            out = TensorShape(h=first.h * layer.factor, w=first.w * layer.factor, c=first.c)
         else:  # yolo: raw pass-through
-            new = replace(layer, in_shape=previous, out_shape=previous)
-        shaped.append(new)
-        outputs.append(new.out_shape)
+            out = first
+        shaped.append(replace(layer, in_shape=first, out_shape=out, source_shapes=shapes))
+        outputs[index] = out
     return NetworkDef(input=net.input, layers=tuple(shaped))
 
 

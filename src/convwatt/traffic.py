@@ -13,16 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .netdef import (
-    CONVOLUTIONAL,
-    ROUTE,
-    SHORTCUT,
-    UPSAMPLE,
-    YOLO,
-    LayerSpec,
-    NetworkDef,
-    ShapeError,
-)
+from .netdef import CONVOLUTIONAL, SHORTCUT, YOLO, LayerSpec, NetworkDef, ShapeError
 
 
 class UnsupportedLayerError(ValueError):
@@ -158,31 +149,30 @@ def conv_accesses(
 def other_layer_accesses(layer: LayerSpec, read_bucket: str = READS_AS_INPUTS) -> AccessProfile:
     """Element accesses of shortcut/route/upsample/yolo layers.
 
-    These layers read feature maps already in DRAM and write their result
-    once (upsampling writes each input element four times). A shortcut's read
-    of its preceding layer's map is a fresh read; every other read of these
-    layers is a re-read. read_bucket "inputs" reports both as input reads;
-    "split" reports the re-reads as output reads. Totals are unaffected.
+    These layers read each map in layer.sources from DRAM once and write
+    their result, out_shape.elements, once. A read of the map that the
+    preceding layer has just written is a fresh read; a read of any other map
+    is a re-read. A shortcut with from=-1 reads the preceding map twice, and
+    both reads are fresh. read_bucket "inputs" reports every read as an input
+    read; "split" reports the fresh reads as input reads and the re-reads as
+    output reads. Totals are unaffected.
     """
     if layer.kind == CONVOLUTIONAL:
         raise ValueError("use conv_accesses for convolution layers")
     _require_shapes(layer)
     if read_bucket not in READ_BUCKETS:
         raise ValueError(f"unknown read bucket {read_bucket!r}")
-    if layer.kind == SHORTCUT:
-        previous, other = layer.source_shapes
-        fresh, reread, writes = previous.elements, other.elements, previous.elements
-    elif layer.kind == ROUTE:
-        moved = sum(shape.elements for shape in layer.source_shapes)
-        fresh, reread, writes = 0, moved, moved
-    elif layer.kind in (UPSAMPLE, YOLO):
-        fresh, reread = 0, layer.in_shape.elements
-        writes = 4 * reread if layer.kind == UPSAMPLE else reread
-    else:
-        raise ValueError(f"no access model for layer kind {layer.kind!r}")
+    reads = sum(shape.elements for shape in layer.source_shapes)
+    fresh = sum(
+        shape.elements
+        for source, shape in zip(layer.sources, layer.source_shapes)
+        if source == layer.index - 1
+    )
     if read_bucket == READS_AS_INPUTS:
-        fresh, reread = fresh + reread, 0
-    return AccessProfile(input_reads=fresh, output_reads=reread, output_writes=writes)
+        fresh = reads
+    return AccessProfile(
+        input_reads=fresh, output_reads=reads - fresh, output_writes=layer.out_shape.elements
+    )
 
 
 def aggregate(

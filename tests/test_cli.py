@@ -219,13 +219,13 @@ ANALYZE_SHA256 = {
         "a11f204766850ceb181f810a9a2a9b7a52df604914310a03210a622dbd48a2a4",
     ),
     ("all-layers", "split", "output-rows"): (
-        "398f8a14f846f00996c6f19b020f0c239e311bce2f71ed56ba2a8133698602d3",
-        "75f605d102595523344763bdb60518163520d219d7c942a70fb6429b1ef28442",
+        "ec4684539bc3cdaa97561b7399c5ea80dbb2ec5e2b8fe0a01b3104c81b09441a",
+        "6ad6b577f0332d3fb3133f9ce8d15728257bb087c4c3c9299071eab61106dbf0",
         "d3131e1a2f33d2b3e65a1a643d481724980db912867aca23225791fac56c958d",
     ),
     ("all-layers", "split", "input-rows"): (
-        "af040d097d1871fcce1fe95a1a50a4491cc5d755c2ff247a1f66f590a3ebb030",
-        "090d0f53a384bc2dcb257acbaa2dd48033520efc2c1c98018c63235760225e4c",
+        "869f3884a219a5e1fe798b3eadc638737e5a31600d1b82fa202051622d29353c",
+        "e6227edd9f1a59667858cabe1b30413b1303af5b80dcd7a90620a3a0f994befb",
         "858566c06b047052d9c3433e476920d324a602d7162894a9aa170d358fb371e4",
     ),
     ("per-layer", "inputs", "output-rows"): (
@@ -239,13 +239,13 @@ ANALYZE_SHA256 = {
         "567a2c05197253da74e1599e5c858ccaaf49151d86982634e80526a3dec1e613",
     ),
     ("per-layer", "split", "output-rows"): (
-        "90f094b5a1709b63746e548ad92f0b123ceb564577f2704ee5396518529e05b6",
-        "dcca78ebf8bc0ce563ae7190386f73385fe04fb3cbe66f203a76985c7d4a44b5",
+        "10dc84eeb7a59732dcb6eaa64e29b21c370a9dd12ee2a2c982e3a4024597a784",
+        "2ee4cccbfee68d7678ae28db2ddce06059222bf72da2f6e0172272cc1fa4a2c8",
         "2545f33f9c3b3731ba92e6a3c32bd0c4fc1b182b6a0b84acf4570896da062c44",
     ),
     ("per-layer", "split", "input-rows"): (
-        "5452da677165bff35b2d71294d8a89f874a31bbe70605c641d37727f05867322",
-        "45150667ff0a7d8bb5e477855c89bd21b9ba0345a9a8f84f9df32e8d6cc359c5",
+        "1da0bacb8e9f4b270e2c45420bff5691b620a10a0e39fbf27db45abed397ad4f",
+        "f5de7ee1e94d556b7ae35ca2396569949a5ce79be69a159299c2fca38985705a",
         "5d06fe73b54effbd2d9af7021f06037249153181a39922e4b56ea2ce92b19d0f",
     ),
 }

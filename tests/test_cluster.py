@@ -1001,7 +1001,7 @@ class TestWeightsIO:
 
     def test_conv_lookup(self, toy_weights):
         assert toy_weights.conv_for_layer(0).layer_index == 0
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no conv parameters for layer 2"):
             toy_weights.conv_for_layer(2)
 
     def test_truncation_names_what_is_missing(self, toy_net, toy_weights_bytes):

@@ -844,6 +844,12 @@ class TestRunNetwork:
             later = {i for i in range(index) if max(readers.get(i, {-1})) > index}
             assert alive - same == later
 
+    def test_shortcut_from_minus_one_adds_the_map_to_itself(self, toy_input):
+        net = shaped_net("[convolutional]\nfilters=4\nsize=1\n[shortcut]\nfrom=-1")
+        weights = read_darknet_weights(weights_blob(net), net)
+        conv, shortcut = run_network(net, weights, toy_input)
+        assert same_bits(shortcut, conv + conv)
+
     def test_conv_layers_match_direct_calls(self, toy_net, toy_folded, toy_input):
         outputs = list(run_network(toy_net, toy_folded, toy_input))
         assert same_bits(

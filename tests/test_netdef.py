@@ -188,6 +188,22 @@ class TestInferShapes:
         assert layer.out_shape == TensorShape(8, 8, 12)
         assert layer.source_shapes == (TensorShape(8, 8, 4), TensorShape(8, 8, 8))
 
+    def test_every_layer_reads_its_sources_in_order(self, toy_net):
+        layers = toy_net.layers
+        assert [l.index for l in layers] == list(range(7))
+        assert [l.sources for l in layers] == [(-1,), (0,), (1, 0), (2,), (3,), (4, 0), (5,)]
+        assert [l.from_index for l in layers] == [None, None, 0, None, None, None, None]
+        outputs = [toy_net.input] + [l.out_shape for l in layers]
+        for layer in layers:
+            assert layer.source_shapes == tuple(outputs[s + 1] for s in layer.sources)
+            assert layer.in_shape == layer.source_shapes[0]
+
+    def test_shortcut_of_the_preceding_layer_with_itself(self):
+        text = conv_chain_cfg(4, 4, 1, [(2, 3, 1)]) + "\n[shortcut]\nfrom=-1"
+        net = infer_shapes(parse_config(text))
+        assert (net.layers[1].sources, net.layers[1].from_index) == ((0, 0), 0)
+        assert net.layers[1].out_shape == TensorShape(4, 4, 2)
+
     def test_shortcut_and_yolo_passthrough(self, toy_net):
         assert toy_net.layers[2].out_shape == toy_net.layers[1].out_shape
         assert toy_net.layers[6].out_shape == toy_net.layers[5].out_shape
@@ -199,7 +215,7 @@ class TestInferShapes:
 
     def test_shortcut_shape_mismatch(self):
         text = conv_chain_cfg(8, 8, 1, [(2, 3, 1), (2, 3, 2)]) + "\n[shortcut]\nfrom=-2"
-        with pytest.raises(ShapeError, match="shortcut operands differ"):
+        with pytest.raises(ShapeError, match="operands differ, 4x4x2 vs 8x8x2 from layer 0"):
             infer_shapes(parse_config(text))
 
     def test_route_spatial_mismatch(self):

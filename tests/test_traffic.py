@@ -1,6 +1,7 @@
 """Element-access and operation counting under the output-stationary model."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,8 @@ from convwatt.traffic import (
 # measurements this model reproduces (81.9 / 12.0 / 6.1 access split).
 FIXTURE_WEIGHT_READS = 1_635_432_768
 FIXTURE_INPUT_READS = 239_391_331
+# of those, the reads of maps that the preceding layer wrote ("split" bucket)
+FIXTURE_SPLIT_INPUT_READS = 205_567_075
 FIXTURE_OUTPUT_WRITES = 121_696_710
 FIXTURE_TOTAL = 1_996_520_809
 FIXTURE_MACS = 70_345_950_208
@@ -187,6 +190,23 @@ class TestOtherLayerAccesses:
         assert profile.output_reads == each
         assert profile.output_writes == each
 
+    @pytest.mark.parametrize("index, fresh, reread", [
+        (4, 4 * 4 * 4, 0),  # upsample of the stride-2 conv just before it
+        (5, 8 * 8 * 4, 8 * 8 * 8),  # route layers=-1,-5
+        (6, 8 * 8 * 12, 0),  # yolo of the route just before it
+    ])
+    def test_split_reads_the_preceding_map_fresh(self, toy_net, index, fresh, reread):
+        profile = other_layer_accesses(toy_net.layers[index], read_bucket=READS_SPLIT)
+        assert (profile.input_reads, profile.output_reads) == (fresh, reread)
+        assert profile.output_writes == toy_net.layers[index].out_shape.elements
+
+    @pytest.mark.parametrize("bucket", ["inputs", READS_SPLIT])
+    def test_shortcut_from_minus_one_reads_the_preceding_map_fresh_twice(self, bucket):
+        net = shaped_net("[convolutional]\nfilters=4\nsize=1\n[shortcut]\nfrom=-1")
+        each = 8 * 8 * 4
+        profile = other_layer_accesses(net.layers[1], read_bucket=bucket)
+        assert profile == AccessProfile(input_reads=2 * each, output_writes=each)
+
     def test_split_bucketing_preserves_totals(self, toy_net):
         for layer in toy_net.layers:
             if layer.kind == "convolutional":
@@ -307,6 +327,41 @@ class TestFixtureTraffic:
         all_ops = sum(getattr(ops, f.name) for f in dataclasses.fields(ops))
         assert ops.macs / all_ops >= 0.99
         assert ops.macs / all_ops == pytest.approx(0.997160, abs=5e-6)
+
+    def test_split_reads_follow_the_cfg_text(self, yolov3_text, yolov3_net):
+        # Read from the cfg's own lines, not from parse_config: every
+        # non-conv layer reads the map of layer i-1 (a fresh read) and, if it
+        # is a shortcut, its from= map, or, if it is a route, exactly the
+        # maps its layers= lists; any map other than layer i-1's is a re-read.
+        names = re.findall(r"(?m)^\[(\w+)\]", yolov3_text)[1:]
+        bodies = re.split(r"(?m)^\[\w+\]", yolov3_text)[2:]
+        assert len(names) == len(bodies) == len(yolov3_net.layers)
+        per_layer, total = aggregate(yolov3_net, read_bucket=READS_SPLIT)
+        fresh_total = reread_total = 0
+        for i, (name, body) in enumerate(zip(names, bodies)):
+            if name == "convolutional":
+                continue
+            if name == "route":
+                tokens = re.search(r"(?m)^layers\s*=(.*)$", body).group(1).split(",")
+            elif name == "shortcut":
+                tokens = ["-1", re.search(r"(?m)^from\s*=(.*)$", body).group(1)]
+            else:
+                tokens = ["-1"]
+            named = [i + int(t) if int(t) < 0 else int(t) for t in tokens]
+            sizes = [yolov3_net.layers[j].out_shape.elements for j in named]
+            fresh = sum(n for j, n in zip(named, sizes) if j == i - 1)
+            reread = sum(sizes) - fresh
+            profile = per_layer[i]
+            assert (profile.input_reads, profile.output_reads) == (fresh, reread), i
+            fresh_total += fresh
+            reread_total += reread
+        conv_inputs = sum(
+            p.input_reads
+            for p, layer in zip(per_layer, yolov3_net.layers)
+            if layer.kind == "convolutional"
+        )
+        assert total.input_reads == conv_inputs + fresh_total == FIXTURE_SPLIT_INPUT_READS
+        assert total.output_reads == reread_total == FIXTURE_INPUT_READS - FIXTURE_SPLIT_INPUT_READS
 
     def test_split_bucket_totals_unchanged(self, yolov3_net):
         _, default = aggregate(yolov3_net)
