@@ -47,7 +47,7 @@ from .energy import (
     sram_table_bytes,
 )
 from .engine import run_network
-from .netdef import CONVOLUTIONAL, ConfigError, ShapeError, infer_shapes, parse_config
+from .netdef import CONVOLUTIONAL, ConfigError, ShapeError, parse_config
 from .traffic import (
     READ_BUCKETS,
     ROW_CONVENTIONS,
@@ -124,7 +124,7 @@ def _csv_text(manifest: dict, rows) -> str:
 
 def _load_network(path: str):
     with open(path, encoding="utf-8") as handle:
-        return infer_shapes(parse_config(handle.read()))
+        return parse_config(handle.read())
 
 
 def _kernel_params(net) -> int:
@@ -336,7 +336,7 @@ def _dequantized_weights(
     from the same decode)."""
     kernels, sses = {}, []
     for entry, layers in model.spans(folded):
-        stream = dequantize(entry.table, entry.packed)
+        stream = dequantize(entry)
         sses.append(stream_sse(layers, stream))
         for conv, base in layers:
             kernels[conv.layer_index] = stream[base : base + conv.n_weights]
@@ -582,7 +582,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a reader that left early shows here, not at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python's SIGPIPE advice: the rest of the output goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _EXPECTED_ERRORS as exc:
         print(f"convwatt: error: {exc}", file=sys.stderr)
         return 1

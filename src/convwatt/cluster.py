@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netdef import CONVOLUTIONAL, NetworkDef, ensure_shapes
+from .netdef import CONVOLUTIONAL, NetworkDef
 
 SCOPE_ALL_LAYERS = "all_layers"
 SCOPE_PER_LAYER = "per_layer"
@@ -110,6 +110,14 @@ class CentroidTable:
         return np.array_equal(self.centroids, other.centroids)
 
 
+def indexes_per_word(bits: int) -> int:
+    """Packed indexes per 32-bit word: floor(32/bits), as no index spans a
+    word boundary."""
+    if not 1 <= bits <= WORD_BITS:
+        raise ValueError("bits must lie in 1..32")
+    return WORD_BITS // bits
+
+
 @dataclass(frozen=True, eq=False)
 class PackedIndices:
     """Bit-packed index stream; no index spans a 32-bit word boundary."""
@@ -119,14 +127,12 @@ class PackedIndices:
     words: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.bits <= WORD_BITS:
-            raise ValueError("bits must lie in 1..32")
+        per_word = indexes_per_word(self.bits)
         if self.count < 0:
             raise ValueError("count must be >= 0")
         words = np.asarray(self.words, dtype=np.uint32)
         if words.ndim != 1:
             raise ValueError("words must be a 1-D array")
-        per_word = WORD_BITS // self.bits
         expected = -(-self.count // per_word)
         if words.size != expected:
             raise ValueError(
@@ -165,11 +171,25 @@ class PackedIndices:
 
 @dataclass(frozen=True)
 class ClusterEntry:
-    """One codebook with its index stream; layer_id None means global."""
+    """One codebook with its index stream; layer_id None means global.
+
+    Every index of the stream is below table.k, checked here once: a table
+    of 2**bits entries takes every bits-wide index, and the stream of a
+    smaller one is decoded and scanned.
+    """
 
     layer_id: int | None
     table: CentroidTable
     packed: PackedIndices
+
+    def __post_init__(self):
+        k, bits = self.table.k, self.packed.bits
+        if k > 1 << bits:
+            raise ValueError(f"{k}-entry table is larger than 2**{bits}")
+        if k < 1 << bits:
+            idx = unpack_indices(self.packed)
+            if idx.size and int(idx.max()) >= k:
+                raise ValueError(f"index {int(idx.max())} out of range for {k}-entry table")
 
 
 @dataclass(frozen=True)
@@ -203,8 +223,6 @@ class ClusteredModel:
         for entry in self.entries:
             if entry.packed.bits != self.bits:
                 raise ValueError("index stream width disagrees with model bits")
-            if entry.table.k > (1 << self.bits):
-                raise ValueError("table larger than 2**bits")
 
     @property
     def total_count(self) -> int:
@@ -255,8 +273,7 @@ def pack_indices(indices, bits: int) -> PackedIndices:
     j // f, where f = floor(32/bits). Indexes never span words; unused high
     bits stay zero. indices must have an integer dtype, unless it is empty.
     """
-    if not 1 <= bits <= WORD_BITS:
-        raise ValueError("bits must lie in 1..32")
+    per_word = indexes_per_word(bits)
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ValueError("indices must be 1-D")
@@ -264,7 +281,6 @@ def pack_indices(indices, bits: int) -> PackedIndices:
         raise ValueError(f"indexes must be integers, got dtype {idx.dtype}")
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= (1 << bits)):
         raise ValueError(f"indexes must lie in 0..{(1 << bits) - 1}")
-    per_word = WORD_BITS // bits
     lanes = np.zeros((-(-idx.size // per_word), per_word), dtype=np.uint32)
     lanes.reshape(-1)[: idx.size] = idx
     lanes <<= np.arange(0, per_word * bits, bits, dtype=np.uint32)
@@ -296,14 +312,10 @@ def unpack_indices(
     return lanes.reshape(-1)[skip : skip + count]
 
 
-def dequantize(table: CentroidTable, packed: PackedIndices) -> np.ndarray:
-    """Reconstruct fp32 values: value j = centroids[index j]."""
-    idx = unpack_indices(packed)
-    if idx.size and int(idx.max()) >= table.k:
-        raise ClusterFormatError(
-            f"index {int(idx.max())} out of range for {table.k}-entry table"
-        )
-    return table.centroids[idx]
+def dequantize(entry: ClusterEntry) -> np.ndarray:
+    """Reconstruct fp32 values: value j = centroids[index j]. ClusterEntry
+    holds every index in range of its table."""
+    return entry.table.centroids[unpack_indices(entry.packed)]
 
 
 def _init_centroids(values: np.ndarray, k: int, cfg: ClusterConfig) -> np.ndarray:
@@ -708,7 +720,6 @@ def read_darknet_weights(data: bytes, net: NetworkDef) -> DarknetWeights:
     fields little-endian 32-bit except seen, which is 64-bit in headers of
     version 0.2 and later (see _seen_format).
     """
-    net = ensure_shapes(net)
     cur = _Cursor(data, WeightsFormatError)
     major, minor, revision = struct.unpack("<3i", cur.take(12, "header"))
     seen_format = _seen_format(major, minor)
@@ -716,12 +727,12 @@ def read_darknet_weights(data: bytes, net: NetworkDef) -> DarknetWeights:
         seen_format, cur.take(struct.calcsize(seen_format), "seen counter")
     )
     convs = []
-    for index, layer in enumerate(net.layers):
+    for layer in net.layers:
         if layer.kind != CONVOLUTIONAL:
             continue
         spec = layer.conv
         f = spec.filters
-        where = f"layer {index} "
+        where = f"layer {layer.index} "
         biases = cur.f32(f, where + "biases")
         scales = mean = var = None
         if spec.batch_normalize:
@@ -732,7 +743,7 @@ def read_darknet_weights(data: bytes, net: NetworkDef) -> DarknetWeights:
         kernel = cur.f32(n, where + "kernel")
         convs.append(
             ConvParams(
-                layer_index=index,
+                layer_index=layer.index,
                 biases=biases,
                 kernel=kernel,
                 scales=scales,
@@ -829,7 +840,7 @@ def stream_sse(layers: list[tuple[ConvParams, int]], stream: np.ndarray) -> floa
 def model_sse(model: ClusteredModel, weights: DarknetWeights) -> list[float]:
     """Per-table SSE of the clustered model against the original kernels."""
     return [
-        stream_sse(layers, dequantize(entry.table, entry.packed))
+        stream_sse(layers, dequantize(entry))
         for entry, layers in model.spans(weights)
     ]
 
@@ -855,6 +866,8 @@ def read_clustered(data: bytes) -> ClusteredModel:
 
     The checksum is verified before any structural field is trusted, so a
     flipped byte anywhere in the payload reports as a checksum mismatch.
+    Each table is checked where it is built: CentroidTable, PackedIndices
+    and ClusterEntry raise the ValueError that is reported for it.
     """
     if len(data) < 4 or data[:4] != CWTS_MAGIC:
         raise ClusterFormatError(f"bad magic {data[:4]!r} at offset 0")
@@ -885,35 +898,19 @@ def read_clustered(data: bytes) -> ClusteredModel:
     for t in range(n_tables):
         what = f"table {t} "
         layer_id, k = struct.unpack("<II", cur.take(8, what + "header"))
-        if k < 1 or k > (1 << bits):
-            raise ClusterFormatError(
-                f"table {t} size {k} invalid for {bits}-bit indexes"
-            )
         centroids = cur.f32(k, what + "centroids")
-        if not np.all(np.isfinite(centroids)):
-            raise ClusterFormatError(f"table {t} holds non-finite centroids")
         (count,) = struct.unpack("<Q", cur.take(8, what + "index count"))
-        per_word = WORD_BITS // bits
-        n_words = -(-count // per_word)
-        words = cur.u32(n_words, what + "packed indexes")
+        words = cur.u32(-(-count // indexes_per_word(bits)), what + "packed indexes")
         try:
-            packed = PackedIndices(bits=bits, count=count, words=words)
+            entries.append(
+                ClusterEntry(
+                    None if layer_id == GLOBAL_TABLE_ID else int(layer_id),
+                    CentroidTable(centroids),
+                    PackedIndices(bits=bits, count=count, words=words),
+                )
+            )
         except ValueError as exc:
             raise ClusterFormatError(f"table {t}: {exc}") from exc
-        # every bits-wide index is in range of a full table
-        if k < (1 << bits):
-            idx = unpack_indices(packed)
-            if idx.size and int(idx.max()) >= k:
-                raise ClusterFormatError(
-                    f"table {t}: index {int(idx.max())} out of range for {k} centroids"
-                )
-        entries.append(
-            ClusterEntry(
-                None if layer_id == GLOBAL_TABLE_ID else int(layer_id),
-                CentroidTable(centroids),
-                packed,
-            )
-        )
     cur.take(4, "checksum")
     if cur.offset != len(data):
         raise ClusterFormatError(

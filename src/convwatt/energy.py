@@ -13,9 +13,11 @@ import configparser
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 
+from .cluster import indexes_per_word
 from .traffic import AccessProfile, OpProfile
 
 MJ_PER_PJ = 1e-9
+# bits of one fp32 element; a bus transaction carries bus_bits / 32 of them
 WORD_BITS = 32
 
 # Published 45 nm estimates for fp32 arithmetic, the base that the packaged
@@ -201,13 +203,6 @@ class ClusteringChoice:
 
 def _ceil_div(n: int, d: int) -> int:
     return -(-n // d)
-
-
-def indexes_per_word(bits: int) -> int:
-    """Packed codebook indexes per 32-bit word (no word spanning)."""
-    if not 1 <= bits <= WORD_BITS:
-        raise ValueError("bits must lie in 1..32")
-    return WORD_BITS // bits
 
 
 def dram_accesses(

@@ -37,16 +37,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .cluster import ClusteredModel, ConvParams, DarknetWeights, unpack_indices
-from .netdef import (
-    CONVOLUTIONAL,
-    ROUTE,
-    SHORTCUT,
-    UPSAMPLE,
-    YOLO,
-    LayerSpec,
-    NetworkDef,
-    ensure_shapes,
-)
+from .netdef import CONVOLUTIONAL, ROUTE, SHORTCUT, UPSAMPLE, YOLO, LayerSpec, NetworkDef
 
 LEAKY_SLOPE = np.float32(0.1)
 
@@ -258,8 +249,6 @@ def _conv_common(layer: LayerSpec, x: np.ndarray) -> tuple[int, int]:
     """Check a conv layer and its input; return (filters, c*k*k)."""
     if layer.kind != CONVOLUTIONAL:
         raise ValueError(f"conv forward called on {layer.kind} layer")
-    if layer.in_shape is None or layer.out_shape is None:
-        raise ValueError("layer shapes not inferred")
     expected = (layer.in_shape.c, layer.in_shape.h, layer.in_shape.w)
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match layer {expected}")
@@ -369,8 +358,9 @@ def run_network(
 ) -> Iterator[np.ndarray]:
     """Execute a toy network; return an iterator over each layer's output.
 
-    The input shape, the batch-norm folding of every conv layer and the
-    clustered model's spans are checked here, so errors surface at the call.
+    net is a network as parse_config returns it, with its shapes. The input
+    shape, the batch-norm folding of every conv layer and the clustered
+    model's spans are checked here, so errors surface at the call.
     The layers run as the iterator is advanced. It keeps only the live set:
     an output is dropped after its last reader, the next layer or a route or
     shortcut that names it. list(run_network(...)) holds every output.
@@ -381,19 +371,18 @@ def run_network(
     layers pass their input through unchanged; decoding beyond raw
     activations is out of scope here.
     """
-    net = ensure_shapes(net)
     x = np.asarray(x, dtype=np.float32)
     expected = (net.input.c, net.input.h, net.input.w)
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match network {expected}")
     lookup = _clustered_lookup(weights, clustered) if clustered else None
     params = {}
-    for index, layer in enumerate(net.layers):
+    for layer in net.layers:
         if layer.kind == CONVOLUTIONAL:
-            params[index] = weights.conv_for_layer(index)
-            if params[index].batch_normalized:
+            conv = params[layer.index] = weights.conv_for_layer(layer.index)
+            if conv.batch_normalized:
                 raise ValueError(
-                    f"layer {index} still carries batch-norm statistics; fold first"
+                    f"layer {layer.index} still carries batch-norm statistics; fold first"
                 )
     return _layer_outputs(net, x, params, lookup, on_the_fly)
 

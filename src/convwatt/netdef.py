@@ -77,7 +77,8 @@ class LayerSpec:
     (index - 1,) for conv, upsample and yolo layers, (index - 1, from) for a
     shortcut, and the listed layers for a route. conv, factor and meta are
     set for conv, upsample and yolo layers only. The shape fields are filled
-    by infer_shapes: source_shapes holds the shape of each source, so that
+    by infer_shapes, which parse_config runs, so every layer of a parsed
+    network has them: source_shapes holds the shape of each source, so that
     access counting needs no surrounding context, and in_shape is the first.
     """
 
@@ -207,10 +208,10 @@ def _parse_layer(name: str, options: dict[str, str], index: int) -> LayerSpec:
 
 
 def parse_config(text: str) -> NetworkDef:
-    """Parse configuration text into a NetworkDef (shapes not yet inferred).
+    """Parse configuration text into a NetworkDef with every layer's shapes.
 
     Unknown keys inside known sections are ignored; unknown section kinds are
-    an error.
+    an error. Text that parses but cannot be shaped raises ShapeError.
     """
     sections = _split_sections(text)
     if not sections:
@@ -235,15 +236,18 @@ def parse_config(text: str) -> NetworkDef:
             raise
         except ValueError as exc:
             raise ConfigError(f"layer {index} [{name}]: {exc}") from exc
-    return NetworkDef(input=input_shape, layers=tuple(layers))
+    return infer_shapes(NetworkDef(input=input_shape, layers=tuple(layers)))
 
 
 def infer_shapes(net: NetworkDef) -> NetworkDef:
-    """Return a copy of net with the shapes filled for every layer.
+    """net itself if every layer has its shapes, else a copy of net with the
+    shapes filled for every layer.
 
     Convolution output extent is (input - kernel + 2 * pad) // stride + 1 per
     axis (floor division).
     """
+    if all(layer.out_shape is not None for layer in net.layers):
+        return net
     shaped: list[LayerSpec] = []
     outputs = {-1: net.input}
     for layer in net.layers:
@@ -282,11 +286,3 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
         shaped.append(replace(layer, in_shape=first, out_shape=out, source_shapes=shapes))
         outputs[index] = out
     return NetworkDef(input=net.input, layers=tuple(shaped))
-
-
-def ensure_shapes(net: NetworkDef) -> NetworkDef:
-    """net itself if every layer has its shapes, else infer_shapes(net)."""
-    if any(layer.in_shape is None for layer in net.layers):
-        return infer_shapes(net)
-    return net
-

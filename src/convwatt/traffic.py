@@ -81,11 +81,6 @@ class OpProfile(_Counts):
     fp_sqrt: int = 0
 
 
-def _require_shapes(layer: LayerSpec):
-    if layer.in_shape is None or layer.out_shape is None:
-        raise ShapeError("layer shapes not inferred; run infer_shapes first")
-
-
 def conv_accesses(
     layer: LayerSpec,
     row_convention: str = ROWS_OUTPUT,
@@ -104,7 +99,6 @@ def conv_accesses(
     """
     if layer.kind != CONVOLUTIONAL:
         raise ValueError(f"conv_accesses called on {layer.kind} layer")
-    _require_shapes(layer)
     if row_convention not in ROW_CONVENTIONS:
         raise ValueError(f"unknown row convention {row_convention!r}")
     spec = layer.conv
@@ -159,7 +153,6 @@ def other_layer_accesses(layer: LayerSpec, read_bucket: str = READS_AS_INPUTS) -
     """
     if layer.kind == CONVOLUTIONAL:
         raise ValueError("use conv_accesses for convolution layers")
-    _require_shapes(layer)
     if read_bucket not in READ_BUCKETS:
         raise ValueError(f"unknown read bucket {read_bucket!r}")
     reads = sum(shape.elements for shape in layer.source_shapes)
@@ -195,7 +188,6 @@ def conv_macs(layer: LayerSpec) -> int:
     """Multiply-accumulate count of one convolution layer."""
     if layer.kind != CONVOLUTIONAL:
         raise ValueError(f"conv_macs called on {layer.kind} layer")
-    _require_shapes(layer)
     spec = layer.conv
     i, o = layer.in_shape, layer.out_shape
     return o.h * o.w * spec.kernel * spec.kernel * i.c * spec.filters
@@ -231,7 +223,6 @@ def _yolo_ops(layer: LayerSpec) -> OpProfile:
 
 
 def _layer_ops(layer: LayerSpec) -> OpProfile:
-    _require_shapes(layer)
     if layer.kind == CONVOLUTIONAL:
         n = layer.out_shape.elements if layer.conv.activation == "leaky" else 0
         return OpProfile(macs=conv_macs(layer), fp_sub=n, fp_mul=n)

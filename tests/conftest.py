@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from convwatt.netdef import ensure_shapes, infer_shapes, parse_config
+from convwatt.netdef import parse_config
 
 settings.register_profile(
     "suite",
@@ -29,7 +29,7 @@ def yolov3_text() -> str:
 
 @pytest.fixture(scope="session")
 def yolov3_net(yolov3_text):
-    return infer_shapes(parse_config(yolov3_text))
+    return parse_config(yolov3_text)
 
 
 TOY_CFG = """
@@ -79,7 +79,7 @@ num=2
 
 @pytest.fixture(scope="session")
 def toy_net():
-    return infer_shapes(parse_config(TOY_CFG))
+    return parse_config(TOY_CFG)
 
 
 def weights_blob(net, seed: int = 0, kernel_scale: float | None = None) -> bytes:
@@ -90,7 +90,6 @@ def weights_blob(net, seed: int = 0, kernel_scale: float | None = None) -> bytes
     declares them, and the fp32 kernel. Deterministic in seed.
     """
     rng = np.random.default_rng(seed)
-    net = ensure_shapes(net)
     parts = [struct.pack("<3i", 0, 2, 0), struct.pack("<Q", 0)]
     for layer in net.layers:
         if layer.kind != "convolutional":

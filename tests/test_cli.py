@@ -5,6 +5,9 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from importlib import resources
@@ -941,3 +944,64 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", str(cfg_path), "--scope", "everything"])
         assert exc.value.code == 2
+
+
+# parses, but layer 2 adds a 4x4 map to an 8x8 one
+UNSHAPEABLE_CFG = """
+[net]
+width=8
+height=8
+channels=1
+
+[convolutional]
+filters=2
+size=3
+stride=1
+pad=1
+
+[convolutional]
+filters=2
+size=3
+stride=2
+pad=1
+
+[shortcut]
+from=-2
+"""
+
+
+class TestUnshapeableConfig:
+    @pytest.mark.parametrize("command", ["analyze", "cluster", "verify"])
+    def test_one_error_line(self, cfg_path, weights_path, tmp_path, capsys, command):
+        model = run_cluster(cfg_path, weights_path, tmp_path)
+        capsys.readouterr()
+        bad = tmp_path / "unshapeable.cfg"
+        bad.write_text(UNSHAPEABLE_CFG)
+        argv = {
+            "analyze": ["analyze", str(bad)],
+            "cluster": ["cluster", str(bad), str(weights_path), "--bits", "5",
+                        "--out", str(tmp_path / "out.cwts")],
+            "verify": ["verify", str(bad), str(weights_path), str(model)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "",
+            "convwatt: error: layer 2: shortcut operands differ, 4x4x2 vs 8x8x2 "
+            "from layer 0\n",
+        )
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self):
+        # the reader is gone before the first write, so every write fails
+        cfg = resources.files("convwatt").joinpath("data/yolov3.cfg")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "convwatt.cli", "analyze", str(cfg), "--bits", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")

@@ -952,13 +952,15 @@ class TestQuantization:
     def test_dequantize_by_hand(self):
         table = CentroidTable(np.array([-1.5, 0.25, 3.0], dtype=np.float32))
         packed = pack_indices([2, 0, 1, 1], 2)
-        assert dequantize(table, packed).tolist() == [3.0, -1.5, 0.25, 0.25]
+        entry = ClusterEntry(None, table, packed)
+        assert dequantize(entry).tolist() == [3.0, -1.5, 0.25, 0.25]
 
-    def test_dequantize_range_check(self):
+    def test_entry_range_check(self):
+        # a 2-entry table cannot take index 3 of a 2-bit stream
         table = CentroidTable(np.array([1.0, 2.0], dtype=np.float32))
-        packed = pack_indices([3], 2)
-        with pytest.raises(ClusterFormatError, match="out of range"):
-            dequantize(table, packed)
+        packed = pack_indices([0, 3, 1], 2)
+        with pytest.raises(ValueError, match="index 3 out of range for 2-entry table"):
+            ClusterEntry(None, table, packed)
 
 
 class TestWeightsIO:
@@ -1088,7 +1090,7 @@ class TestClusterModel:
         assert entry.table.k == 32
         assert model.total_count == sum(c.n_weights for c in folded.convs)
         stream = np.concatenate([c.kernel for c in folded.convs])
-        assert dequantize(entry.table, entry.packed).shape == stream.shape
+        assert dequantize(entry).shape == stream.shape
 
     def test_per_layer_scope_structure(self, folded):
         model = cluster_model(folded, ClusterConfig(scope="per_layer", bits=5))
@@ -1102,7 +1104,7 @@ class TestClusterModel:
         model = cluster_model(folded, ClusterConfig(bits=5))
         [sse] = model_sse(model, folded)
         stream = np.concatenate([c.kernel for c in folded.convs])
-        recon = dequantize(model.entries[0].table, model.entries[0].packed)
+        recon = dequantize(model.entries[0])
         d = stream.astype(np.float64) - recon.astype(np.float64)
         assert sse == pytest.approx(float(np.dot(d, d)), rel=1e-12)
 
@@ -1485,5 +1487,5 @@ class TestEndToEnd:
 
     def test_clustered_pipeline_reduces_distinct_values(self, folded):
         model = cluster_model(folded, ClusterConfig(bits=5))
-        recon = dequantize(model.entries[0].table, model.entries[0].packed)
+        recon = dequantize(model.entries[0])
         assert np.unique(recon).size <= 32

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from convwatt.cluster import indexes_per_word
 from convwatt.energy import (
     BASE_FP32_ADD_PJ,
     BASE_FP32_MUL_PJ,
@@ -19,7 +20,6 @@ from convwatt.energy import (
     dram_accesses,
     fp_energy_mj,
     frame_energy,
-    indexes_per_word,
     load_energy_config,
     parse_energy_config,
     size_reduction_factor,

@@ -869,16 +869,14 @@ class TestRunNetwork:
         model = cluster_model(toy_folded, ClusterConfig(scope=scope, bits=5))
         if scope == "all_layers":
             entry = model.entries[0]
-            stream = dequantize(entry.table, entry.packed)
+            stream = dequantize(entry)
             pieces = []
             base = 0
             for conv in toy_folded.convs:
                 pieces.append(stream[base : base + conv.n_weights])
                 base += conv.n_weights
         else:
-            pieces = [
-                dequantize(entry.table, entry.packed) for entry in model.entries
-            ]
+            pieces = [dequantize(entry) for entry in model.entries]
         dequantized = DarknetWeights(
             0,
             2,

@@ -18,7 +18,6 @@ from convwatt.netdef import (
     NetworkDef,
     ShapeError,
     TensorShape,
-    ensure_shapes,
     infer_shapes,
     parse_config,
 )
@@ -164,15 +163,15 @@ class TestParse:
 
 class TestInferShapes:
     def test_same_padding_identity(self):
-        net = infer_shapes(parse_config(conv_chain_cfg(608, 608, 3, [(32, 3, 1)])))
+        net = parse_config(conv_chain_cfg(608, 608, 3, [(32, 3, 1)]))
         assert net.layers[0].out_shape == TensorShape(608, 608, 32)
 
     def test_stride_two_halves(self):
-        net = infer_shapes(parse_config(conv_chain_cfg(608, 608, 3, [(64, 3, 2)])))
+        net = parse_config(conv_chain_cfg(608, 608, 3, [(64, 3, 2)]))
         assert net.layers[0].out_shape == TensorShape(304, 304, 64)
 
     def test_floor_division_on_odd_extent(self):
-        net = infer_shapes(parse_config(conv_chain_cfg(7, 7, 1, [(1, 3, 2)])))
+        net = parse_config(conv_chain_cfg(7, 7, 1, [(1, 3, 2)]))
         # (7 - 3 + 2) // 2 + 1
         assert net.layers[0].out_shape == TensorShape(4, 4, 1)
 
@@ -200,7 +199,7 @@ class TestInferShapes:
 
     def test_shortcut_of_the_preceding_layer_with_itself(self):
         text = conv_chain_cfg(4, 4, 1, [(2, 3, 1)]) + "\n[shortcut]\nfrom=-1"
-        net = infer_shapes(parse_config(text))
+        net = parse_config(text)
         assert (net.layers[1].sources, net.layers[1].from_index) == ((0, 0), 0)
         assert net.layers[1].out_shape == TensorShape(4, 4, 2)
 
@@ -211,17 +210,17 @@ class TestInferShapes:
     def test_unpadded_kernel_larger_than_input(self):
         text = conv_chain_cfg(2, 2, 1, []) + "\n[convolutional]\nfilters=1\nsize=3\nstride=1"
         with pytest.raises(ShapeError, match="empty output"):
-            infer_shapes(parse_config(text))
+            parse_config(text)
 
     def test_shortcut_shape_mismatch(self):
         text = conv_chain_cfg(8, 8, 1, [(2, 3, 1), (2, 3, 2)]) + "\n[shortcut]\nfrom=-2"
         with pytest.raises(ShapeError, match="operands differ, 4x4x2 vs 8x8x2 from layer 0"):
-            infer_shapes(parse_config(text))
+            parse_config(text)
 
     def test_route_spatial_mismatch(self):
         text = conv_chain_cfg(8, 8, 1, [(2, 3, 1), (2, 3, 2)]) + "\n[route]\nlayers=-1,-2"
         with pytest.raises(ShapeError, match="spatial extent"):
-            infer_shapes(parse_config(text))
+            parse_config(text)
 
     @given(
         h=st.integers(min_value=1, max_value=32),
@@ -235,18 +234,18 @@ class TestInferShapes:
             f"[net]\nwidth={w}\nheight={h}\nchannels={c}\n"
             f"[convolutional]\nfilters={filters}\nsize={kernel}\nstride=1\npad=1"
         )
-        net = infer_shapes(parse_config(text))
+        net = parse_config(text)
         assert net.layers[0].out_shape == TensorShape(h, w, filters)
 
     def test_inference_is_deterministic(self, toy_net):
-        again = infer_shapes(parse_config(serialize_config(toy_net)))
+        again = parse_config(serialize_config(toy_net))
         assert again == toy_net
 
 
 class TestRoundtrip:
     def test_toy_roundtrip(self, toy_net):
-        unshaped = parse_config(serialize_config(toy_net))
-        assert parse_config(serialize_config(unshaped)) == unshaped
+        parsed = parse_config(serialize_config(toy_net))
+        assert parse_config(serialize_config(parsed)) == parsed
 
     def test_shapes_do_not_leak_into_text(self, toy_net):
         assert serialize_config(toy_net) == serialize_config(
@@ -307,10 +306,8 @@ class TestFixture:
             (TensorShape(38, 38, 128), TensorShape(76, 76, 128)),
         ]
 
-    def test_fixture_roundtrip(self, yolov3_text, yolov3_net):
-        net = parse_config(yolov3_text)
-        assert parse_config(serialize_config(net)) == net
-        assert infer_shapes(net) == yolov3_net
+    def test_fixture_roundtrip(self, yolov3_net):
+        assert parse_config(serialize_config(yolov3_net)) == yolov3_net
 
     def test_all_conv_kernels_modeled(self, yolov3_net):
         pairs = {
@@ -342,7 +339,7 @@ class TestFuzz:
         insert = "".join(data.draw(st.lists(CFG_FRAGMENTS, max_size=6), label="insert"))
         text = text[:at] + insert + text[at + cut:]
         try:
-            infer_shapes(parse_config(text))
+            parse_config(text)
         except cli._EXPECTED_ERRORS:
             pass
 
@@ -365,7 +362,7 @@ class TestFuzz:
             if not lines:
                 break
         try:
-            infer_shapes(parse_config("\n".join(lines)))
+            parse_config("\n".join(lines))
         except cli._EXPECTED_ERRORS:
             pass
 
@@ -389,16 +386,16 @@ class TestFuzz:
         )
         lines[at] = lines[at].partition("=")[0] + "=" + value
         try:
-            infer_shapes(parse_config("\n".join(lines)))
+            parse_config("\n".join(lines))
         except cli._EXPECTED_ERRORS:
             pass
 
 
-class TestEnsureShapes:
-    def test_infers_missing_shapes(self, toy_net):
-        parsed = parse_config(TOY_CFG)
-        assert parsed.layers[0].in_shape is None
-        assert ensure_shapes(parsed) == toy_net
+class TestParsedNetIsShaped:
+    def test_every_layer_has_shapes(self):
+        net = parse_config(TOY_CFG)
+        for layer in net.layers:
+            assert None not in (layer.in_shape, layer.out_shape, layer.source_shapes)
 
     def test_shaped_net_returned_as_is(self, toy_net):
-        assert ensure_shapes(toy_net) is toy_net
+        assert infer_shapes(toy_net) is toy_net

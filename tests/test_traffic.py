@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import conv_stream_counts
-from convwatt.netdef import ShapeError, infer_shapes, parse_config
+from convwatt.netdef import ShapeError, parse_config
 from convwatt.traffic import (
     READS_SPLIT,
     ROWS_INPUT,
@@ -50,13 +50,11 @@ def shaped_conv(in_h, in_w, in_c, filters, kernel, stride, pad=None, activation=
         f"[convolutional]\nfilters={filters}\nsize={kernel}\nstride={stride}\n"
         f"padding={pad}\nactivation={activation}"
     )
-    return infer_shapes(parse_config(text)).layers[0]
+    return parse_config(text).layers[0]
 
 
 def shaped_net(body: str, in_h=8, in_w=8, in_c=3):
-    return infer_shapes(
-        parse_config(f"[net]\nwidth={in_w}\nheight={in_h}\nchannels={in_c}\n{body}")
-    )
+    return parse_config(f"[net]\nwidth={in_w}\nheight={in_h}\nchannels={in_c}\n{body}")
 
 
 class TestConvAccesses:
