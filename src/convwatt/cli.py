@@ -16,25 +16,25 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace as dc_replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .cluster import (
+    INITS,
+    SCOPE_ALL_LAYERS,
+    SCOPES,
     ClusterConfig,
-    ClusteredModel,
     ClusterFormatError,
-    DarknetWeights,
     WeightsFormatError,
     cluster_model,
     dequantize,
     fold_batch_norm,
+    indexes_per_word,
     model_sse,
     read_clustered,
     read_darknet_weights,
-    stream_sse,
     write_clustered,
 )
 from .energy import (
@@ -141,6 +141,11 @@ def _opt_value(text: str) -> str:
     return text.replace("-", "_")
 
 
+def _choices(values) -> list[str]:
+    """The argparse spelling of module constants, the inverse of _opt_value."""
+    return [value.replace("_", "-") for value in values]
+
+
 def cmd_analyze(args) -> int:
     net = _load_network(args.config)
     config = load_energy_config(args.energy_config)
@@ -171,7 +176,7 @@ def cmd_analyze(args) -> int:
     baseline = frame_energy(total, ops, config)
     reports = [baseline]
     for bits in args.bits or ():
-        tables = 1 if scope == "all_layers" else n_convs
+        tables = 1 if scope == SCOPE_ALL_LAYERS else n_convs
         reports.append(
             frame_energy(
                 total,
@@ -216,16 +221,13 @@ def cmd_analyze(args) -> int:
     size_notes = []
     for report in reports[1:]:
         bits = report.weight_bits
-        aligned = size_reduction_factor(n_weights, bits)
-        tight = size_reduction_factor(
-            n_weights, bits, report.table_read_elements, word_aligned=False
-        )
+        tight = size_reduction_factor(n_weights, bits, report.table_read_elements)
         stored = clustered_size_bits(n_weights, bits, report.table_read_elements)
         size_notes.append(
             {
                 "configuration": report.label,
                 "bits": bits,
-                "word_aligned_factor": aligned,
+                "word_aligned_factor": float(indexes_per_word(bits)),
                 "tight_factor": tight,
                 "stored_bits_tight": stored,
                 "sram_table_bytes": sram_table_bytes(bits),
@@ -277,11 +279,9 @@ def cmd_cluster(args) -> int:
     with open(args.out, "wb") as handle:
         handle.write(payload)
 
-    sses = model_sse(model, folded)
-    n_weights = model.total_count
-    tight = size_reduction_factor(
-        n_weights, cfg.bits, sum(e.table.k for e in model.entries), word_aligned=False
-    )
+    sses = model_sse(model, folded, dequantize(model, folded))
+    tables = sum(e.table.k for e in model.entries)
+    tight = size_reduction_factor(model.total_count, cfg.bits, tables)
     table_stats = []
     for entry, sse in zip(model.entries, sses):
         name = "global" if entry.layer_id is None else f"layer {entry.layer_id}"
@@ -299,7 +299,7 @@ def cmd_cluster(args) -> int:
         print(f"{name}: {entry.packed.count} weights, K={entry.table.k}, "
               f"SSE={sse:.6g}{flag}")
     print(f"wrote {args.out}: {len(payload)} bytes, "
-          f"{size_reduction_factor(n_weights, cfg.bits):.0f}x word-aligned reduction, "
+          f"{indexes_per_word(cfg.bits)}x word-aligned reduction, "
           f"{tight:.2f}x tight")
     if args.json:
         manifest = _manifest(
@@ -326,22 +326,6 @@ def cmd_cluster(args) -> int:
             },
         )
     return 0
-
-
-def _dequantized_weights(
-    model: ClusteredModel, folded: DarknetWeights
-) -> tuple[DarknetWeights, list[float]]:
-    """Folded weights with kernels replaced by their codebook reconstruction,
-    and each table's SSE against the folded kernels (model_sse's figures,
-    from the same decode)."""
-    kernels, sses = {}, []
-    for entry, layers in model.spans(folded):
-        stream = dequantize(entry)
-        sses.append(stream_sse(layers, stream))
-        for conv, base in layers:
-            kernels[conv.layer_index] = stream[base : base + conv.n_weights]
-    convs = tuple(dc_replace(c, kernel=kernels[c.layer_index]) for c in folded.convs)
-    return dc_replace(folded, convs=convs), sses
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -382,7 +366,8 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((net.input.c, net.input.h, net.input.w)).astype(np.float32)
 
-    dequantized_weights, sses = _dequantized_weights(model, folded)
+    dequantized_weights = dequantize(model, folded)
+    sses = model_sse(model, folded, dequantized_weights)
     passes = (
         run_network(net, folded, x),
         run_network(net, dequantized_weights, x),
@@ -502,11 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="add a clustered configuration with N-bit indexes (repeatable)",
     )
     analyze.add_argument(
-        "--scope", choices=("all-layers", "per-layer"), default="all-layers",
+        "--scope", choices=_choices(SCOPES), default="all-layers",
         help="codebook scope for clustered configurations",
     )
     analyze.add_argument(
-        "--row-convention", choices=[c.replace("_", "-") for c in ROW_CONVENTIONS],
+        "--row-convention", choices=_choices(ROW_CONVENTIONS),
         default="output-rows", help="weight re-stream row counting convention",
     )
     analyze.add_argument(
@@ -526,12 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("weights", help="Darknet .weights file")
     cluster.add_argument("--bits", type=int, required=True, help="index width (1..8)")
     cluster.add_argument(
-        "--scope", choices=("all-layers", "per-layer"), default="all-layers"
+        "--scope", choices=_choices(SCOPES), default="all-layers"
     )
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument(
         "--init",
-        choices=("linspace", "kmeans-pp"),
+        choices=_choices(INITS),
         default="linspace",
         help="centroid initialization; kmeans-pp costs O(n*k) per table, "
         "about 25x linspace's time on 4 M values at 8 bits, so use linspace "

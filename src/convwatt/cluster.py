@@ -5,6 +5,9 @@ fp32 centroids plus a stream of bit-packed indexes; biases and folded
 batch-norm parameters are never clustered. Clustering runs either globally
 over all conv kernels at once or separately per layer.
 
+dequantize is the one way back to fp32 weights: each conv looks up its own
+span of its table's index stream, as the engine's indirect pass decodes it.
+
 Also implements the Darknet ``.weights`` layout and the ``CWTS`` clustered
 container (little-endian, CRC-protected).
 """
@@ -29,6 +32,8 @@ SCOPES = (SCOPE_ALL_LAYERS, SCOPE_PER_LAYER)
 INIT_LINSPACE = "linspace"
 INIT_KMEANS_PP = "kmeans_pp"
 INITS = (INIT_LINSPACE, INIT_KMEANS_PP)
+
+BN_EPS = 1e-6  # the variance epsilon of fold_batch_norm
 
 WORD_BITS = 32
 GLOBAL_TABLE_ID = 0xFFFFFFFF
@@ -187,7 +192,7 @@ class ClusterEntry:
         if k > 1 << bits:
             raise ValueError(f"{k}-entry table is larger than 2**{bits}")
         if k < 1 << bits:
-            idx = unpack_indices(self.packed)
+            idx = unpack_indices(self.packed, 0, self.packed.count)
             if idx.size and int(idx.max()) >= k:
                 raise ValueError(f"index {int(idx.max())} out of range for {k}-entry table")
 
@@ -288,17 +293,13 @@ def pack_indices(indices, bits: int) -> PackedIndices:
     return PackedIndices(bits=bits, count=int(idx.size), words=words)
 
 
-def unpack_indices(
-    packed: PackedIndices, start: int = 0, count: int | None = None
-) -> np.ndarray:
-    """Inverse of pack_indices: the uint32 indexes start .. start + count - 1
-    of the stream, the whole stream by default.
+def unpack_indices(packed: PackedIndices, start: int, count: int) -> np.ndarray:
+    """Inverse of pack_indices over one span: the uint32 indexes start ..
+    start + count - 1 of the stream.
 
     Only the words that hold the span are decoded. Raises ValueError unless
     the span lies within 0..packed.count.
     """
-    if count is None:
-        count = packed.count - start
     if start < 0 or count < 0 or start + count > packed.count:
         raise ValueError(
             f"span {start}..{start + count} lies outside the stream's "
@@ -310,12 +311,6 @@ def unpack_indices(
     lanes = packed.words[first : -(-(start + count) // per_word), None] >> shifts
     lanes &= packed._mask
     return lanes.reshape(-1)[skip : skip + count]
-
-
-def dequantize(entry: ClusterEntry) -> np.ndarray:
-    """Reconstruct fp32 values: value j = centroids[index j]. ClusterEntry
-    holds every index in range of its table."""
-    return entry.table.centroids[unpack_indices(entry.packed)]
 
 
 def _init_centroids(values: np.ndarray, k: int, cfg: ClusterConfig) -> np.ndarray:
@@ -773,11 +768,12 @@ def write_darknet_weights(weights: DarknetWeights) -> bytes:
     return bytes(out)
 
 
-def fold_batch_norm(weights: DarknetWeights, eps: float = 1e-6) -> DarknetWeights:
+def fold_batch_norm(weights: DarknetWeights) -> DarknetWeights:
     """Fold batch-norm statistics into kernels and biases.
 
     y = scale*(conv - mean)/sqrt(var + eps) + bias becomes a plain conv with
-    kernel' = kernel*scale/sqrt(var+eps) and bias' = bias - scale*mean/sqrt(var+eps).
+    kernel' = kernel*scale/sqrt(var+eps) and bias' = bias - scale*mean/sqrt(var+eps),
+    eps being BN_EPS.
     """
     folded = []
     for conv in weights.convs:
@@ -786,7 +782,7 @@ def fold_batch_norm(weights: DarknetWeights, eps: float = 1e-6) -> DarknetWeight
             continue
         f = conv.biases.size
         factor = conv.scales.astype(np.float64) / np.sqrt(
-            conv.rolling_var.astype(np.float64) + eps
+            conv.rolling_var.astype(np.float64) + BN_EPS
         )
         kernel = conv.kernel.astype(np.float64).reshape(f, -1) * factor[:, None]
         bias = conv.biases.astype(np.float64) - factor * conv.rolling_mean.astype(
@@ -800,6 +796,23 @@ def fold_batch_norm(weights: DarknetWeights, eps: float = 1e-6) -> DarknetWeight
             )
         )
     return replace(weights, convs=tuple(folded))
+
+
+def dequantize(model: ClusteredModel, weights: DarknetWeights) -> DarknetWeights:
+    """weights with each conv kernel rebuilt as centroids[index] over the
+    conv's own span of its table's stream. ClusterEntry holds every index in
+    range of its table."""
+    kernels = {
+        conv.layer_index: entry.table.centroids[
+            unpack_indices(entry.packed, base, conv.n_weights)
+        ]
+        for entry, layers in model.spans(weights)
+        for conv, base in layers
+    }
+    return replace(
+        weights,
+        convs=tuple(replace(c, kernel=kernels[c.layer_index]) for c in weights.convs),
+    )
 
 
 def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel:
@@ -825,24 +838,25 @@ def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel
     return ClusteredModel(scope=cfg.scope, bits=cfg.bits, entries=entries)
 
 
-def stream_sse(layers: list[tuple[ConvParams, int]], stream: np.ndarray) -> float:
-    """SSE of one table's decoded stream against the kernels of the layers
-    it covers, as ClusteredModel.spans lists them, in float64.
+def model_sse(
+    model: ClusteredModel, weights: DarknetWeights, dequantized: DarknetWeights
+) -> list[float]:
+    """Per-table SSE of dequantize's kernels against those of weights.
 
+    A table's kernels are copied into one float64 array in stream order, 8
+    bytes per weight, and each conv's rebuilt kernel is subtracted in place.
     einsum sums in one thread, unlike a BLAS dot, whose rounding depends on
     its thread count and so on the host.
     """
-    d = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
-    d -= stream
-    return float(np.einsum("i,i->", d, d))
-
-
-def model_sse(model: ClusteredModel, weights: DarknetWeights) -> list[float]:
-    """Per-table SSE of the clustered model against the original kernels."""
-    return [
-        stream_sse(layers, dequantize(entry))
-        for entry, layers in model.spans(weights)
-    ]
+    sses = []
+    for _, layers in model.spans(weights):
+        d = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
+        for conv, base in layers:
+            d[base : base + conv.n_weights] -= dequantized.conv_for_layer(
+                conv.layer_index
+            ).kernel
+        sses.append(float(np.einsum("i,i->", d, d)))
+    return sses
 
 
 def write_clustered(model: ClusteredModel) -> bytes:

@@ -270,22 +270,15 @@ def clustered_size_bits(n_weights: int, bits: int, table_entries: int) -> int:
     return n_weights * bits + table_entries * WORD_BITS
 
 
-def size_reduction_factor(
-    n_weights: int,
-    bits: int,
-    table_entries: int = 0,
-    word_aligned: bool = True,
-) -> float:
-    """Weight storage shrink factor relative to fp32.
+def size_reduction_factor(n_weights: int, bits: int, table_entries: int) -> float:
+    """Tight weight storage shrink factor relative to fp32: exact index bits
+    plus the fp32 tables, 32n / (n*bits + entries*32).
 
-    Word-aligned packing wastes the remainder of each 32-bit word, so the
-    factor is floor(32/bits). The tight bound counts exact index bits plus
-    the fp32 tables: 32n / (n*bits + entries*32).
+    Word-aligned packing wastes the remainder of each 32-bit word, so its
+    factor is indexes_per_word(bits).
     """
     if n_weights < 1:
         raise ValueError("n_weights must be >= 1")
-    if word_aligned:
-        return float(indexes_per_word(bits))
     return (n_weights * WORD_BITS) / clustered_size_bits(n_weights, bits, table_entries)
 
 

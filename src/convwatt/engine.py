@@ -27,7 +27,7 @@ band's columns of the output. Each output column's k-ordered sum depends on
 no other column, so banding leaves every output bit unchanged. A clustered
 convolution decodes only its own span of the packed index stream, while it
 runs: in one piece before its first band, or a block at a time inside the
-GEMM.
+GEMM; cluster.dequantize decodes the same span for the dequantized pass.
 """
 
 from __future__ import annotations

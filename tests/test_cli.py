@@ -22,6 +22,7 @@ from convwatt.cli import main
 from convwatt.cluster import (
     ClusteredModel,
     ClusterEntry,
+    dequantize,
     fold_batch_norm,
     model_sse,
     read_clustered,
@@ -363,7 +364,7 @@ def run_network_digests(text: str, scope: str) -> dict[str, list[str]]:
     net = parse_config(text)
     folded = fold_batch_norm(read_darknet_weights(weights_blob(net, seed=11), net))
     model = cluster.cluster_model(folded, cluster.ClusterConfig(scope=scope, bits=5))
-    dequantized, _ = cli._dequantized_weights(model, folded)
+    dequantized = dequantize(model, folded)
     x = np.random.default_rng(99).standard_normal(
         (net.input.c, net.input.h, net.input.w)
     ).astype(np.float32)
@@ -584,22 +585,29 @@ class TestVerify:
         model = read_clustered(out.read_bytes())
         folded = fold_batch_norm(read_darknet_weights(weights_path.read_bytes(),
                                                       cli._load_network(str(cfg_path))))
-        total_sse = sum(model_sse(model, folded))
+        total_sse = sum(model_sse(model, folded, dequantize(model, folded)))
+        spans = sorted(
+            (entry.packed.count, base, conv.n_weights)
+            for entry, layers in model.spans(folded)
+            for conv, base in layers
+        )
+        assert len(folded.convs) > 1 and all(
+            entry.table.k == 1 << model.bits for entry in model.entries
+        )
         capsys.readouterr()
         real, decoded = cluster.unpack_indices, []
 
-        def spy(*args):
-            indexes = real(*args)
-            decoded.append(indexes.size)
-            return indexes
+        def spy(packed, start, count):
+            decoded.append((packed.count, start, count))
+            return real(packed, start, count)
 
         monkeypatch.setattr(cluster, "unpack_indices", spy)
         monkeypatch.setattr(engine, "unpack_indices", spy)
         assert main(["verify", str(cfg_path), str(weights_path), str(out)]) == 0
-        # each table whole for the dequantized weights and the SSE, and each
-        # conv's span in the indirect pass; reading a full table decodes nothing
-        assert sum(decoded) == 2 * model.total_count
-        assert len(decoded) == len(model.entries) + len(folded.convs)
+        # each conv's span once for the dequantized weights and once in the
+        # indirect pass; reading a full table decodes nothing, and no call
+        # decodes a whole table's stream
+        assert sorted(decoded) == sorted(spans * 2)
         assert f"weight quantization SSE: {total_sse:.6g}" in capsys.readouterr().out
 
     def test_corrupt_model_fails_with_checksum_error(

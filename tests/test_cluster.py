@@ -88,7 +88,7 @@ class TestPacking:
         packed = pack_indices([], 6)
         assert packed.count == 0
         assert packed.words.size == 0
-        assert unpack_indices(packed).size == 0
+        assert unpack_indices(packed, 0, 0).size == 0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="0..31"):
@@ -133,7 +133,7 @@ class TestPacking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(unpack_indices(packed), indices)
+        assert np.array_equal(unpack_indices(packed, 0, indices.size), indices)
         assert peak / indices.size < 6
 
     def test_rejects_bad_shapes(self):
@@ -173,7 +173,7 @@ class TestPacking:
         )
         packed = pack_indices(indices, bits)
         assert packed.words.tolist() == pack_indices_reference(indices, bits)
-        assert unpack_indices(packed).tolist() == indices
+        assert unpack_indices(packed, 0, len(indices)).tolist() == indices
 
     @given(data=st.data(), bits=st.integers(min_value=1, max_value=32))
     def test_spans_are_slices_of_the_whole_decode(self, data, bits):
@@ -182,19 +182,18 @@ class TestPacking:
             st.lists(st.integers(0, (1 << bits) - 1), max_size=3 * (32 // bits) + 2)
         )
         packed = pack_indices(indices, bits)
-        whole = unpack_indices(packed)
+        whole = unpack_indices(packed, 0, len(indices))
         start = data.draw(st.integers(0, len(indices)), label="start")
         count = data.draw(st.integers(0, len(indices) - start), label="count")
         span = unpack_indices(packed, start, count)
         assert span.dtype == np.uint32
         assert np.array_equal(span, whole[start : start + count])
-        assert np.array_equal(unpack_indices(packed, start), whole[start:])
         assert np.array_equal(
             packed.take(np.arange(start, start + count)), whole[start : start + count]
         )
 
-    @pytest.mark.parametrize("start, count", [(-1, 2), (0, 11), (10, 1), (11, None),
-                                              (3, -1), (-1, None)])
+    @pytest.mark.parametrize("start, count", [(-1, 2), (0, 11), (10, 1), (11, 0),
+                                              (3, -1), (-1, 0)])
     def test_span_outside_the_stream_is_rejected(self, start, count):
         packed = pack_indices(list(range(10)), 5)
         with pytest.raises(ValueError, match="outside the stream's 0..10"):
@@ -947,13 +946,40 @@ class TestQuantization:
         model = ClusteredModel(
             "all_layers", 1, (ClusterEntry(None, table, pack_indices([0, 0, 1], 1)),)
         )
-        assert model_sse(model, DarknetWeights(0, 2, 0, 0, (conv,))) == [1.0]
+        weights = DarknetWeights(0, 2, 0, 0, (conv,))
+        assert model_sse(model, weights, dequantize(model, weights)) == [1.0]
 
     def test_dequantize_by_hand(self):
+        # one global stream over two convs: each takes its own span
         table = CentroidTable(np.array([-1.5, 0.25, 3.0], dtype=np.float32))
         packed = pack_indices([2, 0, 1, 1], 2)
-        entry = ClusterEntry(None, table, packed)
-        assert dequantize(entry).tolist() == [3.0, -1.5, 0.25, 0.25]
+        model = ClusteredModel("all_layers", 2, (ClusterEntry(None, table, packed),))
+        convs = (
+            ConvParams(0, np.zeros(1), np.zeros(1)),
+            ConvParams(2, np.ones(1), np.zeros(3)),
+        )
+        weights = DarknetWeights(0, 2, 0, 0, convs)
+        got = dequantize(model, weights)
+        assert [c.kernel.tolist() for c in got.convs] == [[3.0], [-1.5, 0.25, 0.25]]
+        assert [c.layer_index for c in got.convs] == [0, 2]
+        assert got.convs[1].biases.tolist() == [1.0]
+        assert got.convs[0].kernel.dtype == np.float32
+
+    def test_dequantize_matches_whole_stream_decode(self, model, folded):
+        # centroids of the whole stream's decode, sliced at each conv's base
+        dequantized = dequantize(model, folded)
+        for entry, layers in model.spans(folded):
+            stream = entry.table.centroids[
+                unpack_indices(entry.packed, 0, entry.packed.count)
+            ]
+            for conv, base in layers:
+                want = stream[base : base + conv.n_weights]
+                got = dequantized.conv_for_layer(conv.layer_index).kernel
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert [c.layer_index for c in dequantized.convs] == [
+            c.layer_index for c in folded.convs
+        ]
 
     def test_entry_range_check(self):
         # a 2-entry table cannot take index 3 of a 2-bit stream
@@ -1089,8 +1115,10 @@ class TestClusterModel:
         assert entry.layer_id is None
         assert entry.table.k == 32
         assert model.total_count == sum(c.n_weights for c in folded.convs)
-        stream = np.concatenate([c.kernel for c in folded.convs])
-        assert dequantize(entry).shape == stream.shape
+        dequantized = dequantize(model, folded)
+        assert [c.kernel.shape for c in dequantized.convs] == [
+            c.kernel.shape for c in folded.convs
+        ]
 
     def test_per_layer_scope_structure(self, folded):
         model = cluster_model(folded, ClusterConfig(scope="per_layer", bits=5))
@@ -1102,31 +1130,37 @@ class TestClusterModel:
 
     def test_model_sse_matches_quantization(self, folded):
         model = cluster_model(folded, ClusterConfig(bits=5))
-        [sse] = model_sse(model, folded)
+        [sse] = model_sse(model, folded, dequantize(model, folded))
         stream = np.concatenate([c.kernel for c in folded.convs])
-        recon = dequantize(model.entries[0])
+        recon = np.concatenate([c.kernel for c in dequantize(model, folded).convs])
         d = stream.astype(np.float64) - recon.astype(np.float64)
         assert sse == pytest.approx(float(np.dot(d, d)), rel=1e-12)
 
-    def test_stream_sse_peak_memory_per_weight(self):
-        # one float64 difference: 8 bytes per weight, and no BLAS copies
+    def test_model_sse_peak_memory_per_weight(self):
+        # one float64 difference per table, 8 bytes per weight, with each
+        # reconstruction subtracted in place: no fp32 copy, no BLAS buffers
         n = 1 << 20
         rng = np.random.default_rng(9)
         kernels = rng.standard_normal(n).astype(np.float32)
         quarter = n // 4
-        layers = [
-            (ConvParams(i, np.zeros(1), kernels[i * quarter : (i + 1) * quarter]),
-             i * quarter)
+        convs = tuple(
+            ConvParams(i, np.zeros(1), kernels[i * quarter : (i + 1) * quarter])
             for i in range(4)
-        ]
+        )
+        weights = DarknetWeights(0, 2, 0, 0, convs)
         stream = kernels + (rng.standard_normal(n) * 0.01).astype(np.float32)
+        dequantized = DarknetWeights(0, 2, 0, 0, tuple(
+            ConvParams(i, np.zeros(1), stream[i * quarter : (i + 1) * quarter])
+            for i in range(4)
+        ))
+        model = global_model(n)
         tracemalloc.start()
         try:
-            sse = cluster.stream_sse(layers, stream)
+            [sse] = model_sse(model, weights, dequantized)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= 13
+        assert peak / n <= 8.5
         d = kernels.astype(np.float64) - stream.astype(np.float64)
         assert sse == pytest.approx(math.fsum(d * d), rel=1e-12)
 
@@ -1157,11 +1191,13 @@ class TestClusterModel:
         model = cluster_model(folded, ClusterConfig(bits=5))
         entry = model.entries[0]
         shorter = ClusterEntry(
-            None, entry.table, pack_indices(unpack_indices(entry.packed)[:-1], 5)
+            None,
+            entry.table,
+            pack_indices(unpack_indices(entry.packed, 0, entry.packed.count - 1), 5),
         )
         broken = ClusteredModel(scope="all_layers", bits=5, entries=(shorter,))
         with pytest.raises(ValueError, match="covers"):
-            model_sse(broken, folded)
+            model_sse(broken, folded, folded)
 
     def test_needs_conv_layers(self):
         empty = DarknetWeights(0, 2, 0, 0, ())
@@ -1180,13 +1216,10 @@ class TestClusterModel:
                 for i, center in enumerate((-8.0, 8.0))
             )
             weights = DarknetWeights(0, 2, 0, 0, convs)
-            global_sse = sum(model_sse(cluster_model(weights, ClusterConfig(bits=3)), weights))
-            per_sse = sum(
-                model_sse(
-                    cluster_model(weights, ClusterConfig(scope="per_layer", bits=3)),
-                    weights,
-                )
-            )
+            shared = cluster_model(weights, ClusterConfig(bits=3))
+            per_layer = cluster_model(weights, ClusterConfig(scope="per_layer", bits=3))
+            global_sse = sum(model_sse(shared, weights, dequantize(shared, weights)))
+            per_sse = sum(model_sse(per_layer, weights, dequantize(per_layer, weights)))
             assert per_sse <= global_sse
 
     def test_model_validation(self):
@@ -1330,10 +1363,9 @@ def malformed_model(defect, convs):
 
 # every path from a clustered model to its weights goes through spans
 CALLERS = {
-    "model_sse": lambda model, net, folded: model_sse(model, folded),
-    "dequantized_weights": lambda model, net, folded: cli._dequantized_weights(
-        model, folded
-    ),
+    # spans raises before model_sse reads the kernels it is given
+    "model_sse": lambda model, net, folded: model_sse(model, folded, folded),
+    "dequantize": lambda model, net, folded: dequantize(model, folded),
     # run_network checks the model when it is called, before any layer runs
     "run_network_indirect": lambda model, net, folded: run_network(
         net, folded, np.zeros((3, 8, 8), dtype=np.float32), clustered=model
@@ -1459,7 +1491,7 @@ class TestContainer:
         # every b-bit index is in range of a 2**b-entry table
         calls = []
         monkeypatch.setattr(
-            cluster, "unpack_indices", lambda packed: calls.append(packed) or 1 / 0
+            cluster, "unpack_indices", lambda *args: calls.append(args) or 1 / 0
         )
         assert all(entry.table.k == 1 << model.bits for entry in model.entries)
         assert read_clustered(write_clustered(model)) == model
@@ -1487,5 +1519,5 @@ class TestEndToEnd:
 
     def test_clustered_pipeline_reduces_distinct_values(self, folded):
         model = cluster_model(folded, ClusterConfig(bits=5))
-        recon = dequantize(model.entries[0])
+        recon = np.concatenate([c.kernel for c in dequantize(model, folded).convs])
         assert np.unique(recon).size <= 32

@@ -180,18 +180,21 @@ class TestTables:
 
 
 class TestSizeReduction:
-    def test_word_aligned_factors(self):
-        assert [size_reduction_factor(1, b) for b in (8, 7, 6, 5)] == [4.0, 4.0, 5.0, 6.0]
+    def test_without_tables_is_32_over_bits(self):
+        # word-aligned packing, indexes_per_word(bits), can only fall short
+        factors = [size_reduction_factor(7, b, 0) for b in (8, 7, 6, 5)]
+        assert factors == [4.0, 32 / 7, 32 / 6, 6.4]
+        assert all(f >= indexes_per_word(b) for f, b in zip(factors, (8, 7, 6, 5)))
 
     def test_tight_fig4_example(self):
         assert clustered_size_bits(1000, 2, 4) == 2128
-        factor = size_reduction_factor(1000, 2, table_entries=4, word_aligned=False)
+        factor = size_reduction_factor(1000, 2, table_entries=4)
         assert factor == pytest.approx(32000 / 2128)
         assert factor >= 15.0
 
     def test_needs_weights(self):
         with pytest.raises(ValueError):
-            size_reduction_factor(0, 8)
+            size_reduction_factor(0, 8, 256)
 
     @given(
         n=st.integers(min_value=1, max_value=10**6),
@@ -199,7 +202,7 @@ class TestSizeReduction:
         entries=st.integers(min_value=1, max_value=4096),
     )
     def test_tight_beats_word_aligned_only_via_tables(self, n, bits, entries):
-        tight = size_reduction_factor(n, bits, table_entries=entries, word_aligned=False)
+        tight = size_reduction_factor(n, bits, table_entries=entries)
         assert tight <= 32 / bits
         assert tight > 0
 

@@ -17,7 +17,6 @@ from convwatt.cluster import (
     ConvParams,
     DarknetWeights,
     cluster_model,
-    dequantize,
     fold_batch_norm,
     pack_indices,
     read_darknet_weights,
@@ -867,16 +866,21 @@ class TestRunNetwork:
         self, toy_net, toy_folded, toy_input, scope, on_the_fly
     ):
         model = cluster_model(toy_folded, ClusterConfig(scope=scope, bits=5))
+        # whole-stream decodes, sliced by hand: a reference independent of
+        # cluster.dequantize's per-span decode
+        streams = [
+            entry.table.centroids[unpack_indices(entry.packed, 0, entry.packed.count)]
+            for entry in model.entries
+        ]
         if scope == "all_layers":
-            entry = model.entries[0]
-            stream = dequantize(entry)
+            [stream] = streams
             pieces = []
             base = 0
             for conv in toy_folded.convs:
                 pieces.append(stream[base : base + conv.n_weights])
                 base += conv.n_weights
         else:
-            pieces = [dequantize(entry) for entry in model.entries]
+            pieces = streams
         dequantized = DarknetWeights(
             0,
             2,
@@ -902,7 +906,7 @@ class TestRunNetwork:
         model = cluster_model(toy_folded, ClusterConfig(scope=scope, bits=5))
         calls = []
 
-        def counting(packed, start=0, count=None):
+        def counting(packed, start, count):
             calls.append((packed, start, count))
             return unpack_indices(packed, start, count)
 
