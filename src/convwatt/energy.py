@@ -422,7 +422,6 @@ def frame_energy(
 
 
 __all__ = [
-    "AccessProfile",
     "BASE_FP32_ADD_PJ",
     "BASE_FP32_MUL_PJ",
     "ClusteringChoice",
@@ -434,7 +433,6 @@ __all__ = [
     "dram_accesses",
     "fp_energy_mj",
     "frame_energy",
-    "indexes_per_word",
     "load_energy_config",
     "parse_energy_config",
     "size_reduction_factor",

@@ -9,10 +9,13 @@ scalar (i, k, j) loop. That makes "bitwise equal" a meaningful, testable
 contract between plain weights, dequantized weights, and on-the-fly
 codebook indirection.
 
-Only the bookkeeping is vectorized. Steps with many outputs update all of C
-once per k; steps with few outputs sum a chunk of k at a time with one
-np.add.reduce over an axis that is never the innermost one, which numpy
-adds slice by slice in index order (_accumulate says why that is exact).
+Only the bookkeeping is vectorized. Steps with many outputs go over tiles
+of C's rows, each small enough to stay in cache, and update a tile once per
+k. Steps with few outputs sum a chunk of k at a time with one np.add.reduce
+over an axis that is never the innermost one, which numpy adds slice by
+slice in index order (_accumulate says why that is exact). Where C's rows
+are short, both build their products in place, by copying A and
+multiplying by B, which numpy runs faster than a broadcast multiply.
 
 The GEMMs take 2-D arrays: an (M, K) A or index matrix, a (K, N) B and an
 (M, N) C that is updated in place. Any of them may be a view whose rows lie
@@ -59,13 +62,31 @@ def _shaped(name: str, arr, shape: tuple[int, ...]):
 # Steps with fewer outputs (M*N) than this are summed a chunk at a time in
 # one numpy reduction; wider steps pay little for one update per k.
 _NARROW = 16384
-# fp32 elements in the narrow path's scratch buffer (1 MB)
+# fp32 elements in the narrow path's scratch buffer (1 MB); the wide path's
+# row tile and its products take half of it each
 _SCRATCH = 1 << 18
 # columns of A the wide path asks a variant for at once
 _BLOCK = 64
+# Products whose rows hold at most this many elements are built in place. A
+# broadcast multiply over rows that short goes through numpy's 8192-element
+# buffer (np.getbufsize()) and takes several times as long per element.
+_SHORT = 8192 // 3
 # fp32 elements in one band of a convolution's im2col matrix (4 MB); a band
 # is at least one output row
 _BAND = 1 << 20
+
+
+def _multiply(a, b, out):
+    """out = a * b, a broadcast along out's last axis and b along its first.
+
+    Short rows copy a into out and multiply by b in place. An IEEE multiply
+    is commutative, so the products have the same bits either way.
+    """
+    if out.shape[-1] > _SHORT:
+        np.multiply(a, b, out=out)
+    else:
+        np.copyto(out, a)
+        out *= b
 
 
 def _accumulate(M, N, K, block, b, c):
@@ -79,38 +100,48 @@ def _accumulate(M, N, K, block, b, c):
     its products one at a time in increasing k, so it sees the same sequence
     of fp32 roundings as a scalar (i, k, j) loop.
 
-    Wide steps (M*N >= _NARROW) multiply and add in place, one k at a time,
-    taking A from block in _BLOCK columns. When c's rows lie apart (as for a
-    band's view of a convolution's output) they add into a contiguous copy
-    of c that is written back at the end: numpy adds a strided 2-D view row
-    by row, which made each k half again as slow at full-size YOLOv3 shapes.
+    Wide steps (M*N >= _NARROW) go a tile of C's rows at a time, each tile
+    about _SCRATCH // 2 elements (512 KB), so that it stays in cache across
+    all of k. A tile multiplies and adds in place, one k at a time, taking
+    its rows of A from block in _BLOCK columns; A is read once per tile.
+    When c's rows lie apart (as for a band's view of a convolution's output)
+    each tile adds into a contiguous copy that is written back after its
+    last k: numpy adds a strided 2-D view row by row, which is slower.
 
     Narrow steps go a chunk of w columns at a time, w as large as _SCRATCH
-    allows: one multiply puts the chunk's products in slots 1..w of an
-    (M, w + 1, N') buffer, slot 0 holds C, and one np.add.reduce over axis
-    1 writes the sums back. The exactness rests on how numpy reduces an axis
-    that is not the innermost one: it adds whole slices in index order,
-    element by element, so C[i, j] becomes ((C[i, j] + p0) + p1) + ... as in
-    the loop. An innermost reduced
-    axis is summed pairwise instead, which rounds differently, so
-    N' = max(N, 2) keeps a zero column after the reduced axis even when
-    N = 1. The reduction starts from -0.0, which adding leaves every value
-    unchanged; numpy's default start, +0.0, would turn a -0.0 in C into +0.0.
+    allows: the chunk's products fill slots 1..w of an (M, w + 1, N')
+    buffer, slot 0 holds C, and one np.add.reduce over axis 1 writes the
+    sums back. The exactness rests on how numpy reduces an axis that is not
+    the innermost one: it adds whole slices in index order, element by
+    element, so C[i, j] becomes ((C[i, j] + p0) + p1) + ... as in the loop.
+    An innermost reduced axis is summed pairwise instead, which rounds
+    differently, so N' = max(N, 2) keeps a zero column after the reduced
+    axis even when N = 1. The reduction starts from -0.0, which adding
+    leaves every value unchanged; numpy's default start, +0.0, would turn a
+    -0.0 in C into +0.0.
+
+    Both paths build their products with _multiply: in place when C's rows
+    are short, which numpy runs faster than the broadcast multiply.
     """
     _fp32("B", b, (K, N))
     _fp32("C", c, (M, N))
     if not (M and N and K):
         return
     if M * N >= _NARROW:
-        total = np.ascontiguousarray(c)
-        prod = np.empty((M, N), dtype=np.float32)
-        for k0 in range(0, K, _BLOCK):
-            k1 = min(k0 + _BLOCK, K)
-            for column, row in zip(block(k0, k1).T[:, :, None], b[k0:k1]):
-                np.multiply(column, row, out=prod)
-                total += prod
-        if total is not c:
-            c[...] = total
+        rows = max(1, _SCRATCH // (2 * N))
+        prod = np.empty((min(rows, M), N), dtype=np.float32)
+        for i0 in range(0, M, rows):
+            part = c[i0 : i0 + rows]
+            tile = np.ascontiguousarray(part)
+            p = prod[: len(tile)]
+            for k0 in range(0, K, _BLOCK):
+                k1 = min(k0 + _BLOCK, K)
+                columns = block(k0, k1)[i0 : i0 + rows].T[:, :, None]
+                for column, row in zip(columns, b[k0:k1]):
+                    _multiply(column, row, p)
+                    tile += p
+            if tile is not part:
+                part[...] = tile
         return
     padded = max(N, 2)
     width = max(1, min(K, _SCRATCH // (M * padded) - 1))
@@ -124,7 +155,7 @@ def _accumulate(M, N, K, block, b, c):
         k1 = min(k0 + width, K)
         chunk = steps[:, : k1 - k0 + 1]
         chunk[:, 0, :N] = c
-        np.multiply(block(k0, k1)[:, :, None], b[k0:k1], out=chunk[:, 1:, :N])
+        _multiply(block(k0, k1)[:, :, None], b[k0:k1], chunk[:, 1:, :N])
         np.add.reduce(chunk, axis=1, out=total, initial=-0.0)
         if total is not c:
             c[...] = total[:, :N]

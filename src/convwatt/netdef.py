@@ -14,6 +14,11 @@ LAYER_KINDS = (CONVOLUTIONAL, SHORTCUT, ROUTE, UPSAMPLE, YOLO)
 
 ACTIVATIONS = ("linear", "leaky")
 
+# The most elements a map, or weights a kernel, may hold: every count up to
+# 2**53 is exact as a float, and the traffic and energy models scale counts
+# by floats.
+MAX_COUNT = 2**53
+
 
 class ConfigError(ValueError):
     """Malformed or unsupported network configuration text."""
@@ -244,10 +249,14 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
     shapes filled for every layer.
 
     Convolution output extent is (input - kernel + 2 * pad) // stride + 1 per
-    axis (floor division).
+    axis (floor division). An input or layer output of more than MAX_COUNT
+    elements, or a conv kernel of more than MAX_COUNT weights, raises
+    ShapeError.
     """
     if all(layer.out_shape is not None for layer in net.layers):
         return net
+    if net.input.elements > MAX_COUNT:
+        raise ShapeError("the [net] input holds more than 2**53 elements")
     shaped: list[LayerSpec] = []
     outputs = {-1: net.input}
     for layer in net.layers:
@@ -263,6 +272,8 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
                     f"layer {index}: kernel {spec.kernel} stride {spec.stride} "
                     f"pad {spec.pad} yields empty output from {first.h}x{first.w}"
                 )
+            if spec.filters * first.c * spec.kernel**2 > MAX_COUNT:
+                raise ShapeError(f"layer {index}: its kernel holds more than 2**53 weights")
             out = TensorShape(h=out_h, w=out_w, c=spec.filters)
         elif layer.kind == SHORTCUT:
             other = shapes[1]
@@ -283,6 +294,8 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
             out = TensorShape(h=first.h * layer.factor, w=first.w * layer.factor, c=first.c)
         else:  # yolo: raw pass-through
             out = first
+        if out.elements > MAX_COUNT:
+            raise ShapeError(f"layer {index}: its output holds more than 2**53 elements")
         shaped.append(replace(layer, in_shape=first, out_shape=out, source_shapes=shapes))
         outputs[index] = out
     return NetworkDef(input=net.input, layers=tuple(shaped))

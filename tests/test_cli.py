@@ -978,13 +978,39 @@ from=-2
 """
 
 
+# One 1x1 conv over a 313-digit-wide input: it parses, and every count of
+# its traffic would be too large for a float.
+OVERSIZED_CFG = f"""[net]
+width={"9" * 313}
+height=1
+channels=1
+
+[convolutional]
+filters=1
+size=1
+stride=1
+"""
+
+
 class TestUnshapeableConfig:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (UNSHAPEABLE_CFG,
+             "layer 2: shortcut operands differ, 4x4x2 vs 8x8x2 from layer 0"),
+            (OVERSIZED_CFG,
+             "the [net] input holds more than 2**53 elements"),
+        ],
+        ids=["unshapeable", "oversized"],
+    )
     @pytest.mark.parametrize("command", ["analyze", "cluster", "verify"])
-    def test_one_error_line(self, cfg_path, weights_path, tmp_path, capsys, command):
+    def test_one_error_line(
+        self, cfg_path, weights_path, tmp_path, capsys, command, text, message
+    ):
         model = run_cluster(cfg_path, weights_path, tmp_path)
         capsys.readouterr()
-        bad = tmp_path / "unshapeable.cfg"
-        bad.write_text(UNSHAPEABLE_CFG)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
         argv = {
             "analyze": ["analyze", str(bad)],
             "cluster": ["cluster", str(bad), str(weights_path), "--bits", "5",
@@ -992,11 +1018,7 @@ class TestUnshapeableConfig:
             "verify": ["verify", str(bad), str(weights_path), str(model)],
         }[command]
         assert main(argv) == 1
-        assert capsys.readouterr() == (
-            "",
-            "convwatt: error: layer 2: shortcut operands differ, 4x4x2 vs 8x8x2 "
-            "from layer 0\n",
-        )
+        assert capsys.readouterr() == ("", f"convwatt: error: {message}\n")
 
 
 class TestBrokenPipe:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from convwatt import energy
 from convwatt.cluster import indexes_per_word
 from convwatt.energy import (
     BASE_FP32_ADD_PJ,
@@ -548,3 +549,12 @@ class TestFrameEnergy:
     def test_empty_profile_rejected(self, config):
         with pytest.raises(ValueError, match="empty"):
             frame_energy(AccessProfile(), OpProfile(macs=1), config)
+
+
+def test_all_lists_only_what_energy_defines():
+    # a class or function that energy imports is listed where it is defined
+    foreign = [
+        name for name in energy.__all__
+        if getattr(getattr(energy, name), "__module__", energy.__name__) != energy.__name__
+    ]
+    assert foreign == []

@@ -281,22 +281,35 @@ class TestGemmPacked:
 
 
 # The core's private constants, set so that a small case takes a chosen path
-# at a chosen chunk width (None keeps the default).
-PATHS = ("narrow", "wide")
+# at a chosen chunk width (None keeps the default). "tiles1" and "tiles2" are
+# the wide path one and two rows of C at a time; a "broadcast" path builds
+# its products with one broadcast multiply, as for rows longer than _SHORT.
+PATHS = ("narrow", "wide", "tiles1", "tiles2", "narrow-broadcast", "wide-broadcast")
 WIDTHS = (1, 7, None)
 
 
 def force_path(monkeypatch, path, width, m, n):
     """Send an m x n GEMM down one path of engine._accumulate, width columns
     per reduced chunk (narrow) or per decoded block (wide)."""
-    if path == "narrow":
+    kind, _, form = path.partition("-")
+    if form == "broadcast":
+        monkeypatch.setattr(engine, "_SHORT", 0)
+    if kind == "narrow":
         monkeypatch.setattr(engine, "_NARROW", 1 << 62)
         if width is not None:
             monkeypatch.setattr(engine, "_SCRATCH", (width + 1) * m * max(n, 2))
-    else:
-        monkeypatch.setattr(engine, "_NARROW", 0)
-        if width is not None:
-            monkeypatch.setattr(engine, "_BLOCK", width)
+        return
+    monkeypatch.setattr(engine, "_NARROW", 0)
+    if kind != "wide":
+        monkeypatch.setattr(engine, "_SCRATCH", 2 * tile_rows(path) * n)
+    if width is not None:
+        monkeypatch.setattr(engine, "_BLOCK", width)
+
+
+def tile_rows(path):
+    """Rows of C per wide tile under force_path; a default tile holds every
+    row of these small cases."""
+    return int(path[5:]) if path.startswith("tiles") else 1 << 62
 
 
 def run_variant(variant, rng, m, n, k, a, lda, b, ldb, c, ldc):
@@ -430,17 +443,23 @@ class TestExactnessBoundary:
         gemm_nn_packed(
             m, n, k, table, packed, strided(b, k, n, ldb), strided(got, m, n, ldc)
         )
-        assert reads == [m * min(width, k - k0) for k0 in range(0, k, width)]
+        # the wide path asks for A's block once per tile of C's rows
+        tiles = 1 if path.startswith("narrow") else -(-m // tile_rows(path))
+        assert reads == tiles * [m * min(width, k - k0) for k0 in range(0, k, width)]
         want = reference(m, n, k, table[stream], lda, b, ldb, c, ldc)
         assert same_bits(got, want)
 
-    def test_narrow_scratch_stays_within_its_budget(self, monkeypatch):
+    def test_temporaries_stay_within_the_scratch_budget(self, monkeypatch):
+        # narrow cases, then wide ones: C larger than the budget, in tiles of
+        # 131, 2 and 1 rows, the last two of a C whose rows lie apart
         rng = np.random.default_rng(5)
         cases = []
-        for m, n, k in [(1, 1, 5000), (21, 100, 90), (64, 255, 4000), (5000, 1, 40)]:
+        for m, n, k, ldc in [(1, 1, 5000, 1), (21, 100, 90, 100), (64, 255, 4000, 255),
+                             (5000, 1, 40, 1), (300, 1000, 50, 1000),
+                             (4, 50000, 3, 50001), (2, 200000, 3, 200003)]:
             a = rng.normal(size=(m, k)).astype(np.float32)
             b = rng.normal(size=(k, n)).astype(np.float32)
-            c = np.zeros((m, n), dtype=np.float32)
+            c = np.zeros((m, ldc), dtype=np.float32)[:, :n]
             cases.append((m, n, k, a, b, c))
         sizes = []
 
@@ -452,12 +471,13 @@ class TestExactnessBoundary:
 
             return allocate_and_record
 
-        monkeypatch.setattr(engine.np, "empty", recording(np.empty))
-        monkeypatch.setattr(engine.np, "zeros", recording(np.zeros))
+        for name in ("empty", "zeros", "ascontiguousarray"):
+            monkeypatch.setattr(engine.np, name, recording(getattr(np, name)))
         for case in cases:
             gemm_nn(*case)
         monkeypatch.undo()
         assert sizes and max(sizes) <= 4 * engine._SCRATCH
+        assert 300 * 1000 * 4 > 4 * engine._SCRATCH  # the whole C would not fit
 
     @pytest.mark.parametrize("path", PATHS)
     def test_c_view_whose_rows_lie_apart(self, monkeypatch, path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from convwatt import cli
 from convwatt.netdef import (
     CONVOLUTIONAL,
+    MAX_COUNT,
     ROUTE,
     SHORTCUT,
     UPSAMPLE,
@@ -220,6 +221,28 @@ class TestInferShapes:
     def test_route_spatial_mismatch(self):
         text = conv_chain_cfg(8, 8, 1, [(2, 3, 1), (2, 3, 2)]) + "\n[route]\nlayers=-1,-2"
         with pytest.raises(ShapeError, match="spatial extent"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("width, ok", [(2**53, True), (2**53 + 1, False)])
+    def test_input_map_of_more_than_max_count_elements(self, width, ok):
+        text = conv_chain_cfg(1, width, 1, [(1, 1, 1)])
+        if ok:
+            assert parse_config(text).layers[0].out_shape.elements == MAX_COUNT
+        else:
+            with pytest.raises(ShapeError, match=r"^the \[net\] input holds more than 2\*\*53"):
+                parse_config(text)
+
+    def test_output_map_of_more_than_max_count_elements(self):
+        # the conv writes 2**53 elements, the upsample after it four times as many
+        text = conv_chain_cfg(1, 2**52, 1, [(2, 1, 1)]) + "\n[upsample]\nstride=2"
+        with pytest.raises(ShapeError, match=r"^layer 1: its output holds more than 2\*\*53"):
+            parse_config(text)
+
+    def test_kernel_of_more_than_max_count_weights(self):
+        # no map holds more than 2**27 + 1 elements; layer 0's 1x1 kernel holds
+        # 2**27 * 2**26 = 2**53 weights, layer 1's 2**26 * (2**27 + 1)
+        text = conv_chain_cfg(1, 1, 2**27, [(2**26, 1, 1), (2**27 + 1, 1, 1)])
+        with pytest.raises(ShapeError, match=r"^layer 1: its kernel holds more than 2\*\*53"):
             parse_config(text)
 
     @given(
