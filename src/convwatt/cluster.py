@@ -7,6 +7,8 @@ over all conv kernels at once or separately per layer.
 
 dequantize is the one way back to fp32 weights: each conv looks up its own
 span of its table's index stream, as the engine's indirect pass decodes it.
+model_sse rebuilds the same weights for itself, a block of a stream at a
+time, and keeps none of them.
 
 Also implements the Darknet ``.weights`` layout and the ``CWTS`` clustered
 container (little-endian, CRC-protected).
@@ -202,7 +204,9 @@ class ClusteredModel:
     """Clustered conv kernels: codebook tables plus packed index streams.
 
     Biases and folded batch-norm parameters stay with the original weights
-    object; only kernel weights are clustered.
+    object; only kernel weights are clustered. bits is checked where a width
+    enters the program (ClusterConfig, read_clustered); every stream must
+    have it.
     """
 
     scope: str
@@ -212,8 +216,6 @@ class ClusteredModel:
     def __post_init__(self):
         if self.scope not in SCOPES:
             raise ValueError(f"scope must be one of {SCOPES}")
-        if not 1 <= self.bits <= 8:
-            raise ValueError("bits must lie in 1..8")
         if not self.entries:
             raise ValueError("model must hold at least one table")
         if self.scope == SCOPE_ALL_LAYERS:
@@ -838,23 +840,29 @@ def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel
     return ClusteredModel(scope=cfg.scope, bits=cfg.bits, entries=entries)
 
 
-def model_sse(
-    model: ClusteredModel, weights: DarknetWeights, dequantized: DarknetWeights
-) -> list[float]:
-    """Per-table SSE of dequantize's kernels against those of weights.
+# model_sse decodes this many indexes of a stream at a time; a block's
+# decoded indexes and centroids take about 8 bytes per index
+_SSE_BLOCK = 1 << 15
+
+
+def model_sse(model: ClusteredModel, weights: DarknetWeights) -> list[float]:
+    """Per-table SSE of the model's reconstruction against the kernels of
+    weights.
 
     A table's kernels are copied into one float64 array in stream order, 8
-    bytes per weight, and each conv's rebuilt kernel is subtracted in place.
+    bytes per weight, and centroids[index] is subtracted in place one block
+    of the stream at a time, across conv boundaries. The subtraction is
+    elementwise, so the difference is bitwise the one against dequantize's
+    kernels, and no fp32 copy of the kernels is made.
     einsum sums in one thread, unlike a BLAS dot, whose rounding depends on
     its thread count and so on the host.
     """
     sses = []
-    for _, layers in model.spans(weights):
+    for entry, layers in model.spans(weights):
         d = np.concatenate([conv.kernel for conv, _ in layers], dtype=np.float64)
-        for conv, base in layers:
-            d[base : base + conv.n_weights] -= dequantized.conv_for_layer(
-                conv.layer_index
-            ).kernel
+        for lo in range(0, d.size, _SSE_BLOCK):
+            n = min(_SSE_BLOCK, d.size - lo)
+            d[lo : lo + n] -= entry.table.centroids[unpack_indices(entry.packed, lo, n)]
         sses.append(float(np.einsum("i,i->", d, d)))
     return sses
 

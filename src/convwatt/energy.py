@@ -101,9 +101,8 @@ class EnergyConfig:
 
 
 def avg_dram_energy(miss_pj: float, hit_pj: float, miss_fraction: float) -> float:
-    """Row-buffer-weighted average access energy."""
-    if not 0.0 < miss_fraction <= 1.0:
-        raise EnergyConfigError(f"miss fraction {miss_fraction} outside (0, 1]")
+    """Row-buffer-weighted average access energy; EnergyConfig checks the
+    miss fraction, in (0, 1]."""
     return miss_fraction * miss_pj + (1.0 - miss_fraction) * hit_pj
 
 

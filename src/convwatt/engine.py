@@ -237,25 +237,26 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold a CHW tensor into a (c*k*k, out_h*out_w) fp32 matrix.
+def im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Unfold a CHW tensor, padded already, into a (c*k*k, out_h*out_w) fp32
+    matrix.
 
     Row (c*kernel + kr)*kernel + kc holds the input values that kernel cell
     (kr, kc) of channel c sees at each output position. For a 1x1 kernel at
-    stride 1 without padding that is x itself, so a float32 x comes back as a
-    view that shares its memory.
+    stride 1 that is x itself, so a float32 x comes back as a view that
+    shares its memory.
     """
     if x.ndim != 3:
         raise ValueError(f"expected CHW input, got shape {x.shape}")
     c, h, w = x.shape
-    out_h = (h - kernel + 2 * pad) // stride + 1
-    out_w = (w - kernel + 2 * pad) // stride + 1
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
     if out_h < 1 or out_w < 1:
-        raise ValueError("kernel does not fit the padded input")
-    if kernel == 1 and stride == 1 and pad == 0:
+        raise ValueError("kernel does not fit the input")
+    src = np.asarray(x, dtype=np.float32)
+    if kernel == 1 and stride == 1:
         # every row is one channel as it is: a view of x, no copy
-        return np.asarray(x, dtype=np.float32).reshape(c, h * w)
-    src = _padded(x, pad)
+        return src.reshape(c, h * w)
     # windows[ch, kr, kc] is the (out_h, out_w) grid that kernel cell (kr, kc)
     # sees; out_h and out_w keep it inside src. The reshape is the one copy.
     sc, sh, sw = src.strides
@@ -308,7 +309,7 @@ def _convolve(layer: LayerSpec, x: np.ndarray, biases, gemm) -> np.ndarray:
     for r0 in range(0, shape.h, rows):
         r1 = min(r0 + rows, shape.h)
         rows_in = src[:, r0 * stride : (r1 - 1) * stride + kernel]
-        band = im2col(rows_in, kernel, stride, 0)
+        band = im2col(rows_in, kernel, stride)
         gemm(band, out[:, r0 * w : r1 * w])
         del band  # freed before the next band is unfolded
     out = out.reshape(spec.filters, shape.h, w)

@@ -22,12 +22,15 @@ from convwatt.cli import main
 from convwatt.cluster import (
     ClusteredModel,
     ClusterEntry,
+    ConvParams,
+    DarknetWeights,
     dequantize,
     fold_batch_norm,
     model_sse,
     read_clustered,
     read_darknet_weights,
     write_clustered,
+    write_darknet_weights,
 )
 from convwatt.netdef import parse_config
 
@@ -577,20 +580,44 @@ class TestVerify:
         shallow, deep = verify_peak(tmp_path, 8), verify_peak(tmp_path, 32)
         assert deep - shallow < 256 * 1024, (shallow, deep)
 
+    def test_peak_memory_per_kernel_weight(self, tmp_path, capsys):
+        # 2**20 weights in four 512x512 1x1 convs on a 2x2 map, so that the
+        # weights, not the activations, set the peak. The folded kernels (4 B
+        # per weight) stay through all passes. The SSE's float64 difference
+        # (8 B) is gone before the dequantized kernels (4 B) are made.
+        layer = "[convolutional]\nfilters=512\nsize=1\nstride=1\nactivation=linear\n"
+        text = "[net]\nwidth=2\nheight=2\nchannels=512\n\n" + "\n".join([layer] * 4)
+        cfg, weights, model = (tmp_path / f"wide{ext}" for ext in (".cfg", ".weights", ".cwts"))
+        cfg.write_text(text)
+        weights.write_bytes(weights_blob(parse_config(text), seed=3))
+        argv = [str(cfg), str(weights)]
+        assert main(["cluster", *argv, "--bits", "3", "--max-iters", "2",
+                     "--out", str(model)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", *argv, str(model)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (1 << 20) <= 14, peak
+
     @pytest.mark.parametrize("scope", ["all-layers", "per-layer"])
-    def test_decodes_each_weight_twice(
+    def test_decodes_each_weight_three_times(
         self, cfg_path, weights_path, tmp_path, capsys, monkeypatch, scope
     ):
         out = run_cluster(cfg_path, weights_path, tmp_path, "--scope", scope)
         model = read_clustered(out.read_bytes())
         folded = fold_batch_norm(read_darknet_weights(weights_path.read_bytes(),
                                                       cli._load_network(str(cfg_path))))
-        total_sse = sum(model_sse(model, folded, dequantize(model, folded)))
-        spans = sorted(
+        total_sse = sum(model_sse(model, folded))
+        spans = {
             (entry.packed.count, base, conv.n_weights)
             for entry, layers in model.spans(folded)
             for conv, base in layers
-        )
+        }
+        # streams are told apart by their lengths
+        counts = [entry.packed.count for entry in model.entries]
+        assert len(set(counts)) == len(counts)
         assert len(folded.convs) > 1 and all(
             entry.table.k == 1 << model.bits for entry in model.entries
         )
@@ -603,11 +630,20 @@ class TestVerify:
 
         monkeypatch.setattr(cluster, "unpack_indices", spy)
         monkeypatch.setattr(engine, "unpack_indices", spy)
+        # SSE blocks shorter than the toy net's 3x3 convs, so that they cross
+        # conv boundaries in the global stream
+        block = 100
+        monkeypatch.setattr(cluster, "_SSE_BLOCK", block)
         assert main(["verify", str(cfg_path), str(weights_path), str(out)]) == 0
-        # each conv's span once for the dequantized weights and once in the
-        # indirect pass; reading a full table decodes nothing, and no call
-        # decodes a whole table's stream
-        assert sorted(decoded) == sorted(spans * 2)
+        # each index once in an SSE block, then in its conv's span once for
+        # the dequantized weights and once in the indirect pass; reading a
+        # full table decodes nothing, and no call decodes more than a block
+        # or a conv's span
+        times = {count: np.zeros(count, dtype=int) for count in counts}
+        for count, start, n in decoded:
+            assert n <= block or (count, start, n) in spans
+            times[count][start : start + n] += 1
+        assert all((t == 3).all() for t in times.values())
         assert f"weight quantization SSE: {total_sse:.6g}" in capsys.readouterr().out
 
     def test_corrupt_model_fails_with_checksum_error(
@@ -1019,6 +1055,97 @@ class TestUnshapeableConfig:
         }[command]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"convwatt: error: {message}\n")
+
+
+# 2**25 x 2**25 = 2**50 input elements, under MAX_COUNT, and one 1x1 conv of
+# a single weight
+UNALLOCATABLE_CFG = """[net]
+width=33554432
+height=33554432
+channels=1
+
+[convolutional]
+filters=1
+size=1
+stride=1
+activation=linear
+"""
+
+# an extent of [net] or of the conv: small, near 2**53 and the limits of the
+# counts, or hundreds of digits long
+EXTENT = st.one_of(
+    st.integers(-1, 4), st.integers(2**20, 2**64), st.integers(1, 10**400)
+)
+
+
+@pytest.fixture(scope="module")
+def one_weight(tmp_path_factory):
+    """A 16-byte header and two floats: the bias and kernel of one 1x1 conv
+    from one channel to one filter."""
+    path = tmp_path_factory.mktemp("one-weight") / "one.weights"
+    conv = ConvParams(0, np.full(1, 0.5), np.full(1, 0.25))
+    path.write_bytes(write_darknet_weights(DarknetWeights(0, 1, 0, 0, (conv,))))
+    assert path.stat().st_size == 24
+    return path
+
+
+class TestExtremeSizes:
+    def test_unallocatable_input_is_one_error_line(self, tmp_path, one_weight):
+        cfg, model = tmp_path / "huge.cfg", tmp_path / "huge.cwts"
+        cfg.write_text(UNALLOCATABLE_CFG)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", str(cfg)]) == 0
+            assert main(["cluster", str(cfg), str(one_weight), "--bits", "1",
+                         "--out", str(model)]) == 0
+        # verify's input tensor would take 8 PiB; under a 1 GiB address-space
+        # cap its allocation fails at once, whatever the host's overcommit
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from convwatt.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", str(cfg), str(one_weight), str(model)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("convwatt: error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == ""
+
+    @settings(max_examples=100)
+    @given(width=EXTENT, height=EXTENT, channels=EXTENT, filters=EXTENT)
+    def test_every_command_exits_cleanly(
+        self, tmp_path_factory, one_weight, width, height, channels, filters
+    ):
+        # the checks run on integers: nothing large is allocated. Only a conv
+        # of one channel and one filter takes one_weight, and verify reads an
+        # empty model next, so it never makes an activation
+        root = one_weight.parent
+        cfg, model = root / "extreme.cfg", root / "empty.cwts"
+        cfg.write_text(
+            f"[net]\nwidth={width}\nheight={height}\nchannels={channels}\n\n"
+            f"[convolutional]\nfilters={filters}\nsize=1\nstride=1\n"
+        )
+        model.write_bytes(b"")
+        for argv in (
+            ["analyze", str(cfg), "--bits", "5"],
+            ["cluster", str(cfg), str(one_weight), "--bits", "1",
+             "--out", str(root / "out.cwts")],
+            ["verify", str(cfg), str(one_weight), str(model)],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            if rc == 0:
+                assert argv[0] != "verify" and err.getvalue() == ""
+            else:
+                assert rc == 1
+                assert err.getvalue().startswith("convwatt: error: ")
+                assert err.getvalue().count("\n") == 1
 
 
 class TestBrokenPipe:

@@ -90,9 +90,10 @@ class TestAverages:
             assert avg_dram_energy(42.0, 42.0, fraction) == 42.0
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
-    def test_fraction_domain(self, fraction):
-        with pytest.raises(EnergyConfigError, match="fraction"):
-            avg_dram_energy(2937, 1735, fraction)
+    def test_config_rejects_fraction_outside_domain(self, fraction):
+        # EnergyConfig checks the fraction once; avg_dram_energy trusts it
+        with pytest.raises(EnergyConfigError, match="row_miss_fraction"):
+            EnergyConfig(2937, 1735, 2953, 1859, row_miss_fraction=fraction)
 
     def test_config_exposes_averages(self, config):
         assert config.avg_read_pj == 1753.78125
