@@ -123,15 +123,6 @@ def _load_network(path: str):
         return parse_config(handle.read())
 
 
-def _kernel_params(net) -> int:
-    total = 0
-    for layer in net.layers:
-        if layer.kind == CONVOLUTIONAL:
-            spec = layer.conv
-            total += spec.filters * layer.in_shape.c * spec.kernel * spec.kernel
-    return total
-
-
 def _opt_value(text: str) -> str:
     """argparse choices use dashes; module constants use underscores."""
     return text.replace("-", "_")
@@ -149,11 +140,11 @@ def cmd_analyze(args) -> int:
         net,
         row_convention=_opt_value(args.row_convention),
         read_bucket=args.read_bucket,
-        generalized=args.generalized,
     )
     ops = op_profile(net)
-    n_convs = sum(1 for layer in net.layers if layer.kind == CONVOLUTIONAL)
-    n_weights = _kernel_params(net)
+    convs = [layer for layer in net.layers if layer.kind == CONVOLUTIONAL]
+    n_convs = len(convs)
+    n_weights = sum(math.prod(layer.kernel_shape) for layer in convs)
     scope = _opt_value(args.scope)
     # before any output, so that a failure prints only its error line
     if args.json or args.csv:
@@ -165,7 +156,6 @@ def cmd_analyze(args) -> int:
                 "scope": scope,
                 "row_convention": _opt_value(args.row_convention),
                 "read_bucket": args.read_bucket,
-                "generalized": args.generalized,
             },
         )
 
@@ -494,10 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--read-bucket", choices=READ_BUCKETS, default="inputs",
         help="reporting bucket for non-conv feature-map re-reads",
-    )
-    analyze.add_argument(
-        "--generalized", action="store_true",
-        help="allow kernel/stride pairs outside the modeled set",
     )
     analyze.add_argument("--json", help="write full JSON report here")
     analyze.add_argument("--csv", help="write summary CSV here")

@@ -609,7 +609,11 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
 
 @dataclass(frozen=True, eq=False)
 class ConvParams:
-    """Parameters of one convolution layer as stored in a weights file."""
+    """Parameters of one convolution layer as stored in a weights file.
+
+    There is one bias per filter, and so one of each batch-norm statistic;
+    the kernel holds a whole number of filters.
+    """
 
     layer_index: int
     biases: np.ndarray
@@ -626,6 +630,13 @@ class ConvParams:
         bn_fields = (self.scales, self.rolling_mean, self.rolling_var)
         if any(a is None for a in bn_fields) != all(a is None for a in bn_fields):
             raise ValueError("batch-norm arrays must be given together")
+        filters = self.biases.size
+        if any(a is not None and a.size != filters for a in bn_fields):
+            raise ValueError(f"batch-norm arrays must hold {filters} values, one per bias")
+        if self.kernel.size % filters if filters else self.kernel.size:
+            raise ValueError(
+                f"kernel of {self.kernel.size} weights is no whole number of {filters} filters"
+            )
 
     @property
     def batch_normalized(self) -> bool:
@@ -736,8 +747,7 @@ def read_darknet_weights(data: bytes, net: NetworkDef) -> DarknetWeights:
             scales = cur.f32(f, where + "scales")
             mean = cur.f32(f, where + "rolling mean")
             var = cur.f32(f, where + "rolling variance")
-        n = f * layer.in_shape.c * spec.kernel * spec.kernel
-        kernel = cur.f32(n, where + "kernel")
+        kernel = cur.f32(math.prod(layer.kernel_shape), where + "kernel")
         convs.append(
             ConvParams(
                 layer_index=layer.index,

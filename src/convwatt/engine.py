@@ -36,6 +36,7 @@ GEMM; cluster.dequantize decodes the same span for the dequantized pass.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
 
 import numpy as np
 
@@ -277,17 +278,6 @@ def leaky(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
-def _conv_common(layer: LayerSpec, x: np.ndarray) -> tuple[int, int]:
-    """Check a conv layer and its input; return (filters, c*k*k)."""
-    if layer.kind != CONVOLUTIONAL:
-        raise ValueError(f"conv forward called on {layer.kind} layer")
-    expected = (layer.in_shape.c, layer.in_shape.h, layer.in_shape.w)
-    if x.shape != expected:
-        raise ValueError(f"input shape {x.shape} does not match layer {expected}")
-    spec = layer.conv
-    return spec.filters, layer.in_shape.c * spec.kernel * spec.kernel
-
-
 def _convolve(layer: LayerSpec, x: np.ndarray, biases, gemm) -> np.ndarray:
     """Unfold x in bands of whole output rows and convolve band by band.
 
@@ -304,7 +294,7 @@ def _convolve(layer: LayerSpec, x: np.ndarray, biases, gemm) -> np.ndarray:
     if kernel == 1 and stride == 1 and pad == 0:
         rows = shape.h
     else:
-        rows = max(1, _BAND // (layer.in_shape.c * kernel * kernel * w))
+        rows = max(1, _BAND // (layer.kernel_shape[1] * w))
     src = _padded(x, pad)
     for r0 in range(0, shape.h, rows):
         r1 = min(r0 + rows, shape.h)
@@ -320,14 +310,12 @@ def _convolve(layer: LayerSpec, x: np.ndarray, biases, gemm) -> np.ndarray:
 
 
 def conv_forward(layer: LayerSpec, x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """One convolution layer: im2col by bands, gemm, bias, activation."""
-    if params.batch_normalized:
-        raise ValueError("fold batch norm into the weights before inference")
-    m, kdim = _conv_common(layer, x)
-    if params.kernel.size != m * kdim:
-        raise ValueError(
-            f"kernel holds {params.kernel.size} weights, layer needs {m * kdim}"
-        )
+    """One convolution layer: im2col by bands, gemm, bias, activation.
+
+    x must have layer.in_shape, and params hold batch-norm-free weights of
+    layer.kernel_shape with one bias per filter, as run_network checks.
+    """
+    m, kdim = layer.kernel_shape
     kernel = params.kernel.reshape(m, kdim)
 
     def gemm(b, c):
@@ -351,13 +339,10 @@ def conv_forward_clustered(
     it, and only that span is decoded. With on_the_fly the indexes are
     decoded inside the GEMM loop, a block of columns at a time; otherwise
     the span is unpacked before the first band and dropped when the layer
-    is done. Both paths produce bitwise identical results.
+    is done. Both paths produce bitwise identical results. A span that runs
+    past the stream's end raises ValueError from its decode.
     """
-    m, kdim = _conv_common(layer, x)
-    if base + m * kdim > packed.count:
-        raise ValueError(
-            f"index stream ends at {packed.count}, layer needs {base + m * kdim}"
-        )
+    m, kdim = layer.kernel_shape
     if on_the_fly:
 
         def gemm(b, c):
@@ -372,13 +357,28 @@ def conv_forward_clustered(
     return _convolve(layer, x, biases, gemm)
 
 
-def _clustered_lookup(weights: DarknetWeights, model: ClusteredModel):
-    """Map conv layer index -> (centroids, packed, base)."""
-    return {
-        conv.layer_index: (entry.table.centroids, entry.packed, base)
-        for entry, layers in model.spans(weights)
-        for conv, base in layers
-    }
+def _runner(layer: LayerSpec, conv: ConvParams, span, on_the_fly: bool):
+    """Layer's conv as a function of its input, once conv is known to fit it:
+    batch norm folded, a kernel of layer.kernel_shape and one bias per
+    filter. span is the conv's (centroids, packed, base) in a clustered pass,
+    None in a plain one."""
+    where, (filters, kdim) = f"layer {layer.index}", layer.kernel_shape
+    if conv.batch_normalized:
+        raise ValueError(f"{where} still carries batch-norm statistics; fold first")
+    if conv.kernel.size != filters * kdim:
+        raise ValueError(
+            f"{where}: kernel holds {conv.kernel.size} weights, "
+            f"its {filters}x{kdim} shape needs {filters * kdim}"
+        )
+    if conv.biases.size != filters:
+        raise ValueError(f"{where}: {conv.biases.size} biases for {filters} filters")
+    if span is None:
+        return partial(conv_forward, layer, params=conv)
+    centroids, packed, base = span
+    return partial(
+        conv_forward_clustered, layer, biases=conv.biases, centroids=centroids,
+        packed=packed, base=base, on_the_fly=on_the_fly,
+    )
 
 
 def run_network(
@@ -390,36 +390,44 @@ def run_network(
 ) -> Iterator[np.ndarray]:
     """Execute a toy network; return an iterator over each layer's output.
 
-    net is a network as parse_config returns it, with its shapes. The input
-    shape, the batch-norm folding of every conv layer and the clustered
-    model's spans are checked here, so errors surface at the call.
+    net is a network as parse_config returns it, with its shapes. Every
+    check is made here, once, so errors surface at the call, before any
+    layer runs: the input's shape, the clustered model's spans
+    (ClusteredModel.spans), and each conv's weights against its layer.
+    Each conv is resolved into one runner: conv_forward over its weights,
+    or conv_forward_clustered over its (centroids, packed, base) span.
+
     The layers run as the iterator is advanced. It keeps only the live set:
     an output is dropped after its last reader, the next layer or a route or
     shortcut that names it. list(run_network(...)) holds every output.
-
-    Convolutions use plain weights, or codebook indirection when a clustered
-    model is given, and unfold their input in bands (see _convolve). A
-    clustered conv decodes its own span of indexes when it runs. Yolo
-    layers pass their input through unchanged; decoding beyond raw
-    activations is out of scope here.
+    Convolutions unfold their input in bands (see _convolve), and a
+    clustered conv decodes its own span of indexes when it runs, with
+    on_the_fly inside its GEMM. Yolo layers pass their input through
+    unchanged; decoding beyond raw activations is out of scope here.
     """
     x = np.asarray(x, dtype=np.float32)
     expected = (net.input.c, net.input.h, net.input.w)
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match network {expected}")
-    lookup = _clustered_lookup(weights, clustered) if clustered else None
-    params = {}
-    for layer in net.layers:
-        if layer.kind == CONVOLUTIONAL:
-            conv = params[layer.index] = weights.conv_for_layer(layer.index)
-            if conv.batch_normalized:
-                raise ValueError(
-                    f"layer {layer.index} still carries batch-norm statistics; fold first"
-                )
-    return _layer_outputs(net, x, params, lookup, on_the_fly)
+    spans = {}
+    if clustered is not None:
+        spans = {
+            conv.layer_index: (entry.table.centroids, entry.packed, base)
+            for entry, layers in clustered.spans(weights)
+            for conv, base in layers
+        }
+    runners = {
+        layer.index: _runner(
+            layer, weights.conv_for_layer(layer.index), spans.get(layer.index), on_the_fly
+        )
+        for layer in net.layers
+        if layer.kind == CONVOLUTIONAL
+    }
+    return _layer_outputs(net, x, runners)
 
 
-def _layer_outputs(net, x, params, lookup, on_the_fly) -> Iterator[np.ndarray]:
+def _layer_outputs(net, x, runners) -> Iterator[np.ndarray]:
+    """Run net's layers on x, each conv through its runner in runners."""
     # each map's last reader: a later layer overwrites an earlier one's entry
     last_reader = {source: layer.index for layer in net.layers for source in layer.sources}
     live = {-1: x}  # outputs that a later layer still reads
@@ -428,14 +436,7 @@ def _layer_outputs(net, x, params, lookup, on_the_fly) -> Iterator[np.ndarray]:
         index = layer.index
         inputs = [live[source] for source in layer.sources]
         if layer.kind == CONVOLUTIONAL:
-            if lookup is None:
-                out = conv_forward(layer, inputs[0], params[index])
-            else:
-                centroids, packed, base = lookup[index]
-                out = conv_forward_clustered(
-                    layer, inputs[0], params[index].biases, centroids, packed,
-                    base=base, on_the_fly=on_the_fly,
-                )
+            out = runners[index](inputs[0])
         elif layer.kind == SHORTCUT:
             out = inputs[0] + inputs[1]
         elif layer.kind == ROUTE:

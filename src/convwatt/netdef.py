@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 CONVOLUTIONAL = "convolutional"
@@ -102,6 +103,13 @@ class LayerSpec:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
 
     @property
+    def kernel_shape(self) -> tuple[int, int]:
+        """A conv's kernel as the A of its GEMM: (filters, c*k*k), c being
+        the input channels and k the kernel size."""
+        spec = self.conv
+        return spec.filters, self.in_shape.c * spec.kernel * spec.kernel
+
+    @property
     def from_index(self) -> int | None:
         """A shortcut's second operand, absolute; None for other kinds."""
         return self.sources[1] if self.kind == SHORTCUT else None
@@ -146,9 +154,7 @@ def _resolve_index(value: int, current: int) -> int:
     # layer 10 refers to layer 7. Positive indices are absolute.
     absolute = current + value if value < 0 else value
     if not 0 <= absolute < current:
-        raise ConfigError(
-            f"layer {current}: source index {value} does not resolve to an earlier layer"
-        )
+        raise ConfigError(f"source index {value} does not resolve to an earlier layer")
     return absolute
 
 
@@ -190,33 +196,32 @@ def _parse_layer(name: str, options: dict[str, str], index: int) -> LayerSpec:
         return LayerSpec(CONVOLUTIONAL, index, previous, conv=conv)
     if name == SHORTCUT:
         if "from" not in options:
-            raise ConfigError(f"layer {index}: shortcut requires a from= key")
+            raise ConfigError("shortcut requires a from= key")
         other = _resolve_index(int(options["from"]), index)
         return LayerSpec(SHORTCUT, index, previous + (other,))
     if name == ROUTE:
         if "layers" not in options:
-            raise ConfigError(f"layer {index}: route requires a layers= key")
+            raise ConfigError("route requires a layers= key")
         tokens = _parse_int_list(options["layers"])
         if not 1 <= len(tokens) <= 2:
-            raise ConfigError(
-                f"layer {index}: route supports one or two sources, got {len(tokens)}"
-            )
+            raise ConfigError(f"route supports one or two sources, got {len(tokens)}")
         return LayerSpec(ROUTE, index, tuple(_resolve_index(tok, index) for tok in tokens))
     if name == UPSAMPLE:
         factor = int(options.get("stride", 2))
         if factor != 2:
-            raise ConfigError(f"layer {index}: only factor-2 upsampling is modeled, got {factor}")
+            raise ConfigError(f"only factor-2 upsampling is modeled, got {factor}")
         return LayerSpec(UPSAMPLE, index, previous, factor=factor)
     if name == YOLO:
         return LayerSpec(YOLO, index, previous, meta=_parse_yolo_meta(options))
-    raise ConfigError(f"layer {index}: unknown section kind [{name}]")
+    raise ConfigError("unknown section kind")
 
 
 def parse_config(text: str) -> NetworkDef:
     """Parse configuration text into a NetworkDef with every layer's shapes.
 
     Unknown keys inside known sections are ignored; unknown section kinds are
-    an error. Text that parses but cannot be shaped raises ShapeError.
+    an error. A bad value raises ConfigError naming [net] or its layer, and
+    text that parses but cannot be shaped raises ShapeError.
     """
     sections = _split_sections(text)
     if not sections:
@@ -227,18 +232,19 @@ def parse_config(text: str) -> NetworkDef:
     missing = [key for key in ("width", "height", "channels") if key not in net_options]
     if missing:
         raise ConfigError(f"[net] section missing input dimensions: {', '.join(missing)}")
-    input_shape = TensorShape(
-        h=int(net_options["height"]),
-        w=int(net_options["width"]),
-        c=int(net_options["channels"]),
-    )
+    try:
+        input_shape = TensorShape(
+            h=int(net_options["height"]),
+            w=int(net_options["width"]),
+            c=int(net_options["channels"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[net]: {exc}") from exc
     layers: list[LayerSpec] = []
     for name, options in sections[1:]:
         index = len(layers)
         try:
             layers.append(_parse_layer(name, options, index))
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"layer {index} [{name}]: {exc}") from exc
     return infer_shapes(NetworkDef(input=input_shape, layers=tuple(layers)))
@@ -272,8 +278,6 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
                     f"layer {index}: kernel {spec.kernel} stride {spec.stride} "
                     f"pad {spec.pad} yields empty output from {first.h}x{first.w}"
                 )
-            if spec.filters * first.c * spec.kernel**2 > MAX_COUNT:
-                raise ShapeError(f"layer {index}: its kernel holds more than 2**53 weights")
             out = TensorShape(h=out_h, w=out_w, c=spec.filters)
         elif layer.kind == SHORTCUT:
             other = shapes[1]
@@ -294,8 +298,11 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
             out = TensorShape(h=first.h * layer.factor, w=first.w * layer.factor, c=first.c)
         else:  # yolo: raw pass-through
             out = first
+        layer = replace(layer, in_shape=first, out_shape=out, source_shapes=shapes)
+        if layer.kind == CONVOLUTIONAL and math.prod(layer.kernel_shape) > MAX_COUNT:
+            raise ShapeError(f"layer {index}: its kernel holds more than 2**53 weights")
         if out.elements > MAX_COUNT:
             raise ShapeError(f"layer {index}: its output holds more than 2**53 elements")
-        shaped.append(replace(layer, in_shape=first, out_shape=out, source_shapes=shapes))
+        shaped.append(layer)
         outputs[index] = out
     return NetworkDef(input=net.input, layers=tuple(shaped))

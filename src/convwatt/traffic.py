@@ -11,6 +11,7 @@ bus transactions happens later, in the energy model).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .netdef import CONVOLUTIONAL, SHORTCUT, YOLO, LayerSpec, NetworkDef, ShapeError
@@ -81,11 +82,7 @@ class OpProfile(_Counts):
     fp_sqrt: int = 0
 
 
-def conv_accesses(
-    layer: LayerSpec,
-    row_convention: str = ROWS_OUTPUT,
-    generalized: bool = False,
-) -> AccessProfile:
+def conv_accesses(layer: LayerSpec, row_convention: str = ROWS_OUTPUT) -> AccessProfile:
     """Element accesses of one convolution layer.
 
     Weight reads stream the whole filter set once per computed output row
@@ -93,9 +90,8 @@ def conv_accesses(
     kernel row they overlap; they are broadcast across filters, so input
     reads do not scale with the filter count. Outputs are written once.
 
-    Only (kernel, stride) in {(3,1), (3,2), (1,1)} are modeled. generalized=True
-    enables a fallback for other shapes that streams weights and inputs once
-    per output row with no border adjustment.
+    Only (kernel, stride) in {(3,1), (3,2), (1,1)} are modeled; any other
+    pair raises UnsupportedLayerError.
     """
     if layer.kind != CONVOLUTIONAL:
         raise ValueError(f"conv_accesses called on {layer.kind} layer")
@@ -104,18 +100,10 @@ def conv_accesses(
     spec = layer.conv
     i, o = layer.in_shape, layer.out_shape
     k, s = spec.kernel, spec.stride
-    params = k * k * i.c * spec.filters
-    writes = o.h * o.w * spec.filters
     if (k, s) not in SUPPORTED_CONV:
-        if not generalized:
-            raise UnsupportedLayerError(
-                f"no access formula for kernel {k} stride {s}; "
-                f"modeled pairs are {SUPPORTED_CONV}"
-            )
-        return AccessProfile(
-            weight_reads=params * o.h,
-            input_reads=i.w * k * i.c * o.h,
-            output_writes=writes,
+        raise UnsupportedLayerError(
+            f"no access formula for kernel {k} stride {s}; "
+            f"modeled pairs are {SUPPORTED_CONV}"
         )
     base_h = o.h if row_convention == ROWS_OUTPUT else i.h
     if k == 3:
@@ -134,9 +122,9 @@ def conv_accesses(
     else:
         input_reads = i.w * i.c * i.h
     return AccessProfile(
-        weight_reads=params * weight_rows,
+        weight_reads=math.prod(layer.kernel_shape) * weight_rows,
         input_reads=input_reads,
-        output_writes=writes,
+        output_writes=o.elements,
     )
 
 
@@ -172,11 +160,10 @@ def aggregate(
     net: NetworkDef,
     row_convention: str = ROWS_OUTPUT,
     read_bucket: str = READS_AS_INPUTS,
-    generalized: bool = False,
 ) -> tuple[list[AccessProfile], AccessProfile]:
     """Per-layer access profiles and their element-wise sum."""
     per_layer = [
-        conv_accesses(layer, row_convention=row_convention, generalized=generalized)
+        conv_accesses(layer, row_convention=row_convention)
         if layer.kind == CONVOLUTIONAL
         else other_layer_accesses(layer, read_bucket=read_bucket)
         for layer in net.layers
@@ -188,9 +175,8 @@ def conv_macs(layer: LayerSpec) -> int:
     """Multiply-accumulate count of one convolution layer."""
     if layer.kind != CONVOLUTIONAL:
         raise ValueError(f"conv_macs called on {layer.kind} layer")
-    spec = layer.conv
-    i, o = layer.in_shape, layer.out_shape
-    return o.h * o.w * spec.kernel * spec.kernel * i.c * spec.filters
+    o = layer.out_shape
+    return o.h * o.w * math.prod(layer.kernel_shape)
 
 
 def _yolo_ops(layer: LayerSpec) -> OpProfile:

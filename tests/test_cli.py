@@ -217,43 +217,43 @@ class TestAnalyze:
 ANALYZE_SHA256 = {
     ("all-layers", "inputs", "output-rows"): (
         "7a63c93e6119f30f30efde7c0e2393dec845c1f009b79dc190442f3ca9377d0d",
-        "160eab301f03b9b7631fdbfb83a8ce0b044f446e5935a481126b60337a4671fe",
-        "ac11ab87bebbb9ccfc4873387b46a0322544f0df3a9bdbe12bfdcfb383df2822",
+        "2e6e5f4a7eccb40d240ffc7633d4f39d48ff79aeeb2e4dd3a9ad3ead263347c9",
+        "3cfe39d9121ffe60a8dc6162da19c7ea5e5e6dbdfc7dd38d3b14209a6f68d505",
     ),
     ("all-layers", "inputs", "input-rows"): (
         "88f5fecbcb1d3efb9a2af8bafb5650f6baac0f31ff24b398aef4fb8cf9cca177",
-        "9299073ea9c405db07755e2c6a0f4b0c303bc378fc7a67935c10634a3fcf55ca",
-        "a11f204766850ceb181f810a9a2a9b7a52df604914310a03210a622dbd48a2a4",
+        "eb7d8ce52d6c211a384557bb939fa9ecfad2ac920209090d868d767dfc1f1905",
+        "d7a241dd1097e960a74de1c9de072f9e35c52d378fec06b06e168b40cef9472e",
     ),
     ("all-layers", "split", "output-rows"): (
         "ec4684539bc3cdaa97561b7399c5ea80dbb2ec5e2b8fe0a01b3104c81b09441a",
-        "6ad6b577f0332d3fb3133f9ce8d15728257bb087c4c3c9299071eab61106dbf0",
-        "d3131e1a2f33d2b3e65a1a643d481724980db912867aca23225791fac56c958d",
+        "48b9db99f7e45232bb498c231ef2268f8cd26a929113656f4c49e755c4082539",
+        "6aa172e312ae3e4d2941302269b96ce90fc1595f4ddb017297f9da16dc11da3a",
     ),
     ("all-layers", "split", "input-rows"): (
         "869f3884a219a5e1fe798b3eadc638737e5a31600d1b82fa202051622d29353c",
-        "e6227edd9f1a59667858cabe1b30413b1303af5b80dcd7a90620a3a0f994befb",
-        "858566c06b047052d9c3433e476920d324a602d7162894a9aa170d358fb371e4",
+        "ee8c3578c689c1b68e0fe2cbd4dfd39e2281f3f4a3ebe3f06bd641905f3b086e",
+        "1b2443cea2c3fef12a41bd6da1d76133ac9d627566ce2d066f06a0361c0d8ef3",
     ),
     ("per-layer", "inputs", "output-rows"): (
         "396a7f9078026159260fd145e43ade78f7d250ef1db3c3b35f7bdf5b56448502",
-        "9ff9d07b7f563a2be17f69bf57127d0103262312916555e114debb653054f3be",
-        "627be4caed8dc26bbb600866b189701274f8f072eb7a0860cbe2483832f9b8c1",
+        "ba96254e7d19a94eba2964bda42456b0894fa74c90b5be82113b4b76aa6c5501",
+        "d3b8926d5a3bb888f89b113b72579ccc570426dacda7b15408d89f74ba6181dc",
     ),
     ("per-layer", "inputs", "input-rows"): (
         "b02422b47ad6432a0076be4eb5359647a9913f41969b11a7b1e9f2a8e47a1e41",
-        "ebabf4f5a08c80ed3598a6914515b30cdff2955acf3603076d302016a4925f85",
-        "567a2c05197253da74e1599e5c858ccaaf49151d86982634e80526a3dec1e613",
+        "743f72ad681ae0955ed222449259ae8beec2255026841e6b04a0df1bb14d1a9d",
+        "dbc0f30b8ae688688d5c949602dd38d7e5904158c4fda6d395f1e56d3b1f1bbe",
     ),
     ("per-layer", "split", "output-rows"): (
         "10dc84eeb7a59732dcb6eaa64e29b21c370a9dd12ee2a2c982e3a4024597a784",
-        "2ee4cccbfee68d7678ae28db2ddce06059222bf72da2f6e0172272cc1fa4a2c8",
-        "2545f33f9c3b3731ba92e6a3c32bd0c4fc1b182b6a0b84acf4570896da062c44",
+        "d1adf31dcb0ae8735112d870ec9c92c6a2cc92ffd8bc4d448962af1d5360ae2d",
+        "920f885c38053385aeb12d8834875c23bc8a3684a2af65ee9e404d32bc94a6d2",
     ),
     ("per-layer", "split", "input-rows"): (
         "1da0bacb8e9f4b270e2c45420bff5691b620a10a0e39fbf27db45abed397ad4f",
-        "f5de7ee1e94d556b7ae35ca2396569949a5ce79be69a159299c2fca38985705a",
-        "5d06fe73b54effbd2d9af7021f06037249153181a39922e4b56ea2ce92b19d0f",
+        "782b131ead52f13adc5da922080916810696a11ba8efa9860801d3b0598e2f2c",
+        "4b3b554b959951f7f590a0f1d528248eb08b2d1af13e778494cfa72f42d08926",
     ),
 }
 COMPARE_SHA256 = "313aa09a1dbc1e99dde5b61d0f3a9089dac9a98899aa31abe7fb56a77f9974d3"
@@ -1028,6 +1028,15 @@ stride=1
 """
 
 
+# a [net] extent of 0, then a conv of 0 filters in layer 1: each range error
+# names where it comes from
+EMPTY_INPUT_CFG = "[net]\nwidth=0\nheight=4\nchannels=3\n[convolutional]\nfilters=1\n"
+NO_FILTERS_CFG = (
+    "[net]\nwidth=4\nheight=4\nchannels=3\n"
+    "[convolutional]\nfilters=2\n[convolutional]\nfilters=0\n"
+)
+
+
 class TestUnshapeableConfig:
     @pytest.mark.parametrize(
         "text, message",
@@ -1036,8 +1045,12 @@ class TestUnshapeableConfig:
              "layer 2: shortcut operands differ, 4x4x2 vs 8x8x2 from layer 0"),
             (OVERSIZED_CFG,
              "the [net] input holds more than 2**53 elements"),
+            (EMPTY_INPUT_CFG,
+             "[net]: tensor dimensions must be >= 1, got 4x0x3"),
+            (NO_FILTERS_CFG,
+             "layer 1 [convolutional]: filters must be >= 1, got 0"),
         ],
-        ids=["unshapeable", "oversized"],
+        ids=["unshapeable", "oversized", "empty-input", "no-filters"],
     )
     @pytest.mark.parametrize("command", ["analyze", "cluster", "verify"])
     def test_one_error_line(

@@ -1076,6 +1076,20 @@ class TestWeightsIO:
                 scales=np.ones(1, dtype=np.float32),
             )
 
+    @pytest.mark.parametrize("field", ["scales", "rolling_mean", "rolling_var"])
+    def test_bn_arrays_hold_one_value_per_bias(self, field):
+        # one value for four filters would broadcast silently in
+        # fold_batch_norm
+        arrays = {name: np.ones(4) for name in ("scales", "rolling_mean", "rolling_var")}
+        arrays[field] = np.ones(1)
+        with pytest.raises(ValueError, match="must hold 4 values, one per bias"):
+            ConvParams(0, np.zeros(4), np.zeros(8), **arrays)
+
+    @pytest.mark.parametrize("biases, weights", [(4, 6), (0, 1), (3, 2)])
+    def test_kernel_holds_whole_filters(self, biases, weights):
+        with pytest.raises(ValueError, match=f"no whole number of {biases} filters"):
+            ConvParams(0, np.zeros(biases), np.zeros(weights))
+
 
 class TestFoldBatchNorm:
     def test_matches_float64_formula(self, toy_weights):

@@ -1,5 +1,6 @@
 """Bit-exact inference engine: GEMM variants, im2col and network execution."""
 
+import dataclasses
 import gc
 import re
 import tracemalloc
@@ -606,40 +607,6 @@ class TestConvForward:
         assert got.shape == want.shape
         assert same_bits(got, want)
 
-    def test_rejects_unfolded_batch_norm(self):
-        layer = shaped_conv(4, 4, 1, 1, 3, 1)
-        ones = np.ones(1, dtype=np.float32)
-        params = ConvParams(
-            layer_index=0,
-            biases=ones,
-            kernel=np.ones(9, dtype=np.float32),
-            scales=ones,
-            rolling_mean=ones,
-            rolling_var=ones,
-        )
-        with pytest.raises(ValueError, match="fold"):
-            conv_forward(layer, np.zeros((1, 4, 4), dtype=np.float32), params)
-
-    def test_rejects_wrong_kernel_size(self):
-        layer = shaped_conv(4, 4, 1, 1, 3, 1)
-        params = ConvParams(
-            layer_index=0,
-            biases=np.ones(1, dtype=np.float32),
-            kernel=np.ones(8, dtype=np.float32),
-        )
-        with pytest.raises(ValueError, match="kernel holds 8"):
-            conv_forward(layer, np.zeros((1, 4, 4), dtype=np.float32), params)
-
-    def test_rejects_wrong_input_shape(self):
-        layer = shaped_conv(4, 4, 1, 1, 3, 1)
-        params = ConvParams(
-            layer_index=0,
-            biases=np.ones(1, dtype=np.float32),
-            kernel=np.ones(9, dtype=np.float32),
-        )
-        with pytest.raises(ValueError, match="input shape"):
-            conv_forward(layer, np.zeros((1, 5, 4), dtype=np.float32), params)
-
 
 class TestClusteredForward:
     @pytest.mark.parametrize("on_the_fly", [False, True])
@@ -676,18 +643,6 @@ class TestClusteredForward:
             layer, x, biases, table, packed, base=base, on_the_fly=on_the_fly
         )
         assert same_bits(got, want)
-
-    def test_stream_must_cover_layer(self):
-        layer = shaped_conv(4, 4, 1, 2, 3, 1)
-        packed = pack_indices([0] * 17, 5)
-        with pytest.raises(ValueError, match="stream ends"):
-            conv_forward_clustered(
-                layer,
-                np.zeros((1, 4, 4), dtype=np.float32),
-                np.zeros(2, dtype=np.float32),
-                np.zeros(32, dtype=np.float32),
-                packed,
-            )
 
 
 def spy_bands(monkeypatch):
@@ -799,6 +754,38 @@ stride=1
 pad=1
 activation=leaky
 """
+
+
+# a 3x3 conv of two filters, then a 1x1 conv of three
+TWO_CONVS = """
+[convolutional]
+filters=2
+size=3
+stride=1
+pad=1
+
+[convolutional]
+filters=3
+size=1
+stride=1
+"""
+
+# (clustered, on_the_fly) of the plain, indirect and on-the-fly passes
+PASSES = [(False, False), (True, False), (True, True)]
+
+
+def last_conv_run(clustered, on_the_fly, **last):
+    """run_network's arguments for TWO_CONVS on a 4x4x1 input, with the
+    fields of the last conv's weights replaced by last. A clustered model
+    is clustered from those weights."""
+    net = shaped_net(TWO_CONVS, in_h=4, in_w=4, in_c=1)
+    weights = read_darknet_weights(weights_blob(net), net)
+    *first, conv = weights.convs
+    weights = dataclasses.replace(
+        weights, convs=(*first, dataclasses.replace(conv, **last))
+    )
+    model = cluster_model(fold_batch_norm(weights), ClusterConfig(bits=5)) if clustered else None
+    return net, weights, np.zeros((1, 4, 4), dtype=np.float32), model, on_the_fly
 
 
 @pytest.fixture(scope="module")
@@ -986,6 +973,41 @@ class TestRunNetwork:
         raw = read_darknet_weights(toy_weights_bytes, toy_net)
         with pytest.raises(ValueError, match="fold"):
             run_network(toy_net, raw, toy_input)
+
+    @pytest.mark.parametrize("clustered, on_the_fly", PASSES)
+    def test_rejects_unfolded_batch_norm_in_the_last_conv(self, clustered, on_the_fly):
+        ones = np.ones(3, dtype=np.float32)
+        args = last_conv_run(clustered, on_the_fly, scales=ones, rolling_mean=ones,
+                             rolling_var=ones)
+        with pytest.raises(ValueError, match="^layer 1 still carries batch-norm"):
+            run_network(*args)
+
+    @pytest.mark.parametrize("clustered, on_the_fly", PASSES)
+    def test_rejects_wrong_kernel_size_in_the_last_conv(self, clustered, on_the_fly):
+        # 9 weights are three whole filters, so ConvParams takes them; the
+        # clustered model covers all 9, so only the layer's shape tells
+        args = last_conv_run(clustered, on_the_fly, kernel=np.ones(9, dtype=np.float32))
+        with pytest.raises(
+            ValueError, match=r"^layer 1: kernel holds 9 weights, its 3x2 shape needs 6$"
+        ):
+            run_network(*args)
+
+    @pytest.mark.parametrize("clustered, on_the_fly", PASSES)
+    def test_rejects_one_bias_for_many_filters(self, clustered, on_the_fly):
+        # one bias would broadcast over the conv's three filters
+        args = last_conv_run(clustered, on_the_fly, biases=np.ones(1, dtype=np.float32))
+        with pytest.raises(ValueError, match=r"^layer 1: 1 biases for 3 filters$"):
+            run_network(*args)
+
+    @pytest.mark.parametrize("on_the_fly", [False, True])
+    def test_stream_must_cover_every_conv(self, on_the_fly):
+        net, weights, x, _, _ = last_conv_run(False, False)
+        # a stream one index short of the two convs' 18 + 6 weights
+        table = CentroidTable(np.zeros(32, dtype=np.float32))
+        short = ClusterEntry(None, table, pack_indices([0] * 23, 5))
+        model = ClusteredModel("all_layers", 5, (short,))
+        with pytest.raises(ValueError, match="covers 23 weights, .* hold 24"):
+            run_network(net, weights, x, model, on_the_fly)
 
     def test_rejects_wrong_input_shape(self, toy_net, toy_folded):
         with pytest.raises(ValueError, match="input shape"):

@@ -160,6 +160,27 @@ class TestParse:
         with pytest.raises(ConfigError, match="no layers"):
             parse_config("[net]\nwidth=8\nheight=8\nchannels=3")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL.replace("width=8", "width=0"),
+             "[net]: tensor dimensions must be >= 1, got 8x0x3"),
+            (MINIMAL.replace("channels=3", "channels=three"),
+             "[net]: invalid literal for int() with base 10: 'three'"),
+            (MINIMAL + "\n[convolutional]\nfilters=0",
+             "layer 1 [convolutional]: filters must be >= 1, got 0"),
+            (MINIMAL + "\n[shortcut]", "layer 1 [shortcut]: shortcut requires a from= key"),
+            (MINIMAL + "\n[route]\nlayers=1",
+             "layer 1 [route]: source index 1 does not resolve to an earlier layer"),
+            (MINIMAL + "\n[yolo]\nclasses=0", "layer 1 [yolo]: yolo classes must be >= 1, got 0"),
+            (MINIMAL + "\n[maxpool]", "layer 1 [maxpool]: unknown section kind"),
+        ],
+    )
+    def test_errors_name_their_section(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
 
 class TestInferShapes:
     def test_same_padding_identity(self):

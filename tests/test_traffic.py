@@ -98,13 +98,6 @@ class TestConvAccesses:
             conv_accesses(layer)
         assert f"kernel {kernel} stride {stride}" in str(err.value)
 
-    def test_generalized_fallback(self):
-        layer = shaped_conv(32, 32, 3, 4, kernel=5, stride=1)
-        profile = conv_accesses(layer, generalized=True)
-        params = 5 * 5 * 3 * 4
-        assert profile.weight_reads == params * layer.out_shape.h
-        assert profile.output_writes == layer.out_shape.elements
-
     def test_tiny_map_rejected_for_3x3(self):
         layer = shaped_conv(2, 8, 1, 1, kernel=3, stride=1)
         with pytest.raises(UnsupportedLayerError, match="too small"):
