@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -118,6 +119,49 @@ def _csv_text(manifest: dict, rows) -> str:
     return out.getvalue()
 
 
+def _file_key(path: str):
+    """What identifies the file at path: its device and inode when it
+    exists, so that links to one file agree, else its resolved path. None
+    for a device or pipe, which a write cannot overwrite."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
+def _check_outputs(inputs, outputs) -> None:
+    """Raise ValueError when an output names the same file as an input or
+    as another output: writing it would destroy what the command reads or
+    has just written. Commands call it before they read anything.
+
+    inputs and outputs are (name, path) pairs for the message; a path of
+    None, an option that was not given, is skipped.
+    """
+    seen = {}
+    for role, pairs in (("input", inputs), ("output", outputs)):
+        for name, path in pairs:
+            if path is None:
+                continue
+            key = _file_key(path)
+            if key is None:
+                continue
+            if role == "output" and key in seen:
+                raise ValueError(f"{name} {path} names the same file as {seen[key]}")
+            seen.setdefault(key, f"{name} {path}")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only integers >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _load_network(path: str):
     with open(path, encoding="utf-8") as handle:
         return parse_config(handle.read())
@@ -134,6 +178,10 @@ def _choices(values) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
+    _check_outputs(
+        [("config", args.config), ("--energy-config", args.energy_config)],
+        [("--json", args.json), ("--csv", args.csv)],
+    )
     net = _load_network(args.config)
     config = load_energy_config(args.energy_config)
     _, total = aggregate(
@@ -247,6 +295,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _check_outputs(
+        [("config", args.config), ("weights", args.weights)],
+        [("--out", args.out), ("--json", args.json)],
+    )
     net = _load_network(args.config)
     with open(args.weights, "rb") as handle:
         weights = read_darknet_weights(handle.read(), net)
@@ -427,6 +479,7 @@ def _energy_reductions(path: str) -> list[tuple[str, float]]:
 
 
 def cmd_compare(args) -> int:
+    _check_outputs([("report", path) for path in args.reports], [("--out", args.out)])
     quality = {}
     for item in args.quality or ():
         label, _, value = item.partition("=")
@@ -496,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--scope", choices=_choices(SCOPES), default="all-layers"
     )
-    cluster.add_argument("--seed", type=int, default=0)
+    cluster.add_argument("--seed", type=_seed, default=0)
     cluster.add_argument(
         "--init",
         choices=_choices(INITS),
@@ -517,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("config", help="network .cfg file")
     verify.add_argument("weights", help="Darknet .weights file")
     verify.add_argument("model", help="clustered .cwts file")
-    verify.add_argument("--seed", type=int, default=0, help="input tensor seed")
+    verify.add_argument("--seed", type=_seed, default=0, help="input tensor seed")
     verify.set_defaults(func=cmd_verify)
 
     compare = sub.add_parser(

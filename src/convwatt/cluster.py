@@ -85,6 +85,8 @@ class ClusterConfig:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
 
@@ -348,9 +350,13 @@ def _segment_bounds(sorted_values: np.ndarray, centroids: np.ndarray) -> np.ndar
     return np.concatenate(([0], inner, [sorted_values.size]))
 
 
-# _SegmentSums keeps its exact prefix sums at every _STEP-th sorted value, and
+# _SegmentSums keeps its exact prefix sums at every _STEP-th sorted value, 2 B
+# per value, but at every value of a table of at most _DENSE values, 16 B per
+# value and so at most 1 MB: on a small table, the block correction of a
+# sweep's k + 1 bounds costs more than reading them off a whole prefix. It
 # builds them _CHUNK values at a time, which bounds its temporaries
 _STEP = 8
+_DENSE = 1 << 16
 _OFFSETS = np.arange(_STEP)[:, None]
 _CHUNK = 1 << 16
 _LOW = (1 << 31) - 1
@@ -363,12 +369,13 @@ class _SegmentSums:
     the frexp exponent of the largest magnitude less 62, so |m| < 2**62
     splits into 31-bit limbs m = hi * 2**31 + lo, 0 <= lo < 2**31 (hi is
     m >> 31, rounded toward -inf). Column j of prefix holds the sums of hi
-    (row 0) and lo (row 1) over values[:j * _STEP], exact in int64, with
-    lo's carry moved into hi. A run's exact sum is the difference of the
-    prefixes at its bounds, each completed by the at most _STEP - 1 values
-    past its column, and is rounded to float64 once: it is fsum's correctly
-    rounded sum. A nonzero one is at least 2**e >= 2**-1022, so scaling it
-    by 2**e is exact; a zero one is +0.0, as fsum gives.
+    (row 0) and lo (row 1) over values[:j * step], exact in int64, with
+    lo's carry moved into hi; step is 1 for at most _DENSE values, else
+    _STEP. A run's exact sum is the difference of the prefixes at its
+    bounds, each completed by the at most step - 1 values past its column,
+    and is rounded to float64 once: it is fsum's correctly rounded sum. A
+    nonzero one is at least 2**e >= 2**-1022, so scaling it by 2**e is
+    exact; a zero one is +0.0, as fsum gives.
 
     prefix is None off the grid: where some value is no multiple of 2**e
     (its values span more than 62 bits, or need a step below 2**-1022), or
@@ -396,14 +403,15 @@ class _SegmentSums:
         ]
         if inner.any():
             return
-        prefix = np.zeros((2, n // _STEP + 1), dtype=np.int64)
+        self.step = step = 1 if n <= _DENSE else _STEP
+        prefix = np.zeros((2, n // step + 1), dtype=np.int64)
         for i in range(0, n, _CHUNK):
             part = sorted_values[i : i + _CHUNK] * self.scale
             m = part.astype(np.int64)
             if not np.array_equal(m, part):
                 return
-            blocks = m[: m.size - m.size % _STEP].reshape(-1, _STEP)
-            j = i // _STEP + 1
+            blocks = m[: m.size - m.size % step].reshape(-1, step)
+            j = i // step + 1
             prefix[0, j : j + len(blocks)] = (blocks >> 31).sum(axis=1)
             prefix[1, j : j + len(blocks)] = (blocks & _LOW).sum(axis=1)
         np.cumsum(prefix, axis=1, out=prefix)
@@ -415,14 +423,17 @@ class _SegmentSums:
         """math.fsum(values[bounds[i]:bounds[i + 1]]) for each i."""
         if self.prefix is None:
             return self.fsums(bounds)
-        # column i holds the values of bound i's block below it, as m
-        r = bounds % _STEP
-        at = _OFFSETS + (bounds - r)
-        m = (self.values.take(at, mode="clip") * self.scale).astype(np.int64)
-        m *= _OFFSETS < r
-        column = bounds // _STEP
-        hi = (m >> 31).sum(axis=0) + self.prefix[0][column]
-        lo = (m & _LOW).sum(axis=0) + self.prefix[1][column]
+        if self.step == 1:
+            hi, lo = self.prefix.take(bounds, axis=1)
+        else:
+            # column i holds the values of bound i's block below it, as m
+            r = bounds % _STEP
+            at = _OFFSETS + (bounds - r)
+            m = (self.values.take(at, mode="clip") * self.scale).astype(np.int64)
+            m *= _OFFSETS < r
+            column = bounds // _STEP
+            hi = (m >> 31).sum(axis=0) + self.prefix[0][column]
+            lo = (m & _LOW).sum(axis=0) + self.prefix[1][column]
         hi, lo = hi[1:] - hi[:-1], lo[1:] - lo[:-1]
         # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
         # |u| < 2**53: both are exact float64s, so the one addition rounds it
@@ -536,7 +547,11 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
       |m| < 2**62 and e >= -1022, _SegmentSums reads each sweep's k sums off
       exact int64 prefix sums in O(k) numpy work; elsewhere (wider spans,
       finer steps, or sums that fsum might overflow) it runs fsum on each
-      segment.
+      segment. A table of at most _DENSE values keeps the prefix at every
+      value and reads each bound off it; a larger one keeps it at every
+      _STEP-th value and adds the at most _STEP - 1 values past a bound's
+      column. Both form the same integers, rounded once, so the layout
+      never shows in a mean.
     - A segment's residuals depend only on its bounds and centroid. Each
       sweep rewrites only the residuals whose segment's bounds or centroid
       changed; the SSE is the same float64 dot over them all.

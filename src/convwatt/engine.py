@@ -392,7 +392,8 @@ def run_network(
 
     net is a network as parse_config returns it, with its shapes. Every
     check is made here, once, so errors surface at the call, before any
-    layer runs: the input's shape, the clustered model's spans
+    layer runs: the input's shape, that weights holds parameters for
+    exactly the network's conv layers, the clustered model's spans
     (ClusteredModel.spans), and each conv's weights against its layer.
     Each conv is resolved into one runner: conv_forward over its weights,
     or conv_forward_clustered over its (centroids, packed, base) span.
@@ -409,6 +410,13 @@ def run_network(
     expected = (net.input.c, net.input.h, net.input.w)
     if x.shape != expected:
         raise ValueError(f"input shape {x.shape} does not match network {expected}")
+    held = {conv.layer_index for conv in weights.convs}
+    convs = {layer.index for layer in net.layers if layer.kind == CONVOLUTIONAL}
+    if held != convs:
+        raise ValueError(
+            f"weights do not match the network's convs: missing layers "
+            f"{sorted(convs - held)}, extra layers {sorted(held - convs)}"
+        )
     spans = {}
     if clustered is not None:
         spans = {

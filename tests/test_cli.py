@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -300,6 +301,69 @@ class TestOutputBytes:
         assert sha256(capsys.readouterr().out.encode()) == COMPARE_SHA256
 
 
+def yolov3_w24() -> str:
+    """The shipped yolov3.cfg with every filters= integer-divided by 24, to
+    at least 1, at 320x320: 102,088 kernel weights."""
+    text = resources.files("convwatt").joinpath("data/yolov3.cfg").read_text()
+    text = re.sub(
+        r"(?m)^(\s*filters\s*=\s*)(\d+)",
+        lambda m: f"{m[1]}{max(1, int(m[2]) // 24)}",
+        text,
+    )
+    return re.sub(r"(?m)^(\s*(?:width|height)\s*=\s*)\d+", r"\g<1>320", text)
+
+
+# (cfg, cluster options) of each CLUSTER_SHA256 case. The toy net's tables
+# keep _SegmentSums' prefix at every value; the w24 net's global table is
+# larger than cluster._DENSE and keeps it at every cluster._STEP-th value.
+CLUSTER_CASES = {
+    "toy/per-layer/8": (TOY_CFG, ["--scope", "per-layer", "--bits", "8"]),
+    "toy/all-layers/5/kmeans-pp": (
+        TOY_CFG, ["--bits", "5", "--init", "kmeans-pp", "--seed", "4"],
+    ),
+    "w24/all-layers/5": (yolov3_w24(), ["--bits", "5", "--max-iters", "20"]),
+}
+# sha256 of cluster's CWTS file, stdout and --json with
+# SOURCE_DATE_EPOCH=1700000000 and weights_blob(net, seed=11), run in the
+# output's directory so that only basenames are printed and recorded
+CLUSTER_SHA256 = {
+    "toy/per-layer/8": (
+        "803b6b3e6308eaefcbe0a329c46e1d3349ac8873a8f1650eaec030d891f4a84f",
+        "ff1d26c80412d7a9ed2a9eb363766fd54a67d717a7644e2f20675759c239fff1",
+        "d7b9e8bf32794a9ab7a7a4079c634bb8188b88b9f8216190741dbec60d31e515",
+    ),
+    "toy/all-layers/5/kmeans-pp": (
+        "770f630e5d7327c8031fd98417f314fd32be1896cab0adb4767b7779240c239b",
+        "86a1438e07d1bf92af12df87a868ffbb020c7b903d1ab4f3daf342efdcc3cca7",
+        "452e08497bbf2263ca4de4abca5f2643a07455aa717b88bd432ebde5d62c3027",
+    ),
+    "w24/all-layers/5": (
+        "6aa6cc1aefdb5896e614b3be26a0a78d93c315aa07d1237abab9ac92605b437f",
+        "a3aed9c7d2821953ec38af0bd1993667903cf0ad2293e26311c3335070852503",
+        "2a4c1551d96e48d343ca43ba2738da151453ee6c7886c6763d84e395cefe3a7f",
+    ),
+}
+
+
+class TestClusterBytes:
+    @pytest.mark.parametrize("case", sorted(CLUSTER_SHA256))
+    def test_cluster_bytes_are_pinned(self, tmp_path, monkeypatch, capsys, case):
+        text, options = CLUSTER_CASES[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.cfg").write_text(text)
+        (tmp_path / "net.weights").write_bytes(weights_blob(parse_config(text), seed=11))
+        argv = ["cluster", "net.cfg", "net.weights", *options,
+                "--out", "net.cwts", "--json", "net.json"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        digests = (
+            sha256((tmp_path / "net.cwts").read_bytes()),
+            sha256(stdout),
+            sha256((tmp_path / "net.json").read_bytes()),
+        )
+        assert digests == CLUSTER_SHA256[case]
+
+
 # One strided 3x3 conv: a 13x13 input unfolds to 27 rows of 7 * 27 = 189
 # elements per output row, so a _BAND of two rows runs the 7x7 output as
 # bands of 2, 2, 2 and 1 rows, each one a view of the output whose rows lie
@@ -488,6 +552,115 @@ class TestCluster:
         )
         assert rc == 1
         assert "truncated" in capsys.readouterr().err
+
+
+def snapshot(directory) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestOutputCollisions:
+    """An output that names an input or another output is refused before
+    anything is read or written."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch, toy_weights_bytes, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.cfg").write_text(TOY_CFG)
+        (tmp_path / "toy.weights").write_bytes(toy_weights_bytes)
+        for scope in ("all-layers", "per-layer"):
+            assert main(["analyze", "toy.cfg", "--bits", "5", "--scope", scope,
+                         "--json", f"{scope}.json"]) == 0
+        (tmp_path / "old.cwts").write_bytes(b"an earlier model")
+        (tmp_path / "r").write_bytes(b"an earlier report")
+        (tmp_path / "link.weights").symlink_to("toy.weights")
+        capsys.readouterr()
+        return tmp_path
+
+    CLUSTER = ["cluster", "toy.cfg", "toy.weights", "--bits", "5"]
+
+    CASES = {
+        "cluster-out-is-weights": (
+            CLUSTER + ["--out", "toy.weights"],
+            "--out toy.weights names the same file as weights toy.weights",
+        ),
+        "cluster-json-is-out": (
+            CLUSTER + ["--out", "old.cwts", "--json", "old.cwts"],
+            "--json old.cwts names the same file as --out old.cwts",
+        ),
+        "cluster-json-is-new-out": (
+            CLUSTER + ["--out", "new.cwts", "--json", "./new.cwts"],
+            "--json ./new.cwts names the same file as --out new.cwts",
+        ),
+        "cluster-out-links-to-weights": (
+            CLUSTER + ["--out", "link.weights"],
+            "--out link.weights names the same file as weights toy.weights",
+        ),
+        "cluster-json-is-config": (
+            CLUSTER + ["--out", "x.cwts", "--json", "toy.cfg"],
+            "--json toy.cfg names the same file as config toy.cfg",
+        ),
+        "analyze-json-is-config": (
+            ["analyze", "toy.cfg", "--json", "toy.cfg"],
+            "--json toy.cfg names the same file as config toy.cfg",
+        ),
+        "analyze-csv-is-json": (
+            ["analyze", "toy.cfg", "--json", "r", "--csv", "r"],
+            "--csv r names the same file as --json r",
+        ),
+        "analyze-csv-is-energy-config": (
+            ["analyze", "toy.cfg", "--energy-config", "r", "--csv", "r"],
+            "--csv r names the same file as --energy-config r",
+        ),
+        "compare-out-is-report": (
+            ["compare", "all-layers.json", "per-layer.json", "--out", "per-layer.json"],
+            "--out per-layer.json names the same file as report per-layer.json",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_one_error_line_and_writes_nothing(self, files, capsys, case):
+        argv, message = self.CASES[case]
+        before = snapshot(files)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"convwatt: error: {message}\n")
+        assert snapshot(files) == before
+
+    def test_devices_may_take_several_outputs(self, files, capsys):
+        assert main(["analyze", "toy.cfg", "--json", os.devnull, "--csv", os.devnull]) == 0
+
+    def test_distinct_outputs_are_written(self, files, capsys):
+        assert main(self.CLUSTER + ["--out", "old.cwts", "--json", "r"]) == 0
+        assert read_clustered((files / "old.cwts").read_bytes()).bits == 5
+        assert json.loads((files / "r").read_text())["manifest"]["command"] == "cluster"
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", [
+        ["cluster", "toy.cfg", "toy.weights", "--bits", "5", "--out", "m.cwts"],
+        ["cluster", "toy.cfg", "toy.weights", "--bits", "5", "--out", "m.cwts",
+         "--init", "kmeans-pp"],
+        ["verify", "toy.cfg", "toy.weights", "m.cwts"],
+    ], ids=["cluster-linspace", "cluster-kmeans-pp", "verify"])
+    def test_is_refused_naming_the_option(
+        self, tmp_path, monkeypatch, capsys, toy_weights_bytes, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.cfg").write_text(TOY_CFG)
+        (tmp_path / "toy.weights").write_bytes(toy_weights_bytes)
+        if command[0] == "verify":
+            assert main(["cluster", "toy.cfg", "toy.weights", "--bits", "5",
+                         "--out", "m.cwts"]) == 0
+        capsys.readouterr()
+        before = snapshot(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--seed", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            "error: argument --seed: expected an integer >= 0, got '-1'"
+        )
+        assert snapshot(tmp_path) == before
 
 
 def conv_chain(depth: int) -> str:

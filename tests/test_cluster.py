@@ -321,6 +321,14 @@ class TestKmeans:
             tracemalloc.stop()
         assert peak / n < 40
 
+    def test_prefix_layout_follows_the_table_size(self):
+        # 16 B per value up to _DENSE values, 2 B per value above
+        for n, columns in ((1, 2), (cluster._DENSE, cluster._DENSE + 1),
+                           (cluster._DENSE + 1, cluster._DENSE // cluster._STEP + 1)):
+            prefix = cluster._SegmentSums(np.arange(n, dtype=np.float64)).prefix
+            assert prefix.shape == (2, columns)
+        assert cluster._DENSE * 16 <= 1 << 20
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="non-empty"):
             kmeans_1d([], 2)
@@ -342,6 +350,8 @@ class TestKmeans:
             ClusterConfig(tol=-1e-9)
         with pytest.raises(ValueError, match="init"):
             ClusterConfig(init="random")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ClusterConfig(seed=-1)
         assert ClusterConfig(bits=5).k == 32
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
@@ -394,6 +404,17 @@ def lloyd_values(style: str, n: int, seed: int) -> np.ndarray:
 
 
 LLOYD_STYLES = ("normal", "grid", "zeros", "subnormal", "exponents", "clumps")
+
+# cluster._DENSE forced so that _SegmentSums keeps its prefix at every value
+# ("dense") or at every cluster._STEP-th value ("blocks") at any size
+LAYOUTS = {"dense": sys.maxsize, "blocks": 0}
+
+
+@pytest.fixture(scope="class", params=sorted(LAYOUTS))
+def layout(request):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster, "_DENSE", LAYOUTS[request.param])
+        yield request.param
 
 
 def lloyd_outcome(run):
@@ -454,9 +475,11 @@ class TestLloydMatchesReference:
     ):
         self.check(lloyd_values(style, n, data_seed), bits, init, seed, max_iters)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 128, 129, 200, 5000])
     @pytest.mark.parametrize("style", LLOYD_STYLES)
-    def test_sizes_around_the_block(self, style, n):
+    def test_sizes_around_the_block(self, style, n, layout, monkeypatch):
+        monkeypatch.setattr(cluster, "_DENSE", LAYOUTS[layout])
         for bits, init in ((1, "linspace"), (3, "kmeans_pp"), (8, "linspace")):
             self.check(lloyd_values(style, n, n), bits, init, n, 25)
 
@@ -726,6 +749,7 @@ def on_grid(svals) -> bool:
     return low >= -1022 and Fraction(peak) / Fraction(2) ** low < 2**62
 
 
+@pytest.mark.usefixtures("layout")
 class TestSegmentSums:
     @settings(max_examples=200, phases=UNSHRUNK)
     @given(
@@ -734,10 +758,13 @@ class TestSegmentSums:
         data_seed=st.integers(0, 2**32 - 1),
         cuts=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=20),
     )
-    def test_sum_is_fsum_of_the_run(self, style, n, data_seed, cuts):
+    def test_sum_is_fsum_of_the_run(self, layout, style, n, data_seed, cuts):
         svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
         sums = cluster._SegmentSums(svals)
         assert (sums.prefix is not None) == on_grid(svals)
+        if sums.prefix is not None:
+            step = 1 if layout == "dense" else cluster._STEP
+            assert sums.prefix.shape == (2, n // step + 1)
         for a, b in cuts:
             lo, hi = sorted((int(a * n), int(b * n)))
             total = sums.totals(np.array([lo, hi]))[0]

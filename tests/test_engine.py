@@ -999,6 +999,29 @@ class TestRunNetwork:
         with pytest.raises(ValueError, match=r"^layer 1: 1 biases for 3 filters$"):
             run_network(*args)
 
+    @pytest.mark.parametrize("clustered, on_the_fly", PASSES)
+    @pytest.mark.parametrize("layers, missing, extra", [
+        ((0, 5), "[1]", "[5]"),  # the last conv's parameters under layer 5
+        ((0,), "[1]", "[]"),
+        ((0, 1, 2), "[]", "[2]"),
+    ])
+    def test_weights_must_hold_exactly_the_network_convs(
+        self, clustered, on_the_fly, layers, missing, extra
+    ):
+        net, weights, x, _, _ = last_conv_run(False, False)
+        params = (*weights.convs, weights.convs[-1])
+        weights = dataclasses.replace(weights, convs=tuple(
+            dataclasses.replace(conv, layer_index=index)
+            for conv, index in zip(params, layers)
+        ))
+        model = cluster_model(weights, ClusterConfig(bits=5)) if clustered else None
+        message = (
+            f"^weights do not match the network's convs: missing layers "
+            f"{re.escape(missing)}, extra layers {re.escape(extra)}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            run_network(net, weights, x, model, on_the_fly)
+
     @pytest.mark.parametrize("on_the_fly", [False, True])
     def test_stream_must_cover_every_conv(self, on_the_fly):
         net, weights, x, _, _ = last_conv_run(False, False)
