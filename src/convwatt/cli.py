@@ -9,7 +9,9 @@ from the newest input file's mtime, never from the wall clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -95,10 +97,8 @@ def _manifest(command: str, inputs, options: dict, seed=None) -> dict:
     }
 
 
-def _write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def _csv_text(manifest: dict, rows) -> str:
@@ -149,6 +149,66 @@ def _check_outputs(inputs, outputs) -> None:
             if role == "output" and key in seen:
                 raise ValueError(f"{name} {path} names the same file as {seen[key]}")
             seen.setdefault(key, f"{name} {path}")
+
+
+def _temporary_beside(target: str) -> tuple[int, str]:
+    """Create a new file in target's directory for writing, as open() does
+    (mode 0o666 less the umask); return its descriptor and path."""
+    directory, name = os.path.split(target)
+    attempt = 0
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
+        except FileExistsError:
+            attempt += 1
+
+
+@contextlib.contextmanager
+def _outputs(files):
+    """Write a command's output files, all of them or none.
+
+    files holds (path, bytes) pairs. Each file is first written to a
+    temporary file beside its target (the target of a symbolic link), which
+    takes the target's mode if it exists; a target that exists must be
+    writable, and its directory must be. The with-block runs once all of
+    them are written, and they are renamed onto their targets when it ends.
+    Until then no target is touched: a failure removes every temporary file
+    and leaves no output behind. A device or pipe, such as /dev/null,
+    cannot be replaced; it is written just before the renames.
+    """
+    staged, direct = [], []
+    try:
+        for path, data in files:
+            if _file_key(path) is None:
+                direct.append((path, data))
+                continue
+            target = os.path.realpath(path) if os.path.islink(path) else path
+            try:
+                fd, temp = _temporary_beside(target)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((temp, target))
+            with open(fd, "wb") as handle:
+                handle.write(data)
+            try:
+                mode = stat.S_IMODE(os.stat(target).st_mode)
+            except FileNotFoundError:
+                continue
+            if not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            os.chmod(temp, mode)
+        yield
+        for path, data in direct:
+            with open(path, "wb") as handle:
+                handle.write(data)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
 
 
 def _seed(text: str) -> int:
@@ -234,24 +294,6 @@ def cmd_analyze(args) -> int:
             }
         )
 
-    split = baseline.access_split_pct
-    dram_share = 100.0 * baseline.dram_energy_mj / baseline.total_energy_mj
-    print(f"network: {os.path.basename(args.config)}  "
-          f"({len(net.layers)} layers, {n_convs} conv, {n_weights} kernel weights)")
-    print(f"element access split: weights {split['weights']:.1f}%  "
-          f"inputs {split['inputs']:.1f}%  outputs {split['outputs']:.1f}%")
-    print(f"baseline energy: {baseline.total_energy_mj:.1f} mJ/frame  "
-          f"(DRAM {dram_share:.1f}%, arithmetic {100 - dram_share:.1f}%)")
-    print()
-    header = f"{'configuration':<22} {'GB/s':>8} {'FPS':>7} {'mem %':>7} {'total %':>8}"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(
-            f"{row['configuration']:<22} {row['bandwidth_gbps']:>8.1f} "
-            f"{row['fps']:>7.1f} {row['relative_memory_energy_pct']:>7.1f} "
-            f"{row['relative_overall_energy_pct']:>8.1f}"
-        )
     size_notes = []
     for report in reports[1:]:
         bits = report.weight_bits
@@ -267,30 +309,49 @@ def cmd_analyze(args) -> int:
                 "sram_table_bytes": sram_table_bytes(bits),
             }
         )
-    if size_notes:
-        print()
-        for note in size_notes:
-            print(
-                f"{note['configuration']}: size reduction {note['word_aligned_factor']:.0f}x "
-                f"word-aligned, {note['tight_factor']:.2f}x tight "
-                f"({note['stored_bits_tight']} bits incl. tables); "
-                f"SRAM table {note['sram_table_bytes']} B"
-            )
-
+    files = []
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "manifest": manifest,
-                "reports": [r.to_dict() for r in reports],
-                "rows": rows,
-                "size_reduction": size_notes,
-            },
-        )
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "manifest": manifest,
+            "reports": [r.to_dict() for r in reports],
+            "rows": rows,
+            "size_reduction": size_notes,
+        }
+        files.append((args.json, _json_bytes(payload)))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(_csv_text(manifest, rows))
+        files.append((args.csv, _csv_text(manifest, rows).encode("utf-8")))
+    # the files are staged before the report is printed, and kept only if
+    # the whole command succeeds
+    with _outputs(files):
+        split = baseline.access_split_pct
+        dram_share = 100.0 * baseline.dram_energy_mj / baseline.total_energy_mj
+        print(f"network: {os.path.basename(args.config)}  "
+              f"({len(net.layers)} layers, {n_convs} conv, {n_weights} kernel weights)")
+        print(f"element access split: weights {split['weights']:.1f}%  "
+              f"inputs {split['inputs']:.1f}%  outputs {split['outputs']:.1f}%")
+        print(f"baseline energy: {baseline.total_energy_mj:.1f} mJ/frame  "
+              f"(DRAM {dram_share:.1f}%, arithmetic {100 - dram_share:.1f}%)")
+        print()
+        header = f"{'configuration':<22} {'GB/s':>8} {'FPS':>7} {'mem %':>7} {'total %':>8}"
+        print(header)
+        print("-" * len(header))
+        for row in rows:
+            print(
+                f"{row['configuration']:<22} {row['bandwidth_gbps']:>8.1f} "
+                f"{row['fps']:>7.1f} {row['relative_memory_energy_pct']:>7.1f} "
+                f"{row['relative_overall_energy_pct']:>8.1f}"
+            )
+        if size_notes:
+            print()
+            for note in size_notes:
+                print(
+                    f"{note['configuration']}: size reduction {note['word_aligned_factor']:.0f}x "
+                    f"word-aligned, {note['tight_factor']:.2f}x tight "
+                    f"({note['stored_bits_tight']} bits incl. tables); "
+                    f"SRAM table {note['sram_table_bytes']} B"
+                )
+
     return 0
 
 
@@ -314,31 +375,21 @@ def cmd_cluster(args) -> int:
     )
     model = cluster_model(folded, cfg)
     payload = write_clustered(model)
-    with open(args.out, "wb") as handle:
-        handle.write(payload)
-
     sses = model_sse(model, folded)
     tables = sum(e.table.k for e in model.entries)
     tight = size_reduction_factor(model.total_count, cfg.bits, tables)
     table_stats = []
     for entry, sse in zip(model.entries, sses):
-        name = "global" if entry.layer_id is None else f"layer {entry.layer_id}"
-        lossless = sse == 0.0
         table_stats.append(
             {
-                "table": name,
+                "table": "global" if entry.layer_id is None else f"layer {entry.layer_id}",
                 "k": entry.table.k,
                 "count": entry.packed.count,
                 "sse": sse,
-                "lossless": lossless,
+                "lossless": sse == 0.0,
             }
         )
-        flag = "  (lossless)" if lossless else ""
-        print(f"{name}: {entry.packed.count} weights, K={entry.table.k}, "
-              f"SSE={sse:.6g}{flag}")
-    print(f"wrote {args.out}: {len(payload)} bytes, "
-          f"{indexes_per_word(cfg.bits)}x word-aligned reduction, "
-          f"{tight:.2f}x tight")
+    files = [(args.out, payload)]
     if args.json:
         manifest = _manifest(
             "cluster",
@@ -353,16 +404,22 @@ def cmd_cluster(args) -> int:
             },
             seed=cfg.seed,
         )
-        _write_json(
-            args.json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "manifest": manifest,
-                "tables": table_stats,
-                "total_sse": sum(sses),
-                "file_bytes": len(payload),
-            },
-        )
+        summary = {
+            "schema_version": SCHEMA_VERSION,
+            "manifest": manifest,
+            "tables": table_stats,
+            "total_sse": sum(sses),
+            "file_bytes": len(payload),
+        }
+        files.append((args.json, _json_bytes(summary)))
+    with _outputs(files):
+        for stats in table_stats:
+            flag = "  (lossless)" if stats["lossless"] else ""
+            print(f"{stats['table']}: {stats['count']} weights, K={stats['k']}, "
+                  f"SSE={stats['sse']:.6g}{flag}")
+        print(f"wrote {args.out}: {len(payload)} bytes, "
+              f"{indexes_per_word(cfg.bits)}x word-aligned reduction, "
+              f"{tight:.2f}x tight")
     return 0
 
 

@@ -345,9 +345,12 @@ def _segment_bounds(sorted_values: np.ndarray, centroids: np.ndarray) -> np.ndar
 
     A value exactly on a midpoint between two centroids joins the lower one.
     """
-    mids = (centroids[:-1] + centroids[1:]) / 2.0
-    inner = np.searchsorted(sorted_values, mids, side="right")
-    return np.concatenate(([0], inner, [sorted_values.size]))
+    bounds = np.empty(centroids.size + 1, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, sorted_values.size
+    mids = centroids[:-1] + centroids[1:]
+    mids /= 2.0
+    bounds[1:-1] = np.searchsorted(sorted_values, mids, side="right")
+    return bounds
 
 
 # _SegmentSums keeps its exact prefix sums at every _STEP-th sorted value, 2 B
@@ -360,10 +363,53 @@ _DENSE = 1 << 16
 _OFFSETS = np.arange(_STEP)[:, None]
 _CHUNK = 1 << 16
 _LOW = (1 << 31) - 1
+_LIMB = (1 << 21) - 1
+# every finite float64 is a whole multiple of 2**_FINE
+_FINE = -1074
+
+
+def _fine_units(values: np.ndarray):
+    """Each value as the exact integer multiple of 2**_FINE that it is."""
+    return (
+        num << (1 - _FINE - den.bit_length())
+        for num, den in map(float.as_integer_ratio, values.tolist())
+    )
+
+
+def _square_sum(m: np.ndarray) -> int:
+    """Σ m**2, exact, over at most _CHUNK int64 values below 2**62 in
+    magnitude: each |m| splits into three 21-bit limbs, and every sum of
+    limb products over the chunk stays below 2**58, exact in int64. m is
+    overwritten."""
+    l2 = np.abs(m, out=m)
+    l0 = l2 & _LIMB
+    l2 >>= 21
+    l1 = l2 & _LIMB
+    l2 >>= 21
+
+    def dot(x, y):
+        return int(np.dot(x, y))
+
+    return (
+        dot(l0, l0)
+        + (dot(l0, l1) << 22)
+        + ((dot(l1, l1) + 2 * dot(l0, l2)) << 42)
+        + (dot(l1, l2) << 64)
+        + (dot(l2, l2) << 84)
+    )
+
+
+def _rounded(num: int, exp: int) -> float:
+    """num * 2**exp, num >= 0, rounded once to float64; inf past its range."""
+    try:
+        return float(num << exp) if exp >= 0 else num / (1 << -exp)
+    except OverflowError:
+        return math.inf
 
 
 class _SegmentSums:
-    """math.fsum of the runs between bounds of a sorted array, bit for bit.
+    """math.fsum of the runs between bounds of a sorted array, bit for bit,
+    and the exact sums that the SSE check reads.
 
     The grid: every value is m * 2**e for one e, the larger of -1022 and
     the frexp exponent of the largest magnitude less 62, so |m| < 2**62
@@ -381,11 +427,18 @@ class _SegmentSums:
     (its values span more than 62 bits, or need a step below 2**-1022), or
     where n * max|value| is so large that some fsum could overflow. Runs are
     then summed with fsum one by one, which raises where it raises.
+
+    exact gives the runs' sums, and squares the sum of every value's
+    square, exactly, as Python ints in units of 2**unit and 2**(2 * unit).
+    On the grid unit is e: exact reads the prefix in O(k), and squares is
+    summed from the m of each chunk as the prefix is built. Off the grid
+    unit is _FINE, and both are summed value by value in O(n), squares once.
     """
 
     def __init__(self, sorted_values: np.ndarray):
         self.values = sorted_values
         self.prefix = None
+        self.unit, self._squares = _FINE, None
         n = sorted_values.size
         peak = max(-float(sorted_values[0]), float(sorted_values[-1]))
         # no value fsum forms below exceeds a few times n * peak; no int64
@@ -405,24 +458,27 @@ class _SegmentSums:
             return
         self.step = step = 1 if n <= _DENSE else _STEP
         prefix = np.zeros((2, n // step + 1), dtype=np.int64)
+        squares = 0
         for i in range(0, n, _CHUNK):
             part = sorted_values[i : i + _CHUNK] * self.scale
             m = part.astype(np.int64)
             if not np.array_equal(m, part):
                 return
+            del part  # _square_sum's limbs take its place
             blocks = m[: m.size - m.size % step].reshape(-1, step)
             j = i // step + 1
             prefix[0, j : j + len(blocks)] = (blocks >> 31).sum(axis=1)
             prefix[1, j : j + len(blocks)] = (blocks & _LOW).sum(axis=1)
+            squares += _square_sum(m)
         np.cumsum(prefix, axis=1, out=prefix)
         prefix[0] += prefix[1] >> 31
         prefix[1] &= _LOW
         self.prefix = prefix
+        self.unit, self._squares = e, squares
 
-    def totals(self, bounds: np.ndarray) -> np.ndarray:
-        """math.fsum(values[bounds[i]:bounds[i + 1]]) for each i."""
-        if self.prefix is None:
-            return self.fsums(bounds)
+    def _limbs(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hi, lo) of each run on the grid: its exact sum over 2**e is
+        hi * 2**31 + lo."""
         if self.step == 1:
             hi, lo = self.prefix.take(bounds, axis=1)
         else:
@@ -434,7 +490,13 @@ class _SegmentSums:
             column = bounds // _STEP
             hi = (m >> 31).sum(axis=0) + self.prefix[0][column]
             lo = (m & _LOW).sum(axis=0) + self.prefix[1][column]
-        hi, lo = hi[1:] - hi[:-1], lo[1:] - lo[:-1]
+        return hi[1:] - hi[:-1], lo[1:] - lo[:-1]
+
+    def totals(self, bounds: np.ndarray) -> np.ndarray:
+        """math.fsum(values[bounds[i]:bounds[i + 1]]) for each i."""
+        if self.prefix is None:
+            return self.fsums(bounds)
+        hi, lo = self._limbs(bounds)
         # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
         # |u| < 2**53: both are exact float64s, so the one addition rounds it
         t, u = hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo
@@ -447,68 +509,170 @@ class _SegmentSums:
             [math.fsum(self.values[lo:hi].tolist()) for lo, hi in zip(edges, edges[1:])]
         )
 
+    def exact(self, bounds: np.ndarray) -> list[int]:
+        """The exact sum of each run between bounds, in units of 2**unit."""
+        if self.prefix is None:
+            edges = bounds.tolist()
+            return [sum(_fine_units(self.values[lo:hi])) for lo, hi in zip(edges, edges[1:])]
+        hi, lo = self._limbs(bounds)
+        return [(h << 31) + l for h, l in zip(hi.tolist(), lo.tolist())]
 
-def _segment_means(sums: _SegmentSums, bounds: np.ndarray) -> np.ndarray:
-    """Mean of each segment, its math.fsum over its length; NaN if empty.
+    @property
+    def squares(self) -> int:
+        """Σ x**2 over every value, exact, in units of 2**(2 * unit)."""
+        if self._squares is None:
+            self._squares = sum(
+                x * x
+                for i in range(0, self.values.size, _CHUNK)
+                for x in _fine_units(self.values[i : i + _CHUNK])
+            )
+        return self._squares
+
+    @cached_property
+    def square_sum(self) -> float:
+        """Σ x**2 in float64, inf where it overflows: squares rounded once on
+        the grid; off it, math.fsum of the rounded squares, which is within
+        2.01 ulp plus n * 2**-1074 of the exact sum."""
+        if self.prefix is not None:
+            return _rounded(self.squares, 2 * self.unit)
+        chunks = range(0, self.values.size, _CHUNK)
+        with np.errstate(over="ignore", under="ignore"):
+            try:
+                return math.fsum(
+                    x
+                    for i in chunks
+                    for x in np.square(self.values[i : i + _CHUNK]).tolist()
+                )
+            except OverflowError:
+                return math.inf
+
+
+def _segment_means(totals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Mean of each segment, its sum in totals (_SegmentSums.totals, so
+    math.fsum) over its length; NaN if empty, as an empty sum is 0.0.
 
     fsum keeps the mean exactly rounded, pinning results across platforms
     regardless of summation order optimizations.
     """
-    counts = bounds[1:] - bounds[:-1]
-    means = np.full(counts.size, np.nan)
-    return np.divide(sums.totals(bounds), counts, out=means, where=counts > 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return totals / (bounds[1:] - bounds[:-1])
 
 
-def _farthest(dist: np.ndarray, e: int, work: np.ndarray) -> np.ndarray:
+def _farthest(dist: np.ndarray, e: int) -> np.ndarray:
     """Indexes of the e largest distances, ties going to the lowest index.
 
     These are the picks of e rounds of argmax that each retire their pick,
     found in O(n). They come in index order, not pick order; the centroids
-    are sorted next, so that order never shows. work, as long as dist, is
-    overwritten.
+    are sorted next, so that order never shows.
     """
-    np.copyto(work, dist)
-    work.partition(dist.size - e)
-    threshold = work[dist.size - e]
+    threshold = np.partition(dist, dist.size - e)[dist.size - e]
     above = np.flatnonzero(dist > threshold)
     tied = np.flatnonzero(dist == threshold)[: e - above.size]
     return np.concatenate((above, tied))
 
 
-# _residuals rewrites changed segments one by one when the values outnumber
-# the changed segments by at least this factor, and rebuilds every residual
-# with one np.repeat otherwise, where the per-segment calls would cost more
-_PER_SEGMENT = 1024
+# the unit roundoff of float64, and its smallest subnormal
+_EPS = 2.0**-53
+_TINY = 2.0**-1074
 
 
-def _residuals(
-    svals: np.ndarray,
-    centroids: np.ndarray,
-    bounds: np.ndarray,
-    work: np.ndarray,
-    last: tuple[np.ndarray, np.ndarray] | None = None,
-) -> None:
-    """Set work to each sorted value minus its segment's centroid.
+def _sse_bracket(sums: _SegmentSums, centroids, bounds, totals):
+    """Floats lo <= hi around the SSE of centroids over bounds, as
+    _SweepSSE defines it; None where the float evaluation cannot bound it.
 
-    A residual depends only on its segment's bounds and centroid. last, if
-    given, is the (centroids, bounds) whose residuals work holds now; a
-    segment whose bounds and centroid bits are all unchanged since then
-    keeps its residuals, and only the others are rewritten.
+    The SSE is Σx² - 2 Σ c·S + Σ n·c², c being a segment's centroid, S its
+    sum and n its count. It is evaluated once in float64 from
+    sums.square_sum and totals, each within about two ulp of exact, in at
+    most k + 10 roundings along any path, k being the number of segments.
+    In the standard model of rounding (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 3) its error is then at most
+    γ(m) (Σx² + Σ (n·c² + 2 |c·S|)), γ(m) = m u / (1 - m u), u = 2**-53,
+    for m = k + 10; the bound takes m = 2k + 16, which also covers the
+    rounding of the bound itself. Underflow adds at most 2**-1074 per
+    product and per square, fewer than 2n + 4k + 16 in all, since sums are
+    exact in gradual underflow. Anything that overflows, or a non-finite
+    centroid, leaves inf or nan in the evaluation, and the bracket is None.
+    This is the filter of Shewchuk's adaptive predicates (1997): decide from
+    a float evaluation where its error bound allows it.
     """
-    if last is not None:
-        last_centroids, last_bounds = last
-        moved = bounds != last_bounds
-        redo = moved[:-1] | moved[1:] | (
-            centroids.view(np.int64) != last_centroids.view(np.int64)
-        )
-        changed = redo.nonzero()[0].tolist()
-        if svals.size >= _PER_SEGMENT * len(changed):
-            edges, values = bounds.tolist(), centroids.tolist()
-            for j in changed:
-                lo, hi = edges[j], edges[j + 1]
-                np.subtract(svals[lo:hi], values[j], out=work[lo:hi])
-            return
-    np.subtract(svals, np.repeat(centroids, np.diff(bounds)), out=work)
+    # an empty segment's terms are zero, unless its centroid is not finite
+    counts = bounds[1:] - bounds[:-1]
+    with np.errstate(all="ignore"):
+        cs = centroids * totals
+        ncc = centroids * centroids
+        ncc *= counts
+        spread, cross = float(np.add.reduce(ncc)), float(np.add.reduce(cs))
+        np.abs(cs, out=cs)
+        size = sums.square_sum + (spread + 2.0 * float(np.add.reduce(cs)))
+        estimate = sums.square_sum + (spread - 2.0 * cross)
+    m = 2 * counts.size + 16
+    underflow = (2 * int(bounds[-1]) + 4 * counts.size + 16) * _TINY
+    error = m * _EPS / (1.0 - m * _EPS) * size + underflow
+    lo, hi = estimate - error, estimate + error
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _exact_sse(sums: _SegmentSums, centroids, bounds) -> float:
+    """The SSE of centroids over bounds as _SweepSSE defines it, formed from
+    sums' exact integers and each centroid's as_integer_ratio."""
+    counts = bounds[1:] - bounds[:-1]
+    held = counts > 0
+    c = centroids[held]
+    if not np.all(np.isfinite(c)):
+        return math.nan
+    # everything in units of 2**_FINE, the SSE in units of 2**(2 * _FINE)
+    shift = sums.unit - _FINE
+    total = sums.squares << (2 * shift)
+    held_sums = (s for s, h in zip(sums.exact(bounds), held.tolist()) if h)
+    for cj, sj, nj in zip(_fine_units(c), held_sums, counts[held].tolist()):
+        total += cj * (nj * cj - (sj << (shift + 1)))
+    return _rounded(total, 2 * _FINE)
+
+
+class _SweepSSE:
+    """The SSE of one sweep: the exact Σ (x - c)**2 over the values of
+    every non-empty segment, rounded once to float64. It is inf past the
+    float range, and nan where a non-empty segment's centroid is not finite.
+
+    bracket holds floats around it, from _sse_bracket and the segments'
+    totals; exact is the SSE itself, from _exact_sse: in O(k) on the grid,
+    in O(n) off it. Each is formed when first read: a sweep that reseeds
+    reads neither, unless the next sweep checks against it.
+    """
+
+    def __init__(self, sums: _SegmentSums, centroids, bounds):
+        self.sums, self.centroids, self.bounds = sums, centroids, bounds
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """The segments' sums, which the next sweep's means divide."""
+        return self.sums.totals(self.bounds)
+
+    @cached_property
+    def bracket(self) -> tuple[float, float] | None:
+        try:
+            totals = self.totals
+        except OverflowError:
+            # fsum's, off the grid; the next sweep's means raise it
+            return None
+        return _sse_bracket(self.sums, self.centroids, self.bounds, totals)
+
+    @cached_property
+    def exact(self) -> float:
+        return _exact_sse(self.sums, self.centroids, self.bounds)
+
+    def exceeds(self, prev: _SweepSSE) -> bool:
+        """The "SSE increased" test, sse > prev_sse * (1.0 + 1e-9), on the
+        exact SSEs; it reads them only where the brackets leave it open."""
+        if self.bracket is not None and prev.bracket is not None:
+            (lo, hi), (prev_lo, prev_hi) = self.bracket, prev.bracket
+            if lo > prev_hi * (1.0 + 1e-9):
+                return True
+            if hi <= prev_lo * (1.0 + 1e-9):
+                return False
+        return self.exact > prev.exact * (1.0 + 1e-9)
 
 
 def _stable_zeros(svals: np.ndarray, vals: np.ndarray) -> None:
@@ -535,7 +699,7 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     first one in the input stands for both.
 
     Results are bitwise those of a Lloyd that stable-sorts the values and
-    recomputes every segment each sweep, by three invariants:
+    recomputes every segment each sweep, by these invariants:
 
     - svals, the values in numpy's default (unstable) argsort order, is
       bitwise the stable sort: equal finite floats have equal bits except
@@ -552,9 +716,15 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
       _STEP-th value and adds the at most _STEP - 1 values past a bound's
       column. Both form the same integers, rounded once, so the layout
       never shows in a mean.
-    - A segment's residuals depend only on its bounds and centroid. Each
-      sweep rewrites only the residuals whose segment's bounds or centroid
-      changed; the SSE is the same float64 dot over them all.
+    - The "SSE increased" check compares _SweepSSE's SSE: the exact
+      Σ(x - c)² over the non-empty segments, rounded once to float64. A
+      sweep evaluates Σx² - 2 Σ c·S + Σ n·c² in O(k) float work, from the
+      sum of squares _SegmentSums takes once per table and the segment sums
+      S that the next sweep's means divide, and brackets the SSE with a
+      rigorous error bound. Only where the brackets of two sweeps leave the
+      check open are their SSEs formed exactly, from exact integer sums:
+      in O(k) on the grid, in O(n) off it. So a sweep of a table on the
+      grid that does not reseed does no O(n) work.
     - A sweep that did not reseed and left every bound where it was is a
       fixed point: the next sweep would compute the same means, move no
       centroid and stop. The loop stops there instead.
@@ -588,30 +758,27 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
         centroids = _init_centroids(svals, k, cfg)
         sums = _SegmentSums(svals)
         bounds = _segment_bounds(svals, centroids)
-        # the SSE residual and the reseed's partition share one buffer
-        work = np.empty_like(svals)
-        prev_sse = math.inf
-        last_residuals = None
+        sse = None
         for _ in range(cfg.max_iters):
-            means = _segment_means(sums, bounds)
+            # the sums of these bounds, which the last sweep's SSE check
+            # has taken already if it ran
+            totals = sums.totals(bounds) if sse is None else sse.totals
+            means = _segment_means(totals, bounds)
             empty = np.isnan(means)
             reseeded = bool(empty.any())
             if reseeded:
                 dist = np.repeat(means, np.diff(bounds))
                 np.abs(np.subtract(svals, dist, out=dist), out=dist)
-                means[empty] = svals[_farthest(dist, np.count_nonzero(empty), work)]
+                means[empty] = svals[_farthest(dist, np.count_nonzero(empty))]
                 del dist
-                last_residuals = None  # _farthest has overwritten work
             new_centroids = np.sort(means)
-            movement = float(np.max(np.abs(new_centroids - centroids)))
+            movement = float(np.abs(new_centroids - centroids).max())
             new_bounds = _segment_bounds(svals, new_centroids)
-            _residuals(svals, new_centroids, new_bounds, work, last_residuals)
-            last_residuals = new_centroids, new_bounds
-            sse = float(np.dot(work, work))
-            if not reseeded and sse > prev_sse * (1.0 + 1e-9):
+            new_sse = _SweepSSE(sums, new_centroids, new_bounds)
+            if not reseeded and sse is not None and new_sse.exceeds(sse):
                 raise RuntimeError("k-means SSE increased")
-            prev_sse = sse
-            fixed = np.array_equal(new_bounds, bounds)
+            sse = new_sse
+            fixed = bool((new_bounds == bounds).all())
             centroids, bounds = new_centroids, new_bounds
             if (movement <= cfg.tol or fixed) and not reseeded:
                 break
@@ -682,13 +849,21 @@ class ConvParams:
 
 @dataclass(frozen=True)
 class DarknetWeights:
-    """Contents of a Darknet .weights file: header plus per-conv parameters."""
+    """Contents of a Darknet .weights file: header plus per-conv parameters,
+    at most one set per layer."""
 
     major: int
     minor: int
     revision: int
     seen: int
     convs: tuple[ConvParams, ...]
+
+    def __post_init__(self):
+        layers = set()
+        for conv in self.convs:
+            if conv.layer_index in layers:
+                raise ValueError(f"two parameter sets for conv layer {conv.layer_index}")
+            layers.add(conv.layer_index)
 
     def conv_for_layer(self, layer_index: int) -> ConvParams:
         try:

@@ -68,10 +68,11 @@ _NARROW = 16384
 _SCRATCH = 1 << 18
 # columns of A the wide path asks a variant for at once
 _BLOCK = 64
-# Products whose rows hold at most this many elements are built in place. A
-# broadcast multiply over rows that short goes through numpy's 8192-element
-# buffer (np.getbufsize()) and takes several times as long per element.
-_SHORT = 8192 // 3
+# numpy's buffer, in elements. A broadcast multiply goes through it unless
+# the output's rows hold more than a third of it (the wide path's 2-D
+# products) or half of it (the narrow path's 3-D ones), and then takes
+# several times as long per element; _multiply builds such products in place.
+_BUFFER = np.getbufsize()
 # fp32 elements in one band of a convolution's im2col matrix (4 MB); a band
 # is at least one output row
 _BAND = 1 << 20
@@ -80,10 +81,11 @@ _BAND = 1 << 20
 def _multiply(a, b, out):
     """out = a * b, a broadcast along out's last axis and b along its first.
 
-    Short rows copy a into out and multiply by b in place. An IEEE multiply
-    is commutative, so the products have the same bits either way.
+    Rows too short to leave numpy's buffer (see _BUFFER) copy a into out and
+    multiply by b in place. An IEEE multiply is commutative, so the products
+    have the same bits either way.
     """
-    if out.shape[-1] > _SHORT:
+    if out.shape[-1] > _BUFFER // (3 if out.ndim == 2 else 2):
         np.multiply(a, b, out=out)
     else:
         np.copyto(out, a)

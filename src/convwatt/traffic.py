@@ -90,6 +90,19 @@ def conv_accesses(layer: LayerSpec, row_convention: str = ROWS_OUTPUT) -> Access
     kernel row they overlap; they are broadcast across filters, so input
     reads do not scale with the filter count. Outputs are written once.
 
+    Two row-streaming schedules are modeled, each enumerated access by
+    access in tests/oracles.conv_stream_counts:
+
+    - stride 1: one output row per kernel-height window position over the
+      unpadded input, interior positions only for 3x3;
+    - stride 2 (3x3): the window visits every interior input position and
+      fetches three rows of in_w + 1 elements, the extra one being the
+      padded column that the stride reaches; the filter set streams once per
+      interior row of the output map.
+
+    Under row_convention ROWS_INPUT the filter set streams once per
+    interior input row instead (see ROWS_OUTPUT).
+
     Only (kernel, stride) in {(3,1), (3,2), (1,1)} are modeled; any other
     pair raises UnsupportedLayerError.
     """

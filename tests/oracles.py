@@ -6,6 +6,8 @@ agreement between the two is evidence, not tautology.
 """
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,6 +48,12 @@ def optimal_kmeans_sse(values, k: int) -> float:
 def lloyd_1d_reference(values, k, init="linspace", seed=0, max_iters=300, tol=1e-6):
     """1-D Lloyd as the package first shipped it: one math.fsum over each
     whole segment per sweep, np.unique for the distinct values.
+
+    The "SSE increased" check compares exact SSEs: Σ(x - c)² over the
+    values of the non-empty segments, in Fractions, rounded once to float64
+    (inf past its range, nan where such a segment's centroid is not
+    finite). Each segment's share is Σx² - 2cΣx + nc², from exact prefix
+    sums of x and x² taken once.
 
     Returns (fp32 centroids, uint32 assignments) in the original value order
     and, like CentroidTable, rejects centroids that overflow fp32.
@@ -90,6 +98,23 @@ def lloyd_1d_reference(values, k, init="linspace", seed=0, max_iters=300, tol=1e
 
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
+    exact = [Fraction(x) for x in svals.tolist()]
+    sum_x = list(accumulate(exact, initial=Fraction(0)))
+    sum_x2 = list(accumulate((x * x for x in exact), initial=Fraction(0)))
+
+    def exact_sse(centroids, bounds):
+        total = Fraction(0)
+        for c, lo, hi in zip(centroids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi == lo:
+                continue
+            if not math.isfinite(c):
+                return math.nan
+            c = Fraction(c)
+            total += sum_x2[hi] - sum_x2[lo] - 2 * c * (sum_x[hi] - sum_x[lo]) + (hi - lo) * c * c
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf
 
     distinct = np.unique(svals)
     if distinct.size <= k:
@@ -125,8 +150,7 @@ def lloyd_1d_reference(values, k, init="linspace", seed=0, max_iters=300, tol=1e
             assign_sorted = np.repeat(
                 np.arange(k, dtype=np.uint32), np.diff(bounds).astype(np.int64)
             )
-            d = svals - centroids[assign_sorted]
-            sse = float(np.dot(d, d))
+            sse = exact_sse(centroids, bounds)
             if not reseeded and sse > prev_sse * (1.0 + 1e-9):
                 raise RuntimeError("k-means SSE increased")
             prev_sse = sse
@@ -209,20 +233,41 @@ def pack_indices_reference(indices, bits: int) -> list[int]:
     return words
 
 
-def conv_stream_counts(in_h, in_w, in_c, filters, kernel):
-    """Enumerate the stride-1 row-streaming schedule access by access.
+def conv_stream_counts(in_h, in_w, in_c, filters, kernel, stride=1):
+    """Enumerate the row-streaming schedule access by access.
 
-    The modeled engine computes one output row per kernel-height window
-    position over the unpadded input (interior positions only for 3x3);
-    each position re-streams the full filter set and fetches the window's
-    input rows. Returns (weight_reads, input_reads) element counts.
+    Stride 1: the modeled engine computes one output row per kernel-height
+    window position over the unpadded input (interior positions only for
+    3x3); each position re-streams the full filter set and fetches the
+    window's input rows.
+
+    Stride 2 (3x3 only): the window still visits every interior position
+    of the unpadded input and fetches its three rows, each one element
+    wider than the map, for the padded column that the last window of a
+    row reaches. The filter set is re-streamed once per computed output row
+    of the padded map's (in_h - 1) // 2 + 1, but for its first and last.
+
+    Returns (weight_reads, input_reads) element counts.
     """
-    if kernel == 3:
+    if (kernel, stride) == (3, 1):
         positions = range(in_h - 2)
-    elif kernel == 1:
+    elif (kernel, stride) == (1, 1):
         positions = range(in_h)
+    elif (kernel, stride) == (3, 2):
+        out_h = (in_h - 1) // 2 + 1
+        weight_reads = input_reads = 0
+        for out_row in range(out_h):
+            if 0 < out_row < out_h - 1:
+                for _f in range(filters):
+                    for _c in range(in_c):
+                        weight_reads += kernel * kernel
+        for _ in range(in_h - 2):
+            for _r in range(kernel):
+                for _c in range(in_c):
+                    input_reads += in_w + 1
+        return weight_reads, input_reads
     else:
-        raise ValueError(f"no schedule for kernel {kernel}")
+        raise ValueError(f"no schedule for kernel {kernel} stride {stride}")
     weight_reads = 0
     input_reads = 0
     for _ in positions:

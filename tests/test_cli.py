@@ -634,6 +634,82 @@ class TestOutputCollisions:
         assert json.loads((files / "r").read_text())["manifest"]["command"] == "cluster"
 
 
+class TestAllOrNoOutputs:
+    """A command writes every output file or none: a failure after the
+    first output is ready leaves no file behind and no earlier one changed."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch, toy_weights_bytes, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.cfg").write_text(TOY_CFG)
+        (tmp_path / "toy.weights").write_bytes(toy_weights_bytes)
+        (tmp_path / "old.cwts").write_bytes(b"an earlier model")
+        return tmp_path
+
+    CLUSTER = ["cluster", "toy.cfg", "toy.weights", "--bits", "5"]
+
+    @pytest.mark.parametrize("argv, missing", [
+        (CLUSTER + ["--out", "m.cwts", "--json", "nodir/s.json"], "nodir/s.json"),
+        (CLUSTER + ["--out", "old.cwts", "--json", "nodir/s.json"], "nodir/s.json"),
+        (CLUSTER + ["--out", "nodir/m.cwts", "--json", "s.json"], "nodir/m.cwts"),
+        (["analyze", "toy.cfg", "--json", "r.json", "--csv", "nodir/r.csv"], "nodir/r.csv"),
+        (["analyze", "toy.cfg", "--json", "nodir/r.json", "--csv", "r.csv"], "nodir/r.json"),
+    ])
+    def test_an_output_that_cannot_be_written_leaves_none(self, files, capsys, argv, missing):
+        before = snapshot(files)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        # the outputs are staged before anything is printed
+        assert out == ""
+        assert err == f"convwatt: error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert snapshot(files) == before
+
+    @pytest.mark.parametrize("argv", [
+        CLUSTER + ["--out", "old.cwts", "--json", "s.json"],
+        ["analyze", "toy.cfg", "--bits", "5", "--json", "r.json", "--csv", "r.csv"],
+    ])
+    def test_a_failure_after_staging_leaves_none(self, files, capsys, monkeypatch, argv):
+        def fail(*args, file=None, **kwargs):
+            if file is None:
+                raise ValueError("failed while printing")
+            print(*args, file=file, **kwargs)
+
+        real_temporary, staged = cli._temporary_beside, []
+
+        def temporary(target):
+            staged.append(target)
+            return real_temporary(target)
+
+        # both commands print to stdout only once their outputs are staged
+        monkeypatch.setattr(cli, "print", fail, raising=False)
+        monkeypatch.setattr(cli, "_temporary_beside", temporary)
+        before = snapshot(files)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "convwatt: error: failed while printing\n"
+        assert snapshot(files) == before
+        assert len(staged) == 2
+
+    def test_outputs_keep_their_links_and_modes(self, files, capsys):
+        os.chmod(files / "old.cwts", 0o640)
+        (files / "sub").mkdir()
+        (files / "link.json").symlink_to("sub/s.json")
+        umask = os.umask(0o022)
+        try:
+            assert main(self.CLUSTER + ["--out", "old.cwts", "--json", "link.json"]) == 0
+        finally:
+            os.umask(umask)
+        assert read_clustered((files / "old.cwts").read_bytes()).bits == 5
+        assert (files / "old.cwts").stat().st_mode & 0o777 == 0o640
+        # the link now leads to a new file, made as open() makes one
+        assert (files / "link.json").is_symlink()
+        summary = json.loads((files / "sub" / "s.json").read_text())
+        assert summary["manifest"]["command"] == "cluster"
+        assert (files / "sub" / "s.json").stat().st_mode & 0o777 == 0o644
+        assert sorted(p.name for p in files.iterdir()) == [
+            "link.json", "old.cwts", "sub", "toy.cfg", "toy.weights"]
+        assert [p.name for p in (files / "sub").iterdir()] == ["s.json"]
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", [
         ["cluster", "toy.cfg", "toy.weights", "--bits", "5", "--out", "m.cwts"],

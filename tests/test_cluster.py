@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -297,8 +298,8 @@ class TestKmeans:
         real = cluster._segment_means
         sweeps = []
 
-        def worse_on_second_sweep(sums, bounds):
-            means = real(sums, bounds)
+        def worse_on_second_sweep(totals, bounds):
+            means = real(totals, bounds)
             sweeps.append(None)
             return means + 100.0 if len(sweeps) == 2 else means
 
@@ -307,9 +308,25 @@ class TestKmeans:
         with pytest.raises(RuntimeError, match="k-means SSE increased"):
             kmeans_1d(values, 4)
 
+    def test_sse_increase_raises_in_the_exact_form(self, monkeypatch):
+        real = cluster._segment_means
+        sweeps = []
+
+        def worse_on_second_sweep(totals, bounds):
+            means = real(totals, bounds)
+            sweeps.append(None)
+            return means + 100.0 if len(sweeps) == 2 else means
+
+        monkeypatch.setattr(cluster, "_segment_means", worse_on_second_sweep)
+        monkeypatch.setattr(cluster, "_sse_bracket", no_bracket)
+        values = np.random.default_rng(3).normal(size=500)
+        with pytest.raises(RuntimeError, match="k-means SSE increased"):
+            kmeans_1d(values, 4)
+
     def test_peak_memory_per_value(self):
-        # sorted copy, argsort order, one work buffer, one per-sweep
-        # temporary and the 2-byte share of the limb prefix sums: about 35
+        # the float64 copy, the argsort order and the sorted copy while
+        # sorting, or a reseed's distances and their partitioned copy next
+        # to the sorted copy, the order and the limb prefix sums: about 34
         # bytes per value
         n = 200_000
         values = np.random.default_rng(5).standard_normal(n).astype(np.float32)
@@ -417,6 +434,12 @@ def layout(request):
         yield request.param
 
 
+def no_bracket(*args):
+    """A stand-in for cluster._sse_bracket that never decides, so that every
+    SSE check takes its exact form."""
+    return None
+
+
 def lloyd_outcome(run):
     """(fp32 centroids, assignments), or (type, message) of what it raised."""
     try:
@@ -430,6 +453,8 @@ class TestLloydMatchesReference:
     """kmeans_1d against the whole-segment fsum Lloyd of tests/oracles.py."""
 
     def check(self, values, bits, init, seed, max_iters):
+        """kmeans_1d twice, with the SSE check's float filter and forced to
+        its exact form, against the reference."""
         cfg = ClusterConfig(bits=bits, init=init, seed=seed, max_iters=max_iters)
 
         def package():
@@ -438,10 +463,18 @@ class TestLloydMatchesReference:
 
         # absurd inputs overflow in numpy on both sides alike
         with np.errstate(over="ignore", invalid="ignore"):
-            got = lloyd_outcome(package)
             want = lloyd_outcome(
                 lambda: lloyd_1d_reference(values, cfg.k, init, seed, max_iters, cfg.tol)
             )
+            got = lloyd_outcome(package)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cluster, "_sse_bracket", no_bracket)
+                got_exact = lloyd_outcome(package)
+        for outcome in (got, got_exact):
+            self.same_outcome(values, cfg, outcome, want)
+
+    @staticmethod
+    def same_outcome(values, cfg, got, want):
         if isinstance(want[0], type):
             assert got == want
             return
@@ -495,8 +528,8 @@ class TestLloydMatchesReference:
         real = cluster._segment_means
         empties = []
 
-        def spy(sums, bounds):
-            means = real(sums, bounds)
+        def spy(totals, bounds):
+            means = real(totals, bounds)
             empties.append(int(np.isnan(means).sum()))
             return means
 
@@ -509,13 +542,13 @@ class TestLloydMatchesReference:
         real = cluster._farthest
         decided_by_ties = []
 
-        def spy(dist, e, work):
+        def spy(dist, e):
             # the tie rule matters when more distances equal the e-th
             # largest than the picks still need
             kth = np.sort(dist)[-e]
             needed = e - np.count_nonzero(dist > kth)
             decided_by_ties.append(np.count_nonzero(dist == kth) > needed > 0)
-            return real(dist, e, work)
+            return real(dist, e)
 
         monkeypatch.setattr(cluster, "_farthest", spy)
         # two clumps of a few repeated values: the segment distances repeat,
@@ -539,7 +572,7 @@ class TestLloydMatchesReference:
         for _ in range(e):
             want.append(int(np.argmax(left)))
             left[want[-1]] = -1.0
-        got = cluster._farthest(dist, e, np.empty_like(dist))
+        got = cluster._farthest(dist, e)
         assert sorted(got.tolist()) == sorted(want)
 
     def test_extreme_exponents_overflow_like_the_reference(self):
@@ -633,47 +666,48 @@ class TestLloydMatchesReference:
         # 4 bits hold all 13 distinct values: the exact path
         self.check(values, 4, "linspace", n, 30)
 
-    @pytest.mark.parametrize("per_segment", [0, None, 10**9])
-    def test_sweep_state_matches_a_fresh_recompute(self, per_segment, monkeypatch):
-        if per_segment is not None:
-            monkeypatch.setattr(cluster, "_PER_SEGMENT", per_segment)
-        real_residuals, real_farthest = cluster._residuals, cluster._farthest
-        events, runs = [], []
+    def test_carried_sums_match_a_fresh_recompute(self, monkeypatch):
+        # each sweep's means divide the segment sums that the previous
+        # sweep took for its SSE check, or fresh ones after a reseed
+        real_means, real_farthest = cluster._segment_means, cluster._farthest
+        sums_of, events, runs = {}, [], []
+        real_init = cluster._SegmentSums.__init__
 
-        def residuals_spy(svals, centroids, bounds, work, last=None):
-            real_residuals(svals, centroids, bounds, work, last)
-            fresh = svals - np.repeat(centroids, np.diff(bounds))
-            assert np.array_equal(work.view(np.uint64), fresh.view(np.uint64))
-            events.append(("residuals", last is not None))
+        def init_spy(self, svals):
+            real_init(self, svals)
+            sums_of["last"] = self
 
-        def farthest_spy(dist, e, work):
-            events.append(("reseed", None))
-            return real_farthest(dist, e, work)
+        def means_spy(totals, bounds):
+            fresh = sums_of["last"].totals(bounds)
+            assert np.array_equal(totals.view(np.uint64), fresh.view(np.uint64))
+            events.append("means")
+            return real_means(totals, bounds)
 
-        monkeypatch.setattr(cluster, "_residuals", residuals_spy)
+        def farthest_spy(dist, e):
+            events.append("reseed")
+            return real_farthest(dist, e)
+
+        monkeypatch.setattr(cluster._SegmentSums, "__init__", init_spy)
+        monkeypatch.setattr(cluster, "_segment_means", means_spy)
         monkeypatch.setattr(cluster, "_farthest", farthest_spy)
         for style, n, bits in (("clumps", 3000, 4), ("normal", 20000, 5), ("zeros", 5000, 3)):
             for init in INITS:
                 events = []
                 self.check(lloyd_values(style, n, n), bits, init, 7, 40)
                 runs.append(events)
-        assert any(("residuals", True) in events for events in runs)
-        # in some run, a sweep after a reseed reused residuals
-        after_reseed = [
-            events[events.index(("reseed", None)) :]
-            for events in runs
-            if ("reseed", None) in events
-        ]
-        assert any(("residuals", True) in events for events in after_reseed)
+        # in some run, a sweep after a reseed divided carried sums
+        assert any("means" in events[events.index("reseed") :]
+                   for events in runs if "reseed" in events)
 
     def test_fixed_point_stops_early_with_the_same_result(self, monkeypatch):
-        real, states = cluster._residuals, []
+        real, states = cluster._segment_bounds, []
 
-        def spy(svals, centroids, bounds, work, last=None):
+        def spy(svals, centroids):
+            bounds = real(svals, centroids)
             states.append((centroids.copy(), bounds.copy()))
-            return real(svals, centroids, bounds, work, last)
+            return bounds
 
-        monkeypatch.setattr(cluster, "_residuals", spy)
+        monkeypatch.setattr(cluster, "_segment_bounds", spy)
         values = lloyd_values("normal", 5000, 4)
         self.check(values, 3, "linspace", 0, 1000)
         (c1, b1), (c2, b2) = states[-2:]
@@ -681,53 +715,6 @@ class TestLloydMatchesReference:
         # not have moved any centroid; its own still moved, above tol = 0
         assert np.array_equal(b1, b2) and not np.array_equal(c1, c2)
         assert len(states) < 1000
-
-
-class TestSweepUpdates:
-    """_residuals given an earlier state agrees bit for bit with a recompute
-    from scratch."""
-
-    @settings(max_examples=200, phases=UNSHRUNK)
-    @given(
-        style=st.sampled_from(LLOYD_STYLES),
-        n=st.integers(1, 1500),
-        data_seed=st.integers(0, 2**32 - 1),
-        k=st.integers(1, 40),
-        replaced=st.floats(0, 1),
-    )
-    def test_updates_equal_a_fresh_recompute(self, style, n, data_seed, k, replaced):
-        svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
-        rng = np.random.default_rng(data_seed)
-        # the second state keeps some centroids of the first, so that some
-        # segments keep their bounds; a kept zero may flip its sign
-        first = np.sort(rng.choice(svals, k))
-        second = first.copy()
-        swap = rng.random(k) < replaced
-        second[swap] = rng.choice(svals, int(swap.sum()))
-        flip = (second == 0) & (rng.random(k) < 0.5)
-        second[flip] = -second[flip]
-        second = np.sort(second)
-        b1, b2 = (cluster._segment_bounds(svals, c) for c in (first, second))
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = svals - np.repeat(second, np.diff(b2))
-            for per_segment in (0, cluster._PER_SEGMENT, 10**9):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(cluster, "_PER_SEGMENT", per_segment)
-                    work = np.full_like(svals, np.nan)
-                    cluster._residuals(svals, first, b1, work)
-                    cluster._residuals(svals, second, b2, work, (first, b1))
-                assert np.array_equal(work.view(np.uint64), want.view(np.uint64))
-
-    def test_a_zero_centroid_that_flips_sign_is_rewritten(self):
-        # -0.0 - -0.0 is +0.0 but -0.0 - +0.0 is -0.0, though the centroids
-        # compare equal
-        svals = np.array([-0.0, -0.0, 0.0, 5.0, 6.0])
-        bounds = np.array([0, 3, 5])
-        work = np.empty_like(svals)
-        cluster._residuals(svals, np.array([-0.0, 5.5]), bounds, work)
-        new = np.array([0.0, 5.5])
-        cluster._residuals(svals, new, bounds, work, (np.array([-0.0, 5.5]), bounds))
-        assert np.signbit(work[:3]).tolist() == [True, True, False]
 
 
 def on_grid(svals) -> bool:
@@ -801,7 +788,7 @@ class TestSegmentSums:
         svals = np.array([1e308, 1.5e308])
         sums = cluster._SegmentSums(svals)
         with pytest.raises(OverflowError):
-            cluster._segment_means(sums, np.array([0, 2]))
+            sums.totals(np.array([0, 2]))
 
     @settings(max_examples=200, phases=UNSHRUNK)
     @given(
@@ -815,7 +802,7 @@ class TestSegmentSums:
         # short segments are common: neighbouring cuts 0, 1 or 2 apart
         inner = sorted(min(c, n) for c in cuts)
         bounds = np.array([0, *inner, n], dtype=np.int64)
-        means = cluster._segment_means(cluster._SegmentSums(svals), bounds)
+        means = cluster._segment_means(cluster._SegmentSums(svals).totals(bounds), bounds)
         for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
             if hi == lo:
                 assert np.isnan(means[i])
@@ -849,9 +836,9 @@ class TestSegmentSums:
             ]
         except OverflowError:
             with pytest.raises(OverflowError):
-                cluster._segment_means(sums, bounds)
+                sums.totals(bounds)
             return
-        means = cluster._segment_means(sums, bounds)
+        means = cluster._segment_means(sums.totals(bounds), bounds)
         for got, mean in zip(means.tolist(), want):
             assert np.isnan(got) if mean is None else same_float(got, mean)
 
@@ -914,7 +901,7 @@ class TestSegmentSums:
                 total = sums.totals(np.array([lo, hi]))[0]
                 assert same_float(total, math.fsum(svals[lo:hi]))
         bounds = np.array([0, n // 3, n // 2, n])
-        means = cluster._segment_means(sums, bounds)
+        means = cluster._segment_means(sums.totals(bounds), bounds)
         for i in range(3):
             lo, hi = bounds[i], bounds[i + 1]
             if hi > lo:
@@ -929,7 +916,7 @@ class TestSegmentSums:
         # fsum([-0.0]) and fsum([-0.0, -0.0]) are +0.0, where -0.0 + -0.0 is -0.0
         svals = np.array([-0.0, -0.0, -0.0, 1.0, 2.0, 3.0])
         bounds = np.array([0, 1, 3, 6])
-        means = cluster._segment_means(cluster._SegmentSums(svals), bounds)
+        means = cluster._segment_means(cluster._SegmentSums(svals).totals(bounds), bounds)
         assert means.tolist() == [0.0, 0.0, 2.0]
         assert not np.signbit(means).any()
 
@@ -964,6 +951,247 @@ class TestSegmentSums:
 
         monkeypatch.setattr(cluster._SegmentSums, "fsums", no_fallback)
         kmeans_1d(lloyd_values("normal", 20000, 17), 256, ClusterConfig(max_iters=10))
+
+
+def fraction_sse(svals, centroids, bounds) -> float:
+    """The SSE as _SweepSSE defines it, straight from that definition: the
+    sum of every (x - c)**2 over the non-empty segments, in Fractions,
+    rounded once to float64."""
+    total = Fraction(0)
+    edges = np.asarray(bounds).tolist()
+    for c, lo, hi in zip(np.asarray(centroids).tolist(), edges, edges[1:]):
+        if hi == lo:
+            continue
+        if not math.isfinite(c):
+            return math.nan
+        total += sum((Fraction(x) - Fraction(c)) ** 2 for x in svals[lo:hi].tolist())
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
+def sweep_state(svals, rng, k, spread):
+    """Sorted centroids near the values, and bounds: the nearest-centroid
+    ones or arbitrary cuts, some segments left empty."""
+    picks = rng.choice(svals, k)
+    centroids = np.sort(picks + spread * rng.standard_normal(k) * np.abs(picks))
+    if rng.random() < 0.5:
+        return centroids, cluster._segment_bounds(svals, centroids)
+    cuts = np.sort(rng.integers(0, svals.size + 1, k - 1))
+    return centroids, np.concatenate(([0], cuts, [svals.size]))
+
+
+@pytest.mark.usefixtures("layout")
+class TestSweepSSE:
+    """_SweepSSE's exact SSE and the bracket that the check decides from."""
+
+    @settings(max_examples=200, phases=UNSHRUNK)
+    @given(
+        style=st.sampled_from(LLOYD_STYLES + ("huge", "tiny")),
+        n=st.integers(1, 300),
+        data_seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 40),
+        spread=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]),
+    )
+    def test_exact_and_bracket_hold_the_fraction_sse(self, style, n, data_seed, k, spread):
+        rng = np.random.default_rng(data_seed)
+        if style == "huge":
+            values = rng.uniform(-1.0, 1.0, n) * 1.7e308
+        elif style == "tiny":
+            # squares and products in the subnormal range, where underflow
+            # costs more than the rounding bound
+            values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.uniform(-163, -160)
+        else:
+            values = lloyd_values(style, n, data_seed)
+        svals = np.sort(values, kind="stable")
+        with np.errstate(over="ignore", invalid="ignore"):
+            centroids, bounds = sweep_state(svals, rng, k, spread)
+        sums = cluster._SegmentSums(svals)
+        sse = cluster._SweepSSE(sums, centroids, bounds)
+        want = fraction_sse(svals, centroids, bounds)
+        assert same_float(sse.exact, want)
+        try:
+            totals = sums.totals(bounds)
+        except OverflowError:
+            return
+        bracket = cluster._sse_bracket(sums, centroids, bounds, totals)
+        if bracket is not None:
+            assert bracket[0] <= want <= bracket[1]
+
+    # (values, centroids, bounds, the exact SSE rounded once)
+    CRAFTED = {
+        # (x - c)**2 overflows though x - c does not, or x - c overflows
+        "square-past-the-range": ([-1.5e154, 1.5e154], [0.0], [0, 2], math.inf),
+        "difference-past-the-range": ([-1.7e308, 1.7e308], [1.7e308], [0, 2], math.inf),
+        "just-below-the-range": ([0.0, 2.0**511], [0.0, 0.0], [0, 1, 2], 2.0**1022),
+        "subnormal": ([5e-324, 1.5e-323], [1e-323], [0, 2], 0.0),
+        "exact-zero": ([-0.0, 0.0, 3.0], [0.0, 3.0], [0, 2, 3], 0.0),
+        # an empty segment's centroid does not count, even when not finite
+        "empty-non-finite": ([1.0, 3.0], [2.0, math.inf], [0, 2, 2], 2.0),
+        "held-non-finite": ([1.0, 3.0], [2.0, math.inf], [0, 1, 2], math.nan),
+        "held-nan": ([1.0, 3.0], [math.nan], [0, 2], math.nan),
+        # Σx² and 2 Σ c·S cancel to 19 digits: the SSE is 2**-20 of 2**60
+        "cancellation": ([2.0**30 - 2.0**-10, 2.0**30 + 2.0**-10], [2.0**30], [0, 2], 2.0**-19),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_crafted_sses(self, case):
+        values, centroids, bounds, want = self.CRAFTED[case]
+        svals = np.asarray(values, dtype=np.float64)
+        centroids, bounds = np.asarray(centroids, dtype=np.float64), np.asarray(bounds)
+        assert same_float(fraction_sse(svals, centroids, bounds), want)
+        sums = cluster._SegmentSums(svals)
+        sse = cluster._SweepSSE(sums, centroids, bounds)
+        assert same_float(sse.exact, want)
+        bracket = sse.bracket
+        if bracket is not None:
+            assert bracket[0] <= want <= bracket[1]
+
+    def test_check_is_the_exact_comparison(self, layout, monkeypatch):
+        # pairs of sweeps far apart, and pairs whose SSEs lie within the
+        # 1e-9 tolerance of each other; on values near 1e6 with a small
+        # spread the brackets are often too wide to decide, on the spread-out
+        # ones not
+        real_exact, exacts = cluster._exact_sse, []
+
+        def spy(*args):
+            exacts.append(None)
+            return real_exact(*args)
+
+        monkeypatch.setattr(cluster, "_exact_sse", spy)
+        outcomes = set()
+        rng = np.random.default_rng(3)
+        for offset, spread in ((0.0, 1.0), (1e6, 1e-3)):
+            svals = np.sort(offset + spread * rng.standard_normal(200).astype(np.float32))
+            sums = cluster._SegmentSums(svals)
+            assert sums.prefix is not None
+            for trial in range(40):
+                centroids, bounds = sweep_state(svals, rng, 8, 1e-9 * (trial % 4))
+                # the same bounds with one centroid moved by 0 to 8 ulp
+                moved, toward = centroids.copy(), (-np.inf, np.inf)[trial % 2]
+                for _ in range(trial % 9):
+                    moved[trial % 8] = np.nextafter(moved[trial % 8], toward)
+                states = [(centroids, bounds), (moved, bounds),
+                          sweep_state(svals, rng, 8, 1e-9 * (trial % 4))]
+                for i, j in ((0, 1), (1, 0), (0, 2), (2, 0)):
+                    first, second = (cluster._SweepSSE(sums, *states[x]) for x in (i, j))
+                    want = (fraction_sse(svals, *states[j])
+                            > fraction_sse(svals, *states[i]) * (1.0 + 1e-9))
+                    before = len(exacts)
+                    assert second.exceeds(first) == want
+                    outcomes.add((want, len(exacts) > before))
+        # both outcomes, each decided by the filter and by the exact form
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_square_sum_of_extreme_limbs(self):
+        top = 2**62 - 1
+        for m in ([top] * cluster._CHUNK, [-top] * cluster._CHUNK, [0, 1, -1, top, -top],
+                  [2**21 - 1, 2**42 - 1, 2**42, -(2**21), 3 << 40]):
+            want = sum(v * v for v in m)
+            assert cluster._square_sum(np.array(m, dtype=np.int64)) == want
+
+    @settings(max_examples=100, phases=UNSHRUNK)
+    @given(
+        style=st.sampled_from(LLOYD_STYLES),
+        n=st.integers(1, 400),
+        data_seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(0, 400), max_size=20),
+    )
+    def test_exact_sums_and_squares(self, style, n, data_seed, cuts):
+        svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
+        sums = cluster._SegmentSums(svals)
+        unit = Fraction(2) ** sums.unit
+        assert sums.squares * unit**2 == sum(Fraction(x) ** 2 for x in svals.tolist())
+        bounds = np.array([0, *sorted(min(c, n) for c in cuts), n], dtype=np.int64)
+        edges = bounds.tolist()
+        for got, lo, hi in zip(sums.exact(bounds), edges, edges[1:]):
+            assert got * unit == sum(map(Fraction, svals[lo:hi].tolist()))
+
+    @pytest.mark.parametrize("form", ["filter", "exact"])
+    def test_sweeps_on_the_grid_do_no_work_per_value(self, layout, form, monkeypatch):
+        # Every sweep after the first, measured from one call of
+        # _segment_means to the next. An O(n) step either allocates at
+        # least a byte per value (a bool mask or a Python list alike), or
+        # hands a numpy function an array of n values (a dot, or a ufunc
+        # that writes into a buffer held across sweeps); searchsorted, which
+        # reads O(k log n) of them, is the one exception.
+        if form == "exact":
+            monkeypatch.setattr(cluster, "_sse_bracket", no_bracket)
+        real_means, real_init = cluster._segment_means, cluster._SegmentSums.__init__
+        grids, peaks, exacts = [], [], []
+        numpy_spy = LargestArgument(exempt=("searchsorted",))
+
+        def init_spy(self, svals):
+            real_init(self, svals)
+            grids.append(self.prefix is not None)
+
+        def means_spy(totals, bounds):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append((peak - current, numpy_spy.largest))
+            tracemalloc.reset_peak()
+            numpy_spy.largest = 0
+            return real_means(totals, bounds)
+
+        def no_reseed(dist, e):
+            raise AssertionError("a sweep reseeded")
+
+        real_exact = cluster._exact_sse
+
+        def exact_spy(*args):
+            exacts.append(None)
+            return real_exact(*args)
+
+        monkeypatch.setattr(cluster._SegmentSums, "__init__", init_spy)
+        monkeypatch.setattr(cluster, "_segment_means", means_spy)
+        monkeypatch.setattr(cluster, "_farthest", no_reseed)
+        monkeypatch.setattr(cluster, "_exact_sse", exact_spy)
+        monkeypatch.setattr(cluster, "np", numpy_spy)
+        n = 1 << 18
+        values = np.random.default_rng(12).standard_normal(n).astype(np.float32)
+        tracemalloc.start()
+        try:
+            kmeans_1d(values, 32, ClusterConfig(bits=5, max_iters=30, tol=0.0))
+        finally:
+            tracemalloc.stop()
+        assert grids == [True]
+        assert len(peaks) == 30
+        # the setup, measured by the first call, does take O(n) steps
+        assert peaks[0][1] >= n
+        for allocated, largest in peaks[1:]:
+            assert allocated < n and largest < n
+        # the filter decides every check on this table; the exact form
+        # takes each sweep's SSE once, the first sweep's for the second's
+        # check
+        assert len(exacts) == (0 if form == "filter" else 30)
+
+
+class LargestArgument:
+    """Stands in for numpy in a module's namespace and keeps the size of
+    the largest array passed to any numpy function, ufunc or ufunc method,
+    but for the functions named in exempt."""
+
+    def __init__(self, exempt=(), target=np, owner=None):
+        self.largest, self._exempt, self._target = 0, exempt, target
+        self._owner = self if owner is None else owner
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if name in self._exempt or isinstance(attr, type) or not callable(attr):
+            return attr
+        if isinstance(attr, np.ufunc):  # called, or its reduce taken
+            return LargestArgument(target=attr, owner=self._owner)
+
+        def call(*args, **kwargs):
+            for arg in (*args, *kwargs.values()):
+                if isinstance(arg, np.ndarray):
+                    self._owner.largest = max(self._owner.largest, arg.size)
+            return attr(*args, **kwargs)
+
+        return call
+
+    def __call__(self, *args, **kwargs):
+        return self.__getattr__("__call__")(*args, **kwargs)
 
 
 class TestQuantization:
@@ -1019,6 +1247,16 @@ class TestQuantization:
 class TestWeightsIO:
     def test_roundtrip_is_byte_identical(self, toy_weights, toy_weights_bytes):
         assert write_darknet_weights(toy_weights) == toy_weights_bytes
+
+    def test_two_parameter_sets_for_one_layer_are_rejected(self, toy_weights):
+        # run_network would use the last one, and a global table cluster both
+        first, second = toy_weights.convs[:2]
+        twice = replace(second, layer_index=first.layer_index)
+        message = f"^two parameter sets for conv layer {first.layer_index}$"
+        with pytest.raises(ValueError, match=message):
+            replace(toy_weights, convs=(first, twice, *toy_weights.convs[2:]))
+        with pytest.raises(ValueError, match="conv layer 7"):
+            DarknetWeights(0, 2, 0, 0, (replace(first, layer_index=7),) * 2)
 
     def test_header_and_layout(self, toy_net, toy_weights):
         assert (toy_weights.major, toy_weights.minor, toy_weights.revision) == (0, 2, 0)

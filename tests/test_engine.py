@@ -284,7 +284,8 @@ class TestGemmPacked:
 # The core's private constants, set so that a small case takes a chosen path
 # at a chosen chunk width (None keeps the default). "tiles1" and "tiles2" are
 # the wide path one and two rows of C at a time; a "broadcast" path builds
-# its products with one broadcast multiply, as for rows longer than _SHORT.
+# its products with one broadcast multiply, as for rows too long for numpy's
+# buffer.
 PATHS = ("narrow", "wide", "tiles1", "tiles2", "narrow-broadcast", "wide-broadcast")
 WIDTHS = (1, 7, None)
 
@@ -294,7 +295,7 @@ def force_path(monkeypatch, path, width, m, n):
     per reduced chunk (narrow) or per decoded block (wide)."""
     kind, _, form = path.partition("-")
     if form == "broadcast":
-        monkeypatch.setattr(engine, "_SHORT", 0)
+        monkeypatch.setattr(engine, "_BUFFER", 0)
     if kind == "narrow":
         monkeypatch.setattr(engine, "_NARROW", 1 << 62)
         if width is not None:
@@ -369,6 +370,35 @@ class TestExactnessBoundary:
             total = total + term
         assert total == 1.0
         assert np.add.reduce(terms) > 1.0  # numpy sums a 1-D array pairwise
+
+    @pytest.mark.parametrize("m, n, in_place", [
+        (2, 3000, True), (2, 4096, True), (2, 4097, False),  # narrow, 3-D products
+        (7, 2730, True), (7, 3000, False),  # wide, 2-D products
+    ])
+    def test_rows_too_short_for_the_buffer_are_built_in_place(
+        self, monkeypatch, m, n, in_place
+    ):
+        # numpy buffers a broadcast multiply whose rows hold at most half of
+        # its 8,192-element buffer (3-D) or a third (2-D), which costs about
+        # three times as much per product as one that skips it
+        assert engine._BUFFER == np.getbufsize() == 8192
+        assert (m * n < engine._NARROW) == (m == 2)
+        real, copies = np.copyto, []
+
+        def copyto(dst, src):
+            copies.append(dst.shape)
+            real(dst, src)
+
+        monkeypatch.setattr(np, "copyto", copyto)
+        rng = np.random.default_rng(n)
+        k = 3
+        a, b, c = (rng.standard_normal(size).astype(np.float32)
+                   for size in (m * k, k * n, m * n))
+        want = reference(m, n, k, a, k, b, n, c, n)
+        got = c.copy()
+        gemm_nn(m, n, k, a.reshape(m, k), b.reshape(k, n), got.reshape(m, n))
+        assert same_bits(got, want)
+        assert bool(copies) == in_place
 
     @pytest.mark.parametrize("m, n", [(1, 1), (3, 1), (1, 3)])
     @pytest.mark.parametrize("width", WIDTHS)

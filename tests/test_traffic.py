@@ -113,6 +113,17 @@ class TestConvAccesses:
                 assert profile.weight_reads == wr
                 assert profile.input_reads == ir
 
+    def test_stream_enumeration_matches_for_stride2(self):
+        # odd and even maps: the padded map's output rows are (in_h - 1) // 2 + 1
+        for in_h, in_w, in_c, filters in [(8, 8, 3, 4), (9, 5, 2, 7), (5, 9, 1, 3),
+                                          (6, 6, 4, 1), (7, 3, 1, 1)]:
+            layer = shaped_conv(in_h, in_w, in_c, filters, kernel=3, stride=2)
+            assert layer.out_shape.h == (in_h - 1) // 2 + 1
+            profile = conv_accesses(layer)
+            wr, ir = conv_stream_counts(in_h, in_w, in_c, filters, 3, stride=2)
+            assert profile.weight_reads == wr
+            assert profile.input_reads == ir
+
     @given(
         in_h=st.integers(min_value=5, max_value=64),
         in_w=st.integers(min_value=5, max_value=64),
