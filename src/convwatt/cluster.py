@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -318,12 +317,7 @@ def unpack_indices(packed: PackedIndices, start: int, count: int) -> np.ndarray:
 
 
 def _init_centroids(values: np.ndarray, k: int, cfg: ClusterConfig) -> np.ndarray:
-    """k starting centroids in ascending order.
-
-    One exception: over a span beyond the float range, linspace gives nan,
-    then inf, then the maximum. Every value still falls in the first
-    segment, as it would from the sorted centroids.
-    """
+    """k starting centroids in ascending order."""
     if cfg.init == INIT_LINSPACE:
         return np.linspace(values.min(), values.max(), k)
     rng = np.random.default_rng(cfg.seed)
@@ -364,16 +358,16 @@ _OFFSETS = np.arange(_STEP)[:, None]
 _CHUNK = 1 << 16
 _LOW = (1 << 31) - 1
 _LIMB = (1 << 21) - 1
-# every finite float64 is a whole multiple of 2**_FINE
-_FINE = -1074
+# every finite float32 is a whole multiple of 2**_FINE, and its square, exact
+# in float64, one of 2**(2 * _FINE)
+_FINE = -149
 
 
-def _fine_units(values: np.ndarray):
-    """Each value as the exact integer multiple of 2**_FINE that it is."""
-    return (
-        num << (1 - _FINE - den.bit_length())
-        for num, den in map(float.as_integer_ratio, values.tolist())
-    )
+def _units(values: np.ndarray, unit: int):
+    """Each value as the integer multiple of 2**unit that it is, exactly:
+    the caller's values are such multiples, and scaling them by 2**-unit
+    neither overflows nor rounds."""
+    return map(int, np.ldexp(values, -unit).tolist())
 
 
 def _square_sum(m: np.ndarray) -> int:
@@ -400,33 +394,34 @@ def _square_sum(m: np.ndarray) -> int:
 
 
 def _rounded(num: int, exp: int) -> float:
-    """num * 2**exp, num >= 0, rounded once to float64; inf past its range."""
-    try:
-        return float(num << exp) if exp >= 0 else num / (1 << -exp)
-    except OverflowError:
-        return math.inf
+    """num * 2**exp, num >= 0, rounded once to float64."""
+    return float(num << exp) if exp >= 0 else num / (1 << -exp)
 
 
 class _SegmentSums:
     """math.fsum of the runs between bounds of a sorted array, bit for bit,
     and the exact sums that the SSE check reads.
 
-    The grid: every value is m * 2**e for one e, the larger of -1022 and
-    the frexp exponent of the largest magnitude less 62, so |m| < 2**62
-    splits into 31-bit limbs m = hi * 2**31 + lo, 0 <= lo < 2**31 (hi is
-    m >> 31, rounded toward -inf). Column j of prefix holds the sums of hi
-    (row 0) and lo (row 1) over values[:j * step], exact in int64, with
-    lo's carry moved into hi; step is 1 for at most _DENSE values, else
-    _STEP. A run's exact sum is the difference of the prefixes at its
-    bounds, each completed by the at most step - 1 values past its column,
-    and is rounded to float64 once: it is fsum's correctly rounded sum. A
-    nonzero one is at least 2**e >= 2**-1022, so scaling it by 2**e is
-    exact; a zero one is +0.0, as fsum gives.
+    The values are float32 ones held in float64, as kmeans_1d sorts them:
+    each is a whole multiple of 2**_FINE = 2**-149 and below 2**128 in
+    magnitude. So no sum or square of them, exact or rounded, leaves the
+    float64 range, and a nonzero one is at least 2**-298 in magnitude: far
+    from both ends of it, so nothing here overflows or underflows.
+
+    The grid: every value is m * 2**e for one e, the frexp exponent of the
+    largest magnitude less 62, so |m| < 2**62 splits into 31-bit limbs
+    m = hi * 2**31 + lo, 0 <= lo < 2**31 (hi is m >> 31, rounded toward
+    -inf). Column j of prefix holds the sums of hi (row 0) and lo (row 1)
+    over values[:j * step], exact in int64, with lo's carry moved into hi;
+    step is 1 for at most _DENSE values, else _STEP. A run's exact sum is
+    the difference of the prefixes at its bounds, each completed by the at
+    most step - 1 values past its column, and is rounded to float64 once:
+    it is fsum's correctly rounded sum. A zero one is +0.0, as fsum gives.
 
     prefix is None off the grid: where some value is no multiple of 2**e
-    (its values span more than 62 bits, or need a step below 2**-1022), or
-    where n * max|value| is so large that some fsum could overflow. Runs are
-    then summed with fsum one by one, which raises where it raises.
+    (its values span more than 62 bits), or where 2**32 values or more
+    could overflow the int64 limb sums. Runs are then summed with fsum one
+    by one.
 
     exact gives the runs' sums, and squares the sum of every value's
     square, exactly, as Python ints in units of 2**unit and 2**(2 * unit).
@@ -440,12 +435,10 @@ class _SegmentSums:
         self.prefix = None
         self.unit, self._squares = _FINE, None
         n = sorted_values.size
-        peak = max(-float(sorted_values[0]), float(sorted_values[-1]))
-        # no value fsum forms below exceeds a few times n * peak; no int64
-        # limb sum of fewer than 2**32 values overflows
-        if n * peak > sys.float_info.max / 16 or n >> 32:
+        if n >> 32:
             return
-        e = max(math.frexp(peak)[1] - 62, -1022)
+        peak = max(-float(sorted_values[0]), float(sorted_values[-1]))
+        e = math.frexp(peak)[1] - 62
         self.grid, self.top = math.ldexp(1.0, e), math.ldexp(1.0, e + 52)
         self.scale = math.ldexp(1.0, -e)
         # a nonzero multiple of 2**e is at least 2**e in magnitude, and only
@@ -503,7 +496,7 @@ class _SegmentSums:
         return t * self.top + u * self.grid
 
     def fsums(self, bounds: np.ndarray) -> np.ndarray:
-        """totals off the grid: math.fsum of each run, raising where it raises."""
+        """totals off the grid: math.fsum of each run."""
         edges = bounds.tolist()
         return np.array(
             [math.fsum(self.values[lo:hi].tolist()) for lo, hi in zip(edges, edges[1:])]
@@ -513,7 +506,7 @@ class _SegmentSums:
         """The exact sum of each run between bounds, in units of 2**unit."""
         if self.prefix is None:
             edges = bounds.tolist()
-            return [sum(_fine_units(self.values[lo:hi])) for lo, hi in zip(edges, edges[1:])]
+            return [sum(_units(self.values[lo:hi], _FINE)) for lo, hi in zip(edges, edges[1:])]
         hi, lo = self._limbs(bounds)
         return [(h << 31) + l for h, l in zip(hi.tolist(), lo.tolist())]
 
@@ -522,29 +515,15 @@ class _SegmentSums:
         """Σ x**2 over every value, exact, in units of 2**(2 * unit)."""
         if self._squares is None:
             self._squares = sum(
-                x * x
+                sum(_units(np.square(self.values[i : i + _CHUNK]), 2 * _FINE))
                 for i in range(0, self.values.size, _CHUNK)
-                for x in _fine_units(self.values[i : i + _CHUNK])
             )
         return self._squares
 
     @cached_property
     def square_sum(self) -> float:
-        """Σ x**2 in float64, inf where it overflows: squares rounded once on
-        the grid; off it, math.fsum of the rounded squares, which is within
-        2.01 ulp plus n * 2**-1074 of the exact sum."""
-        if self.prefix is not None:
-            return _rounded(self.squares, 2 * self.unit)
-        chunks = range(0, self.values.size, _CHUNK)
-        with np.errstate(over="ignore", under="ignore"):
-            try:
-                return math.fsum(
-                    x
-                    for i in chunks
-                    for x in np.square(self.values[i : i + _CHUNK]).tolist()
-                )
-            except OverflowError:
-                return math.inf
+        """Σ x**2 in float64: squares, rounded once."""
+        return _rounded(self.squares, 2 * self.unit)
 
 
 def _segment_means(totals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -571,47 +550,45 @@ def _farthest(dist: np.ndarray, e: int) -> np.ndarray:
     return np.concatenate((above, tied))
 
 
-# the unit roundoff of float64, and its smallest subnormal
+# the unit roundoff of float64
 _EPS = 2.0**-53
-_TINY = 2.0**-1074
 
 
 def _sse_bracket(sums: _SegmentSums, centroids, bounds, totals):
     """Floats lo <= hi around the SSE of centroids over bounds, as
-    _SweepSSE defines it; None where the float evaluation cannot bound it.
+    _SweepSSE defines it.
 
     The SSE is Σx² - 2 Σ c·S + Σ n·c², c being a segment's centroid, S its
     sum and n its count. It is evaluated once in float64 from
-    sums.square_sum and totals, each within about two ulp of exact, in at
-    most k + 10 roundings along any path, k being the number of segments.
-    In the standard model of rounding (Higham, "Accuracy and Stability of
+    sums.square_sum and totals, each correctly rounded, in at most k + 10
+    roundings along any path, k being the number of segments. In the
+    standard model of rounding (Higham, "Accuracy and Stability of
     Numerical Algorithms", ch. 3) its error is then at most
     γ(m) (Σx² + Σ (n·c² + 2 |c·S|)), γ(m) = m u / (1 - m u), u = 2**-53,
     for m = k + 10; the bound takes m = 2k + 16, which also covers the
-    rounding of the bound itself. Underflow adds at most 2**-1074 per
-    product and per square, fewer than 2n + 4k + 16 in all, since sums are
-    exact in gradual underflow. Anything that overflows, or a non-finite
-    centroid, leaves inf or nan in the evaluation, and the bracket is None.
-    This is the filter of Shewchuk's adaptive predicates (1997): decide from
-    a float evaluation where its error bound allows it.
+    rounding of the bound itself. This is the filter of Shewchuk's adaptive
+    predicates (1997): decide from a float evaluation where its error bound
+    allows it.
+
+    The model needs no term for overflow or underflow. The values are
+    float32 ones (see _SegmentSums), and every centroid kmeans_1d checks is
+    a mean of values, a value, or a linspace point between two values: below
+    2**129 in magnitude and, when nonzero, at least about 2**-210. So every
+    nonzero square, product and sum here lies between about 2**-420 and
+    2**300, inside float64's normal range.
     """
-    # an empty segment's terms are zero, unless its centroid is not finite
     counts = bounds[1:] - bounds[:-1]
-    with np.errstate(all="ignore"):
-        cs = centroids * totals
-        ncc = centroids * centroids
-        ncc *= counts
-        spread, cross = float(np.add.reduce(ncc)), float(np.add.reduce(cs))
-        np.abs(cs, out=cs)
-        size = sums.square_sum + (spread + 2.0 * float(np.add.reduce(cs)))
-        estimate = sums.square_sum + (spread - 2.0 * cross)
+    cs = centroids * totals
+    ncc = centroids * centroids
+    ncc *= counts
+    spread, cross = float(np.add.reduce(ncc)), float(np.add.reduce(cs))
+    np.abs(cs, out=cs)
+    size = sums.square_sum + (spread + 2.0 * float(np.add.reduce(cs)))
+    estimate = sums.square_sum + (spread - 2.0 * cross)
     m = 2 * counts.size + 16
-    underflow = (2 * int(bounds[-1]) + 4 * counts.size + 16) * _TINY
-    error = m * _EPS / (1.0 - m * _EPS) * size + underflow
-    lo, hi = estimate - error, estimate + error
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    error = m * _EPS / (1.0 - m * _EPS) * size
+    return (math.nextafter(estimate - error, -math.inf),
+            math.nextafter(estimate + error, math.inf))
 
 
 def _exact_sse(sums: _SegmentSums, centroids, bounds) -> float:
@@ -619,22 +596,22 @@ def _exact_sse(sums: _SegmentSums, centroids, bounds) -> float:
     sums' exact integers and each centroid's as_integer_ratio."""
     counts = bounds[1:] - bounds[:-1]
     held = counts > 0
-    c = centroids[held]
-    if not np.all(np.isfinite(c)):
-        return math.nan
-    # everything in units of 2**_FINE, the SSE in units of 2**(2 * _FINE)
-    shift = sums.unit - _FINE
+    ratios = [c.as_integer_ratio() for c in centroids[held].tolist()]
+    # everything in units of 2**fine, the finer of the sums' unit and the
+    # centroids' lowest bits; the SSE in units of 2**(2 * fine)
+    fine = min([sums.unit] + [1 - den.bit_length() for _, den in ratios])
+    shift = sums.unit - fine
     total = sums.squares << (2 * shift)
     held_sums = (s for s, h in zip(sums.exact(bounds), held.tolist()) if h)
-    for cj, sj, nj in zip(_fine_units(c), held_sums, counts[held].tolist()):
+    for (num, den), sj, nj in zip(ratios, held_sums, counts[held].tolist()):
+        cj = num << (1 - fine - den.bit_length())
         total += cj * (nj * cj - (sj << (shift + 1)))
-    return _rounded(total, 2 * _FINE)
+    return _rounded(total, 2 * fine)
 
 
 class _SweepSSE:
     """The SSE of one sweep: the exact Σ (x - c)**2 over the values of
-    every non-empty segment, rounded once to float64. It is inf past the
-    float range, and nan where a non-empty segment's centroid is not finite.
+    every non-empty segment, rounded once to float64.
 
     bracket holds floats around it, from _sse_bracket and the segments'
     totals; exact is the SSE itself, from _exact_sse: in O(k) on the grid,
@@ -651,13 +628,8 @@ class _SweepSSE:
         return self.sums.totals(self.bounds)
 
     @cached_property
-    def bracket(self) -> tuple[float, float] | None:
-        try:
-            totals = self.totals
-        except OverflowError:
-            # fsum's, off the grid; the next sweep's means raise it
-            return None
-        return _sse_bracket(self.sums, self.centroids, self.bounds, totals)
+    def bracket(self) -> tuple[float, float]:
+        return _sse_bracket(self.sums, self.centroids, self.bounds, self.totals)
 
     @cached_property
     def exact(self) -> float:
@@ -666,12 +638,11 @@ class _SweepSSE:
     def exceeds(self, prev: _SweepSSE) -> bool:
         """The "SSE increased" test, sse > prev_sse * (1.0 + 1e-9), on the
         exact SSEs; it reads them only where the brackets leave it open."""
-        if self.bracket is not None and prev.bracket is not None:
-            (lo, hi), (prev_lo, prev_hi) = self.bracket, prev.bracket
-            if lo > prev_hi * (1.0 + 1e-9):
-                return True
-            if hi <= prev_lo * (1.0 + 1e-9):
-                return False
+        (lo, hi), (prev_lo, prev_hi) = self.bracket, prev.bracket
+        if lo > prev_hi * (1.0 + 1e-9):
+            return True
+        if hi <= prev_lo * (1.0 + 1e-9):
+            return False
         return self.exact > prev.exact * (1.0 + 1e-9)
 
 
@@ -690,7 +661,13 @@ def _stable_zeros(svals: np.ndarray, vals: np.ndarray) -> None:
 
 
 def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
-    """Lloyd's algorithm in one dimension.
+    """Lloyd's algorithm in one dimension, on float32 values.
+
+    values are taken as float32, as ConvParams holds kernels: wider ones are
+    rounded to float32 first, and any that is not finite as float32 (nan,
+    ±inf, or beyond ±3.4e38) raises ValueError. The sweeps then run in
+    float64, where nothing that float32 values give can overflow or
+    underflow (see _SegmentSums and _sse_bracket).
 
     Returns (CentroidTable, assignments) with centroids sorted ascending and
     assignments indexing them in the original value order. When the data has
@@ -708,14 +685,13 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
       in the argsort never shows.
     - A segment's mean is math.fsum of its values over their count, bit for
       bit. Where the sorted values lie on one integer grid m * 2**e with
-      |m| < 2**62 and e >= -1022, _SegmentSums reads each sweep's k sums off
-      exact int64 prefix sums in O(k) numpy work; elsewhere (wider spans,
-      finer steps, or sums that fsum might overflow) it runs fsum on each
-      segment. A table of at most _DENSE values keeps the prefix at every
-      value and reads each bound off it; a larger one keeps it at every
-      _STEP-th value and adds the at most _STEP - 1 values past a bound's
-      column. Both form the same integers, rounded once, so the layout
-      never shows in a mean.
+      |m| < 2**62, _SegmentSums reads each sweep's k sums off exact int64
+      prefix sums in O(k) numpy work; where they span more bits, it runs
+      fsum on each segment. A table of at most _DENSE values keeps the
+      prefix at every value and reads each bound off it; a larger one keeps
+      it at every _STEP-th value and adds the at most _STEP - 1 values past
+      a bound's column. Both form the same integers, rounded once, so the
+      layout never shows in a mean.
     - The "SSE increased" check compares _SweepSSE's SSE: the exact
       Σ(x - c)² over the non-empty segments, rounded once to float64. A
       sweep evaluates Σx² - 2 Σ c·S + Σ n·c² in O(k) float work, from the
@@ -730,7 +706,9 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
       centroid and stop. The loop stops there instead.
     """
     cfg = cfg or ClusterConfig()
-    vals = np.asarray(values, dtype=np.float64).reshape(-1)
+    # past the float32 range the cast gives ±inf, rejected below
+    with np.errstate(over="ignore"):
+        vals = np.asarray(values, dtype=np.float32).reshape(-1)
     if vals.size == 0:
         raise ValueError("values must be non-empty")
     if not np.all(np.isfinite(vals)):
@@ -738,10 +716,11 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     if k < 1:
         raise ValueError("k must be >= 1")
 
+    vals = vals.astype(np.float64)
     order = np.argsort(vals)
     svals = vals[order]
     _stable_zeros(svals, vals)
-    del vals  # when it is a copy of values, only the sorted copy is needed
+    del vals  # only the sorted copy is needed
 
     # each value that differs from its sorted predecessor starts a new one
     starts = np.empty(svals.size, dtype=bool)

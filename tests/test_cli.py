@@ -5,12 +5,14 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -313,19 +315,41 @@ def yolov3_w24() -> str:
     return re.sub(r"(?m)^(\s*(?:width|height)\s*=\s*)\d+", r"\g<1>320", text)
 
 
-# (cfg, cluster options) of each CLUSTER_SHA256 case. The toy net's tables
-# keep _SegmentSums' prefix at every value; the w24 net's global table is
-# larger than cluster._DENSE and keeps it at every cluster._STEP-th value.
+def off_grid_blob(text: str) -> bytes:
+    """weights_blob(net, seed=11) with the first kernel weight of the
+    second conv, which has no batch norm to fold, set to (1 + 2**-23) *
+    2**(p - 41), p being the frexp exponent of the largest folded kernel
+    weight: about 2**-40 times that weight, with its lowest bit 2**-64
+    times it, below the 62-bit grid of _SegmentSums. So a table that holds
+    it sums its segments with fsum."""
+    net = parse_config(text)
+    weights = read_darknet_weights(weights_blob(net, seed=11), net)
+    peak = max(float(np.abs(conv.kernel).max()) for conv in fold_batch_norm(weights).convs)
+    second = weights.convs[1]
+    kernel = second.kernel.copy()
+    kernel[0] = (1 + 2.0**-23) * 2.0 ** (math.frexp(peak)[1] - 41)
+    convs = list(weights.convs)
+    convs[1] = replace(second, kernel=kernel)
+    return write_darknet_weights(replace(weights, convs=tuple(convs)))
+
+
+# (cfg, cluster options, whether the weights hold one weight off the grid)
+# of each CLUSTER_SHA256 case. The toy net's tables keep _SegmentSums' prefix
+# at every value; the w24 net's global table is larger than cluster._DENSE
+# and keeps it at every cluster._STEP-th value. The off-grid case's table
+# takes no prefix at all.
 CLUSTER_CASES = {
-    "toy/per-layer/8": (TOY_CFG, ["--scope", "per-layer", "--bits", "8"]),
+    "toy/per-layer/8": (TOY_CFG, ["--scope", "per-layer", "--bits", "8"], False),
     "toy/all-layers/5/kmeans-pp": (
-        TOY_CFG, ["--bits", "5", "--init", "kmeans-pp", "--seed", "4"],
+        TOY_CFG, ["--bits", "5", "--init", "kmeans-pp", "--seed", "4"], False,
     ),
-    "w24/all-layers/5": (yolov3_w24(), ["--bits", "5", "--max-iters", "20"]),
+    "toy/all-layers/5/off-grid": (TOY_CFG, ["--bits", "5"], True),
+    "w24/all-layers/5": (yolov3_w24(), ["--bits", "5", "--max-iters", "20"], False),
 }
 # sha256 of cluster's CWTS file, stdout and --json with
-# SOURCE_DATE_EPOCH=1700000000 and weights_blob(net, seed=11), run in the
-# output's directory so that only basenames are printed and recorded
+# SOURCE_DATE_EPOCH=1700000000 and weights_blob(net, seed=11) (off_grid_blob
+# for the off-grid case), run in the output's directory so that only
+# basenames are printed and recorded
 CLUSTER_SHA256 = {
     "toy/per-layer/8": (
         "803b6b3e6308eaefcbe0a329c46e1d3349ac8873a8f1650eaec030d891f4a84f",
@@ -336,6 +360,11 @@ CLUSTER_SHA256 = {
         "770f630e5d7327c8031fd98417f314fd32be1896cab0adb4767b7779240c239b",
         "86a1438e07d1bf92af12df87a868ffbb020c7b903d1ab4f3daf342efdcc3cca7",
         "452e08497bbf2263ca4de4abca5f2643a07455aa717b88bd432ebde5d62c3027",
+    ),
+    "toy/all-layers/5/off-grid": (
+        "fb48ba9c78f30feffd83d7a7a8ed653969c9b0bf9d0401ca1b77a80bd681d9f9",
+        "44cc0c8cf502f492f84e79b3e4eb73063433815812fe9648e5f50deb3ae38a80",
+        "dc677379a4c3126c55ec9c9cad515b42eba410c43dcd72a8d417c0645d0ec7b1",
     ),
     "w24/all-layers/5": (
         "6aa6cc1aefdb5896e614b3be26a0a78d93c315aa07d1237abab9ac92605b437f",
@@ -348,10 +377,18 @@ CLUSTER_SHA256 = {
 class TestClusterBytes:
     @pytest.mark.parametrize("case", sorted(CLUSTER_SHA256))
     def test_cluster_bytes_are_pinned(self, tmp_path, monkeypatch, capsys, case):
-        text, options = CLUSTER_CASES[case]
+        text, options, off_grid = CLUSTER_CASES[case]
+        real, fallbacks = cluster._SegmentSums.fsums, []
+
+        def spy(self, bounds):
+            fallbacks.append(None)
+            return real(self, bounds)
+
+        monkeypatch.setattr(cluster._SegmentSums, "fsums", spy)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "net.cfg").write_text(text)
-        (tmp_path / "net.weights").write_bytes(weights_blob(parse_config(text), seed=11))
+        blob = off_grid_blob(text) if off_grid else weights_blob(parse_config(text), seed=11)
+        (tmp_path / "net.weights").write_bytes(blob)
         argv = ["cluster", "net.cfg", "net.weights", *options,
                 "--out", "net.cwts", "--json", "net.json"]
         assert main(argv) == 0
@@ -361,6 +398,7 @@ class TestClusterBytes:
             sha256(stdout),
             sha256((tmp_path / "net.json").read_bytes()),
         )
+        assert bool(fallbacks) == off_grid
         assert digests == CLUSTER_SHA256[case]
 
 

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
 from dataclasses import replace
 from fractions import Fraction
@@ -58,6 +59,15 @@ def recrc(data: bytes) -> bytes:
     """Recompute the trailing CRC32 after patching container bytes."""
     body = data[:-4]
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+# The Lloyd and segment-sum properties call kmeans_1d or the fsum oracle on
+# up to 1,500 values per example, so shrinking a failure could run for over
+# 5 minutes. They generate the same examples but report the first failing
+# one as found.
+UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +364,63 @@ class TestKmeans:
         with pytest.raises(ValueError, match="k"):
             kmeans_1d([1.0], 0)
 
+    @pytest.mark.parametrize(
+        "bad", [1e300, -1e300, 3.41e38, -1.7e308, math.nan, math.inf, -math.inf]
+    )
+    def test_values_not_finite_as_float32_are_rejected(self, bad):
+        # one ValueError, and no numpy warning on the way to it
+        for values in ([0.5, bad, 1.0], np.array([0.5, bad, 1.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^values must be finite$"):
+                    kmeans_1d(values, 2)
+
+    def test_the_largest_float32_values_are_accepted(self):
+        # 3.4028235e38 is just above float32's largest, and rounds down to it
+        values = [-3.4028235e38, 3.4028235e38, 3.4028235e38, 0.0, -1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact, _ = kmeans_1d(values, 4)
+            table, assignments = kmeans_1d(values, 2)
+        assert exact.centroids.tolist() == [-FLOAT32_MAX, -1.0, 0.0, FLOAT32_MAX]
+        assert table.centroids[1] == FLOAT32_MAX
+        assert assignments.tolist() == [0, 1, 1, 0, 0]
+
+    @settings(max_examples=100, phases=UNSHRUNK)
+    @given(
+        values=st.lists(
+            st.floats(-FLOAT32_MAX, FLOAT32_MAX, width=64)
+            | st.floats(-1e-30, 1e-30, width=64)
+            | st.sampled_from([-3.4028235e38, 3.4028235e38, 2.0**-150, -(2.0**-150)]),
+            min_size=1,
+            max_size=60,
+        ),
+        bits=st.integers(1, 4),
+        init=st.sampled_from(INITS),
+    )
+    def test_float64_values_cluster_as_their_float32_rounding(self, values, bits, init):
+        cfg = ClusterConfig(bits=bits, init=init, max_iters=20)
+        table, assignments = kmeans_1d(values, cfg.k, cfg)
+        narrow = np.asarray(values, dtype=np.float32)
+        want_table, want_assignments = kmeans_1d(narrow, cfg.k, cfg)
+        assert np.array_equal(table.centroids.view(np.uint32),
+                              want_table.centroids.view(np.uint32))
+        assert np.array_equal(assignments, want_assignments)
+
+    @pytest.mark.parametrize("style", ["normal", "exponents", "clumps"])
+    def test_float64_tables_cluster_as_their_float32_rounding(self, style):
+        # values with float64 significands that round to the Lloyd styles
+        rng = np.random.default_rng(5)
+        narrow = lloyd_values(style, 3000, 5)
+        values = narrow * (1.0 + rng.uniform(-2.0**-26, 2.0**-26, narrow.size))
+        assert np.array_equal(values.astype(np.float32), narrow)
+        assert not np.array_equal(values, narrow)
+        cfg = ClusterConfig(bits=5, max_iters=30)
+        table, assignments = kmeans_1d(values, cfg.k, cfg)
+        want_table, want_assignments = kmeans_1d(narrow, cfg.k, cfg)
+        assert table == want_table
+        assert np.array_equal(assignments, want_assignments)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="scope"):
             ClusterConfig(scope="everything")
@@ -391,33 +458,31 @@ def same_float(a: float, b: float) -> bool:
     return float(a).hex() == float(b).hex()
 
 
-# The Lloyd and segment-sum properties below call kmeans_1d or the fsum
-# oracle on up to 1,500 values per example, so shrinking a failure could run
-# for over 5 minutes. They generate the same examples but report the first
-# failing one as found.
-UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
-
 def lloyd_values(style: str, n: int, seed: int) -> np.ndarray:
-    """Test data for 1-D Lloyd; each style aims at one kind of edge case."""
+    """Test data for 1-D Lloyd: float32 values in float64, as kmeans_1d
+    sorts them; each style aims at one kind of edge case."""
     rng = np.random.default_rng(seed)
     if style == "normal":
-        return rng.standard_normal(n).astype(np.float32).astype(np.float64)
-    if style == "grid":
+        values = rng.standard_normal(n)
+    elif style == "grid":
         # integers and halves: many ties, and values exactly on midpoints
-        return rng.integers(-6, 7, n) * 0.5
-    if style == "zeros":
+        values = rng.integers(-6, 7, n) * 0.5
+    elif style == "zeros":
         pool = [-0.0, 0.0, -0.0, 0.0, 1.5, -2.0, 0.25, 3.0]
-        return rng.choice(pool, n) * rng.choice([1.0, 1.0, rng.standard_normal()], n)
-    if style == "subnormal":
-        return rng.integers(-40, 41, n) * 5e-324
-    if style == "exponents":
-        lo, hi = sorted(rng.integers(-300, 301, 2))
-        return rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)
-    if style == "clumps":
+        values = rng.choice(pool, n) * rng.choice([1.0, 1.0, rng.standard_normal()], n)
+    elif style == "subnormal":
+        # float32's smallest step, 2**-149, and a few times it
+        values = rng.integers(-40, 41, n) * 2.0**-149
+    elif style == "exponents":
+        lo, hi = sorted(rng.integers(-37, 38, 2))
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)
+    elif style == "clumps":
         # two tight clumps far apart leave the centroids between them empty
         side = rng.choice([-1000.0, 1000.0], n)
-        return side + rng.standard_normal(n) * 1e-3
-    raise ValueError(style)
+        values = side + rng.standard_normal(n) * 1e-3
+    else:
+        raise ValueError(style)
+    return values.astype(np.float32).astype(np.float64)
 
 
 LLOYD_STYLES = ("normal", "grid", "zeros", "subnormal", "exponents", "clumps")
@@ -437,7 +502,7 @@ def layout(request):
 def no_bracket(*args):
     """A stand-in for cluster._sse_bracket that never decides, so that every
     SSE check takes its exact form."""
-    return None
+    return -math.inf, math.inf
 
 
 def lloyd_outcome(run):
@@ -454,22 +519,22 @@ class TestLloydMatchesReference:
 
     def check(self, values, bits, init, seed, max_iters):
         """kmeans_1d twice, with the SSE check's float filter and forced to
-        its exact form, against the reference."""
+        its exact form, against the reference. values must be float32 ones,
+        so that the reference sees the values kmeans_1d clusters."""
+        assert np.array_equal(np.asarray(values, dtype=np.float32), values)
         cfg = ClusterConfig(bits=bits, init=init, seed=seed, max_iters=max_iters)
 
         def package():
             table, assignments = kmeans_1d(values, cfg.k, cfg)
             return table.centroids, assignments
 
-        # absurd inputs overflow in numpy on both sides alike
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = lloyd_outcome(
-                lambda: lloyd_1d_reference(values, cfg.k, init, seed, max_iters, cfg.tol)
-            )
-            got = lloyd_outcome(package)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cluster, "_sse_bracket", no_bracket)
-                got_exact = lloyd_outcome(package)
+        want = lloyd_outcome(
+            lambda: lloyd_1d_reference(values, cfg.k, init, seed, max_iters, cfg.tol)
+        )
+        got = lloyd_outcome(package)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cluster, "_sse_bracket", no_bracket)
+            got_exact = lloyd_outcome(package)
         for outcome in (got, got_exact):
             self.same_outcome(values, cfg, outcome, want)
 
@@ -517,12 +582,13 @@ class TestLloydMatchesReference:
             self.check(lloyd_values(style, n, n), bits, init, n, 25)
 
     @pytest.mark.parametrize("bits", [1, 2, 5, 8])
-    def test_span_beyond_float_range(self, bits):
-        # linspace's centroids over this span are not ascending (nan, inf,
-        # ..., max); kmeans_1d uses them unsorted, the reference sorts them
-        for extra in ([-1e308, 1e308], [-1.7e308, 1e308, 1.7e308]):
+    def test_span_of_the_float32_range(self, bits):
+        # the largest float32 magnitudes, and its smallest step beside them
+        for extra in ([-FLOAT32_MAX, FLOAT32_MAX],
+                      [-FLOAT32_MAX, 2.0**-149, FLOAT32_MAX, FLOAT32_MAX]):
             values = np.concatenate((extra, lloyd_values("normal", 60, bits)))
-            self.check(values, bits, "linspace", 0, 10)
+            for init in INITS:
+                self.check(values, bits, init, bits, 10)
 
     def test_reseeding_empty_clusters(self, monkeypatch):
         real = cluster._segment_means
@@ -556,7 +622,7 @@ class TestLloydMatchesReference:
         rng = np.random.default_rng(8)
         values = np.concatenate(
             (rng.choice([-1000.0, -999.0, -998.5], 600), rng.choice([998.0, 1000.0], 600),
-             np.linspace(-3.0, 3.0, 20))
+             np.linspace(-3.0, 3.0, 20, dtype=np.float32))
         )
         for init, seed in (("linspace", 0), ("kmeans_pp", 3)):
             self.check(rng.permutation(values), 4, init, seed, 40)
@@ -574,16 +640,6 @@ class TestLloydMatchesReference:
             left[want[-1]] = -1.0
         got = cluster._farthest(dist, e)
         assert sorted(got.tolist()) == sorted(want)
-
-    def test_extreme_exponents_overflow_like_the_reference(self):
-        # far beyond the fp32 range: both must reject the table
-        values = np.array([-1e300, -3e299, 2e299, 1e300, 1e300, 7e299])
-        self.check(values, 1, "linspace", 0, 10)
-        # near the float64 limit fsum overflows; both must raise it
-        values = np.array([1e308, 1.5e308, 1.7e308, -1e308, 1.2e308])
-        self.check(values, 1, "linspace", 0, 10)
-        with pytest.raises(OverflowError), np.errstate(over="ignore", invalid="ignore"):
-            kmeans_1d(values, 2)
 
     def test_mixed_zeros_keep_the_first_zero(self):
         for values, sign in (([-0.0, 1.0, 0.0], True), ([0.0, -0.0, 1.0], False)):
@@ -643,7 +699,7 @@ class TestLloydMatchesReference:
                 rng.choice([-0.0, 0.0], 8),
                 1.0 + rng.standard_normal(2500) * 1e-4,
                 1000.0 + rng.standard_normal(500) * 1e-4,
-            ))
+            )).astype(np.float32).astype(np.float64)
         )
         for max_iters in (1, 2, 5):
             self.check(values, 2, "linspace", 0, max_iters)
@@ -719,11 +775,8 @@ class TestLloydMatchesReference:
 
 def on_grid(svals) -> bool:
     """Whether _SegmentSums sums svals on its integer grid, in exact integer
-    arithmetic: n * max|value| passes the overflow guard, and every value is
-    m * 2**e for one e >= -1022 with |m| < 2**62."""
+    arithmetic: every value is m * 2**e for one e with |m| < 2**62."""
     peak = max(abs(float(v)) for v in svals)
-    if len(svals) * peak > sys.float_info.max / 16:
-        return False
     # the exponent of each nonzero value's lowest set bit; as_integer_ratio
     # gives an odd numerator over a power of two, or an integer over 1
     lows = [
@@ -732,8 +785,7 @@ def on_grid(svals) -> bool:
     ]
     if not lows:
         return True
-    low = min(lows)
-    return low >= -1022 and Fraction(peak) / Fraction(2) ** low < 2**62
+    return Fraction(peak) / Fraction(2) ** min(lows) < 2**62
 
 
 @pytest.mark.usefixtures("layout")
@@ -759,7 +811,8 @@ class TestSegmentSums:
 
     def test_wide_exponents_fall_back_to_fsum(self):
         rng = np.random.default_rng(1)
-        svals = np.sort(rng.standard_normal(4000) * 10.0 ** rng.uniform(-300, 300, 4000))
+        wide = rng.standard_normal(4000) * 10.0 ** rng.uniform(-37, 37, 4000)
+        svals = np.sort(wide.astype(np.float32).astype(np.float64))
         sums = cluster._SegmentSums(svals)
         assert sums.prefix is None
         for _ in range(300):
@@ -767,28 +820,24 @@ class TestSegmentSums:
             total = sums.totals(np.array([lo, hi]))[0]
             assert same_float(total, math.fsum(svals[lo:hi]))
 
-    def test_overflow_falls_back_and_raises_where_fsum_raises(self):
-        svals = np.array([-1.7e308, -1e308, -1e307, 5e307, 1e308, 1.2e308, 1.7e308])
+    def test_float32_extremes_stay_in_range(self):
+        # the largest float32 magnitudes, many times over, and its smallest
+        # step: off the grid, every run's sum, the exact sums and the sum of
+        # squares are finite, and the squares of the smallest do not vanish
+        tiny = [-(2.0**-149), 2.0**-149, 3 * 2.0**-149]
+        svals = np.sort([-FLOAT32_MAX] * 300 + tiny + [FLOAT32_MAX] * 500)
         sums = cluster._SegmentSums(svals)
         assert sums.prefix is None
-        raised = 0
-        for lo in range(svals.size + 1):
-            for hi in range(lo, svals.size + 1):
-                try:
-                    want = math.fsum(svals[lo:hi])
-                except OverflowError:
-                    raised += 1
-                    with pytest.raises(OverflowError):
-                        sums.totals(np.array([lo, hi]))
-                else:
-                    assert same_float(sums.totals(np.array([lo, hi]))[0], want)
-        assert raised
-
-    def test_fallback_means_raise_like_fsum(self):
-        svals = np.array([1e308, 1.5e308])
-        sums = cluster._SegmentSums(svals)
-        with pytest.raises(OverflowError):
-            sums.totals(np.array([0, 2]))
+        for lo in range(0, svals.size + 1, 7):
+            for hi in range(lo, svals.size + 1, 11):
+                total = sums.totals(np.array([lo, hi]))[0]
+                assert same_float(total, math.fsum(svals[lo:hi]))
+                assert math.isfinite(total)
+        want = sum(Fraction(x) ** 2 for x in svals.tolist())
+        assert sums.squares * Fraction(2) ** (2 * sums.unit) == want
+        assert sums.square_sum == float(want) < math.inf
+        smallest = cluster._SegmentSums(np.array([-(2.0**-149), 0.0, 2.0**-149]))
+        assert smallest.square_sum == 2.0**-297
 
     @settings(max_examples=200, phases=UNSHRUNK)
     @given(
@@ -811,80 +860,78 @@ class TestSegmentSums:
 
     @settings(max_examples=300, phases=UNSHRUNK)
     @given(
-        # 53-bit significands shifted apart by up to 10 bits span 52 to 63
-        # bits, either side of the grid's 62; e reaches subnormals and the
-        # overflow guard
+        # float32's 24-bit significands shifted apart by up to 40 bits span
+        # 24 to 64 bits, either side of the grid's 62; e reaches float32's
+        # subnormals and its largest values
         parts=st.lists(
-            st.tuples(st.integers(-(2**53) + 1, 2**53 - 1), st.integers(0, 10)),
+            st.tuples(st.integers(-(2**24) + 1, 2**24 - 1), st.integers(0, 40)),
             min_size=1,
             max_size=200,
         ),
-        e=st.one_of(st.integers(-1100, 955), st.sampled_from([-1074, -1022, -1, 0])),
+        e=st.one_of(st.integers(-149, 64), st.sampled_from([-149, -126, -1, 0, 64])),
         cuts=st.lists(st.integers(0, 200), max_size=30),
     )
     def test_means_about_the_grid_edges_are_fsum_means(self, parts, e, cuts):
         svals = np.sort([math.ldexp(m, shift + e) for m, shift in parts], kind="stable")
+        assert np.array_equal(svals.astype(np.float32), svals)
         n = svals.size
         sums = cluster._SegmentSums(svals)
         assert (sums.prefix is not None) == on_grid(svals)
         bounds = np.array([0, *sorted(min(c, n) for c in cuts), n], dtype=np.int64)
         edges = bounds.tolist()
-        try:
-            want = [
-                math.fsum(svals[lo:hi].tolist()) / (hi - lo) if hi > lo else None
-                for lo, hi in zip(edges, edges[1:])
-            ]
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                sums.totals(bounds)
-            return
+        want = [
+            math.fsum(svals[lo:hi].tolist()) / (hi - lo) if hi > lo else None
+            for lo, hi in zip(edges, edges[1:])
+        ]
         means = cluster._segment_means(sums.totals(bounds), bounds)
         for got, mean in zip(means.tolist(), want):
             assert np.isnan(got) if mean is None else same_float(got, mean)
 
-    # (values, whether they lie on the integer grid of _SegmentSums)
+    # (values, whether they lie on the integer grid of _SegmentSums); every
+    # value is a float32 one, with a significand of at most 24 bits
     CRAFTED = {
-        # a float sum in ascending order gives 2**54, fsum 2**54 + 4
-        "float-sum-rounds": ([1.0, 2.0**53, 2.0**53 + 2], True),
+        # a float sum in ascending order loses each 1.0 against -2**54 and
+        # gives 0.0, fsum 4.0
+        "float-sum-rounds": ([-(2.0**54), 1.0, 1.0, 1.0, 1.0, 2.0**54], True),
         # every partial sum an integer below 2**53, and one bit past that
-        "at-the-limit": ([-(2.0**51 - 1), 3.0, 2.0**50 + 1, 2.0**51 - 1], True),
-        "at-the-limit-equal": ([2.0**51 - 1] * 4, True),
-        "past-the-limit-length": ([2.0**51 - 1] * 5, True),
-        "past-the-limit-magnitude": ([2.0**52 - 1] * 4, True),
+        "at-the-limit": ([-(2.0**51 - 2.0**28), 3.0, 2.0**50 + 2.0**27, 2.0**51 - 2.0**28],
+                         True),
+        "at-the-limit-equal": ([2.0**51 - 2.0**28] * 4, True),
+        "past-the-limit-length": ([2.0**51 - 2.0**28] * 5, True),
+        "past-the-limit-magnitude": ([2.0**52 - 2.0**29] * 4, True),
         "mixed-signs": ([-3.5, -1.25, -0.0, 0.0, 0.75, 2.0, 7.75], True),
         "mixed-signs-cancel": ([-(2.0**60), -1.0, 1.0, 2.0**60], True),
-        # float32 values hold 24-bit significands; float64 ones 53 bits
         "length-3": (np.array([0.1, 0.2, 0.3], dtype=np.float32), True),
-        "length-3-float64-significands": ([0.1, 0.2, 0.3], True),
         "block-of-128": (np.arange(128) * 2.0**40 - 2.0**46, True),
         "integers-129": (np.arange(129) * 1.0, True),
         # |m| < 2**62 at e = 0 on the one side, |m| = 2**62 on the other
-        "span-62-bits": ([-(2.0**61 + 2.0**9), -3.0, 1.0, 2.0**61 + 2.0**10], True),
+        "span-62-bits": ([-(2.0**61 + 2.0**38), -3.0, 1.0, 2.0**61 + 2.0**39], True),
         "span-63-bits": ([-(2.0**62), -3.0, 1.0], False),
         # hi = m >> 31 rounds toward -inf, so every negative m borrows from lo
-        "negative": (-(np.arange(1, 100) ** 7 * 0.75), True),
+        "negative": ((-(np.arange(1, 100) ** 7 * 0.75)).astype(np.float32), True),
         "negative-small": ([-(2.0**-31), -3.0 * 2.0**-40, -(2.0**-60)], True),
         "signed-zeros": ([-0.0, -0.0, 0.0, -0.0], True),
         "negative-zeros-3": ([-0.0] * 3, True),
         "negative-zeros-128": ([-0.0] * 128, True),
         "zeros-that-cancel": ([-1.5, -0.0, -0.0, 0.0, 1.5], True),
-        "subnormals": (np.arange(-20, 21) * 5e-324, False),
-        "subnormal-and-normal": ([5e-324, 1e-300, 1e-300], False),
-        # normal, but its lowest bit lies below 2**-1022
-        "step-below-2**-1022": ([math.ldexp(1.0 + 2.0**-52, -1022), 1e-300], False),
-        "step-at-2**-1022": ([2.0**-1022, 3 * 2.0**-1022, 2.0**-1000], True),
-        # the small values scale to m below 2**-1074, which rounds to 0
-        "tiny-beside-huge": ([1e-300, 3e-300, 1e300], False),
-        # n * max|value| against sys.float_info.max / 16, which is just
-        # below 2**1020
-        "overflow-guard-below": ([2.0**1018] * 3, True),
-        "overflow-guard-above": ([2.0**1018] * 4, False),
+        # float32's subnormals lie on a grid of their own, e = -206
+        "subnormals": (np.arange(-20, 21) * 2.0**-149, True),
+        "subnormal-beside-normal": (np.array([2.0**-149, 1e-20, 1e-20], dtype=np.float32),
+                                    False),
+        # the small values lie below one step of the grid, 2**38
+        "tiny-beside-huge": (np.array([1e-30, 3e-30, 1e30], dtype=np.float32), False),
+        # the float32 range's ends: the grid's e is 66, and no sum of the
+        # values, on the grid or off it, overflows
+        "largest": ([-FLOAT32_MAX] * 7 + [FLOAT32_MAX] * 129, True),
+        "largest-and-smallest": ([-FLOAT32_MAX, -(2.0**-149), 2.0**-149, FLOAT32_MAX] * 9,
+                                 False),
     }
 
     @pytest.mark.parametrize("case", sorted(CRAFTED))
     def test_crafted_runs_are_fsum_exact(self, case, monkeypatch):
         values, grid = self.CRAFTED[case]
         svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+        assert np.array_equal(svals.astype(np.float32), svals)
         n = svals.size
         real, fallbacks = cluster._SegmentSums.fsums, []
 
@@ -960,15 +1007,13 @@ def fraction_sse(svals, centroids, bounds) -> float:
     total = Fraction(0)
     edges = np.asarray(bounds).tolist()
     for c, lo, hi in zip(np.asarray(centroids).tolist(), edges, edges[1:]):
-        if hi == lo:
-            continue
-        if not math.isfinite(c):
-            return math.nan
         total += sum((Fraction(x) - Fraction(c)) ** 2 for x in svals[lo:hi].tolist())
-    try:
-        return float(total)
-    except OverflowError:
-        return math.inf
+    return float(total)
+
+
+def one_segment_sse(values, c) -> float:
+    """Σ (x - c)**2 over values, exact, rounded once to float64."""
+    return float(sum((Fraction(x) - Fraction(c)) ** 2 for x in values))
 
 
 def sweep_state(svals, rng, k, spread):
@@ -997,56 +1042,60 @@ class TestSweepSSE:
     def test_exact_and_bracket_hold_the_fraction_sse(self, style, n, data_seed, k, spread):
         rng = np.random.default_rng(data_seed)
         if style == "huge":
-            values = rng.uniform(-1.0, 1.0, n) * 1.7e308
+            # up to float32's largest: squares near 2**256, and none overflows
+            values = (rng.uniform(-1.0, 1.0, n) * FLOAT32_MAX).astype(np.float32)
         elif style == "tiny":
-            # squares and products in the subnormal range, where underflow
-            # costs more than the rounding bound
-            values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.uniform(-163, -160)
+            # a few times float32's smallest step: squares and products near
+            # 2**-298, far above float64's subnormals, so the bound needs no
+            # underflow term
+            values = rng.integers(-(2**10), 2**10, n) * 2.0**-149
         else:
             values = lloyd_values(style, n, data_seed)
-        svals = np.sort(values, kind="stable")
-        with np.errstate(over="ignore", invalid="ignore"):
-            centroids, bounds = sweep_state(svals, rng, k, spread)
+        svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+        centroids, bounds = sweep_state(svals, rng, k, spread)
         sums = cluster._SegmentSums(svals)
         sse = cluster._SweepSSE(sums, centroids, bounds)
         want = fraction_sse(svals, centroids, bounds)
         assert same_float(sse.exact, want)
-        try:
-            totals = sums.totals(bounds)
-        except OverflowError:
-            return
-        bracket = cluster._sse_bracket(sums, centroids, bounds, totals)
-        if bracket is not None:
-            assert bracket[0] <= want <= bracket[1]
+        lo, hi = cluster._sse_bracket(sums, centroids, bounds, sums.totals(bounds))
+        assert lo <= want <= hi
 
-    # (values, centroids, bounds, the exact SSE rounded once)
+    # (values, centroids, bounds, the exact SSE rounded once); every value
+    # is a float32 one
     CRAFTED = {
-        # (x - c)**2 overflows though x - c does not, or x - c overflows
-        "square-past-the-range": ([-1.5e154, 1.5e154], [0.0], [0, 2], math.inf),
-        "difference-past-the-range": ([-1.7e308, 1.7e308], [1.7e308], [0, 2], math.inf),
-        "just-below-the-range": ([0.0, 2.0**511], [0.0, 0.0], [0, 1, 2], 2.0**1022),
-        "subnormal": ([5e-324, 1.5e-323], [1e-323], [0, 2], 0.0),
+        # the float32 range's ends: (x - c)**2 reaches 2**258, and the SSE
+        # stays finite
+        "largest": ([-FLOAT32_MAX, FLOAT32_MAX], [0.0], [0, 2], 2 * FLOAT32_MAX**2),
+        "largest-difference": ([-FLOAT32_MAX, FLOAT32_MAX], [FLOAT32_MAX], [0, 2],
+                               4 * FLOAT32_MAX**2),
+        # float32's smallest steps: the SSE is 2**-297, where it would be
+        # 0.0 for float64's subnormals
+        "subnormal": ([2.0**-149, 3 * 2.0**-149], [2.0**-148], [0, 2], 2.0**-297),
         "exact-zero": ([-0.0, 0.0, 3.0], [0.0, 3.0], [0, 2, 3], 0.0),
-        # an empty segment's centroid does not count, even when not finite
-        "empty-non-finite": ([1.0, 3.0], [2.0, math.inf], [0, 2, 2], 2.0),
-        "held-non-finite": ([1.0, 3.0], [2.0, math.inf], [0, 1, 2], math.nan),
-        "held-nan": ([1.0, 3.0], [math.nan], [0, 2], math.nan),
-        # Σx² and 2 Σ c·S cancel to 19 digits: the SSE is 2**-20 of 2**60
-        "cancellation": ([2.0**30 - 2.0**-10, 2.0**30 + 2.0**-10], [2.0**30], [0, 2], 2.0**-19),
+        # an empty segment's centroid does not count, however far it lies
+        "empty-far": ([1.0, 3.0], [2.0, FLOAT32_MAX], [0, 2, 2], 2.0),
+        # Σx² and 2 Σ c·S cancel to 14 digits: the SSE is 2**15 of 2**61
+        "cancellation": ([2.0**30 - 2.0**7, 2.0**30 + 2.0**7], [2.0**30], [0, 2], 2.0**15),
+        # centroids whose lowest bits lie far below the unit of the exact
+        # sums, on the grid (2**-59) and off it (2**-149)
+        "fine-centroid": ([1.0, 2.0, 4.0], [2.0**-40 / 3], [0, 3],
+                          one_segment_sse([1.0, 2.0, 4.0], 2.0**-40 / 3)),
+        "fine-centroid-off-the-grid": ([2.0**-149, 2.0**66], [2.0**-149 / 3, 2.0**66], [0, 1, 2],
+                                       one_segment_sse([2.0**-149], 2.0**-149 / 3)),
     }
 
     @pytest.mark.parametrize("case", sorted(CRAFTED))
     def test_crafted_sses(self, case):
         values, centroids, bounds, want = self.CRAFTED[case]
         svals = np.asarray(values, dtype=np.float64)
+        assert np.array_equal(svals.astype(np.float32), svals)
         centroids, bounds = np.asarray(centroids, dtype=np.float64), np.asarray(bounds)
         assert same_float(fraction_sse(svals, centroids, bounds), want)
         sums = cluster._SegmentSums(svals)
         sse = cluster._SweepSSE(sums, centroids, bounds)
         assert same_float(sse.exact, want)
-        bracket = sse.bracket
-        if bracket is not None:
-            assert bracket[0] <= want <= bracket[1]
+        lo, hi = sse.bracket
+        assert lo <= want <= hi
 
     def test_check_is_the_exact_comparison(self, layout, monkeypatch):
         # pairs of sweeps far apart, and pairs whose SSEs lie within the
