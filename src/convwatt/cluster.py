@@ -17,6 +17,7 @@ container (little-endian, CRC-protected).
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -316,11 +317,25 @@ def unpack_indices(packed: PackedIndices, start: int, count: int) -> np.ndarray:
     return lanes.reshape(-1)[skip : skip + count]
 
 
-def _init_centroids(values: np.ndarray, k: int, cfg: ClusterConfig) -> np.ndarray:
-    """k starting centroids in ascending order."""
+def _init_centroids(views, k: int, cfg: ClusterConfig) -> np.ndarray:
+    """k starting centroids in ascending order for each sorted table of
+    views, one row each.
+
+    linspace runs from each table's first value to its last, its min and
+    max, for every row at once: np.linspace forms each row as it forms a
+    table of its own, from the row's own step, which is never 0 here (the
+    tables hold more than one distinct value, and float32 ones differ by at
+    least 2**-149). Of zeros of both signs, which one ends a row never
+    shows: the first sweep replaces every centroid, and a zero's sign moves
+    neither a midpoint nor a movement.
+    """
     if cfg.init == INIT_LINSPACE:
-        return np.linspace(values.min(), values.max(), k)
-    rng = np.random.default_rng(cfg.seed)
+        return np.linspace([v[0] for v in views], [v[-1] for v in views], k, axis=-1)
+    return np.array([_kmeans_pp(values, k, cfg.seed) for values in views])
+
+
+def _kmeans_pp(values: np.ndarray, k: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
     centroids = np.empty(k, dtype=np.float64)
     centroids[0] = values[rng.integers(values.size)]
     d2 = np.square(values - centroids[0])
@@ -334,16 +349,19 @@ def _init_centroids(values: np.ndarray, k: int, cfg: ClusterConfig) -> np.ndarra
     return np.sort(centroids)
 
 
-def _segment_bounds(sorted_values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Boundaries of each centroid's contiguous segment in the sorted data.
+def _segment_bounds(views, centroids: np.ndarray) -> np.ndarray:
+    """Boundaries of each centroid's contiguous segment in the sorted data,
+    one row of centroids and of bounds per sorted table of views.
 
     A value exactly on a midpoint between two centroids joins the lower one.
     """
-    bounds = np.empty(centroids.size + 1, dtype=np.int64)
-    bounds[0], bounds[-1] = 0, sorted_values.size
-    mids = centroids[:-1] + centroids[1:]
+    bounds = np.empty((len(views), centroids.shape[1] + 1), dtype=np.int64)
+    bounds[:, 0] = 0
+    mids = centroids[:, :-1] + centroids[:, 1:]
     mids /= 2.0
-    bounds[1:-1] = np.searchsorted(sorted_values, mids, side="right")
+    for row, values, m in zip(bounds, views, mids):
+        row[1:-1] = values.searchsorted(m, side="right")
+        row[-1] = values.size
     return bounds
 
 
@@ -351,9 +369,14 @@ def _segment_bounds(sorted_values: np.ndarray, centroids: np.ndarray) -> np.ndar
 # per value, but at every value of a table of at most _DENSE values, 16 B per
 # value and so at most 1 MB: on a small table, the block correction of a
 # sweep's k + 1 bounds costs more than reading them off a whole prefix. It
-# builds them _CHUNK values at a time, which bounds its temporaries
+# builds them _CHUNK values at a time, which bounds its temporaries.
+# kmeans_1d runs tables of at most _DENSE values in lockstep batches of at
+# most _BATCH values (a larger table runs alone); a batch holds its sorted
+# copy, argsort orders and prefixes, 26 B per value and so at most 3.4 MB,
+# besides its sweeps' (tables, k) arrays
 _STEP = 8
 _DENSE = 1 << 16
+_BATCH = 1 << 17
 _OFFSETS = np.arange(_STEP)[:, None]
 _CHUNK = 1 << 16
 _LOW = (1 << 31) - 1
@@ -382,7 +405,7 @@ def _square_sum(m: np.ndarray) -> int:
     l2 >>= 21
 
     def dot(x, y):
-        return int(np.dot(x, y))
+        return int(np.einsum("i,i->", x, y))
 
     return (
         dot(l0, l0)
@@ -396,6 +419,28 @@ def _square_sum(m: np.ndarray) -> int:
 def _rounded(num: int, exp: int) -> float:
     """num * 2**exp, num >= 0, rounded once to float64."""
     return float(num << exp) if exp >= 0 else num / (1 << -exp)
+
+
+def _rounded_runs(limbs: np.ndarray, high, grid, n: int) -> np.ndarray:
+    """Each run's exact sum, hi * 2**31 + lo units of grid = 2**e, rounded
+    once to float64, for runs of a table of at most n values whose prefix
+    _SegmentSums keeps; limbs holds hi and lo, and high is 2**(e + 31).
+    grid and high may be columns of one unit per row of hi and lo.
+
+    A run's hi is the sum of its values' m >> 31, at most 2**31 each in
+    magnitude, and of at most n + 1 carries, and |lo| < 2**35.
+    """
+    hi, lo = limbs
+    if n < 1 << 21:
+        # |hi| < 2**53: hi * 2**(e + 31) and lo * 2**e are exact float64s,
+        # so the one addition rounds the sum
+        runs = hi * high
+        runs += lo * grid
+        return runs
+    # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
+    # |u| < 2**53: both are exact float64s, so the one addition rounds it
+    t, u = hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo
+    return t * (high * 2.0**21) + u * grid
 
 
 class _SegmentSums:
@@ -421,7 +466,8 @@ class _SegmentSums:
     prefix is None off the grid: where some value is no multiple of 2**e
     (its values span more than 62 bits), or where 2**32 values or more
     could overflow the int64 limb sums. Runs are then summed with fsum one
-    by one.
+    by one. A caller may hand in the zeroed (2, n // step + 1) int64 array
+    to build prefix in: kmeans_1d lays a batch's prefixes side by side.
 
     exact gives the runs' sums, and squares the sum of every value's
     square, exactly, as Python ints in units of 2**unit and 2**(2 * unit).
@@ -430,38 +476,40 @@ class _SegmentSums:
     unit is _FINE, and both are summed value by value in O(n), squares once.
     """
 
-    def __init__(self, sorted_values: np.ndarray):
+    def __init__(self, sorted_values: np.ndarray, prefix: np.ndarray | None = None):
         self.values = sorted_values
         self.prefix = None
         self.unit, self._squares = _FINE, None
+        self.step = 1 if sorted_values.size <= _DENSE else _STEP
         n = sorted_values.size
         if n >> 32:
             return
         peak = max(-float(sorted_values[0]), float(sorted_values[-1]))
         e = math.frexp(peak)[1] - 62
-        self.grid, self.top = math.ldexp(1.0, e), math.ldexp(1.0, e + 52)
+        self.grid, self.high = math.ldexp(1.0, e), math.ldexp(1.0, e + 31)
         self.scale = math.ldexp(1.0, -e)
-        # a nonzero multiple of 2**e is at least 2**e in magnitude, and only
-        # such values scale to m exactly
-        inner = sorted_values[
-            np.searchsorted(sorted_values, -self.grid, "right") :
-            np.searchsorted(sorted_values, self.grid)
-        ]
-        if inner.any():
-            return
-        self.step = step = 1 if n <= _DENSE else _STEP
-        prefix = np.zeros((2, n // step + 1), dtype=np.int64)
+        step = self.step
+        if prefix is None:
+            prefix = np.zeros((2, n // step + 1), dtype=np.int64)
         squares = 0
         for i in range(0, n, _CHUNK):
+            # scaling a float32 value by 2**-e neither overflows nor
+            # underflows, so it is exact: the value is a multiple of 2**e
+            # where its part is an integer, m
             part = sorted_values[i : i + _CHUNK] * self.scale
             m = part.astype(np.int64)
-            if not np.array_equal(m, part):
+            if not (m == part).all():
                 return
             del part  # _square_sum's limbs take its place
-            blocks = m[: m.size - m.size % step].reshape(-1, step)
             j = i // step + 1
-            prefix[0, j : j + len(blocks)] = (blocks >> 31).sum(axis=1)
-            prefix[1, j : j + len(blocks)] = (blocks & _LOW).sum(axis=1)
+            if step == 1:
+                np.right_shift(m, 31, out=prefix[0, j : j + m.size])
+                np.bitwise_and(m, _LOW, out=prefix[1, j : j + m.size])
+            else:
+                # einsum sums the short rows several times faster than sum
+                blocks = m[: m.size - m.size % step].reshape(-1, step)
+                prefix[0, j : j + len(blocks)] = np.einsum("ij->i", blocks >> 31)
+                prefix[1, j : j + len(blocks)] = np.einsum("ij->i", blocks & _LOW)
             squares += _square_sum(m)
         np.cumsum(prefix, axis=1, out=prefix)
         prefix[0] += prefix[1] >> 31
@@ -469,31 +517,26 @@ class _SegmentSums:
         self.prefix = prefix
         self.unit, self._squares = e, squares
 
-    def _limbs(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(hi, lo) of each run on the grid: its exact sum over 2**e is
-        hi * 2**31 + lo."""
+    def _limbs(self, bounds: np.ndarray) -> np.ndarray:
+        """Rows hi and lo of each run on the grid: its exact sum over 2**e
+        is hi * 2**31 + lo."""
         if self.step == 1:
-            hi, lo = self.prefix.take(bounds, axis=1)
+            limbs = self.prefix.take(bounds, axis=1)
         else:
             # column i holds the values of bound i's block below it, as m
-            r = bounds % _STEP
+            column, r = np.divmod(bounds, _STEP)
             at = _OFFSETS + (bounds - r)
             m = (self.values.take(at, mode="clip") * self.scale).astype(np.int64)
             m *= _OFFSETS < r
-            column = bounds // _STEP
-            hi = (m >> 31).sum(axis=0) + self.prefix[0][column]
-            lo = (m & _LOW).sum(axis=0) + self.prefix[1][column]
-        return hi[1:] - hi[:-1], lo[1:] - lo[:-1]
+            limbs = self.prefix.take(column, axis=1)
+            limbs += np.add.reduce(np.divmod(m, 1 << 31), axis=1)
+        return limbs[:, 1:] - limbs[:, :-1]
 
     def totals(self, bounds: np.ndarray) -> np.ndarray:
         """math.fsum(values[bounds[i]:bounds[i + 1]]) for each i."""
         if self.prefix is None:
             return self.fsums(bounds)
-        hi, lo = self._limbs(bounds)
-        # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
-        # |u| < 2**53: both are exact float64s, so the one addition rounds it
-        t, u = hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo
-        return t * self.top + u * self.grid
+        return _rounded_runs(self._limbs(bounds), self.high, self.grid, self.values.size)
 
     def fsums(self, bounds: np.ndarray) -> np.ndarray:
         """totals off the grid: math.fsum of each run."""
@@ -528,13 +571,14 @@ class _SegmentSums:
 
 def _segment_means(totals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Mean of each segment, its sum in totals (_SegmentSums.totals, so
-    math.fsum) over its length; NaN if empty, as an empty sum is 0.0.
+    math.fsum) over its length; NaN if empty, as an empty sum is 0.0. The
+    last axis runs over one table's segments, row by row.
 
     fsum keeps the mean exactly rounded, pinning results across platforms
     regardless of summation order optimizations.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        return totals / (bounds[1:] - bounds[:-1])
+        return totals / (bounds[..., 1:] - bounds[..., :-1])
 
 
 def _farthest(dist: np.ndarray, e: int) -> np.ndarray:
@@ -554,13 +598,15 @@ def _farthest(dist: np.ndarray, e: int) -> np.ndarray:
 _EPS = 2.0**-53
 
 
-def _sse_bracket(sums: _SegmentSums, centroids, bounds, totals):
+def _sse_bracket(square_sum, centroids, bounds, totals):
     """Floats lo <= hi around the SSE of centroids over bounds, as
-    _SweepSSE defines it.
+    _SweepSSE defines it, one of each per table: centroids, bounds and
+    totals hold one row per table, and square_sum each table's Σx², its
+    _SegmentSums.square_sum.
 
     The SSE is Σx² - 2 Σ c·S + Σ n·c², c being a segment's centroid, S its
     sum and n its count. It is evaluated once in float64 from
-    sums.square_sum and totals, each correctly rounded, in at most k + 10
+    square_sum and totals, each correctly rounded, in at most k + 10
     roundings along any path, k being the number of segments. In the
     standard model of rounding (Higham, "Accuracy and Stability of
     Numerical Algorithms", ch. 3) its error is then at most
@@ -577,18 +623,25 @@ def _sse_bracket(sums: _SegmentSums, centroids, bounds, totals):
     nonzero square, product and sum here lies between about 2**-420 and
     2**300, inside float64's normal range.
     """
-    counts = bounds[1:] - bounds[:-1]
-    cs = centroids * totals
-    ncc = centroids * centroids
-    ncc *= counts
-    spread, cross = float(np.add.reduce(ncc)), float(np.add.reduce(cs))
-    np.abs(cs, out=cs)
-    size = sums.square_sum + (spread + 2.0 * float(np.add.reduce(cs)))
-    estimate = sums.square_sum + (spread - 2.0 * cross)
-    m = 2 * counts.size + 16
-    error = m * _EPS / (1.0 - m * _EPS) * size
-    return (math.nextafter(estimate - error, -math.inf),
-            math.nextafter(estimate + error, math.inf))
+    # Σ c·S, Σ |c·S| and Σ n·c² of each row
+    term = centroids * totals
+    cross = np.add.reduce(term, axis=1)
+    magnitude = np.add.reduce(np.abs(term, out=term), axis=1)
+    np.multiply(centroids, centroids, out=term)
+    term *= bounds[:, 1:] - bounds[:, :-1]
+    spread = np.add.reduce(term, axis=1)
+    m = 2 * term.shape[1] + 16
+    gamma = m * _EPS / (1.0 - m * _EPS)
+    # the rest is a few float operations per table, cheaper in Python
+    # floats than in numpy calls on a batch's few rows
+    lo, hi = [], []
+    for c_s, abs_c_s, n_cc, squares in zip(cross.tolist(), magnitude.tolist(),
+                                           spread.tolist(), square_sum.tolist()):
+        estimate = squares + (n_cc - 2.0 * c_s)
+        error = gamma * (squares + (n_cc + 2.0 * abs_c_s))
+        lo.append(math.nextafter(estimate - error, -math.inf))
+        hi.append(math.nextafter(estimate + error, math.inf))
+    return np.array(lo), np.array(hi)
 
 
 def _exact_sse(sums: _SegmentSums, centroids, bounds) -> float:
@@ -610,40 +663,116 @@ def _exact_sse(sums: _SegmentSums, centroids, bounds) -> float:
 
 
 class _SweepSSE:
-    """The SSE of one sweep: the exact Σ (x - c)**2 over the values of
-    every non-empty segment, rounded once to float64.
+    """The SSEs of one sweep, one per live table of a batch: each the exact
+    Σ (x - c)**2 over the values of every non-empty segment of its table,
+    rounded once to float64.
 
-    bracket holds floats around it, from _sse_bracket and the segments'
-    totals; exact is the SSE itself, from _exact_sse: in O(k) on the grid,
-    in O(n) off it. Each is formed when first read: a sweep that reseeds
-    reads neither, unless the next sweep checks against it.
+    Row r holds the sweep's centroids and bounds of tables' row r. totals
+    are the segments' sums, which the next sweep's means divide; lo and hi
+    bracket each SSE, from _sse_bracket and totals in O(k). exact(r) is row
+    r's SSE itself, from _exact_sse: in O(k) on the grid, in O(n) off it.
+    It is formed when first read, once: a sweep that reseeds reads none,
+    unless the next sweep checks against it.
     """
 
-    def __init__(self, sums: _SegmentSums, centroids, bounds):
-        self.sums, self.centroids, self.bounds = sums, centroids, bounds
+    def __init__(self, tables: _Tables, centroids, bounds):
+        self.tables, self.centroids, self.bounds = tables, centroids, bounds
+        self.totals = tables.totals(bounds)
+        self.lo, self.hi = _sse_bracket(tables.square_sum, centroids, bounds, self.totals)
+        self._exact = {}
 
-    @cached_property
-    def totals(self) -> np.ndarray:
-        """The segments' sums, which the next sweep's means divide."""
-        return self.sums.totals(self.bounds)
+    def exact(self, row: int) -> float:
+        if row not in self._exact:
+            self._exact[row] = _exact_sse(
+                self.tables.sums[row], self.centroids[row], self.bounds[row]
+            )
+        return self._exact[row]
 
-    @cached_property
-    def bracket(self) -> tuple[float, float]:
-        return _sse_bracket(self.sums, self.centroids, self.bounds, self.totals)
-
-    @cached_property
-    def exact(self) -> float:
-        return _exact_sse(self.sums, self.centroids, self.bounds)
-
-    def exceeds(self, prev: _SweepSSE) -> bool:
-        """The "SSE increased" test, sse > prev_sse * (1.0 + 1e-9), on the
-        exact SSEs; it reads them only where the brackets leave it open."""
-        (lo, hi), (prev_lo, prev_hi) = self.bracket, prev.bracket
-        if lo > prev_hi * (1.0 + 1e-9):
-            return True
-        if hi <= prev_lo * (1.0 + 1e-9):
+    def exceeds(self, prev: _SweepSSE, checked: np.ndarray | None = None) -> bool:
+        """Whether the "SSE increased" test, sse > prev_sse * (1.0 + 1e-9),
+        holds on the exact SSEs of some row that checked selects (every row
+        when None); it reads them only where the brackets leave it open.
+        prev is the sweep before, on the same rows."""
+        # the rows that may have increased; above them, those that did
+        maybe = self.hi > prev.lo * (1.0 + 1e-9)
+        if checked is not None:
+            maybe &= checked
+        if not np.count_nonzero(maybe):
             return False
-        return self.exact > prev.exact * (1.0 + 1e-9)
+        if np.count_nonzero(maybe & (self.lo > prev.hi * (1.0 + 1e-9))):
+            return True
+        return any(
+            self.exact(row) > prev.exact(row) * (1.0 + 1e-9)
+            for row in np.flatnonzero(maybe).tolist()
+        )
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the rows that the boolean mask rows selects, as tables.keep
+        does."""
+        self.centroids, self.bounds = self.centroids[rows], self.bounds[rows]
+        self.totals, self.lo, self.hi = self.totals[rows], self.lo[rows], self.hi[rows]
+        kept = np.flatnonzero(rows).tolist()
+        self._exact = {new: self._exact[old] for new, old in enumerate(kept)
+                       if old in self._exact}
+
+
+class _Tables:
+    """The sorted tables of a lockstep batch, and each sweep's segment sums
+    of every live table at once.
+
+    views holds each live table's sorted values and sums its _SegmentSums,
+    one row each; keep drops the tables that stop. Where every table keeps
+    its prefix at every value, as every table of at most _DENSE values
+    does, their prefixes lie side by side in prefix, row r's from column
+    columns[r] on, each on its own grid: one take reads a sweep's bounds of
+    every table, and high and grid round each row's runs in its own units
+    (_rounded_runs). A table off the grid sums its own runs with fsum. A
+    larger table runs alone and reads its own sums.
+    """
+
+    def __init__(self, views):
+        self.views = views
+        sizes = [v.size for v in views]
+        self.prefix = None
+        if max(sizes) <= _DENSE:
+            columns = np.cumsum([0] + [n + 1 for n in sizes[:-1]])
+            self.prefix = np.zeros((2, sum(sizes) + len(sizes)), dtype=np.int64)
+            self.sums = [
+                _SegmentSums(v, self.prefix[:, c : c + v.size + 1])
+                for v, c in zip(views, columns.tolist())
+            ]
+            self.columns = columns[:, None]
+        else:
+            (table,) = views
+            self.sums = [_SegmentSums(table)]
+        self.n = max(sizes)
+        self.off_grid = np.array([s.prefix is None for s in self.sums])
+        self.high = np.array([[0.0 if s.prefix is None else s.high] for s in self.sums])
+        self.grid = np.array([[0.0 if s.prefix is None else s.grid] for s in self.sums])
+        self.square_sum = np.array([s.square_sum for s in self.sums])
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the tables that the boolean mask rows selects."""
+        kept = np.flatnonzero(rows).tolist()
+        self.views = [self.views[r] for r in kept]
+        self.sums = [self.sums[r] for r in kept]
+        if self.prefix is not None:
+            self.columns = self.columns[rows]
+        self.off_grid, self.high, self.grid = self.off_grid[rows], self.high[rows], self.grid[rows]
+        self.square_sum = self.square_sum[rows]
+
+    def totals(self, bounds: np.ndarray) -> np.ndarray:
+        """math.fsum(views[r][bounds[r, i]:bounds[r, i + 1]]) for each row r
+        and segment i."""
+        if self.prefix is None:
+            return self.sums[0].totals(bounds[0])[None]
+        limbs = self.prefix.take(bounds + self.columns, axis=1)
+        limbs = limbs[..., 1:] - limbs[..., :-1]
+        totals = _rounded_runs(limbs, self.high, self.grid, self.n)
+        if self.off_grid.any():
+            for row in np.flatnonzero(self.off_grid).tolist():
+                totals[row] = self.sums[row].fsums(bounds[row])
+        return totals
 
 
 def _stable_zeros(svals: np.ndarray, vals: np.ndarray) -> None:
@@ -660,7 +789,7 @@ def _stable_zeros(svals: np.ndarray, vals: np.ndarray) -> None:
         svals[lo:hi] = vals[vals == 0]
 
 
-def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
+def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
     """Lloyd's algorithm in one dimension, on float32 values.
 
     values are taken as float32, as ConvParams holds kernels: wider ones are
@@ -674,6 +803,16 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     no more than k distinct values the quantization is exact (SSE 0), with
     surplus table slots repeating the largest value; of -0.0 and 0.0, the
     first one in the input stands for both.
+
+    lengths, when given, splits values into consecutive tables of those
+    lengths, each clustered on its own: the call returns (list of
+    CentroidTable, assignments), each table's assignments in its own span.
+    Each table's centroids and assignments are bitwise those of a call on
+    that table alone. Tables of at most _DENSE values run in lockstep, in
+    batches of consecutive tables that hold at most _BATCH values in all:
+    one sweep of a batch makes one set of numpy calls on (tables, k)
+    arrays, where a table alone would make the same set on k-element ones.
+    A larger table runs alone.
 
     Results are bitwise those of a Lloyd that stable-sorts the values and
     recomputes every segment each sweep, by these invariants:
@@ -704,6 +843,12 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
     - A sweep that did not reseed and left every bound where it was is a
       fixed point: the next sweep would compute the same means, move no
       centroid and stop. The loop stops there instead.
+    - In a batch, each row of a sweep's arrays is one table, and every step
+      acts on a row as it would on the table alone: elementwise arithmetic,
+      np.sort along the row (the 1-D sort of each row), and max and the
+      SSE bracket's sums along it (the bracket bounds any summation order).
+      Reseeds and exact SSEs run table by table, and each table stops on
+      its own tests (tol, fixed point) and leaves the batch.
     """
     cfg = cfg or ClusterConfig()
     # past the float32 range the cast gives ±inf, rejected below
@@ -715,57 +860,142 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None):
         raise ValueError("values must be finite")
     if k < 1:
         raise ValueError("k must be >= 1")
+    sizes = [vals.size] if lengths is None else [operator.index(n) for n in lengths]
+    if sum(sizes) != vals.size:
+        raise ValueError(f"lengths add up to {sum(sizes)}, not to the {vals.size} values")
+    if min(sizes) < 1:
+        raise ValueError("values must be non-empty")
 
-    vals = vals.astype(np.float64)
-    order = np.argsort(vals)
-    svals = vals[order]
-    _stable_zeros(svals, vals)
-    del vals  # only the sorted copy is needed
+    centroids, assignments, start = [], [], 0
+    for batch in _batches(sizes):
+        stop = start + sum(batch)
+        rows, assigned = _lloyd(vals[start:stop], batch, k, cfg)
+        centroids.extend(rows)
+        assignments.append(assigned)
+        start = stop
+    tables = [CentroidTable(row.astype(np.float32)) for row in centroids]
+    assignments = assignments[0] if len(assignments) == 1 else np.concatenate(assignments)
+    return (tables[0] if lengths is None else tables), assignments
 
-    # each value that differs from its sorted predecessor starts a new one
+
+def _batches(sizes: list[int]):
+    """sizes, the lengths of consecutive tables, in runs that share a
+    lockstep batch: tables of at most _DENSE values, at most _BATCH values
+    in all, or a larger table alone."""
+    batch, total = [], 0
+    for n in sizes:
+        if batch and (n > _DENSE or batch[0] > _DENSE or total + n > _BATCH):
+            yield batch
+            batch, total = [], 0
+        batch.append(n)
+        total += n
+    yield batch
+
+
+def _lloyd(vals: np.ndarray, sizes: list[int], k: int,
+           cfg: ClusterConfig) -> tuple[np.ndarray, np.ndarray]:
+    """kmeans_1d on one batch: vals holds its tables end to end, sizes their
+    lengths. Returns the float64 centroids, one row per table, and each
+    value's assignment."""
+    edges = np.cumsum([0] + sizes).tolist()
+    svals = np.empty(vals.size)
+    views, orders = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        # float32 values compare as their float64 ones do
+        order = np.argsort(vals[lo:hi])
+        svals[lo:hi] = vals[lo:hi][order]
+        views.append(svals[lo:hi])
+        # held until the end, each in the narrowest type that indexes its
+        # table: 2 bytes per value for a table of at most _DENSE values
+        orders.append(order.astype(np.min_scalar_type(hi - lo - 1)))
+    del order
+    if (svals == 0).any():
+        for lo, view in zip(edges, views):
+            _stable_zeros(view, vals[lo : lo + view.size])
+
+    # each value that differs from its sorted predecessor starts a new one,
+    # and so does the first of each table
     starts = np.empty(svals.size, dtype=bool)
-    starts[0] = True
     np.not_equal(svals[1:], svals[:-1], out=starts[1:])
-    if np.count_nonzero(starts) <= k:
-        distinct = svals[starts]
-        centroids = np.concatenate(
-            (distinct, np.full(k - distinct.size, distinct[-1]))
-        )
-        assign_sorted = np.searchsorted(distinct, svals).astype(np.uint32)
-    else:
-        del starts
-        centroids = _init_centroids(svals, k, cfg)
-        sums = _SegmentSums(svals)
-        bounds = _segment_bounds(svals, centroids)
-        sse = None
-        for _ in range(cfg.max_iters):
-            # the sums of these bounds, which the last sweep's SSE check
-            # has taken already if it ran
-            totals = sums.totals(bounds) if sse is None else sse.totals
-            means = _segment_means(totals, bounds)
-            empty = np.isnan(means)
-            reseeded = bool(empty.any())
-            if reseeded:
-                dist = np.repeat(means, np.diff(bounds))
-                np.abs(np.subtract(svals, dist, out=dist), out=dist)
-                means[empty] = svals[_farthest(dist, np.count_nonzero(empty))]
-                del dist
-            new_centroids = np.sort(means)
-            movement = float(np.abs(new_centroids - centroids).max())
-            new_bounds = _segment_bounds(svals, new_centroids)
-            new_sse = _SweepSSE(sums, new_centroids, new_bounds)
-            if not reseeded and sse is not None and new_sse.exceeds(sse):
-                raise RuntimeError("k-means SSE increased")
-            sse = new_sse
-            fixed = bool((new_bounds == bounds).all())
-            centroids, bounds = new_centroids, new_bounds
-            if (movement <= cfg.tol or fixed) and not reseeded:
-                break
-        assign_sorted = np.repeat(np.arange(k, dtype=np.uint32), np.diff(bounds))
+    starts[edges[:-1]] = True
+    distinct = {}
+    for t, (lo, view) in enumerate(zip(edges, views)):
+        if np.count_nonzero(starts[lo : lo + view.size]) <= k:
+            distinct[t] = np.flatnonzero(starts[lo : lo + view.size])
+    del starts
+    iterate = [t for t in range(len(sizes)) if t not in distinct]
+    swept = _sweeps([views[t] for t in iterate], k, cfg) if iterate else []
 
-    assignments = np.empty(svals.size, dtype=np.uint32)
-    assignments[order] = assign_sorted
-    return CentroidTable(centroids.astype(np.float32)), assignments
+    centroids = np.empty((len(sizes), k))
+    bounds = np.empty((len(sizes), k + 1), dtype=np.int64)
+    iterate = np.array(iterate)
+    for rows, row_centroids, row_bounds in swept:
+        centroids[iterate[rows]], bounds[iterate[rows]] = row_centroids, row_bounds
+    del swept
+    for t, first in distinct.items():
+        # each distinct value is a centroid, the largest also in the
+        # surplus slots, which hold no value
+        bounds[t, : first.size], bounds[t, first.size :] = first, sizes[t]
+        centroids[t, : first.size], centroids[t, first.size :] = (
+            views[t][first], views[t][first[-1]]
+        )
+    del svals, views
+    assign_sorted = np.repeat(
+        np.tile(np.arange(k, dtype=np.uint32), len(sizes)), np.diff(bounds).reshape(-1)
+    )
+    assignments = np.empty(vals.size, dtype=np.uint32)
+    for lo, hi, order in zip(edges, edges[1:], orders):
+        assignments[lo:hi][order] = assign_sorted[lo:hi]
+    return centroids, assignments
+
+
+def _sweeps(views, k: int, cfg: ClusterConfig) -> list:
+    """Lloyd's sweeps in lockstep over sorted tables that each hold more
+    than k distinct values: (rows, centroids, bounds) of the tables as they
+    stop, rows indexing views."""
+    tables = _Tables(views)
+    done = []  # (rows, centroids, bounds) of the tables as they stop
+    live = np.arange(len(views))
+    centroids = _init_centroids(views, k, cfg)
+    bounds = _segment_bounds(views, centroids)
+    totals = tables.totals(bounds)
+    sse = None
+    for _ in range(cfg.max_iters):
+        means = _segment_means(totals, bounds)
+        empty = np.isnan(means)
+        # the rows that reseed, or None where none does
+        reseeded = empty.any(axis=1) if np.count_nonzero(empty) else None
+        if reseeded is not None:
+            for row in np.flatnonzero(reseeded).tolist():
+                svals, gaps = tables.views[row], empty[row]
+                dist = np.repeat(means[row], np.diff(bounds[row]))
+                np.abs(np.subtract(svals, dist, out=dist), out=dist)
+                means[row, gaps] = svals[_farthest(dist, np.count_nonzero(gaps))]
+                del dist
+        means.sort(axis=1)
+        new_centroids = means
+        # no centroid moved more than tol
+        still = (np.abs(new_centroids - centroids) <= cfg.tol).all(axis=1)
+        new_bounds = _segment_bounds(tables.views, new_centroids)
+        new_sse = _SweepSSE(tables, new_centroids, new_bounds)
+        steady = None if reseeded is None else ~reseeded
+        if sse is not None and new_sse.exceeds(sse, steady):
+            raise RuntimeError("k-means SSE increased")
+        stop = still | (new_bounds == bounds).all(axis=1)
+        if steady is not None:
+            stop &= steady
+        centroids, bounds, sse = new_centroids, new_bounds, new_sse
+        if np.count_nonzero(stop):
+            done.append((live[stop], centroids[stop], bounds[stop]))
+            going = ~stop
+            live, centroids, bounds = live[going], centroids[going], bounds[going]
+            if not live.size:
+                return done
+            tables.keep(going)
+            sse.keep(going)
+        totals = sse.totals
+    done.append((live, centroids, bounds))
+    return done
 
 
 @dataclass(frozen=True, eq=False)
@@ -861,23 +1091,30 @@ class _Cursor:
         self.offset = 0
         self.error = error
 
-    def take(self, n: int, what: str) -> bytes:
+    def _skip(self, n: int, what: str) -> int:
+        """Move past the next n bytes and return where they start."""
         if self.offset + n > len(self.data):
             raise self.error(
                 f"truncated file: needed {n} bytes for {what} at offset {self.offset}, "
                 f"{len(self.data) - self.offset} available"
             )
-        chunk = self.data[self.offset : self.offset + n]
         self.offset += n
-        return chunk
+        return self.offset - n
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self._skip(n, what)
+        return self.data[start : start + n]
+
+    def _fields(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """The next count 4-byte fields, read in place from the data."""
+        start = self._skip(4 * count, what)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
     def f32(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float32)
+        return self._fields("<f4", count, what).astype(np.float32)
 
     def u32(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<u4").copy()
+        return self._fields("<u4", count, what).astype(np.uint32)
 
 
 def _seen_format(major: int, minor: int) -> str:
@@ -997,25 +1234,31 @@ def dequantize(model: ClusteredModel, weights: DarknetWeights) -> DarknetWeights
 
 
 def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel:
-    """Quantize all conv kernels into codebooks per the configured scope."""
+    """Quantize all conv kernels into codebooks per the configured scope.
+
+    Both scopes make one kmeans_1d call on the kernels end to end. The
+    per-layer one passes each conv's length, so each conv's table is
+    bitwise what a call on its kernel alone gives, and the convs of at most
+    _DENSE weights run their sweeps in lockstep, in batches of at most
+    _BATCH weights; each table's span of the assignments is packed on its
+    own.
+    """
     if not weights.convs:
         raise ValueError("weights hold no conv layers to cluster")
+    stream = np.concatenate([conv.kernel.reshape(-1) for conv in weights.convs])
     if cfg.scope == SCOPE_ALL_LAYERS:
-        stream = np.concatenate([conv.kernel for conv in weights.convs])
         table, assignments = kmeans_1d(stream, cfg.k, cfg)
         entries = (
             ClusterEntry(None, table, pack_indices(assignments, cfg.bits)),
         )
     else:
-        entries = []
-        for conv in weights.convs:
-            table, assignments = kmeans_1d(conv.kernel, cfg.k, cfg)
-            entries.append(
-                ClusterEntry(
-                    conv.layer_index, table, pack_indices(assignments, cfg.bits)
-                )
-            )
-        entries = tuple(entries)
+        sizes = [conv.n_weights for conv in weights.convs]
+        tables, assignments = kmeans_1d(stream, cfg.k, cfg, lengths=sizes)
+        edges = np.cumsum([0] + sizes).tolist()
+        entries = tuple(
+            ClusterEntry(conv.layer_index, table, pack_indices(assignments[lo:hi], cfg.bits))
+            for conv, table, lo, hi in zip(weights.convs, tables, edges, edges[1:])
+        )
     return ClusteredModel(scope=cfg.scope, bits=cfg.bits, entries=entries)
 
 

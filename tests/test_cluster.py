@@ -333,16 +333,23 @@ class TestKmeans:
         with pytest.raises(RuntimeError, match="k-means SSE increased"):
             kmeans_1d(values, 4)
 
-    def test_peak_memory_per_value(self):
-        # the float64 copy, the argsort order and the sorted copy while
-        # sorting, or a reseed's distances and their partitioned copy next
-        # to the sorted copy, the order and the limb prefix sums: about 34
-        # bytes per value
-        n = 200_000
+    # One table above _DENSE values: the sorted copy (8 bytes per value),
+    # its argsort order (8, then 4 as uint32) and the limb prefix sums (2),
+    # with a reseed's distances and their partitioned copy (16), about 30
+    # bytes per value. A lockstep batch of tables of at most _DENSE values,
+    # as many as _BATCH allows: the sorted copy (8), the orders (2 as
+    # uint16) and the prefix at every value (16), and each sweep's (tables,
+    # k) arrays, about 36 bytes per value at 2,500 values a table and k =
+    # 256.
+    @pytest.mark.parametrize("sizes", [[200_000], [2_500] * (cluster._BATCH // 2_500)],
+                             ids=["one-table", "batch"])
+    def test_peak_memory_per_value(self, sizes):
+        n = sum(sizes)
         values = np.random.default_rng(5).standard_normal(n).astype(np.float32)
+        lengths = None if len(sizes) == 1 else sizes
         tracemalloc.start()
         try:
-            kmeans_1d(values, 256, ClusterConfig(max_iters=3))
+            kmeans_1d(values, 256, ClusterConfig(max_iters=3), lengths=lengths)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,19 +506,33 @@ def layout(request):
         yield request.param
 
 
-def no_bracket(*args):
+def no_bracket(square_sum, *args):
     """A stand-in for cluster._sse_bracket that never decides, so that every
     SSE check takes its exact form."""
-    return -math.inf, math.inf
+    rows = len(square_sum)
+    return np.full(rows, -math.inf), np.full(rows, math.inf)
 
 
-def lloyd_outcome(run):
-    """(fp32 centroids, assignments), or (type, message) of what it raised."""
-    try:
-        centroids, assignments = run()
-    except Exception as exc:  # the same exception must escape both
-        return type(exc), str(exc)
-    return np.asarray(centroids, dtype=np.float32), assignments
+def same_as_reference(values, cfg: ClusterConfig, table: CentroidTable, assignments):
+    """Assert that kmeans_1d's (table, assignments) for values are bitwise
+    those of the whole-segment fsum Lloyd of tests/oracles.py. values must be
+    float32 ones, so that the reference sees the values kmeans_1d
+    clusters."""
+    assert np.array_equal(np.asarray(values, dtype=np.float32), values)
+    want_centroids, want_assignments = lloyd_1d_reference(
+        values, cfg.k, cfg.init, cfg.seed, cfg.max_iters, cfg.tol
+    )
+    assert assignments.dtype == want_assignments.dtype == np.uint32
+    assert np.array_equal(assignments, want_assignments)
+    arr = np.asarray(values, dtype=np.float64)
+    both_zeros = np.any((arr == 0) & np.signbit(arr)) and np.any((arr == 0) & ~np.signbit(arr))
+    if both_zeros and np.unique(arr).size <= cfg.k:
+        # Exact quantization: np.unique's hash table keeps either zero when
+        # both occur; kmeans_1d keeps the first (see
+        # test_mixed_zeros_keep_the_first_zero). Zero compares equal.
+        assert np.array_equal(table.centroids, want_centroids)
+    else:
+        assert np.array_equal(table.centroids.view(np.uint32), want_centroids.view(np.uint32))
 
 
 class TestLloydMatchesReference:
@@ -519,44 +540,12 @@ class TestLloydMatchesReference:
 
     def check(self, values, bits, init, seed, max_iters):
         """kmeans_1d twice, with the SSE check's float filter and forced to
-        its exact form, against the reference. values must be float32 ones,
-        so that the reference sees the values kmeans_1d clusters."""
-        assert np.array_equal(np.asarray(values, dtype=np.float32), values)
+        its exact form, against the reference."""
         cfg = ClusterConfig(bits=bits, init=init, seed=seed, max_iters=max_iters)
-
-        def package():
-            table, assignments = kmeans_1d(values, cfg.k, cfg)
-            return table.centroids, assignments
-
-        want = lloyd_outcome(
-            lambda: lloyd_1d_reference(values, cfg.k, init, seed, max_iters, cfg.tol)
-        )
-        got = lloyd_outcome(package)
+        same_as_reference(values, cfg, *kmeans_1d(values, cfg.k, cfg))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cluster, "_sse_bracket", no_bracket)
-            got_exact = lloyd_outcome(package)
-        for outcome in (got, got_exact):
-            self.same_outcome(values, cfg, outcome, want)
-
-    @staticmethod
-    def same_outcome(values, cfg, got, want):
-        if isinstance(want[0], type):
-            assert got == want
-            return
-        assert not isinstance(got[0], type), got
-        assert got[1].dtype == want[1].dtype == np.uint32
-        assert np.array_equal(got[1], want[1])
-        arr = np.asarray(values, dtype=np.float64)
-        both_zeros = np.any((arr == 0) & np.signbit(arr)) and np.any(
-            (arr == 0) & ~np.signbit(arr)
-        )
-        if both_zeros and np.unique(arr).size <= cfg.k:
-            # Exact quantization: np.unique's hash table keeps either zero
-            # when both occur; kmeans_1d keeps the first (see
-            # test_mixed_zeros_keep_the_first_zero). Zero compares equal.
-            assert np.array_equal(got[0], want[0])
-        else:
-            assert np.array_equal(got[0].view(np.uint32), want[0].view(np.uint32))
+            same_as_reference(values, cfg, *kmeans_1d(values, cfg.k, cfg))
 
     @settings(max_examples=300, phases=UNSHRUNK)
     @given(
@@ -568,7 +557,7 @@ class TestLloydMatchesReference:
         seed=st.integers(0, 1000),
         max_iters=st.integers(1, 30),
     )
-    def test_bitwise_equal_or_same_exception(
+    def test_bitwise_equal_to_the_reference(
         self, style, n, data_seed, bits, init, seed, max_iters
     ):
         self.check(lloyd_values(style, n, data_seed), bits, init, seed, max_iters)
@@ -729,13 +718,15 @@ class TestLloydMatchesReference:
         sums_of, events, runs = {}, [], []
         real_init = cluster._SegmentSums.__init__
 
-        def init_spy(self, svals):
-            real_init(self, svals)
+        def init_spy(self, svals, *args):
+            real_init(self, svals, *args)
             sums_of["last"] = self
 
         def means_spy(totals, bounds):
-            fresh = sums_of["last"].totals(bounds)
-            assert np.array_equal(totals.view(np.uint64), fresh.view(np.uint64))
+            # one table: a batch of one row
+            assert totals.shape[0] == bounds.shape[0] == 1
+            fresh = sums_of["last"].totals(bounds[0])
+            assert np.array_equal(totals[0].view(np.uint64), fresh.view(np.uint64))
             events.append("means")
             return real_means(totals, bounds)
 
@@ -758,8 +749,8 @@ class TestLloydMatchesReference:
     def test_fixed_point_stops_early_with_the_same_result(self, monkeypatch):
         real, states = cluster._segment_bounds, []
 
-        def spy(svals, centroids):
-            bounds = real(svals, centroids)
+        def spy(views, centroids):
+            bounds = real(views, centroids)
             states.append((centroids.copy(), bounds.copy()))
             return bounds
 
@@ -771,6 +762,189 @@ class TestLloydMatchesReference:
         # not have moved any centroid; its own still moved, above tol = 0
         assert np.array_equal(b1, b2) and not np.array_equal(c1, c2)
         assert len(states) < 1000
+
+
+def table_values(style: str, n: int, seed: int) -> np.ndarray:
+    """One table of a lockstep batch: a lloyd_values style, or "off-grid",
+    normal values beside one far below them, which leave _SegmentSums'
+    integer grid."""
+    if style == "off-grid":
+        return np.concatenate((lloyd_values("normal", n - 1, seed), [2.0**-120]))
+    return lloyd_values(style, n, seed)
+
+
+def cluster_batch(tables, cfg: ClusterConfig):
+    """kmeans_1d on tables end to end: (table, assignments) of each."""
+    sizes = [t.size for t in tables]
+    got, assignments = kmeans_1d(np.concatenate(tables), cfg.k, cfg, lengths=sizes)
+    assert len(got) == len(tables)
+    edges = np.cumsum([0] + sizes).tolist()
+    return [(table, assignments[lo:hi]) for table, lo, hi in zip(got, edges, edges[1:])]
+
+
+def same_clustering(got, want) -> None:
+    (table, assignments), (want_table, want_assignments) = got, want
+    assert np.array_equal(table.centroids.view(np.uint32), want_table.centroids.view(np.uint32))
+    assert assignments.dtype == want_assignments.dtype == np.uint32
+    assert np.array_equal(assignments, want_assignments)
+
+
+class TestLockstep:
+    """kmeans_1d over a batch of tables (lengths=): each table's result is
+    bitwise its own run, and the reference's."""
+
+    def check(self, tables, cfg: ClusterConfig, reference: bool = True):
+        alone = [kmeans_1d(values, cfg.k, cfg) for values in tables]
+        if reference:
+            for values, (table, assignments) in zip(tables, alone):
+                same_as_reference(values, cfg, table, assignments)
+        for got, want in zip(cluster_batch(tables, cfg), alone):
+            same_clustering(got, want)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cluster, "_sse_bracket", no_bracket)
+            for got, want in zip(cluster_batch(tables, cfg), alone):
+                same_clustering(got, want)
+
+    @pytest.mark.parametrize("dense", [cluster._DENSE, 0], ids=["dense", "blocks"])
+    @settings(max_examples=60, phases=UNSHRUNK, deadline=None)
+    @given(
+        tables=st.lists(
+            st.tuples(
+                st.sampled_from(LLOYD_STYLES + ("off-grid",)),
+                # one value, up to k distinct ones, either side of a block of
+                # _STEP values, and longer tables
+                st.one_of(st.integers(1, 9), st.sampled_from([15, 16, 17, 255, 256, 257]),
+                          st.integers(10, 400)),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        bits=st.integers(1, 8),
+        init=st.sampled_from(INITS),
+        seed=st.integers(0, 1000),
+        max_iters=st.integers(1, 30),
+    )
+    def test_each_table_is_its_own_run(self, dense, tables, bits, init, seed, max_iters):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cluster, "_DENSE", dense)
+            values = [table_values(style, max(n, 2) if style == "off-grid" else n, data_seed)
+                      for style, n, data_seed in tables]
+            cfg = ClusterConfig(bits=bits, init=init, seed=seed, max_iters=max_iters)
+            self.check(values, cfg)
+
+    @staticmethod
+    def live_rows(monkeypatch):
+        """The number of tables each sweep of a batch runs on, as a list that
+        grows as kmeans_1d runs."""
+        real, live = cluster._segment_means, []
+
+        def spy(totals, bounds):
+            live.append(len(totals))
+            return real(totals, bounds)
+
+        monkeypatch.setattr(cluster, "_segment_means", spy)
+        return live
+
+    @pytest.mark.parametrize("tol", [1e-3, 0.0])
+    def test_tables_stop_at_different_sweeps(self, tol, monkeypatch):
+        live = self.live_rows(monkeypatch)
+        tables = [lloyd_values("normal", 300, 1), lloyd_values("clumps", 3000, 5),
+                  lloyd_values("normal", 900, 2), lloyd_values("exponents", 2000, 3)]
+        cfg = ClusterConfig(bits=4, max_iters=60, tol=tol)
+        cluster_batch(tables, cfg)
+        # every table ran the first sweep, and they left the batch one by one
+        assert live[0] == 4
+        assert live == sorted(live, reverse=True) and len(set(live)) == 4
+        self.check(tables, cfg)
+
+    def test_tol_stop_beside_a_table_that_runs_on(self, monkeypatch):
+        # with tol this large a table stops at its first sweep that does not
+        # reseed; the clumps go on reseeding
+        live = self.live_rows(monkeypatch)
+        tables = [lloyd_values("normal", 400, 7), lloyd_values("clumps", 3000, 5)]
+        cfg = ClusterConfig(bits=4, max_iters=20, tol=1e9)
+        cluster_batch(tables, cfg)
+        assert live[0] == 2 and live[-1] == 1
+        self.check(tables, cfg)
+
+    def test_zeros_of_both_signs_in_the_means(self):
+        # the reseeds pick zeros of either sign, and another table's means
+        # sort beside them in the same sweep
+        tables = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            tables.append(rng.permutation(np.concatenate((
+                rng.choice([-0.0, 0.0], 8),
+                1.0 + rng.standard_normal(700) * 1e-4,
+                1000.0 + rng.standard_normal(300) * 1e-4,
+            )).astype(np.float32).astype(np.float64)))
+        tables.append(lloyd_values("zeros", 900, 3))
+        for max_iters in (1, 2, 5):
+            self.check(tables, ClusterConfig(bits=2, max_iters=max_iters))
+
+    @pytest.mark.parametrize("k", [2, 16, 256])
+    def test_row_sort_is_the_sort_of_each_row(self, k):
+        # np.sort along the rows of a batch's means sorts each row as it
+        # sorts that row alone, zeros of both signs included
+        rng = np.random.default_rng(k)
+        means = rng.choice([-0.0, 0.0, -0.0, 1.5, -2.0, 0.25], (40, k))
+        means[::3] *= rng.standard_normal((len(means[::3]), k))
+        rows = np.sort(means, axis=1)
+        for row, alone in zip(rows, means):
+            assert np.array_equal(row.view(np.uint64), np.sort(alone).view(np.uint64))
+        means.sort(axis=1)
+        assert np.array_equal(means.view(np.uint64), rows.view(np.uint64))
+
+    def test_batch_split_at_the_size_cap(self, monkeypatch):
+        sizes = [60, 50, 40, 200, 1, 90, 30]
+        monkeypatch.setattr(cluster, "_BATCH", 100)
+        monkeypatch.setattr(cluster, "_DENSE", 150)
+        # a table above _DENSE runs alone, and so does one above _BATCH
+        assert list(cluster._batches(sizes)) == [[60], [50, 40], [200], [1, 90], [30]]
+        monkeypatch.setattr(cluster, "_DENSE", 1000)
+        assert list(cluster._batches(sizes)) == [[60], [50, 40], [200], [1, 90], [30]]
+        assert list(cluster._batches([100, 1])) == [[100], [1]]
+        real, batches = cluster._lloyd, []
+
+        def spy(vals, batch, *args):
+            batches.append(list(batch))
+            return real(vals, batch, *args)
+
+        monkeypatch.setattr(cluster, "_lloyd", spy)
+        tables = [lloyd_values(style, n, n) for style, n in
+                  zip(("normal", "clumps", "grid", "normal", "zeros", "exponents", "normal"),
+                      sizes)]
+        cfg = ClusterConfig(bits=3, max_iters=25)
+        cluster_batch(tables, cfg)
+        assert batches == [[60], [50, 40], [200], [1, 90], [30]]
+        self.check(tables, cfg)
+
+    def test_one_call_for_every_conv_of_the_per_layer_scope(self, folded, monkeypatch):
+        real, calls = cluster.kmeans_1d, []
+
+        def spy(values, k, cfg=None, lengths=None):
+            calls.append((values.size, lengths))
+            return real(values, k, cfg, lengths)
+
+        monkeypatch.setattr(cluster, "kmeans_1d", spy)
+        cfg = ClusterConfig(scope="per_layer", bits=5)
+        model = cluster_model(folded, cfg)
+        sizes = [conv.n_weights for conv in folded.convs]
+        assert calls == [(sum(sizes), sizes)]
+        for entry, conv in zip(model.entries, folded.convs):
+            table, assignments = real(conv.kernel, cfg.k, cfg)
+            assert entry.table == table
+            assert entry.packed == pack_indices(assignments, cfg.bits)
+
+    def test_lengths_must_cover_the_values(self):
+        with pytest.raises(ValueError, match="lengths add up to 4, not to the 5 values"):
+            kmeans_1d(np.arange(5.0), 2, lengths=[1, 3])
+        with pytest.raises(ValueError, match="non-empty"):
+            kmeans_1d(np.arange(5.0), 2, lengths=[0, 5])
+        tables, assignments = kmeans_1d(np.arange(5.0), 2, lengths=np.array([2, 3]))
+        assert [t.centroids.tolist() for t in tables] == [[0.0, 1.0], [2.5, 4.0]]
+        assert assignments.tolist() == [0, 1, 0, 0, 1]
 
 
 def on_grid(svals) -> bool:
@@ -1000,6 +1174,18 @@ class TestSegmentSums:
         kmeans_1d(lloyd_values("normal", 20000, 17), 256, ClusterConfig(max_iters=10))
 
 
+def sweep_sse(sums, centroids, bounds):
+    """The _SweepSSE of one table's centroids and bounds, a batch of one."""
+    return cluster._SweepSSE(cluster._Tables([sums.values]), centroids[None], bounds[None])
+
+
+def bracket(sums, centroids, bounds):
+    """_sse_bracket of one table: its (lo, hi)."""
+    lo, hi = cluster._sse_bracket(np.array([sums.square_sum]), centroids[None], bounds[None],
+                                  sums.totals(bounds)[None])
+    return lo[0], hi[0]
+
+
 def fraction_sse(svals, centroids, bounds) -> float:
     """The SSE as _SweepSSE defines it, straight from that definition: the
     sum of every (x - c)**2 over the non-empty segments, in Fractions,
@@ -1022,7 +1208,7 @@ def sweep_state(svals, rng, k, spread):
     picks = rng.choice(svals, k)
     centroids = np.sort(picks + spread * rng.standard_normal(k) * np.abs(picks))
     if rng.random() < 0.5:
-        return centroids, cluster._segment_bounds(svals, centroids)
+        return centroids, cluster._segment_bounds([svals], centroids[None])[0]
     cuts = np.sort(rng.integers(0, svals.size + 1, k - 1))
     return centroids, np.concatenate(([0], cuts, [svals.size]))
 
@@ -1054,11 +1240,12 @@ class TestSweepSSE:
         svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
         centroids, bounds = sweep_state(svals, rng, k, spread)
         sums = cluster._SegmentSums(svals)
-        sse = cluster._SweepSSE(sums, centroids, bounds)
+        sse = sweep_sse(sums, centroids, bounds)
         want = fraction_sse(svals, centroids, bounds)
-        assert same_float(sse.exact, want)
-        lo, hi = cluster._sse_bracket(sums, centroids, bounds, sums.totals(bounds))
+        assert same_float(sse.exact(0), want)
+        lo, hi = bracket(sums, centroids, bounds)
         assert lo <= want <= hi
+        assert (lo, hi) == (sse.lo[0], sse.hi[0])
 
     # (values, centroids, bounds, the exact SSE rounded once); every value
     # is a float32 one
@@ -1092,9 +1279,9 @@ class TestSweepSSE:
         centroids, bounds = np.asarray(centroids, dtype=np.float64), np.asarray(bounds)
         assert same_float(fraction_sse(svals, centroids, bounds), want)
         sums = cluster._SegmentSums(svals)
-        sse = cluster._SweepSSE(sums, centroids, bounds)
-        assert same_float(sse.exact, want)
-        lo, hi = sse.bracket
+        sse = sweep_sse(sums, centroids, bounds)
+        assert same_float(sse.exact(0), want)
+        lo, hi = bracket(sums, centroids, bounds)
         assert lo <= want <= hi
 
     def test_check_is_the_exact_comparison(self, layout, monkeypatch):
@@ -1124,7 +1311,7 @@ class TestSweepSSE:
                 states = [(centroids, bounds), (moved, bounds),
                           sweep_state(svals, rng, 8, 1e-9 * (trial % 4))]
                 for i, j in ((0, 1), (1, 0), (0, 2), (2, 0)):
-                    first, second = (cluster._SweepSSE(sums, *states[x]) for x in (i, j))
+                    first, second = (sweep_sse(sums, *states[x]) for x in (i, j))
                     want = (fraction_sse(svals, *states[j])
                             > fraction_sse(svals, *states[i]) * (1.0 + 1e-9))
                     before = len(exacts)
@@ -1171,8 +1358,8 @@ class TestSweepSSE:
         grids, peaks, exacts = [], [], []
         numpy_spy = LargestArgument(exempt=("searchsorted",))
 
-        def init_spy(self, svals):
-            real_init(self, svals)
+        def init_spy(self, svals, *args):
+            real_init(self, svals, *args)
             grids.append(self.prefix is not None)
 
         def means_spy(totals, bounds):
@@ -1345,6 +1532,26 @@ class TestWeightsIO:
         assert toy_weights.conv_for_layer(0).layer_index == 0
         with pytest.raises(KeyError, match="no conv parameters for layer 2"):
             toy_weights.conv_for_layer(2)
+
+    def test_each_field_is_read_with_one_copy(self):
+        # a conv of 147,456 weights: reading it allocates its kernel, 4 bytes
+        # a weight, and no copy of the payload's bytes besides
+        net = parse_config("[net]\nwidth=8\nheight=8\nchannels=64\n\n"
+                           "[convolutional]\nbatch_normalize=1\nfilters=256\nsize=3\n"
+                           "stride=1\npad=1\nactivation=leaky\n")
+        data = weights_blob(net, seed=3)
+        tracemalloc.start()
+        try:
+            weights = read_darknet_weights(data, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (conv,) = weights.convs
+        assert conv.n_weights == 147_456
+        assert peak < 5 * conv.n_weights
+        for field in (conv.biases, conv.kernel, conv.scales, conv.rolling_mean, conv.rolling_var):
+            assert field.base is None and field.flags.writeable
+        assert write_darknet_weights(weights) == data
 
     def test_truncation_names_what_is_missing(self, toy_net, toy_weights_bytes):
         with pytest.raises(WeightsFormatError, match="truncated.*kernel"):
