@@ -365,25 +365,24 @@ def _segment_bounds(views, centroids: np.ndarray) -> np.ndarray:
     return bounds
 
 
-# _SegmentSums keeps its exact prefix sums at every _STEP-th sorted value, 2 B
-# per value, but at every value of a table of at most _DENSE values, 16 B per
-# value and so at most 1 MB: on a small table, the block correction of a
-# sweep's k + 1 bounds costs more than reading them off a whole prefix. It
-# builds them _CHUNK values at a time, which bounds its temporaries.
-# kmeans_1d runs tables of at most _DENSE values in lockstep batches of at
-# most _BATCH values (a larger table runs alone); a batch holds its sorted
-# copy, argsort orders and prefixes, 26 B per value and so at most 3.4 MB,
-# besides its sweeps' (tables, k) arrays
+# A batch of at most _BATCH values in all keeps its tables' exact prefix sums
+# at every value, 16 B per value; a larger table runs alone and keeps them at
+# every _STEP-th value, 2 B per value: on a small table, the block correction
+# of a sweep's k + 1 bounds costs more than reading them off a whole prefix.
+# Prefixes are built _CHUNK values at a time, which bounds their temporaries
+# at about 32 B per value of a chunk. A batch holds its sorted copy,
+# positions and prefixes, 28 B per value and so at most 3.5 MB, besides its
+# sweeps' (tables, k) arrays
 _STEP = 8
-_DENSE = 1 << 16
 _BATCH = 1 << 17
 _OFFSETS = np.arange(_STEP)[:, None]
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 _LOW = (1 << 31) - 1
-_LIMB = (1 << 21) - 1
 # every finite float32 is a whole multiple of 2**_FINE, and its square, exact
 # in float64, one of 2**(2 * _FINE)
 _FINE = -149
+# _rounded_runs' place values of t and u, from those of hi and lo
+_WIDER = np.array([[[2.0**21]], [[1.0]]])
 
 
 def _units(values: np.ndarray, unit: int):
@@ -393,27 +392,22 @@ def _units(values: np.ndarray, unit: int):
     return map(int, np.ldexp(values, -unit).tolist())
 
 
-def _square_sum(m: np.ndarray) -> int:
-    """Σ m**2, exact, over at most _CHUNK int64 values below 2**62 in
-    magnitude: each |m| splits into three 21-bit limbs, and every sum of
-    limb products over the chunk stays below 2**58, exact in int64. m is
-    overwritten."""
-    l2 = np.abs(m, out=m)
-    l0 = l2 & _LIMB
-    l2 >>= 21
-    l1 = l2 & _LIMB
-    l2 >>= 21
+def _square_sums(part: np.ndarray, cuts) -> list[int]:
+    """Σ part**2 over each run of part from one of cuts to the next (the
+    last to the end), exactly, as Python ints. part is overwritten.
 
-    def dot(x, y):
-        return int(np.einsum("i,i->", x, y))
-
-    return (
-        dot(l0, l0)
-        + (dot(l0, l1) << 22)
-        + ((dot(l1, l1) + 2 * dot(l0, l2)) << 42)
-        + (dot(l1, l2) << 64)
-        + (dot(l2, l2) << 84)
-    )
+    part holds float32 values scaled onto their grid: integers below 2**62
+    in magnitude with at most 24 significant bits. So each square is exact
+    in float64, and splits exactly into parts below 2**42 at bits 42 and
+    84, whose int64 sums over at most _CHUNK values stay below 2**56.
+    """
+    q = np.square(part, out=part)
+    top = np.floor(q * 2.0**-84)
+    q -= top * 2.0**84
+    mid = np.floor(q * 2.0**-42)
+    q -= mid * 2.0**42
+    sums = [np.add.reduceat(x.astype(np.int64), cuts).tolist() for x in (q, mid, top)]
+    return [a + (b << 42) + (c << 84) for a, b, c in zip(*sums)]
 
 
 def _rounded(num: int, exp: int) -> float:
@@ -421,187 +415,240 @@ def _rounded(num: int, exp: int) -> float:
     return float(num << exp) if exp >= 0 else num / (1 << -exp)
 
 
-def _rounded_runs(limbs: np.ndarray, high, grid, n: int) -> np.ndarray:
-    """Each run's exact sum, hi * 2**31 + lo units of grid = 2**e, rounded
-    once to float64, for runs of a table of at most n values whose prefix
-    _SegmentSums keeps; limbs holds hi and lo, and high is 2**(e + 31).
-    grid and high may be columns of one unit per row of hi and lo.
+def _rounded_runs(limbs: np.ndarray, places: np.ndarray, n: int) -> np.ndarray:
+    """Each run's exact sum, hi * 2**31 + lo units of 2**e, rounded once to
+    float64, for runs of a table of at most n values whose prefix
+    _SegmentSums keeps; limbs holds hi and lo, and places their place
+    values 2**(e + 31) and 2**e, each a column of one per row of hi and lo.
 
     A run's hi is the sum of its values' m >> 31, at most 2**31 each in
-    magnitude, and of at most n + 1 carries, and |lo| < 2**35.
+    magnitude, and of at most n + 1 carries. Its lo sums at most n + _STEP
+    values below 2**31, so |lo| < 2**53 below 2**21 values; from 2**21 on,
+    the prefix moves lo's carries into hi, and |lo| < 2**35.
     """
-    hi, lo = limbs
-    if n < 1 << 21:
-        # |hi| < 2**53: hi * 2**(e + 31) and lo * 2**e are exact float64s,
-        # so the one addition rounds the sum
-        runs = hi * high
-        runs += lo * grid
-        return runs
-    # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
-    # |u| < 2**53: both are exact float64s, so the one addition rounds it
-    t, u = hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo
-    return t * (high * 2.0**21) + u * grid
+    if n >= 1 << 21:
+        # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
+        # |u| < 2**53
+        hi, lo = limbs
+        limbs = np.stack((hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo))
+        places = places * _WIDER
+    # below 2**21 values |hi| < 2**53: each limb times its place is an exact
+    # float64, so the one addition, the reduce over the two, rounds the sum
+    return np.add.reduce(limbs * places, axis=0)
 
 
 class _SegmentSums:
-    """math.fsum of the runs between bounds of a sorted array, bit for bit,
-    and the exact sums that the SSE check reads.
+    """math.fsum of the runs between bounds of a lockstep batch's sorted
+    tables, bit for bit, and the exact sums that the SSE check reads.
 
-    The values are float32 ones held in float64, as kmeans_1d sorts them:
-    each is a whole multiple of 2**_FINE = 2**-149 and below 2**128 in
-    magnitude. So no sum or square of them, exact or rounded, leaves the
-    float64 range, and a nonzero one is at least 2**-298 in magnitude: far
-    from both ends of it, so nothing here overflows or underflows.
+    svals holds each table's sizes[t] sorted values after a slot of its
+    own, at column starts[t], that holds 0.0 (_sorted); rows index the
+    tables that iterate, one row each, and views holds their values. keep
+    drops the rows of tables that stop.
 
-    The grid: every value is m * 2**e for one e, the frexp exponent of the
-    largest magnitude less 62, so |m| < 2**62 splits into 31-bit limbs
-    m = hi * 2**31 + lo, 0 <= lo < 2**31 (hi is m >> 31, rounded toward
-    -inf). Column j of prefix holds the sums of hi (row 0) and lo (row 1)
-    over values[:j * step], exact in int64, with lo's carry moved into hi;
-    step is 1 for at most _DENSE values, else _STEP. A run's exact sum is
-    the difference of the prefixes at its bounds, each completed by the at
-    most step - 1 values past its column, and is rounded to float64 once:
-    it is fsum's correctly rounded sum. A zero one is +0.0, as fsum gives.
+    The values are float32 ones held in float64: each is a whole multiple
+    of 2**_FINE = 2**-149 and below 2**128 in magnitude. So no sum or
+    square of them, exact or rounded, leaves the float64 range, and a
+    nonzero one is at least 2**-298 in magnitude: far from both ends of it,
+    so nothing here overflows or underflows.
 
-    prefix is None off the grid: where some value is no multiple of 2**e
-    (its values span more than 62 bits), or where 2**32 values or more
-    could overflow the int64 limb sums. Runs are then summed with fsum one
-    by one. A caller may hand in the zeroed (2, n // step + 1) int64 array
-    to build prefix in: kmeans_1d lays a batch's prefixes side by side.
+    The grid: every value of a table is m * 2**e for one e, the frexp
+    exponent of its largest magnitude less 62, so |m| < 2**62 splits into
+    31-bit limbs m = hi * 2**31 + lo, 0 <= lo < 2**31 (hi is m >> 31,
+    rounded toward -inf). prefix holds the sums of hi (row 0) and lo
+    (row 1) over a table's first values, exact in int64 (kmeans_1d takes
+    fewer than 2**32 values a table); from 2**21 values on, lo's carries
+    move into hi, as _rounded_runs needs there. A run's exact sum is the
+    difference of the prefixes at its bounds, rounded to float64 once: it
+    is fsum's correctly rounded sum. A zero one is +0.0, as fsum gives.
 
-    exact gives the runs' sums, and squares the sum of every value's
-    square, exactly, as Python ints in units of 2**unit and 2**(2 * unit).
-    On the grid unit is e: exact reads the prefix in O(k), and squares is
-    summed from the m of each chunk as the prefix is built. Off the grid
+    The layout: a batch of at most _BATCH values (step 1) keeps a column
+    per column of svals, so row r's bound b is column columns[r] + b, and
+    one take reads a sweep's bounds of every table, each rounded in its own
+    units (places: 2**(e + 31) and 2**e, 0.0 off the grid). A larger table
+    (step _STEP) runs alone and keeps column j for svals[:j * _STEP], slot
+    included; a bound's sum adds the at most _STEP - 1 values past its
+    column. Both form the same integers, so the layout never shows. One
+    pass over svals builds every table's prefix: it scales each table's run
+    of a chunk by its 2**-e, writes the limbs and sums the squares; at
+    step 1 each slot then takes minus the limb sums of the table before it,
+    so that one cumsum over the batch starts every table from 0 at its slot.
+
+    A table off its grid, where some value is no multiple of 2**e (its
+    values span more than 62 bits), is a row of off: fsum sums its runs.
+
+    exact gives a row's run sums, and squares the sum of every value's
+    square, exactly, as Python ints in units of 2**units[row] and
+    2**(2 * units[row]). On the grid the unit is e: exact reads the prefix
+    in O(k), and squares is summed as the prefix is built. Off the grid the
     unit is _FINE, and both are summed value by value in O(n), squares once.
     """
 
-    def __init__(self, sorted_values: np.ndarray, prefix: np.ndarray | None = None):
-        self.values = sorted_values
-        self.prefix = None
-        self.unit, self._squares = _FINE, None
-        self.step = 1 if sorted_values.size <= _DENSE else _STEP
-        n = sorted_values.size
-        if n >> 32:
-            return
-        peak = max(-float(sorted_values[0]), float(sorted_values[-1]))
-        e = math.frexp(peak)[1] - 62
-        self.grid, self.high = math.ldexp(1.0, e), math.ldexp(1.0, e + 31)
-        self.scale = math.ldexp(1.0, -e)
-        step = self.step
-        if prefix is None:
-            prefix = np.zeros((2, n // step + 1), dtype=np.int64)
-        squares = 0
-        for i in range(0, n, _CHUNK):
+    def __init__(self, svals: np.ndarray, starts: np.ndarray, sizes: np.ndarray, rows):
+        self.svals = svals
+        size = svals.size
+        self.step = 1 if size - sizes.size <= _BATCH else _STEP
+        e = np.frexp(np.maximum(-svals[starts + 1], svals[starts + sizes]))[1] - 62
+        scale = np.ldexp(1.0, -e)
+        # runs of one table within one chunk
+        cuts = np.zeros(size, dtype=bool)
+        cuts[starts] = cuts[::_CHUNK] = True
+        cuts = np.flatnonzero(cuts)
+        owner = np.searchsorted(starts, cuts, side="right") - 1
+        lengths = np.diff(cuts, append=size)
+        chunks = np.searchsorted(cuts, range(0, size + _CHUNK, _CHUNK)).tolist()
+        off, squares = np.empty(cuts.size, dtype=bool), []
+        prefix = np.zeros((2, size if self.step == 1 else size // _STEP + 1), dtype=np.int64)
+        for a, i, j in zip(range(0, size, _CHUNK), chunks, chunks[1:]):
+            runs = cuts[i:j] - a
             # scaling a float32 value by 2**-e neither overflows nor
             # underflows, so it is exact: the value is a multiple of 2**e
             # where its part is an integer, m
-            part = sorted_values[i : i + _CHUNK] * self.scale
+            part = np.repeat(scale[owner[i:j]], lengths[i:j])
+            part *= svals[a : a + _CHUNK]
             m = part.astype(np.int64)
-            if not (m == part).all():
-                return
-            del part  # _square_sum's limbs take its place
-            j = i // step + 1
-            if step == 1:
-                np.right_shift(m, 31, out=prefix[0, j : j + m.size])
-                np.bitwise_and(m, _LOW, out=prefix[1, j : j + m.size])
+            off[i:j] = np.logical_or.reduceat(m != part, runs)
+            if self.step == 1:
+                np.right_shift(m, 31, out=prefix[0, a : a + m.size])
+                np.bitwise_and(m, _LOW, out=prefix[1, a : a + m.size])
             else:
                 # einsum sums the short rows several times faster than sum
-                blocks = m[: m.size - m.size % step].reshape(-1, step)
-                prefix[0, j : j + len(blocks)] = np.einsum("ij->i", blocks >> 31)
-                prefix[1, j : j + len(blocks)] = np.einsum("ij->i", blocks & _LOW)
-            squares += _square_sum(m)
+                m = m[: m.size - m.size % _STEP].reshape(-1, _STEP)
+                at = a // _STEP + 1
+                np.einsum("ij->i", m >> 31, out=prefix[0, at : at + len(m)])
+                np.einsum("ij->i", m & _LOW, out=prefix[1, at : at + len(m)])
+            del m  # _square_sums' parts take its place
+            squares += _square_sums(part, runs)
+        prefix[:, starts[1:]] = -np.add.reduceat(prefix[:, : starts[-1]], starts[:-1], axis=1)
         np.cumsum(prefix, axis=1, out=prefix)
-        prefix[0] += prefix[1] >> 31
-        prefix[1] &= _LOW
+        if sizes.max() >= 1 << 21:
+            prefix[0] += prefix[1] >> 31
+            prefix[1] &= _LOW
         self.prefix = prefix
-        self.unit, self._squares = e, squares
+        firsts = np.searchsorted(cuts, starts)
+        on = ~np.logical_or.reduceat(off, firsts)
+        edges = firsts.tolist() + [cuts.size]
+        rows = rows.tolist()
+        self.views = [svals[starts[r] + 1 : starts[r] + 1 + sizes[r]] for r in rows]
+        self.n = max(sizes[r] for r in rows)
+        self.off = [i for i, r in enumerate(rows) if not on[r]]
+        self.units = [int(e[r]) if on[r] else _FINE for r in rows]
+        self._squares = [sum(squares[edges[r] : edges[r + 1]]) if on[r] else None for r in rows]
+        self.columns, self.scale = starts[rows, None], scale[0]
+        grid = np.ldexp(on[rows] * 1.0, self.units)[:, None]
+        self.places = np.stack((grid * 2.0**31, grid))
+        self.square_sum = np.array([_rounded(self.squares(i), 2 * unit)
+                                    for i, unit in enumerate(self.units)])
 
-    def _limbs(self, bounds: np.ndarray) -> np.ndarray:
-        """Rows hi and lo of each run on the grid: its exact sum over 2**e
-        is hi * 2**31 + lo."""
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the tables that the boolean mask rows selects."""
+        kept = np.flatnonzero(rows).tolist()
+        self.views = [self.views[r] for r in kept]
+        self.units = [self.units[r] for r in kept]
+        self._squares = [self._squares[r] for r in kept]
+        self.off = [new for new, old in enumerate(kept) if old in self.off]
+        self.columns, self.places = self.columns[rows], self.places[:, rows]
+        self.square_sum = self.square_sum[rows]
+
+    def _limbs(self, bounds: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Rows hi and lo of each run between bounds, one row of bounds per
+        table of columns: its exact sum over 2**e is hi * 2**31 + lo."""
         if self.step == 1:
-            limbs = self.prefix.take(bounds, axis=1)
+            limbs = self.prefix.take(bounds + columns, axis=1)
         else:
-            # column i holds the values of bound i's block below it, as m
-            column, r = np.divmod(bounds, _STEP)
-            at = _OFFSETS + (bounds - r)
-            m = (self.values.take(at, mode="clip") * self.scale).astype(np.int64)
-            m *= _OFFSETS < r
-            limbs = self.prefix.take(column, axis=1)
-            limbs += np.add.reduce(np.divmod(m, 1 << 31), axis=1)
-        return limbs[:, 1:] - limbs[:, :-1]
+            # one table; past its slot, a bound is svals's end
+            ends = bounds[0] + 1
+            column, r = np.divmod(ends, _STEP)
+            # column i holds the values of end i's block below it, as m
+            m = self.svals.take(_OFFSETS + (ends - r), mode="clip") * self.scale
+            m = m.astype(np.int64) * (_OFFSETS < r)
+            limbs = self.prefix.take(column, axis=1) + np.add.reduce(np.divmod(m, 1 << 31), axis=1)
+            limbs = limbs[:, None]
+        return limbs[..., 1:] - limbs[..., :-1]
 
     def totals(self, bounds: np.ndarray) -> np.ndarray:
-        """math.fsum(values[bounds[i]:bounds[i + 1]]) for each i."""
-        if self.prefix is None:
-            return self.fsums(bounds)
-        return _rounded_runs(self._limbs(bounds), self.high, self.grid, self.values.size)
+        """math.fsum(views[r][bounds[r, i]:bounds[r, i + 1]]) for each row r
+        and segment i."""
+        totals = _rounded_runs(self._limbs(bounds, self.columns), self.places, self.n)
+        for row in self.off:
+            totals[row] = self.fsums(row, bounds[row])
+        return totals
 
-    def fsums(self, bounds: np.ndarray) -> np.ndarray:
-        """totals off the grid: math.fsum of each run."""
-        edges = bounds.tolist()
-        return np.array(
-            [math.fsum(self.values[lo:hi].tolist()) for lo, hi in zip(edges, edges[1:])]
-        )
+    def fsums(self, row: int, bounds: np.ndarray) -> np.ndarray:
+        """totals of a row off the grid: math.fsum of each run."""
+        edges, values = bounds.tolist(), self.views[row]
+        return np.array([math.fsum(values[lo:hi].tolist()) for lo, hi in zip(edges, edges[1:])])
 
-    def exact(self, bounds: np.ndarray) -> list[int]:
-        """The exact sum of each run between bounds, in units of 2**unit."""
-        if self.prefix is None:
-            edges = bounds.tolist()
-            return [sum(_units(self.values[lo:hi], _FINE)) for lo, hi in zip(edges, edges[1:])]
-        hi, lo = self._limbs(bounds)
+    def exact(self, row: int, bounds: np.ndarray) -> list[int]:
+        """The exact sum of each run of row between bounds, in units of
+        2**units[row]."""
+        if row in self.off:
+            edges, values = bounds.tolist(), self.views[row]
+            return [sum(_units(values[lo:hi], _FINE)) for lo, hi in zip(edges, edges[1:])]
+        hi, lo = self._limbs(bounds[None], self.columns[row])[:, 0]
         return [(h << 31) + l for h, l in zip(hi.tolist(), lo.tolist())]
 
-    @property
-    def squares(self) -> int:
-        """Σ x**2 over every value, exact, in units of 2**(2 * unit)."""
-        if self._squares is None:
-            self._squares = sum(
-                sum(_units(np.square(self.values[i : i + _CHUNK]), 2 * _FINE))
-                for i in range(0, self.values.size, _CHUNK)
+    def squares(self, row: int) -> int:
+        """Σ x**2 over row's values, exact, in units of 2**(2 * units[row])."""
+        if self._squares[row] is None:
+            values = self.views[row]
+            self._squares[row] = sum(
+                sum(_units(np.square(values[i : i + _CHUNK]), 2 * _FINE))
+                for i in range(0, values.size, _CHUNK)
             )
-        return self._squares
-
-    @cached_property
-    def square_sum(self) -> float:
-        """Σ x**2 in float64: squares, rounded once."""
-        return _rounded(self.squares, 2 * self.unit)
+        return self._squares[row]
 
 
 def _segment_means(totals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Mean of each segment, its sum in totals (_SegmentSums.totals, so
-    math.fsum) over its length; NaN if empty, as an empty sum is 0.0. The
-    last axis runs over one table's segments, row by row.
+    math.fsum) over its length; NaN if empty, as an empty sum is 0.0: the
+    caller holds np.errstate for that 0/0. The last axis runs over one
+    table's segments, row by row.
 
     fsum keeps the mean exactly rounded, pinning results across platforms
     regardless of summation order optimizations.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return totals / (bounds[..., 1:] - bounds[..., :-1])
+    return totals / (bounds[..., 1:] - bounds[..., :-1])
 
 
-def _farthest(dist: np.ndarray, e: int) -> np.ndarray:
+def _farthest(dist: np.ndarray, e: int, bounds: np.ndarray) -> np.ndarray:
     """Indexes of the e largest distances, ties going to the lowest index.
 
     These are the picks of e rounds of argmax that each retire their pick,
     found in O(n). They come in index order, not pick order; the centroids
     are sorted next, so that order never shows.
+
+    dist holds sorted values' distances to their segments' centroids, the
+    segments lying between bounds: along a segment the distance falls, then
+    rises (rounding keeps that order), so its e largest lie among its first
+    e and its last e. The e-th largest of those candidates is therefore the
+    e-th largest of all; where they are few, it is found without a copy of
+    dist.
     """
-    threshold = np.partition(dist, dist.size - e)[dist.size - e]
+    lo, hi = bounds[:-1], bounds[1:]
+    candidates = dist
+    if 2 * e * lo.size < dist.size:
+        # each segment's first e values, then those of its last e past them
+        starts = np.concatenate((lo, np.maximum(hi - e, lo + e)))
+        lengths = np.maximum(np.concatenate((np.minimum(lo + e, hi), hi)) - starts, 0)
+        ends = np.cumsum(lengths)
+        candidates = dist[np.repeat(starts + lengths - ends, lengths) + np.arange(ends[-1])]
+    threshold = np.partition(candidates, candidates.size - e)[candidates.size - e]
     above = np.flatnonzero(dist > threshold)
     tied = np.flatnonzero(dist == threshold)[: e - above.size]
     return np.concatenate((above, tied))
 
 
-# the unit roundoff of float64
+# the unit roundoff of float64, and the signs of the bracket's ends
 _EPS = 2.0**-53
+_SIGNS = np.array([[-1.0], [1.0]])
+_TWICE, _OUTWARD = 2.0 * _SIGNS, _SIGNS * np.inf
 
 
 def _sse_bracket(square_sum, centroids, bounds, totals):
-    """Floats lo <= hi around the SSE of centroids over bounds, as
-    _SweepSSE defines it, one of each per table: centroids, bounds and
-    totals hold one row per table, and square_sum each table's Σx², its
+    """Floats lo <= hi around the SSE of centroids over bounds, as _sweeps
+    checks it, one of each per table: centroids, bounds and totals hold one
+    row per table, and square_sum each table's Σx²,
     _SegmentSums.square_sum.
 
     The SSE is Σx² - 2 Σ c·S + Σ n·c², c being a segment's centroid, S its
@@ -624,169 +671,87 @@ def _sse_bracket(square_sum, centroids, bounds, totals):
     2**300, inside float64's normal range.
     """
     # Σ c·S, Σ |c·S| and Σ n·c² of each row
-    term = centroids * totals
-    cross = np.add.reduce(term, axis=1)
-    magnitude = np.add.reduce(np.abs(term, out=term), axis=1)
-    np.multiply(centroids, centroids, out=term)
-    term *= bounds[:, 1:] - bounds[:, :-1]
-    spread = np.add.reduce(term, axis=1)
-    m = 2 * term.shape[1] + 16
-    gamma = m * _EPS / (1.0 - m * _EPS)
-    # the rest is a few float operations per table, cheaper in Python
-    # floats than in numpy calls on a batch's few rows
-    lo, hi = [], []
-    for c_s, abs_c_s, n_cc, squares in zip(cross.tolist(), magnitude.tolist(),
-                                           spread.tolist(), square_sum.tolist()):
-        estimate = squares + (n_cc - 2.0 * c_s)
-        error = gamma * (squares + (n_cc + 2.0 * abs_c_s))
-        lo.append(math.nextafter(estimate - error, -math.inf))
-        hi.append(math.nextafter(estimate + error, math.inf))
-    return np.array(lo), np.array(hi)
+    terms = np.empty((3, *centroids.shape))
+    np.multiply(centroids, totals, out=terms[0])
+    np.abs(terms[0], out=terms[1])
+    np.multiply(centroids, centroids, out=terms[2])
+    terms[2] *= bounds[:, 1:] - bounds[:, :-1]
+    sums = np.add.reduce(terms, axis=2)
+    # Σx² + (Σ n·c² - 2 Σ c·S), the estimate, and Σx² + (Σ n·c² + 2 Σ |c·S|)
+    sums[:2] *= _TWICE
+    parts = sums[2] + sums[:2]
+    parts += square_sum
+    # the error, then the estimate less and plus it, each rounded outward
+    m = 2 * centroids.shape[1] + 16
+    parts[1] *= m * _EPS / (1.0 - m * _EPS)
+    return np.nextafter(parts[0] + parts[1] * _SIGNS, _OUTWARD)
 
 
-def _exact_sse(sums: _SegmentSums, centroids, bounds) -> float:
-    """The SSE of centroids over bounds as _SweepSSE defines it, formed from
-    sums' exact integers and each centroid's as_integer_ratio."""
+def _exact_sse(sums: _SegmentSums, row: int, centroids, bounds) -> float:
+    """The SSE of row's centroids over its bounds as _sweeps checks it,
+    formed from sums' exact integers and each centroid's
+    as_integer_ratio."""
+    unit = sums.units[row]
     counts = bounds[1:] - bounds[:-1]
     held = counts > 0
     ratios = [c.as_integer_ratio() for c in centroids[held].tolist()]
     # everything in units of 2**fine, the finer of the sums' unit and the
     # centroids' lowest bits; the SSE in units of 2**(2 * fine)
-    fine = min([sums.unit] + [1 - den.bit_length() for _, den in ratios])
-    shift = sums.unit - fine
-    total = sums.squares << (2 * shift)
-    held_sums = (s for s, h in zip(sums.exact(bounds), held.tolist()) if h)
+    fine = min([unit] + [1 - den.bit_length() for _, den in ratios])
+    shift = unit - fine
+    total = sums.squares(row) << (2 * shift)
+    held_sums = (s for s, h in zip(sums.exact(row, bounds), held.tolist()) if h)
     for (num, den), sj, nj in zip(ratios, held_sums, counts[held].tolist()):
         cj = num << (1 - fine - den.bit_length())
         total += cj * (nj * cj - (sj << (shift + 1)))
     return _rounded(total, 2 * fine)
 
 
-class _SweepSSE:
-    """The SSEs of one sweep, one per live table of a batch: each the exact
-    Σ (x - c)**2 over the values of every non-empty segment of its table,
-    rounded once to float64.
+def _increased(sums: _SegmentSums, now: tuple, before: tuple, steady, live) -> bool:
+    """Whether the "SSE increased" test, sse > prev_sse * (1.0 + 1e-9),
+    holds on the exact SSEs of some row that steady selects (every row when
+    None).
 
-    Row r holds the sweep's centroids and bounds of tables' row r. totals
-    are the segments' sums, which the next sweep's means divide; lo and hi
-    bracket each SSE, from _sse_bracket and totals in O(k). exact(r) is row
-    r's SSE itself, from _exact_sse: in O(k) on the grid, in O(n) off it.
-    It is formed when first read, once: a sweep that reseeds reads none,
-    unless the next sweep checks against it.
+    now and before are the states (centroids, bounds, lo, hi, exact) of a
+    sweep and of the one before it, on the same rows, whose tables live
+    numbers. The SSE is the exact Σ (x - c)**2 over the values of every
+    non-empty segment of a row's table, rounded once to float64; lo and hi
+    bracket each row's (_sse_bracket), and exact holds the SSEs formed so
+    far, by table (_exact_sse: in O(k) on the grid, in O(n) off it). The
+    test reads them only where the brackets leave it open, and forms each
+    once.
     """
-
-    def __init__(self, tables: _Tables, centroids, bounds):
-        self.tables, self.centroids, self.bounds = tables, centroids, bounds
-        self.totals = tables.totals(bounds)
-        self.lo, self.hi = _sse_bracket(tables.square_sum, centroids, bounds, self.totals)
-        self._exact = {}
-
-    def exact(self, row: int) -> float:
-        if row not in self._exact:
-            self._exact[row] = _exact_sse(
-                self.tables.sums[row], self.centroids[row], self.bounds[row]
-            )
-        return self._exact[row]
-
-    def exceeds(self, prev: _SweepSSE, checked: np.ndarray | None = None) -> bool:
-        """Whether the "SSE increased" test, sse > prev_sse * (1.0 + 1e-9),
-        holds on the exact SSEs of some row that checked selects (every row
-        when None); it reads them only where the brackets leave it open.
-        prev is the sweep before, on the same rows."""
-        # the rows that may have increased; above them, those that did
-        maybe = self.hi > prev.lo * (1.0 + 1e-9)
-        if checked is not None:
-            maybe &= checked
-        if not np.count_nonzero(maybe):
-            return False
-        if np.count_nonzero(maybe & (self.lo > prev.hi * (1.0 + 1e-9))):
+    # the rows that may have increased; above them, those that did
+    maybe = now[3] > before[2] * (1.0 + 1e-9)
+    if steady is not None:
+        maybe &= steady
+    if not np.count_nonzero(maybe):
+        return False
+    if np.count_nonzero(maybe & (now[2] > before[3] * (1.0 + 1e-9))):
+        return True
+    for row in np.flatnonzero(maybe).tolist():
+        table = live[row]
+        for centroids, bounds, _, _, exact in (now, before):
+            if table not in exact:
+                exact[table] = _exact_sse(sums, row, centroids[row], bounds[row])
+        if now[4][table] > before[4][table] * (1.0 + 1e-9):
             return True
-        return any(
-            self.exact(row) > prev.exact(row) * (1.0 + 1e-9)
-            for row in np.flatnonzero(maybe).tolist()
-        )
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep the rows that the boolean mask rows selects, as tables.keep
-        does."""
-        self.centroids, self.bounds = self.centroids[rows], self.bounds[rows]
-        self.totals, self.lo, self.hi = self.totals[rows], self.lo[rows], self.hi[rows]
-        kept = np.flatnonzero(rows).tolist()
-        self._exact = {new: self._exact[old] for new, old in enumerate(kept)
-                       if old in self._exact}
+    return False
 
 
-class _Tables:
-    """The sorted tables of a lockstep batch, and each sweep's segment sums
-    of every live table at once.
+def _stable_zeros(svals: np.ndarray, positions: np.ndarray, vals: np.ndarray) -> None:
+    """Give the zeros of svals, sorted from vals with -0.0 before 0.0, the
+    signs and positions that the zeros of vals have, in vals's order.
 
-    views holds each live table's sorted values and sums its _SegmentSums,
-    one row each; keep drops the tables that stop. Where every table keeps
-    its prefix at every value, as every table of at most _DENSE values
-    does, their prefixes lie side by side in prefix, row r's from column
-    columns[r] on, each on its own grid: one take reads a sweep's bounds of
-    every table, and high and grid round each row's runs in its own units
-    (_rounded_runs). A table off the grid sums its own runs with fsum. A
-    larger table runs alone and reads its own sums.
+    Equal finite floats have equal bits except for the sign of zero, and
+    each table's zeros are one run of svals, so svals and positions are
+    then bitwise what a stable sort gives.
     """
-
-    def __init__(self, views):
-        self.views = views
-        sizes = [v.size for v in views]
-        self.prefix = None
-        if max(sizes) <= _DENSE:
-            columns = np.cumsum([0] + [n + 1 for n in sizes[:-1]])
-            self.prefix = np.zeros((2, sum(sizes) + len(sizes)), dtype=np.int64)
-            self.sums = [
-                _SegmentSums(v, self.prefix[:, c : c + v.size + 1])
-                for v, c in zip(views, columns.tolist())
-            ]
-            self.columns = columns[:, None]
-        else:
-            (table,) = views
-            self.sums = [_SegmentSums(table)]
-        self.n = max(sizes)
-        self.off_grid = np.array([s.prefix is None for s in self.sums])
-        self.high = np.array([[0.0 if s.prefix is None else s.high] for s in self.sums])
-        self.grid = np.array([[0.0 if s.prefix is None else s.grid] for s in self.sums])
-        self.square_sum = np.array([s.square_sum for s in self.sums])
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep the tables that the boolean mask rows selects."""
-        kept = np.flatnonzero(rows).tolist()
-        self.views = [self.views[r] for r in kept]
-        self.sums = [self.sums[r] for r in kept]
-        if self.prefix is not None:
-            self.columns = self.columns[rows]
-        self.off_grid, self.high, self.grid = self.off_grid[rows], self.high[rows], self.grid[rows]
-        self.square_sum = self.square_sum[rows]
-
-    def totals(self, bounds: np.ndarray) -> np.ndarray:
-        """math.fsum(views[r][bounds[r, i]:bounds[r, i + 1]]) for each row r
-        and segment i."""
-        if self.prefix is None:
-            return self.sums[0].totals(bounds[0])[None]
-        limbs = self.prefix.take(bounds + self.columns, axis=1)
-        limbs = limbs[..., 1:] - limbs[..., :-1]
-        totals = _rounded_runs(limbs, self.high, self.grid, self.n)
-        if self.off_grid.any():
-            for row in np.flatnonzero(self.off_grid).tolist():
-                totals[row] = self.sums[row].fsums(bounds[row])
-        return totals
-
-
-def _stable_zeros(svals: np.ndarray, vals: np.ndarray) -> None:
-    """Give the run of zeros in svals, vals sorted by an unstable sort, the
-    signs those zeros have in vals, in vals's order.
-
-    Equal finite floats have equal bits except for the sign of zero, so
-    svals is then bitwise what a stable sort gives.
-    """
-    lo = np.searchsorted(svals, 0.0, side="left")
-    hi = np.searchsorted(svals, 0.0, side="right")
-    negative = np.signbit(svals[lo:hi])
-    if negative.any() and not negative.all():
-        svals[lo:hi] = vals[vals == 0]
+    zeros = svals == 0
+    if np.count_nonzero(zeros):
+        held = vals == 0
+        svals[zeros] = vals[held]
+        positions[zeros] = np.flatnonzero(held)
 
 
 def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
@@ -808,38 +773,37 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
     lengths, each clustered on its own: the call returns (list of
     CentroidTable, assignments), each table's assignments in its own span.
     Each table's centroids and assignments are bitwise those of a call on
-    that table alone. Tables of at most _DENSE values run in lockstep, in
-    batches of consecutive tables that hold at most _BATCH values in all:
-    one sweep of a batch makes one set of numpy calls on (tables, k)
-    arrays, where a table alone would make the same set on k-element ones.
-    A larger table runs alone.
+    that table alone. Tables run in lockstep, in batches of consecutive
+    tables that hold at most _BATCH values in all (_batches): one sweep of a
+    batch makes one set of numpy calls on (tables, k) arrays, where a table
+    alone would make the same set on k-element ones. A larger table runs
+    alone. A table holds fewer than 2**32 values.
 
     Results are bitwise those of a Lloyd that stable-sorts the values and
     recomputes every segment each sweep, by these invariants:
 
-    - svals, the values in numpy's default (unstable) argsort order, is
-      bitwise the stable sort: equal finite floats have equal bits except
-      for the sign of zero, and _stable_zeros puts the zeros' signs back in
-      input order. Assignments depend only on values, so the order of ties
-      in the argsort never shows.
+    - The sorted values and each one's position are bitwise a stable
+      sort's: one np.sort of unique packed keys (table, float32 order bits,
+      position) orders each batch, ties by position, and _stable_zeros puts
+      the zeros of both signs back in input order (_sorted). No order
+      depends on numpy's sort algorithm or its SIMD level.
     - A segment's mean is math.fsum of its values over their count, bit for
-      bit. Where the sorted values lie on one integer grid m * 2**e with
-      |m| < 2**62, _SegmentSums reads each sweep's k sums off exact int64
-      prefix sums in O(k) numpy work; where they span more bits, it runs
-      fsum on each segment. A table of at most _DENSE values keeps the
-      prefix at every value and reads each bound off it; a larger one keeps
-      it at every _STEP-th value and adds the at most _STEP - 1 values past
-      a bound's column. Both form the same integers, rounded once, so the
-      layout never shows in a mean.
-    - The "SSE increased" check compares _SweepSSE's SSE: the exact
-      Σ(x - c)² over the non-empty segments, rounded once to float64. A
-      sweep evaluates Σx² - 2 Σ c·S + Σ n·c² in O(k) float work, from the
-      sum of squares _SegmentSums takes once per table and the segment sums
-      S that the next sweep's means divide, and brackets the SSE with a
-      rigorous error bound. Only where the brackets of two sweeps leave the
-      check open are their SSEs formed exactly, from exact integer sums:
-      in O(k) on the grid, in O(n) off it. So a sweep of a table on the
-      grid that does not reseed does no O(n) work.
+      bit. Where a table's sorted values lie on one integer grid m * 2**e
+      with |m| < 2**62, each sweep reads its k sums off exact int64 prefix
+      sums in O(k) numpy work; where they span more bits, it runs fsum on
+      each segment. One pass builds a batch's prefixes (_SegmentSums): at
+      every value up to _BATCH values, where one take reads a sweep's bounds
+      of every table, and at every _STEP-th value above, where a bound adds
+      the values past its column. Both layouts form the same integers.
+    - The "SSE increased" check compares the exact Σ(x - c)² over the
+      non-empty segments, rounded once to float64. A sweep evaluates
+      Σx² - 2 Σ c·S + Σ n·c² in O(k) float work, from the sum of squares
+      taken once per table and the segment sums S that the next sweep's
+      means divide, and brackets the SSE with a rigorous error bound. Only
+      where the brackets of two sweeps leave the check open are their SSEs
+      formed exactly, from exact integer sums: in O(k) on the grid, in O(n)
+      off it (_increased). So a sweep of a table on the grid that does not
+      reseed does no O(n) work.
     - A sweep that did not reseed and left every bound where it was is a
       fixed point: the next sweep would compute the same means, move no
       centroid and stop. The loop stops there instead.
@@ -847,8 +811,8 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
       acts on a row as it would on the table alone: elementwise arithmetic,
       np.sort along the row (the 1-D sort of each row), and max and the
       SSE bracket's sums along it (the bracket bounds any summation order).
-      Reseeds and exact SSEs run table by table, and each table stops on
-      its own tests (tol, fixed point) and leaves the batch.
+      Bounds, reseeds and exact SSEs run table by table, and each table
+      stops on its own tests (tol, fixed point) and leaves the batch.
     """
     cfg = cfg or ClusterConfig()
     # past the float32 range the cast gives ±inf, rejected below
@@ -865,6 +829,8 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
         raise ValueError(f"lengths add up to {sum(sizes)}, not to the {vals.size} values")
     if min(sizes) < 1:
         raise ValueError("values must be non-empty")
+    if max(sizes) >> 32:
+        raise ValueError("a table must hold fewer than 2**32 values")
 
     centroids, assignments, start = [], [], 0
     for batch in _batches(sizes):
@@ -880,11 +846,14 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
 
 def _batches(sizes: list[int]):
     """sizes, the lengths of consecutive tables, in runs that share a
-    lockstep batch: tables of at most _DENSE values, at most _BATCH values
-    in all, or a larger table alone."""
+    lockstep batch: at most _BATCH values in all, or one larger table alone,
+    and few enough tables and values that a table number and a position
+    (up to the batch's size, which marks a slot) fit the 32 low bits of a
+    sort key (_sorted)."""
     batch, total = [], 0
     for n in sizes:
-        if batch and (n > _DENSE or batch[0] > _DENSE or total + n > _BATCH):
+        if batch and (total + n > _BATCH
+                      or len(batch).bit_length() + (total + n).bit_length() > 32):
             yield batch
             batch, total = [], 0
         batch.append(n)
@@ -892,108 +861,140 @@ def _batches(sizes: list[int]):
     yield batch
 
 
+def _sorted(vals: np.ndarray, sizes: list[int]):
+    """Each table of a batch sorted stably, by one np.sort of packed keys.
+
+    vals holds the batch's float32 tables end to end. A value's uint64 key
+    holds, from the top bit down, its table's number, its float32 bits made
+    to order as unsigned integers (~u where the sign bit is set, else
+    u | 2**31), and its position in vals. Each table also gets a key of
+    value bits 0, below every finite float32's, and position vals.size: its
+    slot, which leads its values. Keys are unique, so the sorted order, ties
+    included, does not depend on numpy's sort algorithm.
+
+    Returns svals, the float64 values in that order, each slot holding 0.0;
+    positions, each one's position in vals (vals.size at a slot), uint32;
+    and starts, the column of each table's slot. Zeros sort as -0.0 before
+    0.0; _stable_zeros puts them back in input order.
+    """
+    n, count = vals.size, len(sizes)
+    shift = n.bit_length()
+    tags = np.arange(count, dtype=np.uint64) << (shift + 32)
+    keys = np.empty(n + count, dtype=np.uint64)
+    keys[:n] = (vals.view(np.int32) >> 31).view(np.uint32) | 1 << 31
+    keys[:n] ^= vals.view(np.uint32)
+    keys[:n] <<= shift
+    keys[:n] |= np.arange(n, dtype=np.uint64)
+    if count > 1:
+        keys[:n] |= np.repeat(tags, sizes)
+    keys[n:] = tags | n
+    keys.sort()
+    positions = keys.astype(np.uint32) & (1 << shift) - 1
+    keys >>= shift
+    bits = keys.astype(np.uint32)
+    del keys
+    bits ^= (bits >> 31) - 1 | 1 << 31
+    svals = bits.view(np.float32).astype(np.float64)
+    starts = np.arange(count) + np.cumsum([0] + sizes[:-1])
+    _stable_zeros(svals, positions, vals)
+    svals[starts] = 0.0
+    return svals, positions, starts
+
+
 def _lloyd(vals: np.ndarray, sizes: list[int], k: int,
            cfg: ClusterConfig) -> tuple[np.ndarray, np.ndarray]:
     """kmeans_1d on one batch: vals holds its tables end to end, sizes their
     lengths. Returns the float64 centroids, one row per table, and each
     value's assignment."""
-    edges = np.cumsum([0] + sizes).tolist()
-    svals = np.empty(vals.size)
-    views, orders = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        # float32 values compare as their float64 ones do
-        order = np.argsort(vals[lo:hi])
-        svals[lo:hi] = vals[lo:hi][order]
-        views.append(svals[lo:hi])
-        # held until the end, each in the narrowest type that indexes its
-        # table: 2 bytes per value for a table of at most _DENSE values
-        orders.append(order.astype(np.min_scalar_type(hi - lo - 1)))
-    del order
-    if (svals == 0).any():
-        for lo, view in zip(edges, views):
-            _stable_zeros(view, vals[lo : lo + view.size])
-
-    # each value that differs from its sorted predecessor starts a new one,
-    # and so does the first of each table
-    starts = np.empty(svals.size, dtype=bool)
-    np.not_equal(svals[1:], svals[:-1], out=starts[1:])
-    starts[edges[:-1]] = True
-    distinct = {}
-    for t, (lo, view) in enumerate(zip(edges, views)):
-        if np.count_nonzero(starts[lo : lo + view.size]) <= k:
-            distinct[t] = np.flatnonzero(starts[lo : lo + view.size])
-    del starts
-    iterate = [t for t in range(len(sizes)) if t not in distinct]
-    swept = _sweeps([views[t] for t in iterate], k, cfg) if iterate else []
-
-    centroids = np.empty((len(sizes), k))
-    bounds = np.empty((len(sizes), k + 1), dtype=np.int64)
-    iterate = np.array(iterate)
-    for rows, row_centroids, row_bounds in swept:
-        centroids[iterate[rows]], bounds[iterate[rows]] = row_centroids, row_bounds
-    del swept
-    for t, first in distinct.items():
+    svals, positions, starts = _sorted(vals, sizes)
+    sizes = np.array(sizes)
+    # each value that differs from its sorted predecessor starts a new
+    # distinct one, and so does each table's first
+    first = np.empty(svals.size, dtype=bool)
+    np.not_equal(svals[1:], svals[:-1], out=first[1:])
+    first[starts] = False
+    first[starts + 1] = True
+    distinct = np.add.reduceat(first, starts)
+    done = []  # (rows, centroids, bounds) of tables
+    rows = np.flatnonzero(distinct <= k)
+    if rows.size:
         # each distinct value is a centroid, the largest also in the
         # surplus slots, which hold no value
-        bounds[t, : first.size], bounds[t, first.size :] = first, sizes[t]
-        centroids[t, : first.size], centroids[t, first.size :] = (
-            views[t][first], views[t][first[-1]]
-        )
-    del svals, views
-    assign_sorted = np.repeat(
-        np.tile(np.arange(k, dtype=np.uint32), len(sizes)), np.diff(bounds).reshape(-1)
-    )
-    assignments = np.empty(vals.size, dtype=np.uint32)
-    for lo, hi, order in zip(edges, edges[1:], orders):
-        assignments[lo:hi][order] = assign_sorted[lo:hi]
-    return centroids, assignments
+        count, slot = distinct[rows, None], np.arange(k + 1)
+        at = (np.cumsum(distinct) - distinct)[rows, None] + np.minimum(slot, count - 1)
+        at = np.flatnonzero(first)[at]
+        done.append((rows, svals[at[:, :k]],
+                     np.where(slot < count, at - starts[rows, None] - 1, sizes[rows, None])))
+    del first
+    rows = np.flatnonzero(distinct > k)
+    if rows.size:
+        sums = _SegmentSums(svals, starts, sizes, rows)
+        done += [(rows[swept], *result) for swept, *result in _sweeps(sums, k, cfg)]
+        del sums
+    del svals
+    centroids = np.empty((sizes.size, k))
+    bounds = np.empty((sizes.size, k + 1), dtype=np.int64)
+    for rows, row_centroids, row_bounds in done:
+        centroids[rows], bounds[rows] = row_centroids, row_bounds
+    # in sorted order, each table's slot and then its segments' indexes;
+    # the slots' positions point past the values
+    counts = np.ones((sizes.size, k + 1), dtype=np.int64)
+    counts[:, 1:] = bounds[:, 1:] - bounds[:, :-1]
+    labels = np.empty(counts.shape, dtype=np.uint32)
+    labels[:] = np.arange(-1, k).clip(0)
+    assignments = np.empty(vals.size + 1, dtype=np.uint32)
+    # numpy scatters through intp indexes faster than it converts uint32 ones
+    assignments[positions.astype(np.intp)] = np.repeat(labels.reshape(-1), counts.reshape(-1))
+    return centroids, assignments[:-1]
 
 
-def _sweeps(views, k: int, cfg: ClusterConfig) -> list:
-    """Lloyd's sweeps in lockstep over sorted tables that each hold more
-    than k distinct values: (rows, centroids, bounds) of the tables as they
-    stop, rows indexing views."""
-    tables = _Tables(views)
+def _sweeps(tables: _SegmentSums, k: int, cfg: ClusterConfig) -> list:
+    """Lloyd's sweeps in lockstep over the rows of tables, each a table of
+    more than k distinct values: (rows, centroids, bounds) of the tables as
+    they stop, rows indexing them."""
     done = []  # (rows, centroids, bounds) of the tables as they stop
-    live = np.arange(len(views))
-    centroids = _init_centroids(views, k, cfg)
-    bounds = _segment_bounds(views, centroids)
+    live = np.arange(len(tables.views))
+    centroids = _init_centroids(tables.views, k, cfg)
+    bounds = _segment_bounds(tables.views, centroids)
     totals = tables.totals(bounds)
-    sse = None
-    for _ in range(cfg.max_iters):
-        means = _segment_means(totals, bounds)
-        empty = np.isnan(means)
-        # the rows that reseed, or None where none does
-        reseeded = empty.any(axis=1) if np.count_nonzero(empty) else None
-        if reseeded is not None:
-            for row in np.flatnonzero(reseeded).tolist():
-                svals, gaps = tables.views[row], empty[row]
-                dist = np.repeat(means[row], np.diff(bounds[row]))
-                np.abs(np.subtract(svals, dist, out=dist), out=dist)
-                means[row, gaps] = svals[_farthest(dist, np.count_nonzero(gaps))]
-                del dist
-        means.sort(axis=1)
-        new_centroids = means
-        # no centroid moved more than tol
-        still = (np.abs(new_centroids - centroids) <= cfg.tol).all(axis=1)
-        new_bounds = _segment_bounds(tables.views, new_centroids)
-        new_sse = _SweepSSE(tables, new_centroids, new_bounds)
-        steady = None if reseeded is None else ~reseeded
-        if sse is not None and new_sse.exceeds(sse, steady):
-            raise RuntimeError("k-means SSE increased")
-        stop = still | (new_bounds == bounds).all(axis=1)
-        if steady is not None:
-            stop &= steady
-        centroids, bounds, sse = new_centroids, new_bounds, new_sse
-        if np.count_nonzero(stop):
-            done.append((live[stop], centroids[stop], bounds[stop]))
-            going = ~stop
-            live, centroids, bounds = live[going], centroids[going], bounds[going]
-            if not live.size:
-                return done
-            tables.keep(going)
-            sse.keep(going)
-        totals = sse.totals
+    state = None  # (centroids, bounds, lo, hi, exact) of the last sweep
+    # the mean of an empty segment is 0/0, NaN, which marks it for a reseed
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(cfg.max_iters):
+            means = _segment_means(totals, bounds)
+            empty = np.isnan(means)
+            steady = None  # the rows that did not reseed, or None for all
+            if np.count_nonzero(empty):
+                reseeded = empty.any(axis=1)
+                steady = ~reseeded
+                for row in np.flatnonzero(reseeded).tolist():
+                    svals, gaps = tables.views[row], empty[row]
+                    dist = np.repeat(means[row], np.diff(bounds[row]))
+                    np.abs(np.subtract(svals, dist, out=dist), out=dist)
+                    means[row, gaps] = svals[_farthest(dist, np.count_nonzero(gaps), bounds[row])]
+                    del dist
+            means.sort(axis=1)
+            # no centroid moved more than tol
+            still = np.maximum.reduce(np.abs(means - centroids), axis=1) <= cfg.tol
+            new_bounds = _segment_bounds(tables.views, means)
+            totals = tables.totals(new_bounds)
+            new_state = (means, new_bounds,
+                         *_sse_bracket(tables.square_sum, means, new_bounds, totals), {})
+            if state is not None and _increased(tables, new_state, state, steady, live):
+                raise RuntimeError("k-means SSE increased")
+            stop = still | np.logical_and.reduce(new_bounds == bounds, axis=1)
+            if steady is not None:
+                stop &= steady
+            centroids, bounds, state = means, new_bounds, new_state
+            if np.count_nonzero(stop):
+                done.append((live[stop], centroids[stop], bounds[stop]))
+                going = ~stop
+                live, totals = live[going], totals[going]
+                if not live.size:
+                    return done
+                tables.keep(going)
+                state = (*(part[going] for part in state[:4]), state[4])
+                centroids, bounds = state[:2]
     done.append((live, centroids, bounds))
     return done
 
@@ -1238,10 +1239,9 @@ def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel
 
     Both scopes make one kmeans_1d call on the kernels end to end. The
     per-layer one passes each conv's length, so each conv's table is
-    bitwise what a call on its kernel alone gives, and the convs of at most
-    _DENSE weights run their sweeps in lockstep, in batches of at most
-    _BATCH weights; each table's span of the assignments is packed on its
-    own.
+    bitwise what a call on its kernel alone gives, and the convs run their
+    sweeps in lockstep, in batches of at most _BATCH weights (a larger conv
+    alone); each table's span of the assignments is packed on its own.
     """
     if not weights.convs:
         raise ValueError("weights hold no conv layers to cluster")

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 CONVOLUTIONAL = "convolutional"
 SHORTCUT = "shortcut"
@@ -127,6 +128,21 @@ class NetworkDef:
             raise ConfigError("network defines no layers")
 
 
+class _Parsed(NamedTuple):
+    """A layer's fields as parse_config reads them, before infer_shapes
+    builds its LayerSpec with its shapes."""
+
+    kind: str
+    index: int
+    sources: tuple[int, ...]
+    conv: ConvSpec | None = None
+    factor: int | None = None
+    meta: dict | None = None
+    out_shape: None = None
+
+    from_index = LayerSpec.from_index
+
+
 def _split_sections(text: str) -> list[tuple[str, dict[str, str]]]:
     sections: list[tuple[str, dict[str, str]]] = []
     current: dict[str, str] | None = None
@@ -175,7 +191,7 @@ def _parse_yolo_meta(options: dict[str, str]) -> dict:
     return meta
 
 
-def _parse_layer(name: str, options: dict[str, str], index: int) -> LayerSpec:
+def _parse_layer(name: str, options: dict[str, str], index: int) -> _Parsed:
     previous = (index - 1,)
     if name == CONVOLUTIONAL:
         size = int(options.get("size", 1))
@@ -193,26 +209,26 @@ def _parse_layer(name: str, options: dict[str, str], index: int) -> LayerSpec:
             batch_normalize=bool(int(options.get("batch_normalize", 0))),
             activation=options.get("activation", "linear"),
         )
-        return LayerSpec(CONVOLUTIONAL, index, previous, conv=conv)
+        return _Parsed(CONVOLUTIONAL, index, previous, conv=conv)
     if name == SHORTCUT:
         if "from" not in options:
             raise ConfigError("shortcut requires a from= key")
         other = _resolve_index(int(options["from"]), index)
-        return LayerSpec(SHORTCUT, index, previous + (other,))
+        return _Parsed(SHORTCUT, index, previous + (other,))
     if name == ROUTE:
         if "layers" not in options:
             raise ConfigError("route requires a layers= key")
         tokens = _parse_int_list(options["layers"])
         if not 1 <= len(tokens) <= 2:
             raise ConfigError(f"route supports one or two sources, got {len(tokens)}")
-        return LayerSpec(ROUTE, index, tuple(_resolve_index(tok, index) for tok in tokens))
+        return _Parsed(ROUTE, index, tuple(_resolve_index(tok, index) for tok in tokens))
     if name == UPSAMPLE:
         factor = int(options.get("stride", 2))
         if factor != 2:
             raise ConfigError(f"only factor-2 upsampling is modeled, got {factor}")
-        return LayerSpec(UPSAMPLE, index, previous, factor=factor)
+        return _Parsed(UPSAMPLE, index, previous, factor=factor)
     if name == YOLO:
-        return LayerSpec(YOLO, index, previous, meta=_parse_yolo_meta(options))
+        return _Parsed(YOLO, index, previous, meta=_parse_yolo_meta(options))
     raise ConfigError("unknown section kind")
 
 
@@ -240,7 +256,8 @@ def parse_config(text: str) -> NetworkDef:
         )
     except ValueError as exc:
         raise ConfigError(f"[net]: {exc}") from exc
-    layers: list[LayerSpec] = []
+    # each layer's LayerSpec is built once, with its shapes, by infer_shapes
+    layers: list[_Parsed] = []
     for name, options in sections[1:]:
         index = len(layers)
         try:
@@ -298,7 +315,8 @@ def infer_shapes(net: NetworkDef) -> NetworkDef:
             out = TensorShape(h=first.h * layer.factor, w=first.w * layer.factor, c=first.c)
         else:  # yolo: raw pass-through
             out = first
-        layer = replace(layer, in_shape=first, out_shape=out, source_shapes=shapes)
+        layer = LayerSpec(layer.kind, index, layer.sources, layer.conv, layer.factor, layer.meta,
+                          first, out, shapes)
         if layer.kind == CONVOLUTIONAL and math.prod(layer.kernel_shape) > MAX_COUNT:
             raise ShapeError(f"layer {index}: its kernel holds more than 2**53 weights")
         if out.elements > MAX_COUNT:

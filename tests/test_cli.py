@@ -334,10 +334,11 @@ def off_grid_blob(text: str) -> bytes:
 
 
 # (cfg, cluster options, whether the weights hold one weight off the grid)
-# of each CLUSTER_SHA256 case. The toy net's tables keep _SegmentSums' prefix
-# at every value; the w24 net's global table is larger than cluster._DENSE
-# and keeps it at every cluster._STEP-th value. The off-grid case's table
-# takes no prefix at all.
+# of each CLUSTER_SHA256 case. Every table here holds at most cluster._BATCH
+# values and keeps its prefix sums at every value, the w24 net's global table
+# of 102,088 too; test_blocked_layout_gives_the_same_bytes runs that table
+# again with the prefix at every cluster._STEP-th value, as a larger table
+# keeps it. The off-grid case's table takes no prefix at all.
 CLUSTER_CASES = {
     "toy/per-layer/8": (TOY_CFG, ["--scope", "per-layer", "--bits", "8"], False),
     "toy/all-layers/5/kmeans-pp": (
@@ -377,12 +378,30 @@ CLUSTER_SHA256 = {
 class TestClusterBytes:
     @pytest.mark.parametrize("case", sorted(CLUSTER_SHA256))
     def test_cluster_bytes_are_pinned(self, tmp_path, monkeypatch, capsys, case):
+        self.check(tmp_path, monkeypatch, capsys, case)
+
+    def test_blocked_layout_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        # every table runs alone and keeps its prefix at every _STEP-th value
+        monkeypatch.setattr(cluster, "_BATCH", 0)
+        built = []
+        real = cluster._SegmentSums.__init__
+
+        def spy(self, *args):
+            real(self, *args)
+            built.append(self.step)
+
+        monkeypatch.setattr(cluster._SegmentSums, "__init__", spy)
+        self.check(tmp_path, monkeypatch, capsys, "w24/all-layers/5")
+        assert built == [cluster._STEP]
+
+    @staticmethod
+    def check(tmp_path, monkeypatch, capsys, case):
         text, options, off_grid = CLUSTER_CASES[case]
         real, fallbacks = cluster._SegmentSums.fsums, []
 
-        def spy(self, bounds):
+        def spy(self, row, bounds):
             fallbacks.append(None)
-            return real(self, bounds)
+            return real(self, row, bounds)
 
         monkeypatch.setattr(cluster._SegmentSums, "fsums", spy)
         monkeypatch.chdir(tmp_path)

@@ -333,14 +333,14 @@ class TestKmeans:
         with pytest.raises(RuntimeError, match="k-means SSE increased"):
             kmeans_1d(values, 4)
 
-    # One table above _DENSE values: the sorted copy (8 bytes per value),
-    # its argsort order (8, then 4 as uint32) and the limb prefix sums (2),
-    # with a reseed's distances and their partitioned copy (16), about 30
-    # bytes per value. A lockstep batch of tables of at most _DENSE values,
-    # as many as _BATCH allows: the sorted copy (8), the orders (2 as
-    # uint16) and the prefix at every value (16), and each sweep's (tables,
-    # k) arrays, about 36 bytes per value at 2,500 values a table and k =
-    # 256.
+    # One table above _BATCH values: the sorted copy (8 bytes per value),
+    # the positions (4) and the limb prefix sums at every _STEP-th value
+    # (2), with a reseed's distances (8), about 24 bytes per value; its sort
+    # keys (8) and their temporaries come and go before. A lockstep batch
+    # of tables, as many as _BATCH allows: the sorted copy (8), the
+    # positions (4) and the prefix at every value (16), and each sweep's
+    # (tables, k) arrays, about 37 bytes per value at 2,500 values a table
+    # and k = 256.
     @pytest.mark.parametrize("sizes", [[200_000], [2_500] * (cluster._BATCH // 2_500)],
                              ids=["one-table", "batch"])
     def test_peak_memory_per_value(self, sizes):
@@ -356,12 +356,13 @@ class TestKmeans:
         assert peak / n < 40
 
     def test_prefix_layout_follows_the_table_size(self):
-        # 16 B per value up to _DENSE values, 2 B per value above
-        for n, columns in ((1, 2), (cluster._DENSE, cluster._DENSE + 1),
-                           (cluster._DENSE + 1, cluster._DENSE // cluster._STEP + 1)):
-            prefix = cluster._SegmentSums(np.arange(n, dtype=np.float64)).prefix
+        # 16 B per value up to _BATCH values, the most a batch of one table
+        # or of many holds, and 2 B per value above
+        for n, columns in ((1, 2), (cluster._BATCH, cluster._BATCH + 1),
+                           (cluster._BATCH + 1, cluster._BATCH // cluster._STEP + 1)):
+            prefix = one_table(np.arange(n, dtype=np.float64)).prefix
             assert prefix.shape == (2, columns)
-        assert cluster._DENSE * 16 <= 1 << 20
+        assert cluster._BATCH * 16 <= 1 << 21
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -460,6 +461,17 @@ class TestKmeans:
             CentroidTable(np.zeros((2, 2), dtype=np.float32))
 
 
+def one_table(svals):
+    """The _SegmentSums of one sorted table, a batch of one."""
+    return cluster._SegmentSums(np.concatenate(([0.0], svals)), np.zeros(1, dtype=np.int64),
+                                np.array([svals.size]), np.zeros(1, dtype=np.int64))
+
+
+def run_total(sums, lo: int, hi: int) -> float:
+    """The sum of values[lo:hi] of the one table of sums."""
+    return sums.totals(np.array([[lo, hi]]))[0, 0]
+
+
 def same_float(a: float, b: float) -> bool:
     """Bitwise float equality: -0.0 and 0.0 differ."""
     return float(a).hex() == float(b).hex()
@@ -494,16 +506,24 @@ def lloyd_values(style: str, n: int, seed: int) -> np.ndarray:
 
 LLOYD_STYLES = ("normal", "grid", "zeros", "subnormal", "exponents", "clumps")
 
-# cluster._DENSE forced so that _SegmentSums keeps its prefix at every value
-# ("dense") or at every cluster._STEP-th value ("blocks") at any size
+# cluster._BATCH forced so that every table, of any size, keeps its prefix at
+# every value, in batches as large as the key allows ("dense"), or runs alone
+# and keeps it at every cluster._STEP-th value ("blocks")
 LAYOUTS = {"dense": sys.maxsize, "blocks": 0}
 
 
 @pytest.fixture(scope="class", params=sorted(LAYOUTS))
 def layout(request):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cluster, "_DENSE", LAYOUTS[request.param])
+        patch.setattr(cluster, "_BATCH", LAYOUTS[request.param])
         yield request.param
+
+
+def means_of(totals, bounds):
+    """cluster._segment_means under the np.errstate that its caller holds,
+    so that an empty segment's 0/0 gives NaN without a warning."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return cluster._segment_means(totals, bounds)
 
 
 def no_bracket(square_sum, *args):
@@ -511,6 +531,27 @@ def no_bracket(square_sum, *args):
     SSE check takes its exact form."""
     rows = len(square_sum)
     return np.full(rows, -math.inf), np.full(rows, math.inf)
+
+
+def same_as_stable_sort(tables) -> None:
+    """Assert that cluster._sorted orders float32 tables, end to end as one
+    batch, bitwise as a stable argsort of each table does: the sorted values
+    and each one's position in the batch, after a 0.0 slot of each table
+    whose position is the batch's size."""
+    vals = np.concatenate(tables).astype(np.float32)
+    assert np.array_equal(vals, np.concatenate(tables))
+    sizes = [table.size for table in tables]
+    svals, positions, starts = cluster._sorted(vals, sizes)
+    assert svals.dtype == np.float64 and positions.dtype == np.uint32
+    assert svals.size == positions.size == vals.size + len(tables)
+    edges = np.cumsum([0] + sizes).tolist()
+    assert starts.tolist() == [lo + t for t, lo in enumerate(edges[:-1])]
+    for c, lo, hi in zip(starts.tolist(), edges, edges[1:]):
+        assert svals[c].hex() == "0x0.0p+0" and positions[c] == vals.size
+        order = lo + np.argsort(vals[lo:hi], kind="stable")
+        assert np.array_equal(positions[c + 1 : c + 1 + hi - lo], order)
+        want = vals[order].astype(np.float64)
+        assert np.array_equal(svals[c + 1 : c + 1 + hi - lo].view(np.uint64), want.view(np.uint64))
 
 
 def same_as_reference(values, cfg: ClusterConfig, table: CentroidTable, assignments):
@@ -566,7 +607,7 @@ class TestLloydMatchesReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 128, 129, 200, 5000])
     @pytest.mark.parametrize("style", LLOYD_STYLES)
     def test_sizes_around_the_block(self, style, n, layout, monkeypatch):
-        monkeypatch.setattr(cluster, "_DENSE", LAYOUTS[layout])
+        monkeypatch.setattr(cluster, "_BATCH", LAYOUTS[layout])
         for bits, init in ((1, "linspace"), (3, "kmeans_pp"), (8, "linspace")):
             self.check(lloyd_values(style, n, n), bits, init, n, 25)
 
@@ -597,13 +638,13 @@ class TestLloydMatchesReference:
         real = cluster._farthest
         decided_by_ties = []
 
-        def spy(dist, e):
+        def spy(dist, e, bounds):
             # the tie rule matters when more distances equal the e-th
             # largest than the picks still need
             kth = np.sort(dist)[-e]
             needed = e - np.count_nonzero(dist > kth)
             decided_by_ties.append(np.count_nonzero(dist == kth) > needed > 0)
-            return real(dist, e)
+            return real(dist, e, bounds)
 
         monkeypatch.setattr(cluster, "_farthest", spy)
         # two clumps of a few repeated values: the segment distances repeat,
@@ -617,17 +658,23 @@ class TestLloydMatchesReference:
             self.check(rng.permutation(values), 4, init, seed, 40)
         assert any(decided_by_ties)
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(40))
     def test_farthest_is_repeated_argmax(self, seed):
+        # sorted values with many ties, in segments of any length, empty
+        # ones included, each with a centroid of its own: the distances
+        # fall and then rise along each segment, as a reseed's do
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 60))
-        dist = rng.integers(0, 4, n) * 0.5
+        n = int(rng.integers(2, 80))
+        values = np.sort(rng.integers(-8, 9, n) * 0.5)
+        bounds = np.concatenate(([0], np.sort(rng.integers(0, n + 1, rng.integers(0, 12))), [n]))
+        centroids = rng.integers(-8, 9, bounds.size - 1) * 0.25
+        dist = np.abs(values - np.repeat(centroids, np.diff(bounds)))
         e = int(rng.integers(1, n))
         want, left = [], dist.copy()
         for _ in range(e):
             want.append(int(np.argmax(left)))
             left[want[-1]] = -1.0
-        got = cluster._farthest(dist, e)
+        got = cluster._farthest(dist, e, bounds)
         assert sorted(got.tolist()) == sorted(want)
 
     def test_mixed_zeros_keep_the_first_zero(self):
@@ -644,25 +691,18 @@ class TestLloydMatchesReference:
 
     # The tests below run on 3,000 values and more: numpy's default argsort
     # sorts small arrays by insertion, which happens to be stable, so only
-    # longer runs of ties come out of it in another order.
+    # longer runs of ties would come out of an unstable sort in another order.
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sorted_zeros_keep_their_input_order(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.choice([-0.0, 0.0, -0.0, 0.0, 1.5, -2.0, 3.0], 3000)
-        svals = values[np.argsort(values)]
-        cluster._stable_zeros(svals, values)
-        stable = np.sort(values, kind="stable")
-        assert np.array_equal(svals.view(np.uint64), stable.view(np.uint64))
+        same_as_stable_sort([values])
 
     def test_zeros_of_one_sign_are_left_alone(self):
-        # values == 0 is never evaluated, so vals may be anything
         for zero in (-0.0, 0.0):
             values = np.random.default_rng(0).choice([zero, 1.5, -2.0], 3000)
-            svals = values[np.argsort(values)]
-            cluster._stable_zeros(svals, None)
-            stable = np.sort(values, kind="stable")
-            assert np.array_equal(svals.view(np.uint64), stable.view(np.uint64))
+            same_as_stable_sort([values])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_mixed_zeros_exact_path_keeps_the_first_zero(self, seed):
@@ -716,31 +756,27 @@ class TestLloydMatchesReference:
         # sweep took for its SSE check, or fresh ones after a reseed
         real_means, real_farthest = cluster._segment_means, cluster._farthest
         sums_of, events, runs = {}, [], []
-        real_init = cluster._SegmentSums.__init__
-
-        def init_spy(self, svals, *args):
-            real_init(self, svals, *args)
-            sums_of["last"] = self
 
         def means_spy(totals, bounds):
             # one table: a batch of one row
             assert totals.shape[0] == bounds.shape[0] == 1
-            fresh = sums_of["last"].totals(bounds[0])
+            fresh = sums_of["table"].totals(bounds)[0]
             assert np.array_equal(totals[0].view(np.uint64), fresh.view(np.uint64))
             events.append("means")
             return real_means(totals, bounds)
 
-        def farthest_spy(dist, e):
+        def farthest_spy(dist, e, bounds):
             events.append("reseed")
-            return real_farthest(dist, e)
+            return real_farthest(dist, e, bounds)
 
-        monkeypatch.setattr(cluster._SegmentSums, "__init__", init_spy)
         monkeypatch.setattr(cluster, "_segment_means", means_spy)
         monkeypatch.setattr(cluster, "_farthest", farthest_spy)
         for style, n, bits in (("clumps", 3000, 4), ("normal", 20000, 5), ("zeros", 5000, 3)):
+            values = lloyd_values(style, n, n)
+            sums_of["table"] = one_table(np.sort(values, kind="stable"))
             for init in INITS:
                 events = []
-                self.check(lloyd_values(style, n, n), bits, init, 7, 40)
+                self.check(values, bits, init, 7, 40)
                 runs.append(events)
         # in some run, a sweep after a reseed divided carried sums
         assert any("means" in events[events.index("reseed") :]
@@ -769,7 +805,12 @@ def table_values(style: str, n: int, seed: int) -> np.ndarray:
     normal values beside one far below them, which leave _SegmentSums'
     integer grid."""
     if style == "off-grid":
-        return np.concatenate((lloyd_values("normal", n - 1, seed), [2.0**-120]))
+        return np.concatenate((lloyd_values("normal", max(n, 2) - 1, seed), [2.0**-120]))
+    if style == "extremes":
+        # float32's largest magnitudes and smallest step beside normal values
+        rng = np.random.default_rng(seed)
+        pool = [-FLOAT32_MAX, FLOAT32_MAX, 2.0**-149, -(2.0**-149), -0.0, 0.0]
+        return np.where(rng.random(n) < 0.2, rng.choice(pool, n), lloyd_values("normal", n, seed))
     return lloyd_values(style, n, seed)
 
 
@@ -805,7 +846,7 @@ class TestLockstep:
             for got, want in zip(cluster_batch(tables, cfg), alone):
                 same_clustering(got, want)
 
-    @pytest.mark.parametrize("dense", [cluster._DENSE, 0], ids=["dense", "blocks"])
+    @pytest.mark.parametrize("batch", [cluster._BATCH, 0], ids=["dense", "blocks"])
     @settings(max_examples=60, phases=UNSHRUNK, deadline=None)
     @given(
         tables=st.lists(
@@ -825,9 +866,9 @@ class TestLockstep:
         seed=st.integers(0, 1000),
         max_iters=st.integers(1, 30),
     )
-    def test_each_table_is_its_own_run(self, dense, tables, bits, init, seed, max_iters):
+    def test_each_table_is_its_own_run(self, batch, tables, bits, init, seed, max_iters):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cluster, "_DENSE", dense)
+            patch.setattr(cluster, "_BATCH", batch)
             values = [table_values(style, max(n, 2) if style == "off-grid" else n, data_seed)
                       for style, n, data_seed in tables]
             cfg = ClusterConfig(bits=bits, init=init, seed=seed, max_iters=max_iters)
@@ -899,10 +940,7 @@ class TestLockstep:
     def test_batch_split_at_the_size_cap(self, monkeypatch):
         sizes = [60, 50, 40, 200, 1, 90, 30]
         monkeypatch.setattr(cluster, "_BATCH", 100)
-        monkeypatch.setattr(cluster, "_DENSE", 150)
-        # a table above _DENSE runs alone, and so does one above _BATCH
-        assert list(cluster._batches(sizes)) == [[60], [50, 40], [200], [1, 90], [30]]
-        monkeypatch.setattr(cluster, "_DENSE", 1000)
+        # a table above _BATCH runs alone
         assert list(cluster._batches(sizes)) == [[60], [50, 40], [200], [1, 90], [30]]
         assert list(cluster._batches([100, 1])) == [[100], [1]]
         real, batches = cluster._lloyd, []
@@ -947,6 +985,129 @@ class TestLockstep:
         assert assignments.tolist() == [0, 1, 0, 0, 1]
 
 
+class TestBatchSetUp:
+    """The set-up of a batch: one sort of packed keys and one pass of
+    prefix sums for all of its tables."""
+
+    @settings(max_examples=100, phases=UNSHRUNK, deadline=None)
+    @given(
+        tables=st.lists(
+            st.tuples(
+                st.sampled_from(LLOYD_STYLES + ("off-grid", "extremes")),
+                st.one_of(st.integers(1, 9), st.integers(10, 3000)),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_packed_sort_is_a_stable_sort(self, tables):
+        same_as_stable_sort([table_values(*table) for table in tables])
+
+    def test_packed_sort_of_float32_extremes(self):
+        # the largest magnitudes, the smallest steps and zeros of both
+        # signs, each twice: every float32 order boundary of the key
+        edge = [-FLOAT32_MAX, -1.0, -(2.0**-126), -(2.0**-149), -0.0, 0.0, 2.0**-149,
+                2.0**-126, 1.0, FLOAT32_MAX]
+        rng = np.random.default_rng(2)
+        values = np.array(edge * 2)
+        same_as_stable_sort([values, rng.permutation(values), values[:1], values[::-1]])
+
+    @settings(max_examples=60, phases=UNSHRUNK, deadline=None)
+    @given(
+        tables=st.lists(
+            st.tuples(
+                st.sampled_from(LLOYD_STYLES + ("off-grid", "extremes")),
+                st.one_of(st.integers(1, 9), st.integers(10, 600)),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_one_pass_is_each_table_alone(self, tables):
+        self.same_as_each_table([table_values(*table) for table in tables])
+
+    def test_one_pass_over_a_batch_cut_at_the_key_width(self):
+        # 32,768 tables of two values fill the key's 32 low bits: table
+        # numbers up to 2**15 - 1 take 15 bits and positions up to 2**16 17,
+        # so one more table starts the next batch
+        sizes = [2] * (1 << 15) + [3]
+        first = next(cluster._batches(sizes))
+        assert len(first) == 1 << 15
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal(2 * len(first)).astype(np.float32).astype(np.float64)
+        values[::97] = 0.0
+        values[1::89] = -0.0
+        values[5] = 2.0**-120  # one table off its grid
+        self.same_as_each_table(np.split(values, len(first)), sample=[2, *range(0, len(first), 61)])
+
+    @staticmethod
+    def same_as_each_table(tables, sample=None):
+        """Assert that the _SegmentSums of tables, one batch, holds bitwise
+        what a _SegmentSums of each table alone gives: per row grid, high,
+        unit, prefix columns, Σx² and whether it lies off its grid, for every
+        table or those that sample names."""
+        vals = np.concatenate(tables).astype(np.float32)
+        sizes = [table.size for table in tables]
+        svals, _, starts = cluster._sorted(vals, sizes)
+        rows = np.arange(len(sizes))
+        batch = cluster._SegmentSums(svals, starts, np.array(sizes), rows)
+        assert batch.step == 1 and batch.prefix.shape == (2, svals.size)
+        for r in rows.tolist() if sample is None else sample:
+            c, n = int(starts[r]), sizes[r]
+            sums = one_table(np.sort(tables[r], kind="stable"))
+            assert sums.step == 1
+            assert np.array_equal(batch.views[r].view(np.uint64), sums.views[0].view(np.uint64))
+            assert (r in batch.off) == bool(sums.off)
+            assert same_float(batch.square_sum[r], sums.square_sum[0])
+            assert batch.units[r] == sums.units[0] and batch.squares(r) == sums.squares(0)
+            assert np.array_equal(batch.places[:, r], sums.places[:, 0])
+            if not sums.off:
+                assert np.array_equal(batch.prefix[:, c : c + n + 1], sums.prefix)
+
+    def test_one_pass_for_a_batch(self, monkeypatch):
+        # before its first sweep, a batch reads every table's sums off one
+        # pass, one _SegmentSums, at every value up to _BATCH values: for a
+        # table of 102,088 values, as many as yolov3-w24's global table
+        # holds, too
+        real_init, real_means = cluster._SegmentSums.__init__, cluster._segment_means
+        built, at_first_sweep = [], []
+
+        def init_spy(self, *args):
+            real_init(self, *args)
+            built.append(self.step)
+
+        def means_spy(totals, bounds):
+            at_first_sweep.append(len(built))
+            return real_means(totals, bounds)
+
+        monkeypatch.setattr(cluster._SegmentSums, "__init__", init_spy)
+        monkeypatch.setattr(cluster, "_segment_means", means_spy)
+        rng = np.random.default_rng(4)
+        cfg = ClusterConfig(bits=5, max_iters=3)
+        for sizes in ([102_088], [2_000, 300, 7_938, 40, 1_200]):
+            at_first_sweep.clear()
+            values = rng.standard_normal(sum(sizes)).astype(np.float32)
+            built.clear()
+            kmeans_1d(values, cfg.k, cfg, lengths=None if len(sizes) == 1 else sizes)
+            assert at_first_sweep[0] == 1 and built == [1]
+
+    def test_a_table_alone_at_the_key_width(self):
+        # 65,536 tables of one value need 17 bits for positions and 16 for
+        # table numbers: the first batch takes 65,535 of them
+        sizes = [1] * (1 << 16) + [5]
+        assert [len(batch) for batch in cluster._batches(sizes)] == [(1 << 16) - 1, 2]
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal(sum(sizes)).astype(np.float32)
+        tables, assignments = kmeans_1d(values, 2, lengths=sizes)
+        ones = np.array([table.centroids for table in tables[:-1]])
+        assert np.array_equal(ones, np.repeat(values[:-5, None], 2, axis=1))
+        assert not assignments[:-5].any()
+        table, alone = kmeans_1d(values[-5:], 2)
+        assert tables[-1] == table and np.array_equal(assignments[-5:], alone)
+
+
 def on_grid(svals) -> bool:
     """Whether _SegmentSums sums svals on its integer grid, in exact integer
     arithmetic: every value is m * 2**e for one e with |m| < 2**62."""
@@ -973,25 +1134,25 @@ class TestSegmentSums:
     )
     def test_sum_is_fsum_of_the_run(self, layout, style, n, data_seed, cuts):
         svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
-        sums = cluster._SegmentSums(svals)
-        assert (sums.prefix is not None) == on_grid(svals)
-        if sums.prefix is not None:
+        sums = one_table(svals)
+        assert (not sums.off) == on_grid(svals)
+        if not sums.off:
             step = 1 if layout == "dense" else cluster._STEP
-            assert sums.prefix.shape == (2, n // step + 1)
+            assert sums.prefix.shape == (2, n + 1 if step == 1 else (n + 1) // step + 1)
         for a, b in cuts:
             lo, hi = sorted((int(a * n), int(b * n)))
-            total = sums.totals(np.array([lo, hi]))[0]
+            total = run_total(sums, lo, hi)
             assert same_float(total, math.fsum(svals[lo:hi]))
 
     def test_wide_exponents_fall_back_to_fsum(self):
         rng = np.random.default_rng(1)
         wide = rng.standard_normal(4000) * 10.0 ** rng.uniform(-37, 37, 4000)
         svals = np.sort(wide.astype(np.float32).astype(np.float64))
-        sums = cluster._SegmentSums(svals)
-        assert sums.prefix is None
+        sums = one_table(svals)
+        assert sums.off
         for _ in range(300):
             lo, hi = sorted(rng.integers(0, svals.size + 1, 2).tolist())
-            total = sums.totals(np.array([lo, hi]))[0]
+            total = run_total(sums, lo, hi)
             assert same_float(total, math.fsum(svals[lo:hi]))
 
     def test_float32_extremes_stay_in_range(self):
@@ -1000,18 +1161,18 @@ class TestSegmentSums:
         # squares are finite, and the squares of the smallest do not vanish
         tiny = [-(2.0**-149), 2.0**-149, 3 * 2.0**-149]
         svals = np.sort([-FLOAT32_MAX] * 300 + tiny + [FLOAT32_MAX] * 500)
-        sums = cluster._SegmentSums(svals)
-        assert sums.prefix is None
+        sums = one_table(svals)
+        assert sums.off
         for lo in range(0, svals.size + 1, 7):
             for hi in range(lo, svals.size + 1, 11):
-                total = sums.totals(np.array([lo, hi]))[0]
+                total = run_total(sums, lo, hi)
                 assert same_float(total, math.fsum(svals[lo:hi]))
                 assert math.isfinite(total)
         want = sum(Fraction(x) ** 2 for x in svals.tolist())
-        assert sums.squares * Fraction(2) ** (2 * sums.unit) == want
-        assert sums.square_sum == float(want) < math.inf
-        smallest = cluster._SegmentSums(np.array([-(2.0**-149), 0.0, 2.0**-149]))
-        assert smallest.square_sum == 2.0**-297
+        assert sums.squares(0) * Fraction(2) ** (2 * sums.units[0]) == want
+        assert sums.square_sum[0] == float(want) < math.inf
+        smallest = one_table(np.array([-(2.0**-149), 0.0, 2.0**-149]))
+        assert smallest.square_sum[0] == 2.0**-297
 
     @settings(max_examples=200, phases=UNSHRUNK)
     @given(
@@ -1025,7 +1186,7 @@ class TestSegmentSums:
         # short segments are common: neighbouring cuts 0, 1 or 2 apart
         inner = sorted(min(c, n) for c in cuts)
         bounds = np.array([0, *inner, n], dtype=np.int64)
-        means = cluster._segment_means(cluster._SegmentSums(svals).totals(bounds), bounds)
+        means = means_of(one_table(svals).totals(bounds[None])[0], bounds)
         for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
             if hi == lo:
                 assert np.isnan(means[i])
@@ -1049,15 +1210,15 @@ class TestSegmentSums:
         svals = np.sort([math.ldexp(m, shift + e) for m, shift in parts], kind="stable")
         assert np.array_equal(svals.astype(np.float32), svals)
         n = svals.size
-        sums = cluster._SegmentSums(svals)
-        assert (sums.prefix is not None) == on_grid(svals)
+        sums = one_table(svals)
+        assert (not sums.off) == on_grid(svals)
         bounds = np.array([0, *sorted(min(c, n) for c in cuts), n], dtype=np.int64)
         edges = bounds.tolist()
         want = [
             math.fsum(svals[lo:hi].tolist()) / (hi - lo) if hi > lo else None
             for lo, hi in zip(edges, edges[1:])
         ]
-        means = cluster._segment_means(sums.totals(bounds), bounds)
+        means = means_of(sums.totals(bounds[None])[0], bounds)
         for got, mean in zip(means.tolist(), want):
             assert np.isnan(got) if mean is None else same_float(got, mean)
 
@@ -1109,20 +1270,20 @@ class TestSegmentSums:
         n = svals.size
         real, fallbacks = cluster._SegmentSums.fsums, []
 
-        def spy(self, bounds):
+        def spy(self, row, bounds):
             fallbacks.append(bounds.tolist())
-            return real(self, bounds)
+            return real(self, row, bounds)
 
         monkeypatch.setattr(cluster._SegmentSums, "fsums", spy)
-        sums = cluster._SegmentSums(svals)
+        sums = one_table(svals)
         assert on_grid(svals) == grid
-        assert (sums.prefix is not None) == grid
+        assert (not sums.off) == grid
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
-                total = sums.totals(np.array([lo, hi]))[0]
+                total = run_total(sums, lo, hi)
                 assert same_float(total, math.fsum(svals[lo:hi]))
         bounds = np.array([0, n // 3, n // 2, n])
-        means = cluster._segment_means(sums.totals(bounds), bounds)
+        means = means_of(sums.totals(bounds[None])[0], bounds)
         for i in range(3):
             lo, hi = bounds[i], bounds[i + 1]
             if hi > lo:
@@ -1137,7 +1298,7 @@ class TestSegmentSums:
         # fsum([-0.0]) and fsum([-0.0, -0.0]) are +0.0, where -0.0 + -0.0 is -0.0
         svals = np.array([-0.0, -0.0, -0.0, 1.0, 2.0, 3.0])
         bounds = np.array([0, 1, 3, 6])
-        means = cluster._segment_means(cluster._SegmentSums(svals).totals(bounds), bounds)
+        means = means_of(one_table(svals).totals(bounds[None])[0], bounds)
         assert means.tolist() == [0.0, 0.0, 2.0]
         assert not np.signbit(means).any()
 
@@ -1154,40 +1315,45 @@ class TestSegmentSums:
         exact = 2**84 + 2**31 + 1
         assert divmod(exact, 2**31) == (2**53 + 1, 1)
         assert float(2**53 + 1) * 2.0**31 + 1.0 == 2.0**84 != float(exact)
-        sums = cluster._SegmentSums(svals)
-        assert sums.prefix is not None
+        sums = one_table(svals)
+        assert not sums.off
         n = svals.size
         assert n % cluster._STEP == 0
         for lo, hi in ((0, n), (5, n), (1, n - 5)):
-            total = sums.totals(np.array([lo, hi]))[0]
+            total = run_total(sums, lo, hi)
             assert same_float(total, math.fsum(svals[lo:hi].tolist()))
-        assert sums.totals(np.array([0, n]))[0] == float(exact) == 2.0**84 + 2.0**32
+        assert run_total(sums, 0, n) == float(exact) == 2.0**84 + 2.0**32
 
     def test_fp32_normal_values_take_the_grid(self, monkeypatch):
         values = np.random.default_rng(17).standard_normal(1 << 20).astype(np.float32)
-        assert cluster._SegmentSums(np.sort(values.astype(np.float64))).prefix is not None
+        assert not one_table(np.sort(values.astype(np.float64))).off
 
-        def no_fallback(self, bounds):
+        def no_fallback(self, row, bounds):
             raise AssertionError("fp32 normal values left the grid")
 
         monkeypatch.setattr(cluster._SegmentSums, "fsums", no_fallback)
         kmeans_1d(lloyd_values("normal", 20000, 17), 256, ClusterConfig(max_iters=10))
 
 
-def sweep_sse(sums, centroids, bounds):
-    """The _SweepSSE of one table's centroids and bounds, a batch of one."""
-    return cluster._SweepSSE(cluster._Tables([sums.values]), centroids[None], bounds[None])
+def sweep_sse(svals, centroids, bounds):
+    """The _SegmentSums of one sorted table, and the state that _sweeps keeps of
+    its sweep to centroids and bounds: (centroids, bounds, lo, hi, exact
+    SSEs by row) of a batch of one."""
+    tables = one_table(svals)
+    centroids, bounds = centroids[None], bounds[None]
+    lo, hi = cluster._sse_bracket(tables.square_sum, centroids, bounds, tables.totals(bounds))
+    return tables, (centroids, bounds, lo, hi, {})
 
 
 def bracket(sums, centroids, bounds):
     """_sse_bracket of one table: its (lo, hi)."""
-    lo, hi = cluster._sse_bracket(np.array([sums.square_sum]), centroids[None], bounds[None],
-                                  sums.totals(bounds)[None])
+    lo, hi = cluster._sse_bracket(sums.square_sum, centroids[None], bounds[None],
+                                  sums.totals(bounds[None]))
     return lo[0], hi[0]
 
 
 def fraction_sse(svals, centroids, bounds) -> float:
-    """The SSE as _SweepSSE defines it, straight from that definition: the
+    """The SSE as the sweeps check it, straight from its definition: the
     sum of every (x - c)**2 over the non-empty segments, in Fractions,
     rounded once to float64."""
     total = Fraction(0)
@@ -1215,7 +1381,7 @@ def sweep_state(svals, rng, k, spread):
 
 @pytest.mark.usefixtures("layout")
 class TestSweepSSE:
-    """_SweepSSE's exact SSE and the bracket that the check decides from."""
+    """The sweeps' exact SSE and the bracket that their check decides from."""
 
     @settings(max_examples=200, phases=UNSHRUNK)
     @given(
@@ -1239,13 +1405,13 @@ class TestSweepSSE:
             values = lloyd_values(style, n, data_seed)
         svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
         centroids, bounds = sweep_state(svals, rng, k, spread)
-        sums = cluster._SegmentSums(svals)
-        sse = sweep_sse(sums, centroids, bounds)
+        sums = one_table(svals)
+        tables, state = sweep_sse(svals, centroids, bounds)
         want = fraction_sse(svals, centroids, bounds)
-        assert same_float(sse.exact(0), want)
+        assert same_float(cluster._exact_sse(tables, 0, centroids, bounds), want)
         lo, hi = bracket(sums, centroids, bounds)
         assert lo <= want <= hi
-        assert (lo, hi) == (sse.lo[0], sse.hi[0])
+        assert (lo, hi) == (state[2][0], state[3][0])
 
     # (values, centroids, bounds, the exact SSE rounded once); every value
     # is a float32 one
@@ -1278,9 +1444,9 @@ class TestSweepSSE:
         assert np.array_equal(svals.astype(np.float32), svals)
         centroids, bounds = np.asarray(centroids, dtype=np.float64), np.asarray(bounds)
         assert same_float(fraction_sse(svals, centroids, bounds), want)
-        sums = cluster._SegmentSums(svals)
-        sse = sweep_sse(sums, centroids, bounds)
-        assert same_float(sse.exact(0), want)
+        sums = one_table(svals)
+        tables, state = sweep_sse(svals, centroids, bounds)
+        assert same_float(cluster._exact_sse(tables, 0, centroids, bounds), want)
         lo, hi = bracket(sums, centroids, bounds)
         assert lo <= want <= hi
 
@@ -1300,8 +1466,8 @@ class TestSweepSSE:
         rng = np.random.default_rng(3)
         for offset, spread in ((0.0, 1.0), (1e6, 1e-3)):
             svals = np.sort(offset + spread * rng.standard_normal(200).astype(np.float32))
-            sums = cluster._SegmentSums(svals)
-            assert sums.prefix is not None
+            sums = one_table(svals)
+            assert not sums.off
             for trial in range(40):
                 centroids, bounds = sweep_state(svals, rng, 8, 1e-9 * (trial % 4))
                 # the same bounds with one centroid moved by 0 to 8 ulp
@@ -1311,21 +1477,26 @@ class TestSweepSSE:
                 states = [(centroids, bounds), (moved, bounds),
                           sweep_state(svals, rng, 8, 1e-9 * (trial % 4))]
                 for i, j in ((0, 1), (1, 0), (0, 2), (2, 0)):
-                    first, second = (sweep_sse(sums, *states[x]) for x in (i, j))
+                    (_, first), (tables, second) = (sweep_sse(svals, *states[x]) for x in (i, j))
                     want = (fraction_sse(svals, *states[j])
                             > fraction_sse(svals, *states[i]) * (1.0 + 1e-9))
                     before = len(exacts)
-                    assert second.exceeds(first) == want
+                    assert cluster._increased(tables, second, first, None, [0]) == want
                     outcomes.add((want, len(exacts) > before))
         # both outcomes, each decided by the filter and by the exact form
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_square_sum_of_extreme_limbs(self):
-        top = 2**62 - 1
+        # float32 values on their grid: below 2**62, 24 significant bits
+        top = 2**62 - 2**38
         for m in ([top] * cluster._CHUNK, [-top] * cluster._CHUNK, [0, 1, -1, top, -top],
-                  [2**21 - 1, 2**42 - 1, 2**42, -(2**21), 3 << 40]):
+                  [2**24 - 1, (2**24 - 1) << 18, 2**42, -(2**21), 3 << 40, 2**61]):
             want = sum(v * v for v in m)
-            assert cluster._square_sum(np.array(m, dtype=np.int64)) == want
+            assert cluster._square_sums(np.array(m, dtype=np.float64), [0]) == [want]
+            cuts = [0, 1, len(m) // 2]
+            edges = cuts + [len(m)]
+            assert cluster._square_sums(np.array(m, dtype=np.float64), cuts) == [
+                sum(v * v for v in m[a:b]) for a, b in zip(edges, edges[1:])]
 
     @settings(max_examples=100, phases=UNSHRUNK)
     @given(
@@ -1336,12 +1507,12 @@ class TestSweepSSE:
     )
     def test_exact_sums_and_squares(self, style, n, data_seed, cuts):
         svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
-        sums = cluster._SegmentSums(svals)
-        unit = Fraction(2) ** sums.unit
-        assert sums.squares * unit**2 == sum(Fraction(x) ** 2 for x in svals.tolist())
+        sums = one_table(svals)
+        unit = Fraction(2) ** sums.units[0]
+        assert sums.squares(0) * unit**2 == sum(Fraction(x) ** 2 for x in svals.tolist())
         bounds = np.array([0, *sorted(min(c, n) for c in cuts), n], dtype=np.int64)
         edges = bounds.tolist()
-        for got, lo, hi in zip(sums.exact(bounds), edges, edges[1:]):
+        for got, lo, hi in zip(sums.exact(0, bounds), edges, edges[1:]):
             assert got * unit == sum(map(Fraction, svals[lo:hi].tolist()))
 
     @pytest.mark.parametrize("form", ["filter", "exact"])
@@ -1358,9 +1529,9 @@ class TestSweepSSE:
         grids, peaks, exacts = [], [], []
         numpy_spy = LargestArgument(exempt=("searchsorted",))
 
-        def init_spy(self, svals, *args):
-            real_init(self, svals, *args)
-            grids.append(self.prefix is not None)
+        def init_spy(self, *args):
+            real_init(self, *args)
+            grids.append(not self.off)
 
         def means_spy(totals, bounds):
             current, peak = tracemalloc.get_traced_memory()
@@ -1369,7 +1540,7 @@ class TestSweepSSE:
             numpy_spy.largest = 0
             return real_means(totals, bounds)
 
-        def no_reseed(dist, e):
+        def no_reseed(dist, e, bounds):
             raise AssertionError("a sweep reseeded")
 
         real_exact = cluster._exact_sse

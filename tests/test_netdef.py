@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convwatt import netdef
 from convwatt.netdef import (
     CONVOLUTIONAL,
     MAX_COUNT,
@@ -442,3 +443,27 @@ class TestParsedNetIsShaped:
 
     def test_shaped_net_returned_as_is(self, toy_net):
         assert infer_shapes(toy_net) is toy_net
+
+    def test_each_layer_spec_is_built_once(self, monkeypatch):
+        # parse_config reads each layer's fields, and infer_shapes builds its
+        # LayerSpec once, with its shapes
+        real, built = netdef.LayerSpec.__init__, []
+
+        def spy(self, *args, **kwargs):
+            built.append(args[1] if len(args) > 1 else kwargs["index"])
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(netdef.LayerSpec, "__init__", spy)
+        net = parse_config(TOY_CFG)
+        assert built == [layer.index for layer in net.layers] == list(range(len(net.layers)))
+
+    def test_unshaped_layers_are_shaped_into_a_copy(self, toy_net):
+        bare = tuple(
+            netdef.LayerSpec(layer.kind, layer.index, layer.sources, layer.conv, layer.factor,
+                             layer.meta)
+            for layer in toy_net.layers
+        )
+        unshaped = NetworkDef(toy_net.input, bare)
+        shaped = infer_shapes(unshaped)
+        assert shaped is not unshaped and shaped == toy_net
+        assert all(layer.out_shape is None for layer in unshaped.layers)
