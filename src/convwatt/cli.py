@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -560,14 +561,17 @@ def cmd_compare(args) -> int:
         writer.writerow((label, f"{reduction:.3f}", value))
     text = out.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with _outputs([(args.out, text.encode("utf-8"))]):
+            pass
     else:
         print(text, end="")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call: once per process. Each
+    command records its handler's name, which main looks up at each call."""
     parser = argparse.ArgumentParser(
         prog="convwatt",
         description="Analytical energy/bandwidth model and weight clustering "
@@ -597,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--json", help="write full JSON report here")
     analyze.add_argument("--csv", help="write summary CSV here")
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(handler=cmd_analyze.__name__)
 
     cluster = sub.add_parser("cluster", help="quantize weights into a codebook model")
     cluster.add_argument("config", help="network .cfg file")
@@ -619,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--tol", type=float, default=1e-6)
     cluster.add_argument("--out", required=True, help="output .cwts path")
     cluster.add_argument("--json", help="write clustering stats JSON here")
-    cluster.set_defaults(func=cmd_cluster)
+    cluster.set_defaults(handler=cmd_cluster.__name__)
 
     verify = sub.add_parser(
         "verify", help="check clustered execution against the original weights"
@@ -628,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("weights", help="Darknet .weights file")
     verify.add_argument("model", help="clustered .cwts file")
     verify.add_argument("--seed", type=_seed, default=0, help="input tensor seed")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(handler=cmd_verify.__name__)
 
     compare = sub.add_parser(
         "compare", help="join analyze reports into a tradeoff CSV"
@@ -640,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         "by an external evaluation (repeatable)",
     )
     compare.add_argument("--out", help="output CSV path (default stdout)")
-    compare.set_defaults(func=cmd_compare)
+    compare.set_defaults(handler=cmd_compare.__name__)
     return parser
 
 
@@ -650,10 +654,10 @@ _EXPECTED_ERRORS = (ValueError, OSError, MemoryError)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        status = args.func(args)
+        # a handler swapped in after the parser was built, as a tracer does, runs
+        status = globals()[args.handler](args)
         # a reader that left early shows here, not at interpreter exit
         sys.stdout.flush()
         return status

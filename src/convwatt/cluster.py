@@ -372,34 +372,26 @@ def _segment_bounds(views, centroids: np.ndarray) -> np.ndarray:
 # Prefixes are built _CHUNK values at a time, which bounds their temporaries
 # at about 32 B per value of a chunk. A batch holds its sorted copy,
 # positions and prefixes, 28 B per value and so at most 3.5 MB, besides its
-# sweeps' (tables, k) arrays
+# sweeps' (tables, k) arrays and 24 B per value off level 0
 _STEP = 8
 _BATCH = 1 << 17
 _OFFSETS = np.arange(_STEP)[:, None]
 _CHUNK = 1 << 14
 _LOW = (1 << 31) - 1
-# every finite float32 is a whole multiple of 2**_FINE, and its square, exact
-# in float64, one of 2**(2 * _FINE)
-_FINE = -149
-# _rounded_runs' place values of t and u, from those of hi and lo
+_LEVEL = 38  # bits between the levels' grids
+# totals' place values of t and u, from those of hi and lo
 _WIDER = np.array([[[2.0**21]], [[1.0]]])
-
-
-def _units(values: np.ndarray, unit: int):
-    """Each value as the integer multiple of 2**unit that it is, exactly:
-    the caller's values are such multiples, and scaling them by 2**-unit
-    neither overflows nor rounds."""
-    return map(int, np.ldexp(values, -unit).tolist())
 
 
 def _square_sums(part: np.ndarray, cuts) -> list[int]:
     """Σ part**2 over each run of part from one of cuts to the next (the
     last to the end), exactly, as Python ints. part is overwritten.
 
-    part holds float32 values scaled onto their grid: integers below 2**62
-    in magnitude with at most 24 significant bits. So each square is exact
-    in float64, and splits exactly into parts below 2**42 at bits 42 and
-    84, whose int64 sums over at most _CHUNK values stay below 2**56.
+    part holds float32 values scaled onto their level's grid: integers
+    below 2**62 in magnitude with at most 24 significant bits. So each
+    square is exact in float64, and splits exactly into parts below 2**42
+    at bits 42 and 84, whose int64 sums over at most _CHUNK values stay
+    below 2**56.
     """
     q = np.square(part, out=part)
     top = np.floor(q * 2.0**-84)
@@ -411,30 +403,8 @@ def _square_sums(part: np.ndarray, cuts) -> list[int]:
 
 
 def _rounded(num: int, exp: int) -> float:
-    """num * 2**exp, num >= 0, rounded once to float64."""
+    """num * 2**exp rounded once to float64; 0 gives +0.0."""
     return float(num << exp) if exp >= 0 else num / (1 << -exp)
-
-
-def _rounded_runs(limbs: np.ndarray, places: np.ndarray, n: int) -> np.ndarray:
-    """Each run's exact sum, hi * 2**31 + lo units of 2**e, rounded once to
-    float64, for runs of a table of at most n values whose prefix
-    _SegmentSums keeps; limbs holds hi and lo, and places their place
-    values 2**(e + 31) and 2**e, each a column of one per row of hi and lo.
-
-    A run's hi is the sum of its values' m >> 31, at most 2**31 each in
-    magnitude, and of at most n + 1 carries. Its lo sums at most n + _STEP
-    values below 2**31, so |lo| < 2**53 below 2**21 values; from 2**21 on,
-    the prefix moves lo's carries into hi, and |lo| < 2**35.
-    """
-    if n >= 1 << 21:
-        # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
-        # |u| < 2**53
-        hi, lo = limbs
-        limbs = np.stack((hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo))
-        places = places * _WIDER
-    # below 2**21 values |hi| < 2**53: each limb times its place is an exact
-    # float64, so the one addition, the reduce over the two, rounds the sum
-    return np.add.reduce(limbs * places, axis=0)
 
 
 class _SegmentSums:
@@ -447,41 +417,43 @@ class _SegmentSums:
     drops the rows of tables that stop.
 
     The values are float32 ones held in float64: each is a whole multiple
-    of 2**_FINE = 2**-149 and below 2**128 in magnitude. So no sum or
-    square of them, exact or rounded, leaves the float64 range, and a
-    nonzero one is at least 2**-298 in magnitude: far from both ends of it,
-    so nothing here overflows or underflows.
+    of 2**-149 and below 2**128 in magnitude. So no sum or square of them,
+    exact or rounded, leaves the float64 range, and a nonzero one is at
+    least 2**-298 in magnitude: far from both ends of it, so nothing here
+    overflows or underflows.
 
-    The grid: every value of a table is m * 2**e for one e, the frexp
-    exponent of its largest magnitude less 62, so |m| < 2**62 splits into
-    31-bit limbs m = hi * 2**31 + lo, 0 <= lo < 2**31 (hi is m >> 31,
-    rounded toward -inf). prefix holds the sums of hi (row 0) and lo
-    (row 1) over a table's first values, exact in int64 (kmeans_1d takes
-    fewer than 2**32 values a table); from 2**21 values on, lo's carries
-    move into hi, as _rounded_runs needs there. A run's exact sum is the
-    difference of the prefixes at its bounds, rounded to float64 once: it
-    is fsum's correctly rounded sum. A zero one is +0.0, as fsum gives.
+    The levels: a table's level 0 is the grid 2**e, e the frexp exponent p
+    of its largest magnitude less 62, and holds each value m * 2**e with m
+    an integer, |m| < 2**62. Any other value, of frexp exponent x, is such
+    an m on the grid 2**(e - 38 * l) of level l = (p - x) // 38 >= 1 (38 is
+    62 less float32's 24 significant bits); float32 spans 2**128 to
+    2**-149, so l <= 7. levels lists each row's, units its finest's 2**.
 
-    The layout: a batch of at most _BATCH values (step 1) keeps a column
-    per column of svals, so row r's bound b is column columns[r] + b, and
-    one take reads a sweep's bounds of every table, each rounded in its own
-    units (places: 2**(e + 31) and 2**e, 0.0 off the grid). A larger table
+    The sums: m is hi * 2**31 + lo, 0 <= lo < 2**31. prefix holds the
+    level-0 sums of hi (row 0) and lo (row 1) over a table's first values,
+    exact in int64 (a table holds fewer than 2**32 values); finer holds,
+    for each finer level of the batch, the columns of svals on it and the
+    sums of their limbs up to each. A run's sum on a level is the
+    difference of its sums at the run's bounds. totals rounds the level-0
+    sums of every row at once, each in its own units (places: 2**(e + 31)
+    and 2**e), and what exact gives for the tables on more than one level. Each is the exact sum rounded once, fsum's, and
+    +0.0 where it is zero, as fsum gives. exact adds a row's levels on its
+    finest one's grid in O(k * levels), and squares holds each row's Σx²,
+    summed in the pass: Python ints in units of 2**units[row] and
+    2**(2 * units[row]).
+
+    The layout: a batch of at most _BATCH values (step 1) keeps a prefix
+    column per column of svals, so row r's bound b is column columns[r] +
+    b, and one take reads a sweep's bounds of every table. A larger table
     (step _STEP) runs alone and keeps column j for svals[:j * _STEP], slot
-    included; a bound's sum adds the at most _STEP - 1 values past its
-    column. Both form the same integers, so the layout never shows. One
-    pass over svals builds every table's prefix: it scales each table's run
-    of a chunk by its 2**-e, writes the limbs and sums the squares; at
-    step 1 each slot then takes minus the limb sums of the table before it,
-    so that one cumsum over the batch starts every table from 0 at its slot.
-
-    A table off its grid, where some value is no multiple of 2**e (its
-    values span more than 62 bits), is a row of off: fsum sums its runs.
-
-    exact gives a row's run sums, and squares the sum of every value's
-    square, exactly, as Python ints in units of 2**units[row] and
-    2**(2 * units[row]). On the grid the unit is e: exact reads the prefix
-    in O(k), and squares is summed as the prefix is built. Off the grid the
-    unit is _FINE, and both are summed value by value in O(n), squares once.
+    included; a bound's sum adds the at most _STEP - 1 level-0 values past
+    its column, and lo's carries move into hi (see totals). Both form
+    the same integers, so the layout never shows. One pass over svals
+    builds every table's sums: it scales each table's run of a chunk by
+    its 2**-e, puts each value on its level, writes the limbs and sums the
+    squares; at step 1 each slot then takes minus the limb sums of the
+    table before it, so that one cumsum over the batch starts every table
+    from 0 at its slot.
     """
 
     def __init__(self, svals: np.ndarray, starts: np.ndarray, sizes: np.ndarray, rows):
@@ -497,17 +469,30 @@ class _SegmentSums:
         owner = np.searchsorted(starts, cuts, side="right") - 1
         lengths = np.diff(cuts, append=size)
         chunks = np.searchsorted(cuts, range(0, size + _CHUNK, _CHUNK)).tolist()
-        off, squares = np.empty(cuts.size, dtype=bool), []
+        # by level, each run's sum of squares and, past level 0, the columns
+        # and integers of its values
+        squares, finer = {0: [0] * cuts.size}, {}
         prefix = np.zeros((2, size if self.step == 1 else size // _STEP + 1), dtype=np.int64)
         for a, i, j in zip(range(0, size, _CHUNK), chunks, chunks[1:]):
             runs = cuts[i:j] - a
             # scaling a float32 value by 2**-e neither overflows nor
-            # underflows, so it is exact: the value is a multiple of 2**e
-            # where its part is an integer, m
+            # underflows, so it is exact: the value lies on level 0 where
+            # its part is an integer, m
             part = np.repeat(scale[owner[i:j]], lengths[i:j])
             part *= svals[a : a + _CHUNK]
             m = part.astype(np.int64)
-            off[i:j] = np.logical_or.reduceat(m != part, runs)
+            stray = m != part
+            if np.count_nonzero(stray):
+                # a part of level l times 2**(38 * l) is its integer on that
+                # level, below 2**62 and nonzero: at least 2**-215, so exact
+                levels = np.where(stray, (62 - np.frexp(part)[1]) // _LEVEL, 0)
+                np.ldexp(part, _LEVEL * levels, out=part)
+                for level in np.unique(levels[stray]).tolist():
+                    on = levels == level
+                    finer.setdefault(level, []).append((a + np.flatnonzero(on), part[on]))
+                    squares.setdefault(level, [0] * cuts.size)[i:j] = _square_sums(part * on, runs)
+                m *= ~stray
+                part *= ~stray
             if self.step == 1:
                 np.right_shift(m, 31, out=prefix[0, a : a + m.size])
                 np.bitwise_and(m, _LOW, out=prefix[1, a : a + m.size])
@@ -518,85 +503,100 @@ class _SegmentSums:
                 np.einsum("ij->i", m >> 31, out=prefix[0, at : at + len(m)])
                 np.einsum("ij->i", m & _LOW, out=prefix[1, at : at + len(m)])
             del m  # _square_sums' parts take its place
-            squares += _square_sums(part, runs)
+            squares[0][i:j] = _square_sums(part, runs)
         prefix[:, starts[1:]] = -np.add.reduceat(prefix[:, : starts[-1]], starts[:-1], axis=1)
         np.cumsum(prefix, axis=1, out=prefix)
-        if sizes.max() >= 1 << 21:
+        if self.step != 1:
             prefix[0] += prefix[1] >> 31
             prefix[1] &= _LOW
-        self.prefix = prefix
-        firsts = np.searchsorted(cuts, starts)
-        on = ~np.logical_or.reduceat(off, firsts)
-        edges = firsts.tolist() + [cuts.size]
+        self.prefix, self.finer = prefix, {}
+        for level, parts in finer.items():
+            at, m = (np.concatenate(arrays) for arrays in zip(*parts))
+            m, sums = m.astype(np.int64), np.zeros((2, m.size + 1), dtype=np.int64)
+            np.cumsum((m >> 31, m & _LOW), axis=1, out=sums[:, 1:])
+            self.finer[level] = at, sums
+        edges = np.searchsorted(cuts, starts).tolist() + [cuts.size]
         rows = rows.tolist()
         self.views = [svals[starts[r] + 1 : starts[r] + 1 + sizes[r]] for r in rows]
-        self.n = max(sizes[r] for r in rows)
-        self.off = [i for i, r in enumerate(rows) if not on[r]]
-        self.units = [int(e[r]) if on[r] else _FINE for r in rows]
-        self._squares = [sum(squares[edges[r] : edges[r + 1]]) if on[r] else None for r in rows]
+        self.levels, self.units, self.squares = [], [], []
+        for r in rows:
+            # a finer level that holds a value of the table holds a square
+            sums = {level: sum(runs[edges[r] : edges[r + 1]]) for level, runs in squares.items()}
+            levels = sorted(level for level, q in sums.items() if q or not level)
+            self.levels.append(levels)
+            self.units.append(int(e[r]) - _LEVEL * levels[-1])
+            self.squares.append(sum(sums[level] << 2 * _LEVEL * (levels[-1] - level)
+                                    for level in levels))
         self.columns, self.scale = starts[rows, None], scale[0]
-        grid = np.ldexp(on[rows] * 1.0, self.units)[:, None]
+        grid = np.ldexp(1.0, e[rows])[:, None]
         self.places = np.stack((grid * 2.0**31, grid))
-        self.square_sum = np.array([_rounded(self.squares(i), 2 * unit)
-                                    for i, unit in enumerate(self.units)])
+        self.square_sum = np.array([_rounded(q, 2 * unit)
+                                    for q, unit in zip(self.squares, self.units)])
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep the tables that the boolean mask rows selects."""
         kept = np.flatnonzero(rows).tolist()
         self.views = [self.views[r] for r in kept]
+        self.levels = [self.levels[r] for r in kept]
         self.units = [self.units[r] for r in kept]
-        self._squares = [self._squares[r] for r in kept]
-        self.off = [new for new, old in enumerate(kept) if old in self.off]
+        self.squares = [self.squares[r] for r in kept]
         self.columns, self.places = self.columns[rows], self.places[:, rows]
         self.square_sum = self.square_sum[rows]
 
-    def _limbs(self, bounds: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Rows hi and lo of each run between bounds, one row of bounds per
-        table of columns: its exact sum over 2**e is hi * 2**31 + lo."""
-        if self.step == 1:
+    def _limbs(self, bounds: np.ndarray, columns: np.ndarray, level: int = 0) -> np.ndarray:
+        """Rows hi and lo of each run between bounds on level, one row of
+        bounds per table of columns: its exact sum over the level's grid is
+        hi * 2**31 + lo."""
+        if level:
+            at, sums = self.finer[level]
+            limbs = sums.take(at.searchsorted(bounds + columns, side="right"), axis=1)
+        elif self.step == 1:
             limbs = self.prefix.take(bounds + columns, axis=1)
         else:
             # one table; past its slot, a bound is svals's end
             ends = bounds[0] + 1
             column, r = np.divmod(ends, _STEP)
-            # column i holds the values of end i's block below it, as m
-            m = self.svals.take(_OFFSETS + (ends - r), mode="clip") * self.scale
-            m = m.astype(np.int64) * (_OFFSETS < r)
+            # column i holds end i's level-0 values below it in its block
+            part = self.svals.take(_OFFSETS + (ends - r), mode="clip") * self.scale
+            m = part.astype(np.int64)
+            m *= (_OFFSETS < r) & (m == part)
             limbs = self.prefix.take(column, axis=1) + np.add.reduce(np.divmod(m, 1 << 31), axis=1)
             limbs = limbs[:, None]
         return limbs[..., 1:] - limbs[..., :-1]
 
     def totals(self, bounds: np.ndarray) -> np.ndarray:
         """math.fsum(views[r][bounds[r, i]:bounds[r, i + 1]]) for each row r
-        and segment i."""
-        totals = _rounded_runs(self._limbs(bounds, self.columns), self.places, self.n)
-        for row in self.off:
-            totals[row] = self.fsums(row, bounds[row])
-        return totals
+        and segment i.
 
-    def fsums(self, row: int, bounds: np.ndarray) -> np.ndarray:
-        """totals of a row off the grid: math.fsum of each run."""
-        edges, values = bounds.tolist(), self.views[row]
-        return np.array([math.fsum(values[lo:hi].tolist()) for lo, hi in zip(edges, edges[1:])])
+        The dense layout sums at most _BATCH values' hi, each at most 2**31
+        in magnitude, and lo, below 2**31: both stay below 2**53 while
+        _BATCH is at most 2**22. The blocked layout moves lo's carries into
+        hi, so |lo| < 2**35, and hi sums fewer than 2**32 values and carries.
+        """
+        limbs, places = self._limbs(bounds, self.columns), self.places
+        if self.step != 1:
+            # the exact sum over 2**e is t * 2**52 + u with |t| < 2**42 and
+            # |u| < 2**53
+            hi, lo = limbs
+            limbs = np.stack((hi >> 21, ((hi & (1 << 21) - 1) << 31) + lo))
+            places = places * _WIDER
+        # each limb times its place is an exact float64, so the one addition,
+        # the reduce over the two, rounds each row's level-0 sums
+        totals = np.add.reduce(limbs * places, axis=0)
+        for row, (levels, unit) in enumerate(zip(self.levels, self.units)):
+            if len(levels) > 1:
+                totals[row] = [_rounded(s, unit) for s in self.exact(row, bounds[row])]
+        return totals
 
     def exact(self, row: int, bounds: np.ndarray) -> list[int]:
         """The exact sum of each run of row between bounds, in units of
         2**units[row]."""
-        if row in self.off:
-            edges, values = bounds.tolist(), self.views[row]
-            return [sum(_units(values[lo:hi], _FINE)) for lo, hi in zip(edges, edges[1:])]
-        hi, lo = self._limbs(bounds[None], self.columns[row])[:, 0]
-        return [(h << 31) + l for h, l in zip(hi.tolist(), lo.tolist())]
-
-    def squares(self, row: int) -> int:
-        """Σ x**2 over row's values, exact, in units of 2**(2 * units[row])."""
-        if self._squares[row] is None:
-            values = self.views[row]
-            self._squares[row] = sum(
-                sum(_units(np.square(values[i : i + _CHUNK]), 2 * _FINE))
-                for i in range(0, values.size, _CHUNK)
-            )
-        return self._squares[row]
+        levels, sums = self.levels[row], [0] * (bounds.size - 1)
+        for level in levels:
+            hi, lo = self._limbs(bounds[None], self.columns[row], level)[:, 0].tolist()
+            shift = _LEVEL * (levels[-1] - level)
+            sums = [s + (((h << 31) + l) << shift) for s, h, l in zip(sums, hi, lo)]
+        return sums
 
 
 def _segment_means(totals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -699,7 +699,7 @@ def _exact_sse(sums: _SegmentSums, row: int, centroids, bounds) -> float:
     # centroids' lowest bits; the SSE in units of 2**(2 * fine)
     fine = min([unit] + [1 - den.bit_length() for _, den in ratios])
     shift = unit - fine
-    total = sums.squares(row) << (2 * shift)
+    total = sums.squares[row] << (2 * shift)
     held_sums = (s for s, h in zip(sums.exact(row, bounds), held.tolist()) if h)
     for (num, den), sj, nj in zip(ratios, held_sums, counts[held].tolist()):
         cj = num << (1 - fine - den.bit_length())
@@ -717,9 +717,8 @@ def _increased(sums: _SegmentSums, now: tuple, before: tuple, steady, live) -> b
     numbers. The SSE is the exact Σ (x - c)**2 over the values of every
     non-empty segment of a row's table, rounded once to float64; lo and hi
     bracket each row's (_sse_bracket), and exact holds the SSEs formed so
-    far, by table (_exact_sse: in O(k) on the grid, in O(n) off it). The
-    test reads them only where the brackets leave it open, and forms each
-    once.
+    far, by table (_exact_sse, in O(k * levels)). The test reads them only
+    where the brackets leave it open, and forms each once.
     """
     # the rows that may have increased; above them, those that did
     maybe = now[3] > before[2] * (1.0 + 1e-9)
@@ -737,21 +736,6 @@ def _increased(sums: _SegmentSums, now: tuple, before: tuple, steady, live) -> b
         if now[4][table] > before[4][table] * (1.0 + 1e-9):
             return True
     return False
-
-
-def _stable_zeros(svals: np.ndarray, positions: np.ndarray, vals: np.ndarray) -> None:
-    """Give the zeros of svals, sorted from vals with -0.0 before 0.0, the
-    signs and positions that the zeros of vals have, in vals's order.
-
-    Equal finite floats have equal bits except for the sign of zero, and
-    each table's zeros are one run of svals, so svals and positions are
-    then bitwise what a stable sort gives.
-    """
-    zeros = svals == 0
-    if np.count_nonzero(zeros):
-        held = vals == 0
-        svals[zeros] = vals[held]
-        positions[zeros] = np.flatnonzero(held)
 
 
 def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
@@ -784,26 +768,26 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
 
     - The sorted values and each one's position are bitwise a stable
       sort's: one np.sort of unique packed keys (table, float32 order bits,
-      position) orders each batch, ties by position, and _stable_zeros puts
-      the zeros of both signs back in input order (_sorted). No order
+      position) orders each batch, ties by position (_sorted). Zeros of
+      both signs share one key, so their positions order them. No order
       depends on numpy's sort algorithm or its SIMD level.
     - A segment's mean is math.fsum of its values over their count, bit for
-      bit. Where a table's sorted values lie on one integer grid m * 2**e
-      with |m| < 2**62, each sweep reads its k sums off exact int64 prefix
-      sums in O(k) numpy work; where they span more bits, it runs fsum on
-      each segment. One pass builds a batch's prefixes (_SegmentSums): at
-      every value up to _BATCH values, where one take reads a sweep's bounds
-      of every table, and at every _STEP-th value above, where a bound adds
-      the values past its column. Both layouts form the same integers.
+      bit: their exact sum rounded once. Each value lies on one of at most 8
+      integer grids m * 2**e, |m| < 2**62, its table's levels, each with
+      exact int64 prefix sums that one pass builds for a batch
+      (_SegmentSums): at every value up to _BATCH values, where one take
+      reads a sweep's bounds of every table, and at every _STEP-th value
+      above, where a bound adds the values past its column. A sweep reads
+      the k sums of the tables on one level in O(k) numpy work, and adds
+      those of a table on more in O(k * levels).
     - The "SSE increased" check compares the exact Σ(x - c)² over the
       non-empty segments, rounded once to float64. A sweep evaluates
       Σx² - 2 Σ c·S + Σ n·c² in O(k) float work, from the sum of squares
       taken once per table and the segment sums S that the next sweep's
       means divide, and brackets the SSE with a rigorous error bound. Only
       where the brackets of two sweeps leave the check open are their SSEs
-      formed exactly, from exact integer sums: in O(k) on the grid, in O(n)
-      off it (_increased). So a sweep of a table on the grid that does not
-      reseed does no O(n) work.
+      formed exactly, from exact integer sums, in O(k * levels)
+      (_increased). So a sweep that does not reseed does no O(n) work.
     - A sweep that did not reseed and left every bound where it was is a
       fixed point: the next sweep would compute the same means, move no
       centroid and stop. The loop stops there instead.
@@ -874,15 +858,18 @@ def _sorted(vals: np.ndarray, sizes: list[int]):
 
     Returns svals, the float64 values in that order, each slot holding 0.0;
     positions, each one's position in vals (vals.size at a slot), uint32;
-    and starts, the column of each table's slot. Zeros sort as -0.0 before
-    0.0; _stable_zeros puts them back in input order.
+    and starts, the column of each table's slot. -0.0 takes the key bits of
+    0.0, so a table's zeros sort by position, as a stable sort leaves them,
+    and then take back their signs from vals.
     """
     n, count = vals.size, len(sizes)
     shift = n.bit_length()
     tags = np.arange(count, dtype=np.uint64) << (shift + 32)
     keys = np.empty(n + count, dtype=np.uint64)
-    keys[:n] = (vals.view(np.int32) >> 31).view(np.uint32) | 1 << 31
-    keys[:n] ^= vals.view(np.uint32)
+    # -0.0 + 0.0 is 0.0, and every other value is itself
+    bits = (vals + np.float32(0.0)).view(np.uint32)
+    keys[:n] = (bits.view(np.int32) >> 31).view(np.uint32) | 1 << 31
+    keys[:n] ^= bits
     keys[:n] <<= shift
     keys[:n] |= np.arange(n, dtype=np.uint64)
     if count > 1:
@@ -895,8 +882,10 @@ def _sorted(vals: np.ndarray, sizes: list[int]):
     del keys
     bits ^= (bits >> 31) - 1 | 1 << 31
     svals = bits.view(np.float32).astype(np.float64)
+    # the slots' bits decode to NaN, which no zero equals
+    zeros = svals == 0
+    svals[zeros] = vals[positions[zeros]]
     starts = np.arange(count) + np.cumsum([0] + sizes[:-1])
-    _stable_zeros(svals, positions, vals)
     svals[starts] = 0.0
     return svals, positions, starts
 
@@ -1237,28 +1226,27 @@ def dequantize(model: ClusteredModel, weights: DarknetWeights) -> DarknetWeights
 def cluster_model(weights: DarknetWeights, cfg: ClusterConfig) -> ClusteredModel:
     """Quantize all conv kernels into codebooks per the configured scope.
 
-    Both scopes make one kmeans_1d call on the kernels end to end. The
-    per-layer one passes each conv's length, so each conv's table is
-    bitwise what a call on its kernel alone gives, and the convs run their
-    sweeps in lockstep, in batches of at most _BATCH weights (a larger conv
-    alone); each table's span of the assignments is packed on its own.
+    Both scopes make one kmeans_1d call on the kernels end to end, with
+    the lengths of their tables: the global one the whole stream, the
+    per-layer one each conv's, so that each conv's table is bitwise what a
+    call on its kernel alone gives, and the convs run their sweeps in
+    lockstep, in batches of at most _BATCH weights (a larger conv alone).
+    Each table's span of the assignments is packed on its own.
     """
     if not weights.convs:
         raise ValueError("weights hold no conv layers to cluster")
     stream = np.concatenate([conv.kernel.reshape(-1) for conv in weights.convs])
     if cfg.scope == SCOPE_ALL_LAYERS:
-        table, assignments = kmeans_1d(stream, cfg.k, cfg)
-        entries = (
-            ClusterEntry(None, table, pack_indices(assignments, cfg.bits)),
-        )
+        ids, sizes = [None], [stream.size]
     else:
+        ids = [conv.layer_index for conv in weights.convs]
         sizes = [conv.n_weights for conv in weights.convs]
-        tables, assignments = kmeans_1d(stream, cfg.k, cfg, lengths=sizes)
-        edges = np.cumsum([0] + sizes).tolist()
-        entries = tuple(
-            ClusterEntry(conv.layer_index, table, pack_indices(assignments[lo:hi], cfg.bits))
-            for conv, table, lo, hi in zip(weights.convs, tables, edges, edges[1:])
-        )
+    tables, assignments = kmeans_1d(stream, cfg.k, cfg, lengths=sizes)
+    edges = np.cumsum([0] + sizes).tolist()
+    entries = tuple(
+        ClusterEntry(layer_id, table, pack_indices(assignments[lo:hi], cfg.bits))
+        for layer_id, table, lo, hi in zip(ids, tables, edges, edges[1:])
+    )
     return ClusteredModel(scope=cfg.scope, bits=cfg.bits, entries=entries)
 
 

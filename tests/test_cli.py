@@ -320,8 +320,8 @@ def off_grid_blob(text: str) -> bytes:
     second conv, which has no batch norm to fold, set to (1 + 2**-23) *
     2**(p - 41), p being the frexp exponent of the largest folded kernel
     weight: about 2**-40 times that weight, with its lowest bit 2**-64
-    times it, below the 62-bit grid of _SegmentSums. So a table that holds
-    it sums its segments with fsum."""
+    times it, below the 62-bit grid of _SegmentSums' level 0. So a table
+    that holds it lies on two levels."""
     net = parse_config(text)
     weights = read_darknet_weights(weights_blob(net, seed=11), net)
     peak = max(float(np.abs(conv.kernel).max()) for conv in fold_batch_norm(weights).convs)
@@ -336,9 +336,10 @@ def off_grid_blob(text: str) -> bytes:
 # (cfg, cluster options, whether the weights hold one weight off the grid)
 # of each CLUSTER_SHA256 case. Every table here holds at most cluster._BATCH
 # values and keeps its prefix sums at every value, the w24 net's global table
-# of 102,088 too; test_blocked_layout_gives_the_same_bytes runs that table
-# again with the prefix at every cluster._STEP-th value, as a larger table
-# keeps it. The off-grid case's table takes no prefix at all.
+# of 102,088 too; test_blocked_layout_gives_the_same_bytes runs that table,
+# and the off-grid one, again with the prefix at every cluster._STEP-th
+# value, as a larger table keeps it. The off-grid case's table lies on two
+# levels, and keeps a prefix for each.
 CLUSTER_CASES = {
     "toy/per-layer/8": (TOY_CFG, ["--scope", "per-layer", "--bits", "8"], False),
     "toy/all-layers/5/kmeans-pp": (
@@ -380,7 +381,8 @@ class TestClusterBytes:
     def test_cluster_bytes_are_pinned(self, tmp_path, monkeypatch, capsys, case):
         self.check(tmp_path, monkeypatch, capsys, case)
 
-    def test_blocked_layout_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("case", ["w24/all-layers/5", "toy/all-layers/5/off-grid"])
+    def test_blocked_layout_gives_the_same_bytes(self, tmp_path, monkeypatch, capsys, case):
         # every table runs alone and keeps its prefix at every _STEP-th value
         monkeypatch.setattr(cluster, "_BATCH", 0)
         built = []
@@ -391,19 +393,19 @@ class TestClusterBytes:
             built.append(self.step)
 
         monkeypatch.setattr(cluster._SegmentSums, "__init__", spy)
-        self.check(tmp_path, monkeypatch, capsys, "w24/all-layers/5")
+        self.check(tmp_path, monkeypatch, capsys, case)
         assert built == [cluster._STEP]
 
     @staticmethod
     def check(tmp_path, monkeypatch, capsys, case):
         text, options, off_grid = CLUSTER_CASES[case]
-        real, fallbacks = cluster._SegmentSums.fsums, []
+        real, levels = cluster._SegmentSums.__init__, []
 
-        def spy(self, row, bounds):
-            fallbacks.append(None)
-            return real(self, row, bounds)
+        def spy(self, *args):
+            real(self, *args)
+            levels.extend(self.levels)
 
-        monkeypatch.setattr(cluster._SegmentSums, "fsums", spy)
+        monkeypatch.setattr(cluster._SegmentSums, "__init__", spy)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "net.cfg").write_text(text)
         blob = off_grid_blob(text) if off_grid else weights_blob(parse_config(text), seed=11)
@@ -417,7 +419,8 @@ class TestClusterBytes:
             sha256(stdout),
             sha256((tmp_path / "net.json").read_bytes()),
         )
-        assert bool(fallbacks) == off_grid
+        # the one table lies on level 0 alone, or on two levels
+        assert levels == [[0, 1] if off_grid else [0]]
         assert digests == CLUSTER_SHA256[case]
 
 
@@ -1170,6 +1173,27 @@ class TestCompare:
         capsys.readouterr()
         assert target.read_text().startswith("configuration,")
 
+    def test_out_file_holds_the_stdout_bytes(self, reports, tmp_path, capsys):
+        target = tmp_path / "tradeoff.csv"
+        assert main(["compare", *map(str, reports)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["compare", *map(str, reports), "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.encode()
+
+    def test_out_to_a_device(self, reports, capsys):
+        assert main(["compare", str(reports[0]), "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_out_file_keeps_its_mode(self, reports, tmp_path, capsys):
+        target = tmp_path / "tradeoff.csv"
+        target.write_text("old\n")
+        os.chmod(target, 0o640)
+        assert main(["compare", str(reports[0]), "--out", str(target)]) == 0
+        assert target.read_text().startswith("configuration,")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
     def test_bad_quality_syntax(self, reports, capsys):
         rc = main(["compare", str(reports[0]), "--quality", "nolabel"])
         assert rc == 1
@@ -1294,6 +1318,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", str(cfg_path), "--scope", "everything"])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_a_handler_swapped_in_later_runs(self, tmp_path, monkeypatch, capsys):
+        # the parser is built by the first call; the handler is looked up
+        # in the module at each call, as a tracer swaps it
+        report = tmp_path / "missing.json"
+        assert main(["compare", str(report)]) == 1
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_compare", lambda args: calls.append(args.reports) or 0)
+        assert main(["compare", str(report)]) == 0
+        assert calls == [[str(report)]]
 
 
 # parses, but layer 2 adds a 4x4 map to an 8x8 one

@@ -975,6 +975,23 @@ class TestLockstep:
             assert entry.table == table
             assert entry.packed == pack_indices(assignments, cfg.bits)
 
+    def test_one_call_for_the_global_scope(self, folded, monkeypatch):
+        real, calls = cluster.kmeans_1d, []
+
+        def spy(values, k, cfg=None, lengths=None):
+            calls.append((values.size, lengths))
+            return real(values, k, cfg, lengths)
+
+        monkeypatch.setattr(cluster, "kmeans_1d", spy)
+        cfg = ClusterConfig(bits=5)
+        model = cluster_model(folded, cfg)
+        stream = np.concatenate([conv.kernel for conv in folded.convs])
+        assert calls == [(stream.size, [stream.size])]
+        (entry,) = model.entries
+        table, assignments = real(stream, cfg.k, cfg)
+        assert entry.layer_id is None and entry.table == table
+        assert entry.packed == pack_indices(assignments, cfg.bits)
+
     def test_lengths_must_cover_the_values(self):
         with pytest.raises(ValueError, match="lengths add up to 4, not to the 5 values"):
             kmeans_1d(np.arange(5.0), 2, lengths=[1, 3])
@@ -1045,9 +1062,11 @@ class TestBatchSetUp:
     @staticmethod
     def same_as_each_table(tables, sample=None):
         """Assert that the _SegmentSums of tables, one batch, holds bitwise
-        what a _SegmentSums of each table alone gives: per row grid, high,
-        unit, prefix columns, Σx² and whether it lies off its grid, for every
-        table or those that sample names."""
+        what a _SegmentSums of each table alone gives: per row its levels,
+        unit, place values, level-0 prefix columns, each finer level's
+        columns and limb sums, and Σx², for every table or those that sample
+        names; a finer level that the table lacks holds none of its
+        columns."""
         vals = np.concatenate(tables).astype(np.float32)
         sizes = [table.size for table in tables]
         svals, _, starts = cluster._sorted(vals, sizes)
@@ -1059,12 +1078,18 @@ class TestBatchSetUp:
             sums = one_table(np.sort(tables[r], kind="stable"))
             assert sums.step == 1
             assert np.array_equal(batch.views[r].view(np.uint64), sums.views[0].view(np.uint64))
-            assert (r in batch.off) == bool(sums.off)
+            assert batch.levels[r] == sums.levels[0]
             assert same_float(batch.square_sum[r], sums.square_sum[0])
-            assert batch.units[r] == sums.units[0] and batch.squares(r) == sums.squares(0)
+            assert batch.units[r] == sums.units[0] and batch.squares[r] == sums.squares[0]
             assert np.array_equal(batch.places[:, r], sums.places[:, 0])
-            if not sums.off:
-                assert np.array_equal(batch.prefix[:, c : c + n + 1], sums.prefix)
+            assert np.array_equal(batch.prefix[:, c : c + n + 1], sums.prefix)
+            assert sums.finer.keys() == set(sums.levels[0][1:]) <= batch.finer.keys()
+            for level, (at, limbs) in batch.finer.items():
+                # the table's columns, and the sums at its slot and past it
+                lo, hi = at.searchsorted([c, c + n], side="right")
+                want_at, want = sums.finer.get(level, (at[:0], limbs[:, :1] * 0))
+                assert np.array_equal(at[lo:hi] - c, want_at)
+                assert np.array_equal(limbs[:, lo : hi + 1] - limbs[:, lo : lo + 1], want)
 
     def test_one_pass_for_a_batch(self, monkeypatch):
         # before its first sweep, a batch reads every table's sums off one
@@ -1108,9 +1133,22 @@ class TestBatchSetUp:
         assert tables[-1] == table and np.array_equal(assignments[-5:], alone)
 
 
+def levels_of(svals) -> list[int]:
+    """The levels of _SegmentSums that svals lie on, by their definition:
+    level 0 holds every whole multiple of 2**e, e being the frexp exponent p
+    of the largest magnitude less 62, and any other value, of frexp
+    exponent x, lies on level (p - x) // 38."""
+    p = math.frexp(max(abs(float(v)) for v in svals))[1]
+    levels = {0}
+    for v in svals.tolist():
+        if (Fraction(v) / Fraction(2) ** (p - 62)).denominator != 1:
+            levels.add((p - math.frexp(v)[1]) // 38)
+    return sorted(levels)
+
+
 def on_grid(svals) -> bool:
-    """Whether _SegmentSums sums svals on its integer grid, in exact integer
-    arithmetic: every value is m * 2**e for one e with |m| < 2**62."""
+    """Whether _SegmentSums puts svals on level 0 alone, one integer grid:
+    every value is m * 2**e for one e with |m| < 2**62."""
     peak = max(abs(float(v)) for v in svals)
     # the exponent of each nonzero value's lowest set bit; as_integer_ratio
     # gives an odd numerator over a power of two, or an integer over 1
@@ -1135,41 +1173,72 @@ class TestSegmentSums:
     def test_sum_is_fsum_of_the_run(self, layout, style, n, data_seed, cuts):
         svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
         sums = one_table(svals)
-        assert (not sums.off) == on_grid(svals)
-        if not sums.off:
-            step = 1 if layout == "dense" else cluster._STEP
-            assert sums.prefix.shape == (2, n + 1 if step == 1 else (n + 1) // step + 1)
+        assert (sums.levels == [[0]]) == on_grid(svals)
+        step = 1 if layout == "dense" else cluster._STEP
+        assert sums.prefix.shape == (2, n + 1 if step == 1 else (n + 1) // step + 1)
         for a, b in cuts:
             lo, hi = sorted((int(a * n), int(b * n)))
             total = run_total(sums, lo, hi)
             assert same_float(total, math.fsum(svals[lo:hi]))
 
-    def test_wide_exponents_fall_back_to_fsum(self):
+    def test_wide_exponents_sum_on_many_levels(self):
         rng = np.random.default_rng(1)
         wide = rng.standard_normal(4000) * 10.0 ** rng.uniform(-37, 37, 4000)
         svals = np.sort(wide.astype(np.float32).astype(np.float64))
         sums = one_table(svals)
-        assert sums.off
+        # 1e37 down to 1e-37 and below: 2**123 to 2**-133 and further
+        assert sums.levels == [levels_of(svals)] and len(sums.levels[0]) > 4
         for _ in range(300):
             lo, hi = sorted(rng.integers(0, svals.size + 1, 2).tolist())
             total = run_total(sums, lo, hi)
             assert same_float(total, math.fsum(svals[lo:hi]))
 
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_sums_and_squares_on_each_number_of_levels(self, count):
+        # float32's largest magnitudes and normal values near them on level
+        # 0, odd 24-bit significands 1 to 37 bits below each finer level's
+        # top, and for the eighth level float32's smallest steps
+        rng = np.random.default_rng(count)
+        values = [FLOAT32_MAX, -FLOAT32_MAX, *(rng.standard_normal(50) * 2.0**120)]
+        for level in range(1, min(count, 7)):
+            exponents = np.maximum(128 - 38 * level - rng.integers(1, 38, 20), -125)
+            significands = (rng.integers(2**23, 2**24, 20) | 1) * rng.choice([-1, 1], 20)
+            values += np.ldexp(significands, exponents - 24).tolist()
+        if count == 8:
+            values += [2.0**-149, -(2.0**-149), 3 * 2.0**-149, -5 * 2.0**-149]
+        svals = np.sort(np.array(values, dtype=np.float32).astype(np.float64), kind="stable")
+        assert levels_of(svals) == list(range(count))
+        sums = one_table(svals)
+        assert sums.levels == [list(range(count))]
+        unit, n = Fraction(2) ** sums.units[0], svals.size
+        squares = sum(Fraction(x) ** 2 for x in svals.tolist())
+        assert sums.squares[0] * unit**2 == squares
+        assert same_float(sums.square_sum[0], float(squares))
+        for _ in range(20):
+            bounds = np.concatenate(([0], np.sort(rng.integers(0, n + 1, 31)), [n]))
+            edges = bounds.tolist()
+            totals = sums.totals(bounds[None])[0]
+            for got, exact, lo, hi in zip(totals.tolist(), sums.exact(0, bounds), edges,
+                                          edges[1:]):
+                assert same_float(got, math.fsum(svals[lo:hi].tolist()))
+                assert exact * unit == sum(map(Fraction, svals[lo:hi].tolist()))
+
     def test_float32_extremes_stay_in_range(self):
         # the largest float32 magnitudes, many times over, and its smallest
-        # step: off the grid, every run's sum, the exact sums and the sum of
-        # squares are finite, and the squares of the smallest do not vanish
+        # step: on levels 0 and 7, every run's sum, the exact sums and the
+        # sum of squares are finite, and the squares of the smallest do not
+        # vanish
         tiny = [-(2.0**-149), 2.0**-149, 3 * 2.0**-149]
         svals = np.sort([-FLOAT32_MAX] * 300 + tiny + [FLOAT32_MAX] * 500)
         sums = one_table(svals)
-        assert sums.off
+        assert sums.levels == [[0, 7]]
         for lo in range(0, svals.size + 1, 7):
             for hi in range(lo, svals.size + 1, 11):
                 total = run_total(sums, lo, hi)
                 assert same_float(total, math.fsum(svals[lo:hi]))
                 assert math.isfinite(total)
         want = sum(Fraction(x) ** 2 for x in svals.tolist())
-        assert sums.squares(0) * Fraction(2) ** (2 * sums.units[0]) == want
+        assert sums.squares[0] * Fraction(2) ** (2 * sums.units[0]) == want
         assert sums.square_sum[0] == float(want) < math.inf
         smallest = one_table(np.array([-(2.0**-149), 0.0, 2.0**-149]))
         assert smallest.square_sum[0] == 2.0**-297
@@ -1211,7 +1280,7 @@ class TestSegmentSums:
         assert np.array_equal(svals.astype(np.float32), svals)
         n = svals.size
         sums = one_table(svals)
-        assert (not sums.off) == on_grid(svals)
+        assert (sums.levels == [[0]]) == on_grid(svals)
         bounds = np.array([0, *sorted(min(c, n) for c in cuts), n], dtype=np.int64)
         edges = bounds.tolist()
         want = [
@@ -1222,8 +1291,9 @@ class TestSegmentSums:
         for got, mean in zip(means.tolist(), want):
             assert np.isnan(got) if mean is None else same_float(got, mean)
 
-    # (values, whether they lie on the integer grid of _SegmentSums); every
-    # value is a float32 one, with a significand of at most 24 bits
+    # (values, whether they lie on level 0 of _SegmentSums alone, its
+    # integer grid); every value is a float32 one, with a significand of at
+    # most 24 bits
     CRAFTED = {
         # a float sum in ascending order loses each 1.0 against -2**54 and
         # gives 0.0, fsum 4.0
@@ -1268,16 +1338,16 @@ class TestSegmentSums:
         svals = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
         assert np.array_equal(svals.astype(np.float32), svals)
         n = svals.size
-        real, fallbacks = cluster._SegmentSums.fsums, []
+        real, combined = cluster._SegmentSums.exact, []
 
         def spy(self, row, bounds):
-            fallbacks.append(bounds.tolist())
+            combined.append(bounds.tolist())
             return real(self, row, bounds)
 
-        monkeypatch.setattr(cluster._SegmentSums, "fsums", spy)
+        monkeypatch.setattr(cluster._SegmentSums, "exact", spy)
         sums = one_table(svals)
         assert on_grid(svals) == grid
-        assert (not sums.off) == grid
+        assert (sums.levels == [[0]]) == grid
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 total = run_total(sums, lo, hi)
@@ -1288,7 +1358,8 @@ class TestSegmentSums:
             lo, hi = bounds[i], bounds[i + 1]
             if hi > lo:
                 assert same_float(float(means[i]), math.fsum(svals[lo:hi]) / (hi - lo))
-        assert bool(fallbacks) != grid
+        # totals combine the levels' sums only for a table on several
+        assert bool(combined) != grid
 
     def test_crafted_trap_defeats_a_float_sum(self):
         values, _ = self.CRAFTED["float-sum-rounds"]
@@ -1316,7 +1387,7 @@ class TestSegmentSums:
         assert divmod(exact, 2**31) == (2**53 + 1, 1)
         assert float(2**53 + 1) * 2.0**31 + 1.0 == 2.0**84 != float(exact)
         sums = one_table(svals)
-        assert not sums.off
+        assert sums.levels == [[0]]
         n = svals.size
         assert n % cluster._STEP == 0
         for lo, hi in ((0, n), (5, n), (1, n - 5)):
@@ -1326,13 +1397,16 @@ class TestSegmentSums:
 
     def test_fp32_normal_values_take_the_grid(self, monkeypatch):
         values = np.random.default_rng(17).standard_normal(1 << 20).astype(np.float32)
-        assert not one_table(np.sort(values.astype(np.float64))).off
+        assert one_table(np.sort(values.astype(np.float64))).levels == [[0]]
+        real, levels = cluster._SegmentSums.__init__, []
 
-        def no_fallback(self, row, bounds):
-            raise AssertionError("fp32 normal values left the grid")
+        def spy(self, *args):
+            real(self, *args)
+            levels.extend(self.levels)
 
-        monkeypatch.setattr(cluster._SegmentSums, "fsums", no_fallback)
+        monkeypatch.setattr(cluster._SegmentSums, "__init__", spy)
         kmeans_1d(lloyd_values("normal", 20000, 17), 256, ClusterConfig(max_iters=10))
+        assert levels == [[0]]
 
 
 def sweep_sse(svals, centroids, bounds):
@@ -1467,7 +1541,7 @@ class TestSweepSSE:
         for offset, spread in ((0.0, 1.0), (1e6, 1e-3)):
             svals = np.sort(offset + spread * rng.standard_normal(200).astype(np.float32))
             sums = one_table(svals)
-            assert not sums.off
+            assert sums.levels == [[0]]
             for trial in range(40):
                 centroids, bounds = sweep_state(svals, rng, 8, 1e-9 * (trial % 4))
                 # the same bounds with one centroid moved by 0 to 8 ulp
@@ -1509,14 +1583,15 @@ class TestSweepSSE:
         svals = np.sort(lloyd_values(style, n, data_seed), kind="stable")
         sums = one_table(svals)
         unit = Fraction(2) ** sums.units[0]
-        assert sums.squares(0) * unit**2 == sum(Fraction(x) ** 2 for x in svals.tolist())
+        assert sums.squares[0] * unit**2 == sum(Fraction(x) ** 2 for x in svals.tolist())
         bounds = np.array([0, *sorted(min(c, n) for c in cuts), n], dtype=np.int64)
         edges = bounds.tolist()
         for got, lo, hi in zip(sums.exact(0, bounds), edges, edges[1:]):
             assert got * unit == sum(map(Fraction, svals[lo:hi].tolist()))
 
+    @pytest.mark.parametrize("levels", [[0], [0, 1, 2]], ids=["one-level", "three-levels"])
     @pytest.mark.parametrize("form", ["filter", "exact"])
-    def test_sweeps_on_the_grid_do_no_work_per_value(self, layout, form, monkeypatch):
+    def test_sweeps_do_no_work_per_value(self, layout, form, levels, monkeypatch):
         # Every sweep after the first, measured from one call of
         # _segment_means to the next. An O(n) step either allocates at
         # least a byte per value (a bool mask or a Python list alike), or
@@ -1526,12 +1601,12 @@ class TestSweepSSE:
         if form == "exact":
             monkeypatch.setattr(cluster, "_sse_bracket", no_bracket)
         real_means, real_init = cluster._segment_means, cluster._SegmentSums.__init__
-        grids, peaks, exacts = [], [], []
+        held, peaks, exacts = [], [], []
         numpy_spy = LargestArgument(exempt=("searchsorted",))
 
         def init_spy(self, *args):
             real_init(self, *args)
-            grids.append(not self.off)
+            held.extend(self.levels)
 
         def means_spy(totals, bounds):
             current, peak = tracemalloc.get_traced_memory()
@@ -1556,12 +1631,15 @@ class TestSweepSSE:
         monkeypatch.setattr(cluster, "np", numpy_spy)
         n = 1 << 18
         values = np.random.default_rng(12).standard_normal(n).astype(np.float32)
+        if len(levels) > 1:
+            # below the normal values' level-0 grid, 2**-59: levels 1 and 2
+            values[[7, 5000, 90000]] = [1e-13, -3e-30, 2e-13]
         tracemalloc.start()
         try:
             kmeans_1d(values, 32, ClusterConfig(bits=5, max_iters=30, tol=0.0))
         finally:
             tracemalloc.stop()
-        assert grids == [True]
+        assert held == [levels]
         assert len(peaks) == 30
         # the setup, measured by the first call, does take O(n) steps
         assert peaks[0][1] >= n
