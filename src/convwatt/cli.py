@@ -424,28 +424,19 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Same dtype, shape and raw bits, so -0.0 differs from +0.0 and a NaN
-    matches only the identical NaN."""
-    if a.dtype != b.dtype or a.shape != b.shape:
-        return False
-    raw = np.dtype(f"u{a.itemsize}")
-    return np.array_equal(a.view(raw), b.view(raw))
-
-
 def _difference(want: np.ndarray, *got: np.ndarray) -> float | None:
-    """Max |delta| between want and the variants in got that are not bitwise
-    equal to it, or None if all are.
-
-    The delta is taken over the differing variants in float64; it is nan
-    when their shapes disagree and 0 when only signs of zero differ.
+    """Max |delta|, in float64, between want and the variants in got whose
+    raw bits differ from it, or None if none does. So -0.0 differs from
+    +0.0, with a delta of 0, and a NaN matches only the identical NaN.
+    Every pass yields float32 maps of the shapes that inference gives
+    (run_network checks each).
     """
-    differing = [g for g in got if not _bitwise_equal(want, g)]
+    bits = want.view(np.uint32)
+    differing = [g for g in got if not np.array_equal(bits, g.view(np.uint32))]
     if not differing:
         return None
     return max(
         float(np.max(np.abs(g.astype(np.float64) - want.astype(np.float64))))
-        if g.shape == want.shape else math.nan
         for g in differing
     )
 

@@ -17,6 +17,7 @@ container (little-endian, CRC-protected).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import struct
 import zlib
@@ -77,6 +78,7 @@ class ClusterConfig:
     init: str = INIT_LINSPACE
 
     def __post_init__(self):
+        _check_integers(self, "bits", "max_iters", "seed")
         if self.scope not in SCOPES:
             raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         if not 1 <= self.bits <= 8:
@@ -93,6 +95,14 @@ class ClusterConfig:
     @property
     def k(self) -> int:
         return 1 << self.bits
+
+
+def _check_integers(obj, *names: str) -> None:
+    """Raise ValueError unless each named field of obj is an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,10 +421,10 @@ class _SegmentSums:
     """math.fsum of the runs between bounds of a lockstep batch's sorted
     tables, bit for bit, and the exact sums that the SSE check reads.
 
-    svals holds each table's sizes[t] sorted values after a slot of its
-    own, at column starts[t], that holds 0.0 (_sorted); rows index the
-    tables that iterate, one row each, and views holds their values. keep
-    drops the rows of tables that stop.
+    svals holds the tables' sorted values end to end, table t's sizes[t]
+    from column starts[t] (_sorted); rows index the tables that iterate,
+    one row each, and views holds their values. keep drops the rows of
+    tables that stop.
 
     The values are float32 ones held in float64: each is a whole multiple
     of 2**-149 and below 2**128 in magnitude. So no sum or square of them,
@@ -430,37 +440,36 @@ class _SegmentSums:
     2**-149, so l <= 7. levels lists each row's, units its finest's 2**.
 
     The sums: m is hi * 2**31 + lo, 0 <= lo < 2**31. prefix holds the
-    level-0 sums of hi (row 0) and lo (row 1) over a table's first values,
-    exact in int64 (a table holds fewer than 2**32 values); finer holds,
+    level-0 sums of hi (row 0) and lo (row 1) over svals's first values,
+    exact in int64 (a batch holds fewer than 2**32 values); finer holds,
     for each finer level of the batch, the columns of svals on it and the
-    sums of their limbs up to each. A run's sum on a level is the
-    difference of its sums at the run's bounds. totals rounds the level-0
-    sums of every row at once, each in its own units (places: 2**(e + 31)
-    and 2**e), and what exact gives for the tables on more than one level. Each is the exact sum rounded once, fsum's, and
-    +0.0 where it is zero, as fsum gives. exact adds a row's levels on its
-    finest one's grid in O(k * levels), and squares holds each row's Σx²,
-    summed in the pass: Python ints in units of 2**units[row] and
-    2**(2 * units[row]).
+    sums of their limbs before each. A run's sum on a level is the
+    difference of its sums at the run's bounds, which lie in one table.
+    totals rounds the level-0 sums of every row at once, each in its own
+    units (places: 2**(e + 31) and 2**e), and what exact gives for the
+    tables on more than one level. Each is the exact sum rounded once,
+    fsum's, and +0.0 where it is zero, as fsum gives. exact adds a row's
+    levels on its finest one's grid in O(k * levels), and squares holds
+    each row's Σx², summed in the pass: Python ints in units of
+    2**units[row] and 2**(2 * units[row]).
 
-    The layout: a batch of at most _BATCH values (step 1) keeps a prefix
-    column per column of svals, so row r's bound b is column columns[r] +
-    b, and one take reads a sweep's bounds of every table. A larger table
-    (step _STEP) runs alone and keeps column j for svals[:j * _STEP], slot
-    included; a bound's sum adds the at most _STEP - 1 level-0 values past
-    its column, and lo's carries move into hi (see totals). Both form
-    the same integers, so the layout never shows. One pass over svals
-    builds every table's sums: it scales each table's run of a chunk by
-    its 2**-e, puts each value on its level, writes the limbs and sums the
-    squares; at step 1 each slot then takes minus the limb sums of the
-    table before it, so that one cumsum over the batch starts every table
-    from 0 at its slot.
+    The layout: column j of prefix holds the sums over svals[:j * step].
+    A batch of at most _BATCH values has step 1, so row r's bound b is
+    column columns[r] + b, and one take reads a sweep's bounds of every
+    table. A larger table (step _STEP) runs alone; a bound's sum adds the
+    at most _STEP - 1 level-0 values past its column, and lo's carries move
+    into hi (see totals). Both form the same integers, so the layout never
+    shows. One pass over svals builds every table's sums: it scales each
+    table's run of a chunk by its 2**-e, puts each value on its level,
+    writes the limbs and sums the squares, and one cumsum over the batch
+    then gives the prefix.
     """
 
     def __init__(self, svals: np.ndarray, starts: np.ndarray, sizes: np.ndarray, rows):
         self.svals = svals
         size = svals.size
-        self.step = 1 if size - sizes.size <= _BATCH else _STEP
-        e = np.frexp(np.maximum(-svals[starts + 1], svals[starts + sizes]))[1] - 62
+        self.step = 1 if size <= _BATCH else _STEP
+        e = np.frexp(np.maximum(-svals[starts], svals[starts + sizes - 1]))[1] - 62
         scale = np.ldexp(1.0, -e)
         # runs of one table within one chunk
         cuts = np.zeros(size, dtype=bool)
@@ -472,7 +481,7 @@ class _SegmentSums:
         # by level, each run's sum of squares and, past level 0, the columns
         # and integers of its values
         squares, finer = {0: [0] * cuts.size}, {}
-        prefix = np.zeros((2, size if self.step == 1 else size // _STEP + 1), dtype=np.int64)
+        prefix = np.zeros((2, (size if self.step == 1 else size // _STEP) + 1), dtype=np.int64)
         for a, i, j in zip(range(0, size, _CHUNK), chunks, chunks[1:]):
             runs = cuts[i:j] - a
             # scaling a float32 value by 2**-e neither overflows nor
@@ -494,8 +503,8 @@ class _SegmentSums:
                 m *= ~stray
                 part *= ~stray
             if self.step == 1:
-                np.right_shift(m, 31, out=prefix[0, a : a + m.size])
-                np.bitwise_and(m, _LOW, out=prefix[1, a : a + m.size])
+                np.right_shift(m, 31, out=prefix[0, a + 1 : a + 1 + m.size])
+                np.bitwise_and(m, _LOW, out=prefix[1, a + 1 : a + 1 + m.size])
             else:
                 # einsum sums the short rows several times faster than sum
                 m = m[: m.size - m.size % _STEP].reshape(-1, _STEP)
@@ -504,7 +513,6 @@ class _SegmentSums:
                 np.einsum("ij->i", m & _LOW, out=prefix[1, at : at + len(m)])
             del m  # _square_sums' parts take its place
             squares[0][i:j] = _square_sums(part, runs)
-        prefix[:, starts[1:]] = -np.add.reduceat(prefix[:, : starts[-1]], starts[:-1], axis=1)
         np.cumsum(prefix, axis=1, out=prefix)
         if self.step != 1:
             prefix[0] += prefix[1] >> 31
@@ -517,7 +525,7 @@ class _SegmentSums:
             self.finer[level] = at, sums
         edges = np.searchsorted(cuts, starts).tolist() + [cuts.size]
         rows = rows.tolist()
-        self.views = [svals[starts[r] + 1 : starts[r] + 1 + sizes[r]] for r in rows]
+        self.views = [svals[starts[r] : starts[r] + sizes[r]] for r in rows]
         self.levels, self.units, self.squares = [], [], []
         for r in rows:
             # a finer level that holds a value of the table holds a square
@@ -549,12 +557,12 @@ class _SegmentSums:
         hi * 2**31 + lo."""
         if level:
             at, sums = self.finer[level]
-            limbs = sums.take(at.searchsorted(bounds + columns, side="right"), axis=1)
+            limbs = sums.take(at.searchsorted(bounds + columns, side="left"), axis=1)
         elif self.step == 1:
             limbs = self.prefix.take(bounds + columns, axis=1)
         else:
-            # one table; past its slot, a bound is svals's end
-            ends = bounds[0] + 1
+            # one table, so a bound is its end in svals
+            ends = bounds[0]
             column, r = np.divmod(ends, _STEP)
             # column i holds end i's level-0 values below it in its block
             part = self.svals.take(_OFFSETS + (ends - r), mode="clip") * self.scale
@@ -570,7 +578,8 @@ class _SegmentSums:
 
         The dense layout sums at most _BATCH values' hi, each at most 2**31
         in magnitude, and lo, below 2**31: both stay below 2**53 while
-        _BATCH is at most 2**22. The blocked layout moves lo's carries into
+        _BATCH is at most 2**22, and so does any difference of two prefix
+        columns within a table. The blocked layout moves lo's carries into
         hi, so |lo| < 2**35, and hi sums fewer than 2**32 values and carries.
         """
         limbs, places = self._limbs(bounds, self.columns), self.places
@@ -832,8 +841,8 @@ def _batches(sizes: list[int]):
     """sizes, the lengths of consecutive tables, in runs that share a
     lockstep batch: at most _BATCH values in all, or one larger table alone,
     and few enough tables and values that a table number and a position
-    (up to the batch's size, which marks a slot) fit the 32 low bits of a
-    sort key (_sorted)."""
+    (below the batch's size) fit the 32 low bits of a sort key
+    (_sorted)."""
     batch, total = [], 0
     for n in sizes:
         if batch and (total + n > _BATCH
@@ -851,30 +860,25 @@ def _sorted(vals: np.ndarray, sizes: list[int]):
     vals holds the batch's float32 tables end to end. A value's uint64 key
     holds, from the top bit down, its table's number, its float32 bits made
     to order as unsigned integers (~u where the sign bit is set, else
-    u | 2**31), and its position in vals. Each table also gets a key of
-    value bits 0, below every finite float32's, and position vals.size: its
-    slot, which leads its values. Keys are unique, so the sorted order, ties
-    included, does not depend on numpy's sort algorithm.
+    u | 2**31), and its position in vals. Keys are unique, so the sorted
+    order, ties included, does not depend on numpy's sort algorithm.
 
-    Returns svals, the float64 values in that order, each slot holding 0.0;
-    positions, each one's position in vals (vals.size at a slot), uint32;
-    and starts, the column of each table's slot. -0.0 takes the key bits of
-    0.0, so a table's zeros sort by position, as a stable sort leaves them,
-    and then take back their signs from vals.
+    Returns svals, the float64 values in that order, which holds the sorted
+    tables end to end, and positions, each one's position in vals, uint32.
+    -0.0 takes the key bits of 0.0, so a table's zeros sort by position, as
+    a stable sort leaves them, and then take back their signs from vals.
     """
     n, count = vals.size, len(sizes)
     shift = n.bit_length()
     tags = np.arange(count, dtype=np.uint64) << (shift + 32)
-    keys = np.empty(n + count, dtype=np.uint64)
     # -0.0 + 0.0 is 0.0, and every other value is itself
     bits = (vals + np.float32(0.0)).view(np.uint32)
-    keys[:n] = (bits.view(np.int32) >> 31).view(np.uint32) | 1 << 31
-    keys[:n] ^= bits
-    keys[:n] <<= shift
-    keys[:n] |= np.arange(n, dtype=np.uint64)
+    keys = ((bits.view(np.int32) >> 31).view(np.uint32) | 1 << 31).astype(np.uint64)
+    keys ^= bits
+    keys <<= shift
+    keys |= np.arange(n, dtype=np.uint64)
     if count > 1:
-        keys[:n] |= np.repeat(tags, sizes)
-    keys[n:] = tags | n
+        keys |= np.repeat(tags, sizes)
     keys.sort()
     positions = keys.astype(np.uint32) & (1 << shift) - 1
     keys >>= shift
@@ -882,12 +886,9 @@ def _sorted(vals: np.ndarray, sizes: list[int]):
     del keys
     bits ^= (bits >> 31) - 1 | 1 << 31
     svals = bits.view(np.float32).astype(np.float64)
-    # the slots' bits decode to NaN, which no zero equals
     zeros = svals == 0
     svals[zeros] = vals[positions[zeros]]
-    starts = np.arange(count) + np.cumsum([0] + sizes[:-1])
-    svals[starts] = 0.0
-    return svals, positions, starts
+    return svals, positions
 
 
 def _lloyd(vals: np.ndarray, sizes: list[int], k: int,
@@ -895,25 +896,25 @@ def _lloyd(vals: np.ndarray, sizes: list[int], k: int,
     """kmeans_1d on one batch: vals holds its tables end to end, sizes their
     lengths. Returns the float64 centroids, one row per table, and each
     value's assignment."""
-    svals, positions, starts = _sorted(vals, sizes)
+    svals, positions = _sorted(vals, sizes)
+    starts = np.cumsum([0] + sizes[:-1])
     sizes = np.array(sizes)
     # each value that differs from its sorted predecessor starts a new
     # distinct one, and so does each table's first
     first = np.empty(svals.size, dtype=bool)
     np.not_equal(svals[1:], svals[:-1], out=first[1:])
-    first[starts] = False
-    first[starts + 1] = True
+    first[starts] = True
     distinct = np.add.reduceat(first, starts)
     done = []  # (rows, centroids, bounds) of tables
     rows = np.flatnonzero(distinct <= k)
     if rows.size:
         # each distinct value is a centroid, the largest also in the
-        # surplus slots, which hold no value
-        count, slot = distinct[rows, None], np.arange(k + 1)
-        at = (np.cumsum(distinct) - distinct)[rows, None] + np.minimum(slot, count - 1)
+        # surplus entries, which hold no value
+        count, entry = distinct[rows, None], np.arange(k + 1)
+        at = (np.cumsum(distinct) - distinct)[rows, None] + np.minimum(entry, count - 1)
         at = np.flatnonzero(first)[at]
         done.append((rows, svals[at[:, :k]],
-                     np.where(slot < count, at - starts[rows, None] - 1, sizes[rows, None])))
+                     np.where(entry < count, at - starts[rows, None], sizes[rows, None])))
     del first
     rows = np.flatnonzero(distinct > k)
     if rows.size:
@@ -925,16 +926,12 @@ def _lloyd(vals: np.ndarray, sizes: list[int], k: int,
     bounds = np.empty((sizes.size, k + 1), dtype=np.int64)
     for rows, row_centroids, row_bounds in done:
         centroids[rows], bounds[rows] = row_centroids, row_bounds
-    # in sorted order, each table's slot and then its segments' indexes;
-    # the slots' positions point past the values
-    counts = np.ones((sizes.size, k + 1), dtype=np.int64)
-    counts[:, 1:] = bounds[:, 1:] - bounds[:, :-1]
-    labels = np.empty(counts.shape, dtype=np.uint32)
-    labels[:] = np.arange(-1, k).clip(0)
-    assignments = np.empty(vals.size + 1, dtype=np.uint32)
+    # in sorted order, each table's segments' indexes
+    labels = np.tile(np.arange(k, dtype=np.uint32), sizes.size)
+    assignments = np.empty(vals.size, dtype=np.uint32)
     # numpy scatters through intp indexes faster than it converts uint32 ones
-    assignments[positions.astype(np.intp)] = np.repeat(labels.reshape(-1), counts.reshape(-1))
-    return centroids, assignments[:-1]
+    assignments[positions.astype(np.intp)] = np.repeat(labels, np.diff(bounds).reshape(-1))
+    return centroids, assignments
 
 
 def _sweeps(tables: _SegmentSums, k: int, cfg: ClusterConfig) -> list:

@@ -13,7 +13,7 @@ import configparser
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 
-from .cluster import indexes_per_word
+from .cluster import _check_integers, indexes_per_word
 from .traffic import AccessProfile, OpProfile
 
 MJ_PER_PJ = 1e-9
@@ -190,6 +190,7 @@ class ClusteringChoice:
     n_tables: int = 1
 
     def __post_init__(self):
+        _check_integers(self, "bits", "n_tables")
         if not 1 <= self.bits <= 8:
             raise ValueError("bits must lie in 1..8")
         if self.n_tables < 1:

@@ -55,6 +55,13 @@ def _fp32(name: str, arr, shape: tuple[int, ...]):
     _shaped(name, arr, shape)
 
 
+def _table(centroids):
+    """Raise as _fp32 does unless centroids is a 1-D fp32 table."""
+    _fp32("centroids", centroids, np.shape(centroids))
+    if centroids.ndim != 1:
+        raise ValueError(f"centroids must be a 1-D table, got shape {centroids.shape}")
+
+
 def _shaped(name: str, arr, shape: tuple[int, ...]):
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, (M, N, K) ask for {shape}")
@@ -181,13 +188,15 @@ def gemm_nn(M, N, K, A, B, C):
 def gemm_nn_centroids(M, N, K, centroids, indexes, B, C):
     """gemm_nn with A[i,k] looked up as centroids[indexes[i, k]].
 
-    indexes is an (M, K) integer array. A's columns are gathered from the
-    table one block at a time, when the core asks for them. An index past
-    the table's end is caught by that gather, so C may be partly updated
-    when the ValueError is raised.
+    indexes is an (M, K) integer array; any other dtype raises TypeError.
+    A's columns are gathered from the table one block at a time, when the
+    core asks for them. An index past the table's end is caught by that
+    gather, so C may be partly updated when the ValueError is raised.
     """
-    _fp32("centroids", centroids, (np.size(centroids),))
+    _table(centroids)
     idx = np.asarray(indexes)
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"indexes must be integers, got {idx.dtype}")
     _shaped("indexes", idx, (M, K))
     # numpy would wrap a negative index; unsigned ones, as unpack_indices
     # returns, cannot be negative and need no scan
@@ -217,7 +226,7 @@ def gemm_nn_packed(M, N, K, centroids, packed, B, C, base=0):
     columns decodes only its own M x (k1 - k0) indexes (PackedIndices.take),
     so the stream is never materialized.
     """
-    _fp32("centroids", centroids, (np.size(centroids),))
+    _table(centroids)
     if base < 0 or (M and base + M * K > packed.count):
         raise ValueError("packed stream too short for requested extent")
     starts = base + np.arange(M, dtype=np.int64)[:, None] * K

@@ -359,7 +359,9 @@ class TestKmeans:
         # 16 B per value up to _BATCH values, the most a batch of one table
         # or of many holds, and 2 B per value above
         for n, columns in ((1, 2), (cluster._BATCH, cluster._BATCH + 1),
-                           (cluster._BATCH + 1, cluster._BATCH // cluster._STEP + 1)):
+                           (cluster._BATCH + 1, cluster._BATCH // cluster._STEP + 1),
+                           (cluster._BATCH + cluster._STEP - 1,
+                            cluster._BATCH // cluster._STEP + 1)):
             prefix = one_table(np.arange(n, dtype=np.float64)).prefix
             assert prefix.shape == (2, columns)
         assert cluster._BATCH * 16 <= 1 << 21
@@ -445,6 +447,15 @@ class TestKmeans:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ClusterConfig(seed=-1)
         assert ClusterConfig(bits=5).k == 32
+        assert ClusterConfig(bits=np.int64(5), max_iters=np.int32(2), seed=np.uint8(1)).k == 32
+
+    @pytest.mark.parametrize("field", ["bits", "max_iters", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+    def test_non_integer_config_rejected(self, field, value):
+        # a float that passes the range checks would fail later, in .k,
+        # kmeans_1d or kmeans_pp
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            ClusterConfig(**{field: value})
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol_rejected(self, tol):
@@ -463,8 +474,8 @@ class TestKmeans:
 
 def one_table(svals):
     """The _SegmentSums of one sorted table, a batch of one."""
-    return cluster._SegmentSums(np.concatenate(([0.0], svals)), np.zeros(1, dtype=np.int64),
-                                np.array([svals.size]), np.zeros(1, dtype=np.int64))
+    return cluster._SegmentSums(svals, np.zeros(1, dtype=np.int64), np.array([svals.size]),
+                                np.zeros(1, dtype=np.int64))
 
 
 def run_total(sums, lo: int, hi: int) -> float:
@@ -536,22 +547,19 @@ def no_bracket(square_sum, *args):
 def same_as_stable_sort(tables) -> None:
     """Assert that cluster._sorted orders float32 tables, end to end as one
     batch, bitwise as a stable argsort of each table does: the sorted values
-    and each one's position in the batch, after a 0.0 slot of each table
-    whose position is the batch's size."""
+    and each one's position in the batch, each table in its own span."""
     vals = np.concatenate(tables).astype(np.float32)
     assert np.array_equal(vals, np.concatenate(tables))
     sizes = [table.size for table in tables]
-    svals, positions, starts = cluster._sorted(vals, sizes)
+    svals, positions = cluster._sorted(vals, sizes)
     assert svals.dtype == np.float64 and positions.dtype == np.uint32
-    assert svals.size == positions.size == vals.size + len(tables)
+    assert svals.size == positions.size == vals.size
     edges = np.cumsum([0] + sizes).tolist()
-    assert starts.tolist() == [lo + t for t, lo in enumerate(edges[:-1])]
-    for c, lo, hi in zip(starts.tolist(), edges, edges[1:]):
-        assert svals[c].hex() == "0x0.0p+0" and positions[c] == vals.size
+    for lo, hi in zip(edges, edges[1:]):
         order = lo + np.argsort(vals[lo:hi], kind="stable")
-        assert np.array_equal(positions[c + 1 : c + 1 + hi - lo], order)
+        assert np.array_equal(positions[lo:hi], order)
         want = vals[order].astype(np.float64)
-        assert np.array_equal(svals[c + 1 : c + 1 + hi - lo].view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(svals[lo:hi].view(np.uint64), want.view(np.uint64))
 
 
 def same_as_reference(values, cfg: ClusterConfig, table: CentroidTable, assignments):
@@ -1063,18 +1071,19 @@ class TestBatchSetUp:
     def same_as_each_table(tables, sample=None):
         """Assert that the _SegmentSums of tables, one batch, holds bitwise
         what a _SegmentSums of each table alone gives: per row its levels,
-        unit, place values, level-0 prefix columns, each finer level's
-        columns and limb sums, and Σx², for every table or those that sample
-        names; a finer level that the table lacks holds none of its
-        columns."""
+        unit, place values, Σx², and on every level the limb sums of each
+        run of one value, and so of every run, for every table or those that
+        sample names; on a finer level that the table lacks, its runs sum
+        to zero."""
         vals = np.concatenate(tables).astype(np.float32)
         sizes = [table.size for table in tables]
-        svals, _, starts = cluster._sorted(vals, sizes)
+        svals, _ = cluster._sorted(vals, sizes)
+        starts = np.cumsum([0] + sizes[:-1])
         rows = np.arange(len(sizes))
         batch = cluster._SegmentSums(svals, starts, np.array(sizes), rows)
-        assert batch.step == 1 and batch.prefix.shape == (2, svals.size)
+        assert batch.step == 1 and batch.prefix.shape == (2, svals.size + 1)
         for r in rows.tolist() if sample is None else sample:
-            c, n = int(starts[r]), sizes[r]
+            n = sizes[r]
             sums = one_table(np.sort(tables[r], kind="stable"))
             assert sums.step == 1
             assert np.array_equal(batch.views[r].view(np.uint64), sums.views[0].view(np.uint64))
@@ -1082,14 +1091,16 @@ class TestBatchSetUp:
             assert same_float(batch.square_sum[r], sums.square_sum[0])
             assert batch.units[r] == sums.units[0] and batch.squares[r] == sums.squares[0]
             assert np.array_equal(batch.places[:, r], sums.places[:, 0])
-            assert np.array_equal(batch.prefix[:, c : c + n + 1], sums.prefix)
             assert sums.finer.keys() == set(sums.levels[0][1:]) <= batch.finer.keys()
-            for level, (at, limbs) in batch.finer.items():
-                # the table's columns, and the sums at its slot and past it
-                lo, hi = at.searchsorted([c, c + n], side="right")
-                want_at, want = sums.finer.get(level, (at[:0], limbs[:, :1] * 0))
-                assert np.array_equal(at[lo:hi] - c, want_at)
-                assert np.array_equal(limbs[:, lo : hi + 1] - limbs[:, lo : lo + 1], want)
+            # a run of one value's limbs are that value's integer on the
+            # level, or 0 off it
+            bounds = np.arange(n + 1)[None]
+            for level in [0, *batch.finer]:
+                got = batch._limbs(bounds, batch.columns[r], level)
+                if level and level not in sums.finer:
+                    assert not got.any()
+                else:
+                    assert np.array_equal(got, sums._limbs(bounds, sums.columns[0], level))
 
     def test_one_pass_for_a_batch(self, monkeypatch):
         # before its first sweep, a batch reads every table's sums off one
@@ -1175,7 +1186,7 @@ class TestSegmentSums:
         sums = one_table(svals)
         assert (sums.levels == [[0]]) == on_grid(svals)
         step = 1 if layout == "dense" else cluster._STEP
-        assert sums.prefix.shape == (2, n + 1 if step == 1 else (n + 1) // step + 1)
+        assert sums.prefix.shape == (2, n + 1 if step == 1 else n // step + 1)
         for a, b in cuts:
             lo, hi = sorted((int(a * n), int(b * n)))
             total = run_total(sums, lo, hi)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,14 @@ class TestTables:
             ClusteringChoice(9)
         with pytest.raises(ValueError):
             ClusteringChoice(8, 0)
+        assert ClusteringChoice(np.int64(5), np.int64(2)).table_entries == 64
+
+    @pytest.mark.parametrize("field", ["bits", "n_tables"])
+    @pytest.mark.parametrize("value", [5.5, 5.0, "5", None])
+    def test_clustering_choice_rejects_non_integers(self, field, value):
+        # a float would pass the range checks and fail in table_entries
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            ClusteringChoice(**{"bits": 5, field: value})
 
 
 class TestSizeReduction:

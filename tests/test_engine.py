@@ -165,6 +165,15 @@ class TestGemm:
         with pytest.raises(TypeError, match="centroids must be float32"):
             gemm_nn_packed(1, 1, 1, np.ones(2), pack_indices([0], 5), f32([[1.0]]), c)
 
+    # numpy's gather raises IndexError for these, which would read as an
+    # index out of range
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool])
+    def test_rejects_indexes_that_are_not_integers(self, dtype):
+        c = np.zeros((1, 1), dtype=np.float32)
+        with pytest.raises(TypeError, match=f"indexes must be integers, got {np.dtype(dtype)}"):
+            gemm_nn_centroids(1, 1, 1, f32([1.0, 2.0]), np.zeros((1, 1), dtype), f32([[1.0]]), c)
+        assert c[0, 0] == 0.0
+
     @pytest.mark.parametrize("variant, name, shape", BAD_SHAPES)
     def test_rejects_a_shape_that_disagrees_with_mnk(self, variant, name, shape):
         right = {"A": (2, 4), "B": (4, 3), "C": (2, 3)}
@@ -182,13 +191,15 @@ class TestGemm:
                 gemm_nn_packed(2, 3, 4, table, pack_indices([1] * 8, 5), b, c)
         assert c.min() == c.max() == 1.0
 
-    def test_rejects_a_table_that_is_not_one_dimensional(self):
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), ()])
+    def test_rejects_a_table_that_is_not_one_dimensional(self, shape):
         c = np.zeros((1, 1), dtype=np.float32)
-        table = f32([[1.0], [2.0]])
-        with pytest.raises(ValueError, match="centroids has shape"):
-            gemm_nn_centroids(1, 1, 1, table, [[1]], f32([[1.0]]), c)
-        with pytest.raises(ValueError, match="centroids has shape"):
-            gemm_nn_packed(1, 1, 1, table, pack_indices([1], 5), f32([[1.0]]), c)
+        table = np.ones(shape, dtype=np.float32)
+        message = re.escape(f"centroids must be a 1-D table, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            gemm_nn_centroids(1, 1, 1, table, [[0]], f32([[1.0]]), c)
+        with pytest.raises(ValueError, match=message):
+            gemm_nn_packed(1, 1, 1, table, pack_indices([0], 5), f32([[1.0]]), c)
 
 
 class TestGemmCentroids:
