@@ -290,14 +290,16 @@ def pack_indices(indices, bits: int) -> PackedIndices:
 
     Index j occupies bits [(j mod f)*bits, (j mod f)*bits + bits) of word
     j // f, where f = floor(32/bits). Indexes never span words; unused high
-    bits stay zero. indices must have an integer dtype, unless it is empty.
+    bits stay zero. indices must have an integer dtype, unless it is empty:
+    any other raises TypeError, as gemm_nn_centroids does. An index outside
+    0..2**bits - 1 raises ValueError.
     """
     per_word = indexes_per_word(bits)
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ValueError("indices must be 1-D")
     if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"indexes must be integers, got dtype {idx.dtype}")
+        raise TypeError(f"indexes must be integers, got dtype {idx.dtype}")
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= (1 << bits)):
         raise ValueError(f"indexes must lie in 0..{(1 << bits) - 1}")
     lanes = np.zeros((-(-idx.size // per_word), per_word), dtype=np.uint32)
@@ -754,7 +756,9 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
     rounded to float32 first, and any that is not finite as float32 (nan,
     ±inf, or beyond ±3.4e38) raises ValueError. The sweeps then run in
     float64, where nothing that float32 values give can overflow or
-    underflow (see _SegmentSums and _sse_bracket).
+    underflow (see _SegmentSums and _sse_bracket). k must be an integer, a
+    numpy one too, and at least 1: a float or a bool raises TypeError before
+    any work is done.
 
     Returns (CentroidTable, assignments) with centroids sorted ascending and
     assignments indexing them in the original value order. When the data has
@@ -807,6 +811,10 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
       Bounds, reseeds and exact SSEs run table by table, and each table
       stops on its own tests (tol, fixed point) and leaves the batch.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     cfg = cfg or ClusterConfig()
     # past the float32 range the cast gives ±inf, rejected below
     with np.errstate(over="ignore"):
@@ -815,8 +823,6 @@ def kmeans_1d(values, k: int, cfg: ClusterConfig | None = None, lengths=None):
         raise ValueError("values must be non-empty")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     sizes = [vals.size] if lengths is None else [operator.index(n) for n in lengths]
     if sum(sizes) != vals.size:
         raise ValueError(f"lengths add up to {sum(sizes)}, not to the {vals.size} values")

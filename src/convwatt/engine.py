@@ -17,24 +17,33 @@ slice in index order (_accumulate says why that is exact). Where C's rows
 are short, both build their products in place, by copying A and
 multiplying by B, which numpy runs faster than a broadcast multiply.
 
-The GEMMs take 2-D arrays: an (M, K) A or index matrix, a (K, N) B and an
-(M, N) C that is updated in place. Any of them may be a view whose rows lie
-apart, such as one band's view of a convolution's output.
+The GEMMs take an (M, K) A or index matrix, a (K, N) B and an (M, N) C
+that is updated in place. Any of them may be a view whose rows lie apart,
+such as one band's view of a convolution's output. B may also have more
+leading axes that multiply to K, as a convolution's unfold read in place
+has: its rows, in C order, are B's K rows.
 
 Memory is bounded by the live set, not by the depth of the network.
 run_network yields one layer's output at a time and forgets each output
 after its last reader (the next layer, a route or a shortcut). A
-convolution unfolds its input through im2col in bands of whole output rows,
-each at most _BAND fp32 elements, and runs its GEMM once per band on that
-band's columns of the output. Each output column's k-ordered sum depends on
-no other column, so banding leaves every output bit unchanged. A clustered
-convolution decodes only its own span of the packed index stream, while it
-runs: in one piece before its first band, or a block at a time inside the
-GEMM; cluster.dequantize decodes the same span for the dequantized pass.
+convolution runs its GEMM on bands of whole output rows, once per band on
+that band's columns of the output. A stride-1 conv whose GEMM step is wide
+reads each band's unfold from the padded input in place, as a strided view
+(implicit GEMM, as in Chetlur et al., arXiv 1410.0759): its output rows are
+as wide as the padded input's, and the extra "wrap" columns at the end of
+each row, whose products mix two input rows, are dropped before bias and
+activation. Other convs copy each band through im2col, at most _BAND fp32
+elements, except a 1x1/s1/p0 conv, whose one band is a view of its input.
+Each output column's k-ordered sum depends on no other column, so neither
+banding nor the wrap columns change an output bit. A clustered convolution
+decodes only its own span of the packed index stream, while it runs: in
+one piece before its first band, or a block at a time inside the GEMM;
+cluster.dequantize decodes the same span for the dequantized pass.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from functools import partial
 
@@ -80,8 +89,10 @@ _BLOCK = 64
 # products) or half of it (the narrow path's 3-D ones), and then takes
 # several times as long per element; _multiply builds such products in place.
 _BUFFER = np.getbufsize()
-# fp32 elements in one band of a convolution's im2col matrix (4 MB); a band
-# is at least one output row
+# fp32 elements in one band of a convolution's im2col matrix (4 MB), for the
+# convs that copy their unfold (narrow steps and stride 2); a band is at
+# least one output row. An unfold read in place costs no memory, and its
+# bands are sized by _SCRATCH instead.
 _BAND = 1 << 20
 
 
@@ -103,7 +114,9 @@ def _accumulate(M, N, K, block, b, c):
     """The GEMM core: c += A[:, k, None] * b[k] for k in order.
 
     b is a (K, N) and c an (M, N) fp32 array, c updated in place; either may
-    be a view whose rows lie apart. block(k0, k1) returns A[:, k0:k1] as an
+    be a view whose rows lie apart, and b may instead have leading axes that
+    multiply to K, whose C-order rows are its K rows (an unfold read in
+    place, _unfold). block(k0, k1) returns A[:, k0:k1] as an
     (M, k1 - k0) fp32 array; the variants differ only in how they produce
     it, and each reads every element of A once per call, when it is asked
     for. Every product is rounded to fp32 on its own, and each C element adds
@@ -113,12 +126,14 @@ def _accumulate(M, N, K, block, b, c):
     Wide steps (M*N >= _NARROW) go a tile of C's rows at a time, each tile
     about _SCRATCH // 2 elements (512 KB), so that it stays in cache across
     all of k. A tile multiplies and adds in place, one k at a time, taking
-    its rows of A from block in _BLOCK columns; A is read once per tile.
+    its rows of A from block in _BLOCK columns; A is read once per tile,
+    and b's rows are 1-D views, whatever b's shape.
     When c's rows lie apart (as for a band's view of a convolution's output)
     each tile adds into a contiguous copy that is written back after its
     last k: numpy adds a strided 2-D view row by row, which is slower.
 
-    Narrow steps go a chunk of w columns at a time, w as large as _SCRATCH
+    Narrow steps take b as one (K, N) array, a copy if b is an unfold read
+    in place, and go a chunk of w columns at a time, w as large as _SCRATCH
     allows: the chunk's products fill slots 1..w of an (M, w + 1, N')
     buffer, slot 0 holds C, and one np.add.reduce over axis 1 writes the
     sums back. The exactness rests on how numpy reduces an axis that is not
@@ -133,11 +148,19 @@ def _accumulate(M, N, K, block, b, c):
     Both paths build their products with _multiply: in place when C's rows
     are short, which numpy runs faster than the broadcast multiply.
     """
-    _fp32("B", b, (K, N))
+    dtype = getattr(b, "dtype", None)
+    if dtype != np.float32:
+        raise TypeError(f"B must be float32, got {dtype}")
+    if b.ndim < 2 or b.shape[-1] != N or math.prod(b.shape[:-1]) != K:
+        raise ValueError(
+            f"B has shape {b.shape}, (M, N, K) ask for {(K, N)} or leading axes "
+            f"that multiply to {K}"
+        )
     _fp32("C", c, (M, N))
     if not (M and N and K):
         return
     if M * N >= _NARROW:
+        b_rows = [b[i] for i in np.ndindex(b.shape[:-1])]
         rows = max(1, _SCRATCH // (2 * N))
         prod = np.empty((min(rows, M), N), dtype=np.float32)
         for i0 in range(0, M, rows):
@@ -147,12 +170,13 @@ def _accumulate(M, N, K, block, b, c):
             for k0 in range(0, K, _BLOCK):
                 k1 = min(k0 + _BLOCK, K)
                 columns = block(k0, k1)[i0 : i0 + rows].T[:, :, None]
-                for column, row in zip(columns, b[k0:k1]):
+                for column, row in zip(columns, b_rows[k0:k1]):
                     _multiply(column, row, p)
                     tile += p
             if tile is not part:
                 part[...] = tile
         return
+    b = b.reshape(K, N)  # a copy, if b is an unfold read in place
     padded = max(N, 2)
     width = max(1, min(K, _SCRATCH // (M * padded) - 1))
     shape = (M, width + 1, padded)
@@ -175,7 +199,10 @@ def gemm_nn(M, N, K, A, B, C):
     """C[i,j] += A[i,k] * B[k,j], accumulated over k in order.
 
     A is an (M, K), B a (K, N) and C an (M, N) fp32 array; any of them may
-    be a view whose rows lie apart. C is updated in place and returned. Each
+    be a view whose rows lie apart, and B may have more leading axes that
+    multiply to K (_accumulate). A B that is not fp32 raises TypeError, and
+    a shape that disagrees with M, N and K ValueError. C is updated in
+    place and returned. Each
     element gets one fp32 rounding per multiply and per add, in increasing
     k, as in a scalar loop; _accumulate says how whole chunks of k are summed
     at once without changing that.
@@ -239,14 +266,36 @@ def gemm_nn_packed(M, N, K, centroids, packed, B, C, base=0):
 
 
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """x as fp32 with pad zeros around each channel; x itself if it is fp32
-    and pad is 0."""
+    """x as a C-contiguous fp32 array with pad zeros around each channel; x
+    itself if it is one already and pad is 0."""
     if not pad:
-        return np.asarray(x, dtype=np.float32)
+        return np.ascontiguousarray(x, dtype=np.float32)
     c, h, w = x.shape
     out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
     out[:, pad : pad + h, pad : pad + w] = x
     return out
+
+
+def _unfold(src: np.ndarray, r0: int, r1: int, kernel: int, out_w: int) -> np.ndarray:
+    """Output rows r0..r1-1 of a stride-1 conv's unfold, read from src in
+    place: a read-only (c, kernel, kernel, n) view of the padded, contiguous
+    src, n = (r1 - r0 - 1) * W' + out_w for src's width W'.
+
+    Row (ch, kr, kc) starts at src[ch, r0 + kr, kc] and runs on through the
+    channel's flattened rows, so column (r - r0) * W' + j holds what kernel
+    cell (kr, kc) sees at output (r, j) for j < out_w. The other W' - out_w
+    columns of each output row wrap into the next input row; the output
+    columns they feed are dropped. The last element read is the channel's
+    last, src[ch, r1 - 1 + kernel - 1, W' - 1], as r1 <= out_h.
+    """
+    c, _, width = src.shape
+    sc, sh, sw = src.strides
+    return np.lib.stride_tricks.as_strided(
+        src[:, r0],
+        shape=(c, kernel, kernel, (r1 - r0 - 1) * width + out_w),
+        strides=(sc, sh, sw, sw),
+        writeable=False,
+    )
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -292,36 +341,66 @@ def leaky(x: np.ndarray) -> np.ndarray:
 def _convolve(layer: LayerSpec, x: np.ndarray, biases, gemm) -> np.ndarray:
     """Unfold x in bands of whole output rows and convolve band by band.
 
-    gemm(b, c) runs the variant's GEMM on one band: b is the band's
-    (c*k*k, n) im2col matrix and c the band's (filters, n) view of the
-    output, whose rows lie out_h*out_w apart. Each band holds at most _BAND
-    fp32 elements, or one output row if that is larger. The input is padded
-    once for all bands. A 1x1/s1/p0 conv is one band, a view of x.
+    gemm(b, c) runs the variant's GEMM on one band: b is the band's unfold,
+    K rows of n columns, and c the band's (filters, n) view of the output
+    buffer, whose rows lie apart. The input is padded once for all bands.
+
+    A stride-1 conv whose GEMM step is wide (filters * n >= _NARROW, the
+    rule _accumulate uses) reads its unfold in place (_unfold): the output
+    buffer's rows are as wide as the padded input's, W', and each band holds
+    up to _SCRATCH // 2 columns, or one output row if that is more. The
+    W' - out_w wrap columns of each output row are dropped before bias and
+    activation; being columns of their own, they change no other column's
+    sum. Other convs go through im2col, in bands of at most _BAND fp32
+    elements or one output row, except a 1x1/s1/p0 conv: one band, a view
+    of x. Narrow steps keep im2col because on a 10x10 or 20x20 map their
+    wrap columns cost more than the copy saves.
     """
     spec, shape = layer.conv, layer.out_shape
     kernel, stride, pad = spec.kernel, spec.stride, spec.pad
-    w = shape.w
-    out = np.zeros((spec.filters, shape.h * w), dtype=np.float32)
-    if kernel == 1 and stride == 1 and pad == 0:
-        rows = shape.h
-    else:
-        rows = max(1, _BAND // (layer.kernel_shape[1] * w))
+    filters, h, w = spec.filters, shape.h, shape.w
     src = _padded(x, pad)
-    for r0 in range(0, shape.h, rows):
-        r1 = min(r0 + rows, shape.h)
-        rows_in = src[:, r0 * stride : (r1 - 1) * stride + kernel]
-        band = im2col(rows_in, kernel, stride)
-        gemm(band, out[:, r0 * w : r1 * w])
+    width = src.shape[2]
+    rows = max(1, _SCRATCH // (2 * width))
+    in_place = (
+        stride == 1
+        and (kernel, pad) != (1, 0)
+        and filters * ((min(rows, h) - 1) * width + w) >= _NARROW
+    )
+    if not in_place:
+        width = w
+        pointwise = (kernel, stride, pad) == (1, 1, 0)
+        rows = h if pointwise else max(1, _BAND // (layer.kernel_shape[1] * w))
+    out = np.zeros((filters, h * width), dtype=np.float32)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        if in_place:
+            band = _unfold(src, r0, r1, kernel, w)
+        else:
+            band = im2col(src[:, r0 * stride : (r1 - 1) * stride + kernel], kernel, stride)
+        start = r0 * width
+        gemm(band, out[:, start : start + band.shape[-1]])
         del band  # freed before the next band is unfolded
-    out = out.reshape(spec.filters, shape.h, w)
-    out += biases.reshape(-1, 1, 1)
+    bias = biases.reshape(-1, 1, 1)
+    if width == w:
+        out = out.reshape(filters, h, w)
+        out += bias
+    else:
+        # each filter's rows, without their wrap columns, move to the front
+        # of the buffer: a filter's new place ends before the next one's old
+        # place, and numpy computes a ufunc whose output overlaps its input
+        # as if from a copy of that input
+        wide = out.reshape(filters, h, width)
+        out = out.reshape(-1)[: filters * h * w].reshape(filters, h, w)
+        for f in range(filters):
+            np.add(wide[f, :, :w], bias[f], out=out[f])
     if spec.activation == "leaky":
         leaky(out)
     return out
 
 
 def conv_forward(layer: LayerSpec, x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """One convolution layer: im2col by bands, gemm, bias, activation.
+    """One convolution layer: unfold by bands, gemm, bias, activation.
 
     x must have layer.in_shape, and params hold batch-norm-free weights of
     layer.kernel_shape with one bias per filter, as run_network checks.
@@ -330,7 +409,7 @@ def conv_forward(layer: LayerSpec, x: np.ndarray, params: ConvParams) -> np.ndar
     kernel = params.kernel.reshape(m, kdim)
 
     def gemm(b, c):
-        gemm_nn(m, b.shape[1], kdim, kernel, b, c)
+        gemm_nn(m, b.shape[-1], kdim, kernel, b, c)
 
     return _convolve(layer, x, params.biases, gemm)
 
@@ -357,13 +436,13 @@ def conv_forward_clustered(
     if on_the_fly:
 
         def gemm(b, c):
-            gemm_nn_packed(m, b.shape[1], kdim, centroids, packed, b, c, base=base)
+            gemm_nn_packed(m, b.shape[-1], kdim, centroids, packed, b, c, base=base)
 
     else:
         idx = unpack_indices(packed, base, m * kdim).reshape(m, kdim)
 
         def gemm(b, c):
-            gemm_nn_centroids(m, b.shape[1], kdim, centroids, idx, b, c)
+            gemm_nn_centroids(m, b.shape[-1], kdim, centroids, idx, b, c)
 
     return _convolve(layer, x, biases, gemm)
 

@@ -108,12 +108,15 @@ class TestPacking:
             pack_indices([-1], 8)
 
     def test_rejects_non_integer_dtypes(self):
-        # a float index used to be truncated without a word
-        with pytest.raises(ValueError, match="integers, got dtype float64"):
+        # a float index used to be truncated without a word; the error's type
+        # is gemm_nn_centroids' for the same fault
+        with pytest.raises(TypeError, match="integers, got dtype float64"):
             pack_indices([1.7, 2.9], 2)
-        with pytest.raises(ValueError, match="integers, got dtype bool"):
+        with pytest.raises(TypeError, match="integers, got dtype float64"):
+            pack_indices(np.array([0.5]), 5)
+        with pytest.raises(TypeError, match="integers, got dtype bool"):
             pack_indices(np.array([True, False]), 1)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(TypeError, match="integers"):
             pack_indices(np.array([1.0], dtype=np.float32), 8)
 
     @pytest.mark.parametrize(
@@ -373,6 +376,24 @@ class TestKmeans:
             kmeans_1d([1.0, float("nan")], 2)
         with pytest.raises(ValueError, match="k"):
             kmeans_1d([1.0], 0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.True_, "2", None])
+    def test_rejects_a_k_that_is_not_an_integer(self, k):
+        class Unread:
+            """Values that fail the test if kmeans_1d reads them."""
+
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("values read before k was checked")
+
+        with pytest.raises(TypeError, match=f"k must be an integer, got {k!r}"):
+            kmeans_1d(Unread(), k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), np.int32(2)])
+    def test_numpy_integer_k_is_taken(self, k):
+        table, assignments = kmeans_1d(np.arange(10.0), k)
+        want_table, want = kmeans_1d(np.arange(10.0), 2)
+        assert np.array_equal(table.centroids, want_table.centroids)
+        assert np.array_equal(assignments, want)
 
     @pytest.mark.parametrize(
         "bad", [1e300, -1e300, 3.41e38, -1.7e308, math.nan, math.inf, -math.inf]

@@ -191,6 +191,48 @@ class TestGemm:
                 gemm_nn_packed(2, 3, 4, table, pack_indices([1] * 8, 5), b, c)
         assert c.min() == c.max() == 1.0
 
+    @pytest.mark.parametrize("path", ["narrow", "wide"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_b_may_have_leading_axes_that_multiply_to_k(self, monkeypatch, variant, path):
+        # B's rows in C order, as an in-place unfold's (c, kr, kc) rows are
+        rng = np.random.default_rng(10)
+        m, n, k = 3, 5, 12
+        a = rng.normal(size=m * k).astype(np.float32)
+        b = rng.normal(size=k * n).astype(np.float32)
+        c = rng.normal(size=m * n).astype(np.float32)
+        want = reference(m, n, k, a, k, b, n, c, n)
+        force_path(monkeypatch, path, None, m, n)
+        spread = np.zeros((3, 2, 2, 2 * n), dtype=np.float32)[..., ::2]
+        spread[...] = b.reshape(3, 2, 2, n)
+        got = c.copy().reshape(m, n)
+        if variant == "gemm_nn":
+            gemm_nn(m, n, k, a.reshape(m, k), spread, got)
+        else:
+            table, idx = a, np.arange(m * k).reshape(m, k)
+            if variant == "centroids":
+                gemm_nn_centroids(m, n, k, table, idx, spread, got)
+            else:
+                gemm_nn_packed(m, n, k, table, pack_indices(idx.reshape(-1), 6), spread, got)
+        assert same_bits(got.reshape(-1), want)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rejects_leading_axes_that_do_not_multiply_to_k(self, variant):
+        c = np.ones((2, 3), dtype=np.float32)
+        table = f32([1.0, 2.0])
+        for b, error, message in [
+            (np.ones((2, 3, 3), dtype=np.float32), ValueError, "leading axes that multiply to 4"),
+            (np.ones((4, 1, 3), dtype=np.float32)[:, :, :2], ValueError, "ask for (4, 3)"),
+            (np.ones((2, 2, 3)), TypeError, "B must be float32, got float64"),
+        ]:
+            with pytest.raises(error, match=re.escape(message)):
+                if variant == "gemm_nn":
+                    gemm_nn(2, 3, 4, np.ones((2, 4), dtype=np.float32), b, c)
+                elif variant == "centroids":
+                    gemm_nn_centroids(2, 3, 4, table, np.ones((2, 4), dtype=np.int64), b, c)
+                else:
+                    gemm_nn_packed(2, 3, 4, table, pack_indices([1] * 8, 5), b, c)
+        assert c.min() == c.max() == 1.0
+
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2), ()])
     def test_rejects_a_table_that_is_not_one_dimensional(self, shape):
         c = np.zeros((1, 1), dtype=np.float32)
@@ -768,6 +810,140 @@ class TestConvBands:
         assert same_bits(got, conv_forward_reference(layer, x, table[idx], biases))
         assert len(bands) == len(gemm_bs) == 1
         assert np.shares_memory(gemm_bs[0], x)
+
+
+def byte_extent(a):
+    """The first and one past the last byte address that array a reads."""
+    low = high = a.__array_interface__["data"][0]
+    for size, step in zip(a.shape, a.strides):
+        if step > 0:
+            high += (size - 1) * step
+        else:
+            low += (size - 1) * step
+    return low, high + a.itemsize
+
+
+def nan_fenced(monkeypatch):
+    """Make _convolve's padded input a view into a buffer that holds NaNs
+    directly before and after it; return the list of such inputs made."""
+    fenced, real = [], engine._padded
+
+    def padded(x, pad):
+        src = real(x, pad)
+        buffer = np.full(src.size + 64, np.nan, dtype=np.float32)
+        view = buffer[32 : 32 + src.size].reshape(src.shape)
+        view[...] = src
+        fenced.append(view)
+        return view
+
+    monkeypatch.setattr(engine, "_padded", padded)
+    return fenced
+
+
+def unfold_case(rng, kernel, pad, in_w, channels=2, filters=3, in_h=6):
+    """A stride-1 conv and its operands: input, table, indexes, biases."""
+    layer = shaped_conv(in_h, in_w, channels, filters, kernel, 1, pad=pad,
+                        activation="leaky")
+    x = rng.normal(size=(channels, in_h, in_w)).astype(np.float32)
+    table = rng.normal(size=32).astype(np.float32)
+    idx = rng.integers(0, 32, size=filters * channels * kernel * kernel)
+    biases = rng.normal(size=filters).astype(np.float32)
+    return layer, x, table, idx, biases
+
+
+class TestUnfoldInPlace:
+    """Wide stride-1 convs read their unfold from the padded input itself:
+    no im2col copy, wrap columns dropped, every output bit as the scalar
+    conv's."""
+
+    @pytest.mark.parametrize("band_rows", [1, 2, None])  # None: one band
+    @pytest.mark.parametrize("in_w", [7, 8])
+    @pytest.mark.parametrize("kernel, pad", [
+        (1, 1), (1, 2), (3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2),
+    ])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_the_scalar_conv(
+        self, monkeypatch, variant, kernel, pad, in_w, band_rows
+    ):
+        rng = np.random.default_rng(kernel * 100 + pad * 10 + in_w)
+        layer, x, table, idx, biases = unfold_case(rng, kernel, pad, in_w)
+        out_h, out_w = layer.out_shape.h, layer.out_shape.w
+        width = in_w + 2 * pad
+        monkeypatch.setattr(engine, "_NARROW", 0)
+        if band_rows is not None:
+            monkeypatch.setattr(engine, "_SCRATCH", 2 * band_rows * width)
+        fenced = nan_fenced(monkeypatch)
+        bands, gemm_bs = spy_bands(monkeypatch)
+        got = conv_variant(variant, layer, x, table, idx, biases)
+        assert same_bits(got, conv_forward_reference(layer, x, table[idx], biases))
+        assert got.flags.c_contiguous
+        # no im2col; each GEMM reads rows r0..r1 of the padded input in place
+        rows = band_rows or out_h
+        heights = [min(rows, out_h - r0) for r0 in range(0, out_h, rows)]
+        assert bands == [] and len(fenced) == 1
+        assert [b.shape for b in gemm_bs] == [
+            (2, kernel, kernel, (h - 1) * width + out_w) for h in heights
+        ]
+        low, high = byte_extent(fenced[0])
+        for b in gemm_bs:
+            assert np.shares_memory(b, fenced[0])
+            assert low <= byte_extent(b)[0] and byte_extent(b)[1] <= high
+
+    @pytest.mark.parametrize("band_rows", [1, None])
+    @pytest.mark.parametrize("kernel, pad", [(3, 1), (5, 2), (3, 0)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_inf_weight_at_the_centre_tap(
+        self, monkeypatch, variant, kernel, pad, band_rows
+    ):
+        # the centre tap of a wrap column reads padding or the next row, so
+        # inf * 0.0 gives NaN there; the wrap columns are dropped and the
+        # output keeps the reference's bits, zeros of the input included
+        rng = np.random.default_rng(kernel + pad)
+        layer, x, table, idx, biases = unfold_case(rng, kernel, pad, 7)
+        x[0, 2, ::3] = 0.0
+        # the reference skips padding taps; only the centre tap never hits
+        # padding, so only it may hold inf
+        idx %= 31
+        table[31] = np.inf
+        idx[(kernel * kernel) // 2] = 31  # filter 0, channel 0
+        monkeypatch.setattr(engine, "_NARROW", 0)
+        if band_rows is not None:
+            monkeypatch.setattr(engine, "_SCRATCH", 2 * band_rows * (7 + 2 * pad))
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
+            want = conv_forward_reference(layer, x, table[idx], biases)
+            got = conv_variant(variant, layer, x, table, idx, biases)
+        assert np.isinf(want).any() and np.isnan(want).any()
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("kernel, stride, pad, wide", [
+        (3, 1, 1, False),  # narrow: 4 filters of 8 * 11 + 9 columns
+        (3, 2, 1, True),  # stride 2
+        (1, 1, 0, True),  # the pointwise view
+    ])
+    def test_other_convs_keep_im2col(self, monkeypatch, kernel, stride, pad, wide):
+        rng = np.random.default_rng(8)
+        layer = shaped_conv(9, 9, 2, 4, kernel, stride, pad=pad)
+        x = rng.normal(size=(2, 9, 9)).astype(np.float32)
+        weights = rng.normal(size=4 * 2 * kernel * kernel).astype(np.float32)
+        biases = rng.normal(size=4).astype(np.float32)
+        if wide:
+            monkeypatch.setattr(engine, "_NARROW", 0)
+        else:
+            assert 4 * layer.out_shape.h * (9 + 2 * pad) < engine._NARROW
+        bands, gemm_bs = spy_bands(monkeypatch)
+        got = conv_forward(layer, x, ConvParams(layer_index=0, biases=biases, kernel=weights))
+        assert same_bits(got, conv_forward_reference(layer, x, weights, biases))
+        assert len(bands) == len(gemm_bs) >= 1
+        assert all(b.ndim == 2 for b in gemm_bs)
+
+    def test_input_that_is_not_contiguous(self, monkeypatch):
+        # pad 0 takes x as it is, so it must be made contiguous first
+        rng = np.random.default_rng(9)
+        layer, x, table, idx, biases = unfold_case(rng, 3, 0, 8)
+        x = np.asfortranarray(x)
+        monkeypatch.setattr(engine, "_NARROW", 0)
+        got = conv_variant("gemm_nn", layer, x, table, idx, biases)
+        assert same_bits(got, conv_forward_reference(layer, x, table[idx], biases))
 
 
 # conv, conv, route back to the first conv, conv
